@@ -12,11 +12,9 @@ from .analyze import (
     AnovaResult,
     Branch,
     CrtGroup,
-    EffectSummary,
     PairwiseComparison,
     crt_group,
     effect_summary,
-    effects_by_group,
     f_survival,
     one_way_anova,
     pairwise_posthoc,

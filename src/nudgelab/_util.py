@@ -19,11 +19,6 @@ def softplus_inverse(y):
     return y + np.log(-np.expm1(-y))
 
 
-def log_sigmoid(z):
-    """log(sigmoid(z)) = -softplus(-z)."""
-    return -np.logaddexp(0.0, -z)
-
-
 def bernoulli_loglik(y, z):
     """Pointwise log Bernoulli(y | sigmoid(z)) = y*z - softplus(z)."""
     return y * z - np.logaddexp(0.0, z)

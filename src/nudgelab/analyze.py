@@ -18,12 +18,10 @@ from scipy.special import betainc
 
 from .errors import InputError, UsageError
 from .nudge import NudgeParams
-from .records import Treatment
 
 __all__ = [
     "CrtGroup",
     "Branch",
-    "EffectSummary",
     "AnovaResult",
     "PairwiseComparison",
     "crt_group",
@@ -31,7 +29,6 @@ __all__ = [
     "one_way_anova",
     "f_survival",
     "pairwise_posthoc",
-    "effects_by_group",
 ]
 
 
@@ -56,15 +53,6 @@ def crt_group(score: int) -> CrtGroup:
     if score == 3:
         return CrtGroup.REFLECTIVE
     raise InputError(f"CRT score must be in 0..3, got {score}")
-
-
-@dataclass(frozen=True)
-class EffectSummary:
-    subject_id: str
-    treatment: Treatment
-    branch: Branch
-    signed_magnitude: float
-    crt_group: CrtGroup
 
 
 @dataclass(frozen=True)
@@ -189,10 +177,3 @@ def pairwise_posthoc(groups, n_permutations: int = 10000,
                                       p_value=p))
     return out
 
-
-def effects_by_group(summaries) -> dict[CrtGroup, list[float]]:
-    """Bucket signed effect magnitudes by cognitive-style group."""
-    out: dict[CrtGroup, list[float]] = {g: [] for g in CrtGroup}
-    for summary in summaries:
-        out[summary.crt_group].append(summary.signed_magnitude)
-    return out

@@ -259,14 +259,31 @@ def load_posterior(path) -> PopulationPosterior:
         raise DataValidationError(
             f"population posterior missing: {path} (run fit-population first)"
         )
-    with open(path) as handle:
-        payload = json.load(handle)
-    return PopulationPosterior.from_moments(
-        np.asarray(payload["mean"]),
-        np.asarray(payload["variance"]),
-        int(payload["ensemble_size"]),
-        seed=int(payload["seed"]),
-    )
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+        mean = np.asarray(payload["mean"], dtype=float)
+        variance = np.asarray(payload["variance"], dtype=float)
+        size = int(payload["ensemble_size"])
+        seed = int(payload["seed"])
+    except _MALFORMED as exc:
+        raise _malformed("population posterior", path, exc) from exc
+    if mean.ndim != 1 or variance.shape != mean.shape or seed < 0:
+        raise DataValidationError(
+            f"malformed population posterior {path}: mean and variance must be "
+            f"lists of equal length and seed must be nonnegative"
+        )
+    return PopulationPosterior.from_moments(mean, variance, size, seed=seed)
+
+
+# What parsing a hand-editable artifact raises on bad content: a missing key,
+# a value of the wrong type, or text that is not a number or not valid JSON.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _malformed(what: str, path, exc: Exception) -> DataValidationError:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return DataValidationError(f"malformed {what} {path}: {detail}")
 
 
 _BRANCH_FIELDS = {
@@ -312,9 +329,16 @@ def write_params_file(path, subject_id: str, treatment: Treatment,
 
 def read_params_file(path) -> dict:
     """Parse a params file back into {subject_id, treatment, params, ...}."""
+    try:
+        return _parse_params(Path(path).read_text())
+    except _MALFORMED as exc:
+        raise _malformed("params file", path, exc) from exc
+
+
+def _parse_params(text: str) -> dict:
     sections: dict[str, dict[str, str]] = {"": {}}
     current = ""
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue

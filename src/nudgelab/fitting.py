@@ -31,6 +31,16 @@ __all__ = [
 # scale) and no trial probability sits on the clip boundary.
 _GRADIENT_TOL = 1e-2
 
+# Grid of logit shifts on which _ResponseTable tabulates a trial's ensemble
+# response: step 0.05 over [-12, 12].  The cubic Hermite error is at most
+# step^4 / 384 * max|d^4 sigmoid / dx^4| = 2.1e-9 in probability.
+_GRID_LO = -12.0
+_GRID_STEP = 0.05
+_GRID_NODES = 481
+# Smallest ensemble whose response is tabulated.  Below it a fit's exact
+# evaluations cost less than building the table (see CHANGES.md).
+_TABULATE_MIN_MEMBERS = 128
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -63,17 +73,98 @@ class NudgeFitResult:
     theta: np.ndarray
 
 
+def _ensemble_response(base, weight, shift):
+    """Each trial's p_t = sum_s w_st sigmoid(base_st + c_t) and dp_t/dc_t."""
+    member = sigmoid(base + shift)
+    weighted = weight * member
+    return weighted.sum(axis=0), (weighted * (1.0 - member)).sum(axis=0)
+
+
+class _ResponseTable:
+    """``_ensemble_response`` as a piecewise cubic in each trial's shift.
+
+    p_t and its slope are tabulated exactly at the nodes of a fixed grid of
+    shifts; between nodes, p_t is their cubic Hermite interpolant.  A shift
+    off the grid is evaluated exactly, for that trial only.
+    """
+
+    def __init__(self, base: np.ndarray, weight: np.ndarray):
+        self.base = base
+        self.weight = weight
+        n_trials = base.shape[1]
+        p = np.empty((_GRID_NODES, n_trials))
+        slope = np.empty((_GRID_NODES, n_trials))
+        # sigmoid(x) = 1 / (1 + e^-x), and stepping the shift by one node
+        # multiplies e^-x by a constant, so no node needs an exp.  Clipping
+        # base keeps e^-x finite and moves no probability by more than 1e-290.
+        decay = np.exp(-(np.clip(base, -688.0, 688.0) + _GRID_LO))
+        # One node at a time keeps the temporaries at four copies of base.
+        odds = np.empty_like(base)
+        denom = np.empty_like(base)
+        term = np.empty_like(base)
+        for k in range(_GRID_NODES):
+            np.multiply(decay, np.exp(-_GRID_STEP * k), out=odds)    # e^-x
+            np.add(odds, 1.0, out=denom)                              # 1 / sigmoid
+            np.divide(weight, denom, out=term)                        # w sigmoid
+            p[k] = term.sum(axis=0)
+            term /= denom
+            term *= odds                                              # w sigmoid (1 - sigmoid)
+            slope[k] = term.sum(axis=0)
+        # Hermite coefficients of each interval in u = (c - c_k) / step, then
+        # those of the interpolant's slope dp/dc.
+        rise = p[1:] - p[:-1]
+        m0 = _GRID_STEP * slope[:-1]
+        m1 = _GRID_STEP * slope[1:]
+        coef = np.empty((_GRID_NODES - 1, n_trials, 7))
+        coef[..., 0] = p[:-1]
+        coef[..., 1] = m0
+        coef[..., 2] = 3.0 * rise - 2.0 * m0 - m1
+        coef[..., 3] = m0 + m1 - 2.0 * rise
+        coef[..., 4] = slope[:-1]
+        coef[..., 5] = (2.0 / _GRID_STEP) * coef[..., 2]
+        coef[..., 6] = (3.0 / _GRID_STEP) * coef[..., 3]
+        self.coef = coef.reshape(-1, 7)
+        self.columns = np.arange(n_trials)
+        self.n_trials = n_trials
+
+    def __call__(self, shift: np.ndarray):
+        """(p, dp/dc) at each trial's shift."""
+        u = (shift - _GRID_LO) / _GRID_STEP
+        node = np.floor(u)
+        on_grid = (node >= 0.0) & (node <= _GRID_NODES - 2)
+        all_on_grid = on_grid.all()
+        if not all_on_grid:
+            off = ~on_grid
+            node[off] = 0.0
+            u[off] = 0.0
+        u -= node
+        a0, a1, a2, a3, b0, b1, b2 = self.coef[
+            node.astype(np.intp) * self.n_trials + self.columns].T
+        p = ((a3 * u + a2) * u + a1) * u + a0
+        dp_dc = (b2 * u + b1) * u + b0
+        if not all_on_grid:
+            p[off], dp_dc[off] = _ensemble_response(
+                self.base[:, off], self.weight[:, off], shift[off])
+        return p, dp_dc
+
+
 class NudgeObjective:
     """Mean negative log-likelihood of one subject's trials, with gradient.
 
     Precomputes everything that depends only on the trials and the frozen
     ensemble (base logits, per-trial conditioning weights, masked response
-    means), so each evaluation touches a single (S, T) nonlinearity at
-    most.  ``theta`` layouts:
+    means).  ``theta`` layouts:
 
     * immediate    — [scale, raw_magnitudes x n]
     * delayed      — [scale_affirm, raw_affirm x n, scale_contra, raw_contra x n]
     * explanation  — [raw_attention]
+
+    Immediate and delayed assistance move trial t only through a scalar
+    logit shift c_t, so its probability is a fixed 1-D function of c_t.
+    With at least ``_TABULATE_MIN_MEMBERS`` ensemble members that function
+    is tabulated once (``_ResponseTable``) and ``value_and_gradient(...,
+    tabulated=True)`` interpolates it; a shift off the grid is evaluated
+    exactly, for that trial only.  Everything else is exact.
     """
 
     def __init__(self, trials: list[BehaviorRecord], ensemble: np.ndarray,
@@ -94,25 +185,41 @@ class NudgeObjective:
                     f"{self.treatment.value!r}"
                 )
         self.n = trials[0].n_features
+        if ensemble.shape[1] != self.n + 1:
+            raise ConfigurationError(
+                f"posterior has {ensemble.shape[1] - 1} features but the "
+                f"trials have {self.n}"
+            )
         self.clip_eps = float(clip_eps)
         self.l2_penalty = float(l2_penalty)
 
         self.features = np.stack([t.features for t in trials])           # (T, n)
-        features_bias = np.hstack([self.features,
-                                   np.ones((len(trials), 1))])           # (T, n+1)
+        n_trials = len(trials)
+        ones = np.ones((n_trials, 1))
         self.final = np.asarray([t.final_decision for t in trials], dtype=float)
-        base = ensemble @ features_bias.T                                # (S, T)
 
+        if self.treatment == Treatment.EXPLANATION:
+            mask = np.stack([t.explanation_mask for t in trials]).astype(float)
+            focused = np.hstack([mask * self.features, ones])
+            ignored = np.hstack([(1.0 - mask) * self.features, ones])
+            self.mean_focused = sigmoid(ensemble @ focused.T).mean(axis=0)   # (T,)
+            self.mean_ignored = sigmoid(ensemble @ ignored.T).mean(axis=0)   # (T,)
+            return
+
+        base = ensemble @ np.hstack([self.features, ones]).T              # (S, T)
+        rec = np.asarray([t.ai_recommendation for t in trials])
         if self.treatment == Treatment.IMMEDIATE:
-            rec = np.asarray([t.ai_recommendation for t in trials], dtype=float)
             conf = np.asarray([t.ai_confidence for t in trials])
             self.direction = (2.0 * rec - 1.0) * conf                    # (T,)
-            self.base = base
-        elif self.treatment == Treatment.DELAYED:
-            rec = np.asarray([t.ai_recommendation for t in trials])
+            self.n_branches = 1                                          # direct
+            branch = np.zeros(n_trials, dtype=np.intp)
+            # uniform member weights 1/S, broadcast over members
+            self.member_weight = np.full((1, n_trials), 1.0 / len(ensemble))
+        else:
             initial = np.asarray([t.initial_decision for t in trials])
-            self.direction = 2.0 * rec.astype(float) - 1.0
-            self.affirms = rec == initial                                # (T,)
+            self.direction = 2.0 * rec - 1.0
+            self.n_branches = 2                                          # affirm, contra
+            branch = (rec != initial).astype(np.intp)
             consistent = (sigmoid(base) >= 0.5) == initial[None, :].astype(bool)
             counts = consistent.sum(axis=0)
             fallback = counts == 0
@@ -120,23 +227,19 @@ class NudgeObjective:
                 consistent[:, fallback] = True
                 counts = consistent.sum(axis=0)
             self.member_weight = consistent / counts                     # (S, T)
-            self.base = base
-        else:
-            mask = np.stack([t.explanation_mask for t in trials]).astype(float)
-            focused = np.hstack([mask * self.features,
-                                 np.ones((len(trials), 1))])
-            ignored = np.hstack([(1.0 - mask) * self.features,
-                                 np.ones((len(trials), 1))])
-            self.mean_focused = sigmoid(ensemble @ focused.T).mean(axis=0)   # (T,)
-            self.mean_ignored = sigmoid(ensemble @ ignored.T).mean(axis=0)   # (T,)
+        # features in the column block of each trial's branch, zero elsewhere
+        in_branch = branch[:, None] == np.arange(self.n_branches)
+        self.branch_features = (in_branch[:, :, None] * self.features[:, None, :]
+                                ).reshape(n_trials, -1)                # (T, B*n)
+        self.base = base
+        self.table = (_ResponseTable(base, self.member_weight)
+                      if len(ensemble) >= _TABULATE_MIN_MEMBERS else None)
 
     @property
     def n_params(self) -> int:
-        if self.treatment == Treatment.IMMEDIATE:
-            return 1 + self.n
-        if self.treatment == Treatment.DELAYED:
-            return 2 * (1 + self.n)
-        return 1
+        if self.treatment == Treatment.EXPLANATION:
+            return 1
+        return self.n_branches * (1 + self.n)
 
     # -- parameterization -------------------------------------------------
 
@@ -144,19 +247,18 @@ class NudgeObjective:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise ConfigurationError(f"theta must have shape ({self.n_params},)")
+        if self.treatment == Treatment.EXPLANATION:
+            return NudgeParams.for_explanation(float(sigmoid(theta[0])))
+        vectors = [SignedSharedSignVector(scale=float(block[0]),
+                                          magnitudes=softplus(block[1:]))
+                   for block in self._blocks(theta)]
         if self.treatment == Treatment.IMMEDIATE:
-            return NudgeParams.for_immediate(self._vector(theta))
-        if self.treatment == Treatment.DELAYED:
-            half = 1 + self.n
-            return NudgeParams.for_delayed(
-                self._vector(theta[:half]), self._vector(theta[half:])
-            )
-        return NudgeParams.for_explanation(float(sigmoid(theta[0])))
+            return NudgeParams.for_immediate(*vectors)
+        return NudgeParams.for_delayed(*vectors)
 
-    @staticmethod
-    def _vector(block: np.ndarray) -> SignedSharedSignVector:
-        return SignedSharedSignVector(scale=float(block[0]),
-                                      magnitudes=softplus(block[1:]))
+    def _blocks(self, theta: np.ndarray) -> np.ndarray:
+        """theta as one [scale, raw magnitudes] row per branch."""
+        return theta.reshape(self.n_branches, 1 + self.n)
 
     def initial_theta(self, restart: int, seed: int) -> np.ndarray:
         """Restart 0 starts near zero nudge; restart 1 flips the scale sign;
@@ -171,32 +273,32 @@ class NudgeObjective:
             scale = 0.5 if restart == 0 else -0.5
             small = float(softplus_inverse(0.02))
             block = np.concatenate([[scale], np.full(self.n, small)])
-        else:
-            rng = np.random.default_rng(derive_seed(seed, "init", restart))
-            if self.treatment == Treatment.DELAYED:
-                return np.concatenate([
-                    rng.normal(0.0, 1.5, size=1), rng.normal(-1.0, 1.0, size=self.n),
-                    rng.normal(0.0, 1.5, size=1), rng.normal(-1.0, 1.0, size=self.n),
-                ])
-            return np.concatenate([
-                rng.normal(0.0, 1.5, size=1), rng.normal(-1.0, 1.0, size=self.n),
-            ])
-        if self.treatment == Treatment.DELAYED:
-            return np.concatenate([block, block])
-        return block
+            return np.tile(block, self.n_branches)
+        rng = np.random.default_rng(derive_seed(seed, "init", restart))
+        return np.concatenate([
+            draw for _ in range(self.n_branches)
+            for draw in (rng.normal(0.0, 1.5, size=1),
+                         rng.normal(-1.0, 1.0, size=self.n))
+        ])
 
     # -- objective ---------------------------------------------------------
 
     def probabilities(self, theta: np.ndarray) -> np.ndarray:
         """Unclipped per-trial probabilities of a final decision of 1."""
-        return self._forward(np.asarray(theta, dtype=float))[0]
+        return self._forward(np.asarray(theta, dtype=float), tabulated=False)[0]
 
     def value_and_gradient(
-        self, theta: np.ndarray, include_penalty: bool = True
+        self, theta: np.ndarray, include_penalty: bool = True,
+        tabulated: bool = False,
     ) -> tuple[float, np.ndarray]:
-        """Mean NLL of the final decisions and its exact gradient in theta."""
+        """Mean NLL of the final decisions and its gradient in theta.
+
+        Exact by default.  ``tabulated`` evaluates the ensemble response
+        from the table where the objective has one; the gradient is then
+        exact for the interpolated response.
+        """
         theta = np.asarray(theta, dtype=float)
-        probs, backward = self._forward(theta)
+        probs, backward = self._forward(theta, tabulated)
         eps = self.clip_eps
         clipped = np.clip(probs, eps, 1.0 - eps)
         n_trials = probs.size
@@ -221,7 +323,7 @@ class NudgeObjective:
         return bool(np.any((probs <= self.clip_eps)
                            | (probs >= 1.0 - self.clip_eps)))
 
-    def _forward(self, theta):
+    def _forward(self, theta, tabulated):
         if self.treatment == Treatment.EXPLANATION:
             attention = float(sigmoid(theta[0]))
             probs = (attention * self.mean_focused
@@ -235,77 +337,40 @@ class NudgeObjective:
 
             return probs, backward
 
-        if self.treatment == Treatment.IMMEDIATE:
-            delta = theta[0] * softplus(theta[1:])
-            shift = self.direction * (self.features @ delta)             # (T,)
-            logits = self.base + shift[None, :]
-            member_probs = sigmoid(logits)
-            probs = member_probs.mean(axis=0)
-
-            def backward(dvalue_dp):
-                slope = (member_probs * (1.0 - member_probs)).mean(axis=0)
-                dshift = dvalue_dp * slope * self.direction              # (T,)
-                ddelta = dshift @ self.features                          # (n,)
-                mags = softplus(theta[1:])
-                dscale = float(ddelta @ mags)
-                dmags = theta[0] * ddelta * sigmoid(theta[1:])
-                return np.concatenate([[dscale], dmags])
-
-            return probs, backward
-
-        # delayed: branch-dependent shift, conditioning weights per trial
-        half = 1 + self.n
-        delta_affirm = theta[0] * softplus(theta[1:half])
-        delta_contra = theta[half] * softplus(theta[half + 1:])
-        scores = np.where(self.affirms,
-                          self.features @ delta_affirm,
-                          self.features @ delta_contra)
-        shift = self.direction * scores
-        logits = self.base + shift[None, :]
-        member_probs = sigmoid(logits)
-        probs = np.sum(self.member_weight * member_probs, axis=0)
+        # shift c_t = direction_t * x_t . delta_(branch of t)
+        blocks = self._blocks(theta)
+        mags = softplus(blocks[:, 1:])
+        deltas = blocks[:, :1] * mags                                    # (B, n)
+        shift = self.direction * (self.branch_features @ deltas.ravel())  # (T,)
+        if tabulated and self.table is not None:
+            probs, slope = self.table(shift)
+        else:
+            probs, slope = _ensemble_response(self.base, self.member_weight, shift)
 
         def backward(dvalue_dp):
-            slope = np.sum(
-                self.member_weight * member_probs * (1.0 - member_probs), axis=0
-            )
             dshift = dvalue_dp * slope * self.direction                  # (T,)
-            grad = np.empty(self.n_params)
-            for offset, selector, block in (
-                (0, self.affirms, theta[:half]),
-                (half, ~self.affirms, theta[half:]),
-            ):
-                ddelta = (dshift * selector) @ self.features
-                mags = softplus(block[1:])
-                grad[offset] = float(ddelta @ mags)
-                grad[offset + 1: offset + half] = (
-                    block[0] * ddelta * sigmoid(block[1:])
-                )
-            return grad
+            ddelta = (dshift @ self.branch_features).reshape(mags.shape)  # (B, n)
+            return _shift_vector_gradient(blocks, mags, ddelta)
 
         return probs, backward
 
     def _penalty(self, theta):
-        grad = np.zeros_like(theta)
         if self.treatment == Treatment.EXPLANATION:
             value = 0.5 * self.l2_penalty * float(theta[0] ** 2)
-            grad[0] = self.l2_penalty * theta[0]
-            return value, grad
-        value = 0.0
-        blocks = ([theta] if self.treatment == Treatment.IMMEDIATE
-                  else [theta[: 1 + self.n], theta[1 + self.n:]])
-        offset = 0
-        for block in blocks:
-            mags = softplus(block[1:])
-            delta = block[0] * mags
-            value += 0.5 * self.l2_penalty * float(delta @ delta)
-            ddelta = self.l2_penalty * delta
-            grad[offset] = float(ddelta @ mags)
-            grad[offset + 1: offset + 1 + self.n] = (
-                block[0] * ddelta * sigmoid(block[1:])
-            )
-            offset += 1 + self.n
-        return value, grad
+            return value, self.l2_penalty * theta
+        blocks = self._blocks(theta)
+        mags = softplus(blocks[:, 1:])
+        deltas = blocks[:, :1] * mags
+        value = 0.5 * self.l2_penalty * float(np.sum(deltas * deltas))
+        return value, _shift_vector_gradient(blocks, mags, self.l2_penalty * deltas)
+
+
+def _shift_vector_gradient(blocks, mags, ddelta):
+    """Gradient in theta, given the gradient in each branch's realized shift
+    vector delta = scale * softplus(raw)."""
+    dscale = (ddelta * mags).sum(axis=1, keepdims=True)
+    dmags = blocks[:, :1] * ddelta * sigmoid(blocks[:, 1:])
+    return np.concatenate([dscale, dmags], axis=1).ravel()
 
 
 def _minimize(objective: NudgeObjective, config: FitConfig):
@@ -317,7 +382,7 @@ def _minimize(objective: NudgeObjective, config: FitConfig):
         theta = objective.initial_theta(restart, config.seed)
         optimizer = Adam(theta.size, config.learning_rate)
         for iteration in range(config.iterations + 1):
-            value, grad = objective.value_and_gradient(theta)
+            value, grad = objective.value_and_gradient(theta, tabulated=True)
             if not np.isfinite(value):
                 break
             if value < best_value:

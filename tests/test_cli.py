@@ -2,6 +2,8 @@
 
 import json
 import filecmp
+import shutil
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,75 @@ def _config_file(tmp_path):
         "nudge_iterations": 50,
     }))
     return str(path)
+
+
+def _single_json_error(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def _copy_inputs(pipeline_dir, out):
+    out.mkdir()
+    shutil.copy(pipeline_dir / "behavior.csv", out / "behavior.csv")
+    shutil.copy(pipeline_dir / "posterior.json", out / "posterior.json")
+    return tiny_config(out, data_path=out / "behavior.csv")
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda payload: json.dumps(
+            {k: v for k, v in payload.items() if k != "seed"}), id="missing-seed"),
+        pytest.param(lambda payload: json.dumps(payload)[:-5], id="truncated-json"),
+        pytest.param(lambda payload: json.dumps(
+            dict(payload, variance=payload["variance"][:-1])), id="short-variance"),
+        pytest.param(lambda payload: json.dumps(
+            dict(payload, mean="high")), id="non-numeric-mean"),
+    ])
+    def test_broken_posterior_exits_one(self, pipeline_dir, tmp_path, capsys,
+                                        corrupt):
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        path = tmp_path / "run" / "posterior.json"
+        path.write_text(corrupt(json.loads(path.read_text())))
+        assert run_pipeline("fit-nudge", config) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert "malformed population posterior" in error["message"]
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("subject_id: s1\ntreatment: immediate\n", id="missing-keys"),
+        pytest.param("subject_id: s1\ntreatment: immediate\ntrain_nll: low\n"
+                     "converged: true\nrestart_index: 0\n[delta_direct]\n"
+                     "scale: 1\nmagnitudes: 0.5\n", id="non-numeric-value"),
+        pytest.param("subject_id: s1\ntreatment: delayed\ntrain_nll: 0.5\n"
+                     "converged: true\nrestart_index: 0\n", id="missing-vectors"),
+        pytest.param("subject_id: s1\ntreatment: sideways\ntrain_nll: 0.5\n"
+                     "converged: true\nrestart_index: 0\n[delta_exp]\n"
+                     "value: 0.5\n", id="unknown-treatment"),
+    ])
+    def test_broken_params_file_exits_one(self, pipeline_dir, tmp_path, capsys,
+                                          text):
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        params_dir = tmp_path / "run" / "nudge_params"
+        params_dir.mkdir()
+        (params_dir / "s1.txt").write_text(text)
+        assert run_pipeline("analyze", config) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert "malformed params file" in error["message"]
+
+    def test_posterior_dimension_mismatch_exits_one(self, pipeline_dir, tmp_path,
+                                                    capsys):
+        out = tmp_path / "wide"
+        assert run_pipeline("simulate", tiny_config(out, n_features=6)) == 0
+        shutil.copy(pipeline_dir / "posterior.json", out / "posterior.json")
+        config = tiny_config(out, n_features=6, data_path=out / "behavior.csv")
+        capsys.readouterr()
+        assert run_pipeline("fit-nudge", config) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert "4 features" in error["message"]
+        assert "6" in error["message"]
 
 
 class TestDeterminism:

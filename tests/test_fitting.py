@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nudgelab import (
+    BehaviorRecord,
     FitConfig,
     NudgeObjective,
     NudgeParams,
@@ -19,6 +22,7 @@ from nudgelab import (
     generate_behavior,
     uniform_tasks,
 )
+from nudgelab.fitting import _ensemble_response
 
 N = 3
 
@@ -54,23 +58,30 @@ PARAMS_BY_TREATMENT = {
 
 
 class TestGradients:
-    @pytest.mark.parametrize("treatment", list(PARAMS_BY_TREATMENT))
-    def test_matches_finite_differences(self, treatment):
+    @pytest.mark.parametrize("treatment, tabulated", [
+        *[pytest.param(t, False, id=t.value) for t in PARAMS_BY_TREATMENT],
+        pytest.param(Treatment.IMMEDIATE, True, id="immediate-tabulated"),
+        pytest.param(Treatment.DELAYED, True, id="delayed-tabulated"),
+    ])
+    def test_matches_finite_differences(self, treatment, tabulated):
         # frozen ensemble makes the objective deterministic; central
-        # differences must agree with the analytic gradient
-        posterior = make_posterior()
+        # differences must agree with the analytic gradient, which for a
+        # tabulated ensemble is that of the interpolated response
+        posterior = make_posterior(size=200 if tabulated else 60)
         trials = make_trials(treatment, PARAMS_BY_TREATMENT[treatment])
         objective = NudgeObjective(trials, posterior.ensemble, treatment)
+        if tabulated:
+            assert objective.table is not None
         rng = np.random.default_rng(31)
         h = 1e-5
         for _ in range(7):
             theta = rng.normal(0.0, 1.0, objective.n_params)
-            _, grad = objective.value_and_gradient(theta)
+            _, grad = objective.value_and_gradient(theta, tabulated=tabulated)
             for k in range(objective.n_params):
                 def value(delta, k=k):
                     t = theta.copy()
                     t[k] += delta
-                    return objective.value_and_gradient(t)[0]
+                    return objective.value_and_gradient(t, tabulated=tabulated)[0]
 
                 fd = (value(h) - value(-h)) / (2 * h)
                 assert abs(grad[k] - fd) <= 1e-3 * max(abs(fd), abs(grad[k]), 1e-8)
@@ -92,6 +103,51 @@ class TestGradients:
 
             fd = (value(h) - value(-h)) / (2 * h)
             assert abs(grad[k] - fd) <= 1e-3 * max(abs(fd), abs(grad[k]), 1e-8)
+
+
+def response_objective(treatment, seed, fallback, n_trials=12):
+    """An objective over an ensemble large enough to be tabulated.  With
+    ``fallback`` every member decides 1 on every task, so each delayed
+    trial's initial decision of 0 leaves no consistent member."""
+    rng = np.random.default_rng(seed)
+    mean = np.array([1.0, -0.8, 0.6, 8.0 if fallback else -0.3])
+    posterior = PopulationPosterior.from_moments(mean, np.full(N + 1, 0.3), 200,
+                                                 seed=seed)
+    delayed = treatment == Treatment.DELAYED
+    trials = [
+        BehaviorRecord(
+            subject_id="s", treatment=treatment, trial_index=i,
+            features=rng.random(N), final_decision=int(rng.integers(2)),
+            ai_recommendation=int(rng.integers(2)),
+            ai_confidence=None if delayed else float(rng.uniform(0.5, 1.0)),
+            initial_decision=(0 if fallback else int(rng.integers(2)))
+            if delayed else None,
+        )
+        for i in range(n_trials)
+    ]
+    return NudgeObjective(trials, posterior.ensemble, treatment)
+
+
+class TestResponseTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        treatment=st.sampled_from([Treatment.IMMEDIATE, Treatment.DELAYED]),
+        seed=st.integers(0, 2**16),
+        fallback=st.booleans(),
+        shifts=st.lists(st.floats(-20.0, 20.0), min_size=12, max_size=12),
+    )
+    def test_matches_exact_response(self, treatment, seed, fallback, shifts):
+        # the grid spans shifts in [-12, 12]; beyond it each trial falls
+        # back to the exact response on its own
+        objective = response_objective(treatment, seed, fallback)
+        if fallback and treatment == Treatment.DELAYED:
+            assert np.all(objective.base >= 0.0)
+        shift = np.array(shifts)
+        p, slope = objective.table(shift)
+        p_exact, slope_exact = _ensemble_response(
+            objective.base, objective.member_weight, shift)
+        assert np.max(np.abs(p - p_exact)) <= 1e-8
+        assert np.max(np.abs(slope - slope_exact)) <= 1e-6
 
 
 class TestReparameterization:
@@ -212,6 +268,30 @@ class TestDeterministicAblation:
                                                      Treatment.DELAYED, config)
         assert via_posterior.train_nll == via_point.train_nll
         assert np.array_equal(via_posterior.theta, via_point.theta)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_trials=st.integers(4, 30))
+    def test_point_model_fit_is_exact(self, seed, n_trials):
+        # a one-member ensemble is never tabulated: the ablation's fit must
+        # equal, bit for bit, a fit held to the exact response
+        point = WeightVector([1.0, -0.8, 0.6], bias=-0.3)
+        trials = make_trials(Treatment.DELAYED,
+                             PARAMS_BY_TREATMENT[Treatment.DELAYED],
+                             seed=seed, n_trials=n_trials)
+        config = FitConfig(iterations=60, restarts=3, seed=seed)
+        fitted = fit_nudge_deterministic_ablation(trials, point,
+                                                  Treatment.DELAYED, config)
+        value_and_gradient = NudgeObjective.value_and_gradient
+
+        def exact_only(self, theta, include_penalty=True, tabulated=False):
+            return value_and_gradient(self, theta, include_penalty)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(NudgeObjective, "value_and_gradient", exact_only)
+            exact = fit_nudge_deterministic_ablation(trials, point,
+                                                     Treatment.DELAYED, config)
+        assert np.array_equal(fitted.theta, exact.theta)
+        assert fitted.train_nll == exact.train_nll
 
     def test_restricted_to_delayed(self):
         point = WeightVector([1.0, -0.8, 0.6], bias=-0.3)
