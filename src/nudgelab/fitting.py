@@ -4,7 +4,9 @@ The likelihood of a subject's final decisions is evaluated under the
 frozen posterior ensemble; shift vectors are optimized through smooth
 unconstrained reparameterizations (free signed scale, softplus
 magnitudes, sigmoid attention weight) by multi-restart Adam.  Gradients
-are analytic, exact for the frozen-sample objective.
+are analytic, exact for the frozen-sample objective; inside the Adam loop
+a large ensemble's response is interpolated from a per-trial table, and
+the gradient is exact for that interpolant.
 """
 
 from __future__ import annotations
@@ -77,7 +79,35 @@ def _ensemble_response(base, weight, shift):
     """Each trial's p_t = sum_s w_st sigmoid(base_st + c_t) and dp_t/dc_t."""
     member = sigmoid(base + shift)
     weighted = weight * member
-    return weighted.sum(axis=0), (weighted * (1.0 - member)).sum(axis=0)
+    p = weighted.sum(axis=0)
+    weighted *= np.subtract(1.0, member, out=member)
+    return p, weighted.sum(axis=0)
+
+
+def _tabulate(base, weight):
+    """``_ensemble_response`` at every node of the grid of shifts.
+
+    sigmoid(x) = 1 / (1 + e^-x), and stepping the shift by one node
+    multiplies e^-x by a constant, so no node needs an exp.  Clipping base
+    keeps e^-x finite and moves no probability by more than 1e-290.  One
+    node at a time keeps the temporaries at four copies of base.
+    """
+    p = np.empty((_GRID_NODES, base.shape[1]))
+    slope = np.empty_like(p)
+    decay = np.clip(base, -688.0, 688.0)
+    np.exp(-_GRID_LO - decay, out=decay)                         # e^-x at c_0
+    odds = np.empty_like(base)
+    denom = np.empty_like(base)
+    term = np.empty_like(base)
+    for k in range(_GRID_NODES):
+        np.multiply(decay, np.exp(-_GRID_STEP * k), out=odds)    # e^-x
+        np.add(odds, 1.0, out=denom)                              # 1 / sigmoid
+        np.divide(weight, denom, out=term)                        # w sigmoid
+        p[k] = term.sum(axis=0)
+        term /= denom
+        term *= odds                                              # w sigmoid (1 - sigmoid)
+        slope[k] = term.sum(axis=0)
+    return p, slope
 
 
 class _ResponseTable:
@@ -92,38 +122,17 @@ class _ResponseTable:
         self.base = base
         self.weight = weight
         n_trials = base.shape[1]
-        p = np.empty((_GRID_NODES, n_trials))
-        slope = np.empty((_GRID_NODES, n_trials))
-        # sigmoid(x) = 1 / (1 + e^-x), and stepping the shift by one node
-        # multiplies e^-x by a constant, so no node needs an exp.  Clipping
-        # base keeps e^-x finite and moves no probability by more than 1e-290.
-        decay = np.exp(-(np.clip(base, -688.0, 688.0) + _GRID_LO))
-        # One node at a time keeps the temporaries at four copies of base.
-        odds = np.empty_like(base)
-        denom = np.empty_like(base)
-        term = np.empty_like(base)
-        for k in range(_GRID_NODES):
-            np.multiply(decay, np.exp(-_GRID_STEP * k), out=odds)    # e^-x
-            np.add(odds, 1.0, out=denom)                              # 1 / sigmoid
-            np.divide(weight, denom, out=term)                        # w sigmoid
-            p[k] = term.sum(axis=0)
-            term /= denom
-            term *= odds                                              # w sigmoid (1 - sigmoid)
-            slope[k] = term.sum(axis=0)
-        # Hermite coefficients of each interval in u = (c - c_k) / step, then
-        # those of the interpolant's slope dp/dc.
+        p, slope = _tabulate(base, weight)
+        # Hermite coefficients of each interval in u = (c - c_k) / step
         rise = p[1:] - p[:-1]
         m0 = _GRID_STEP * slope[:-1]
         m1 = _GRID_STEP * slope[1:]
-        coef = np.empty((_GRID_NODES - 1, n_trials, 7))
+        coef = np.empty((_GRID_NODES - 1, n_trials, 4))
         coef[..., 0] = p[:-1]
         coef[..., 1] = m0
         coef[..., 2] = 3.0 * rise - 2.0 * m0 - m1
         coef[..., 3] = m0 + m1 - 2.0 * rise
-        coef[..., 4] = slope[:-1]
-        coef[..., 5] = (2.0 / _GRID_STEP) * coef[..., 2]
-        coef[..., 6] = (3.0 / _GRID_STEP) * coef[..., 3]
-        self.coef = coef.reshape(-1, 7)
+        self.coef = coef.reshape(-1, 4)
         self.columns = np.arange(n_trials)
         self.n_trials = n_trials
 
@@ -138,10 +147,12 @@ class _ResponseTable:
             node[off] = 0.0
             u[off] = 0.0
         u -= node
-        a0, a1, a2, a3, b0, b1, b2 = self.coef[
+        a0, a1, a2, a3 = self.coef[
             node.astype(np.intp) * self.n_trials + self.columns].T
-        p = ((a3 * u + a2) * u + a1) * u + a0
-        dp_dc = (b2 * u + b1) * u + b0
+        cubic = a3 * u
+        quadratic = (cubic + a2) * u
+        p = (quadratic + a1) * u + a0
+        dp_dc = (cubic * u + 2.0 * quadratic + a1) / _GRID_STEP
         if not all_on_grid:
             p[off], dp_dc[off] = _ensemble_response(
                 self.base[:, off], self.weight[:, off], shift[off])
