@@ -176,4 +176,3 @@ def pairwise_posthoc(groups, n_permutations: int = 10000,
                                       mean_diff=float(observed_diffs[(i, j)]),
                                       p_value=p))
     return out
-

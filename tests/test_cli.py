@@ -248,8 +248,8 @@ class TestMalformedArtifacts:
         assert run_pipeline("fit-nudge", config) == 1
         error = _single_json_error(capsys)
         assert error["category"] == "configuration"
-        assert "4 features" in error["message"]
-        assert "6" in error["message"]
+        assert "posterior has 4 features" in error["message"]
+        assert "trials have 6" in error["message"]
 
 
 class TestDeterminism:
