@@ -57,6 +57,7 @@ from .fitting import (
     NudgeFitResult,
     NudgeObjective,
     fit_nudge,
+    fit_nudge_batch,
     fit_nudge_deterministic_ablation,
 )
 from .nudge import (

@@ -52,7 +52,8 @@ from .evaluate import (
     evaluate_framework,
     learning_curve,
 )
-from .fitting import FitConfig, NudgeFitResult, fit_nudge, fit_nudge_deterministic_ablation
+# fit_nudge stays importable here: perfbench/selftest.py looks it up in this module
+from .fitting import FitConfig, NudgeFitResult, fit_nudge, fit_nudge_batch  # noqa: F401
 from .nudge import NudgeParams, SignedSharedSignVector
 from .records import BehaviorRecord, Treatment, export_csv, group_by_subject, ingest
 from .simulate import (
@@ -475,18 +476,16 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
 
     effect_rows = []
     written = []
+    model = point if config.deterministic_ablation else posterior
     for treatment in treatments:
         groups = group_by_subject(_filter_treatment(records, treatment))
         if not groups:
             raise UsageError(f"no records for treatment {treatment.value!r}")
-        for sid, trials in groups.items():
-            fit_config = config.nudge_config(seed=derive_seed(config.seed, sid))
-            if config.deterministic_ablation:
-                result = fit_nudge_deterministic_ablation(
-                    trials, point, treatment, fit_config
-                )
-            else:
-                result = fit_nudge(trials, posterior, treatment, fit_config)
+        results = fit_nudge_batch(
+            groups.values(), model, treatment, config.nudge_config(),
+            seeds=[derive_seed(config.seed, sid) for sid in groups],
+        )
+        for (sid, trials), result in zip(groups.items(), results):
             path = out / "nudge_params" / f"{sid}.txt"
             write_params_file(path, sid, treatment, result, fingerprint)
             written.append(str(path))
@@ -697,18 +696,20 @@ def run_pipeline(command: str, config: RunConfig) -> int:
         _print_error(exc.category, str(exc))
         return 2
     except NudgelabError as exc:
-        _print_error(exc.category, str(exc))
-        if isinstance(exc, DataValidationError) and exc.row_errors:
-            for detail in exc.row_errors:
-                print(f"  {detail}", file=sys.stderr)
+        rows = exc.row_errors if isinstance(exc, DataValidationError) else []
+        _print_error(exc.category, str(exc), rows)
         return 1
     for path in artifacts:
         print(path)
     return 0
 
 
-def _print_error(category: str, message: str):
-    print(json.dumps({"category": category, "message": message}), file=sys.stderr)
+def _print_error(category: str, message: str, row_errors=()):
+    """One JSON line on stderr; per-row problems ride in ``row_errors``."""
+    error = {"category": category, "message": message}
+    if row_errors:
+        error["row_errors"] = list(row_errors)
+    print(json.dumps(error), file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -148,6 +148,13 @@ class PopulationPosterior:
         variance = np.asarray(variance, dtype=float)
         if size < 1:
             raise ConfigurationError("ensemble size must be >= 1")
+        if mean.ndim != 1 or variance.shape != mean.shape:
+            raise ConfigurationError(
+                f"posterior mean and variance must be 1-D of one length, got "
+                f"shapes {mean.shape} and {variance.shape}")
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or seed < 0):
+            raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
         if np.any(variance <= 0.0):
             raise DomainError("variances must be strictly positive")
         rng = np.random.default_rng(seed)

@@ -9,7 +9,6 @@ subjects, then over runs.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,8 @@ import numpy as np
 from ._util import Adam, derive_seed, sigmoid
 from .core import PopulationPosterior, WeightVector
 from .errors import ConfigurationError, UsageError
-from .fitting import FitConfig, fit_nudge, fit_nudge_deterministic_ablation
+# fit_nudge stays importable here: perfbench/selftest.py looks it up in this module
+from .fitting import FitConfig, fit_nudge, fit_nudge_batch  # noqa: F401
 from .nudge import decision_probability
 from .records import BehaviorRecord, Treatment, group_by_subject
 
@@ -200,24 +200,19 @@ def evaluate_framework(
         score_posterior = PopulationPosterior.point(point)
     else:
         score_posterior = posterior
-    cells = {}
-    for run in plan.run_seeds:
-        for sid, trials in eligible.items():
-            train, test = split_trials(trials, run, plan.train_fraction)
-            fit_config = dataclasses.replace(
-                config, seed=derive_seed(config.seed, run, sid)
-            )
-            if treatment == Treatment.INDEPENDENT:
-                params = None
-            elif deterministic_ablation:
-                params = fit_nudge_deterministic_ablation(
-                    train, point, treatment, fit_config
-                ).params
-            else:
-                params = fit_nudge(train, posterior, treatment, fit_config).params
-            cells[(run, sid)] = _score_framework(
-                test, score_posterior, params, config.clip_eps
-            )
+    splits = {(run, sid): split_trials(trials, run, plan.train_fraction)
+              for run in plan.run_seeds for sid, trials in eligible.items()}
+    params = dict.fromkeys(splits)
+    if treatment != Treatment.INDEPENDENT:
+        fits = fit_nudge_batch(
+            [train for train, _ in splits.values()],
+            point if deterministic_ablation else posterior, treatment, config,
+            seeds=[derive_seed(config.seed, run, sid) for run, sid in splits],
+        )
+        params = {key: fit.params for key, fit in zip(splits, fits)}
+    cells = {key: _score_framework(test, score_posterior, params[key],
+                                   config.clip_eps)
+             for key, (_, test) in splits.items()}
     return _aggregate(cells, treatment, plan.run_seeds, warnings)
 
 
@@ -321,7 +316,8 @@ def learning_curve(
     if _single_treatment(dataset) != treatment:
         raise UsageError("dataset treatment does not match the requested treatment")
     eligible, warnings = _eligible_groups(dataset)
-    rows: list[CurvePoint] = []
+    # every (size, run seed, subject) split first, so one batch fits them all
+    splits: list[tuple[int, int, list]] = []
     for size in sorted(set(int(s) for s in train_sizes)):
         if size < 1:
             raise UsageError("train sizes must be positive")
@@ -335,37 +331,42 @@ def learning_curve(
             warnings.append(f"train size {size}: skipped entirely")
             continue
         for run in plan.run_seeds:
-            frame_cells, base_cells = [], []
+            cell = []
+            splits.append((size, run, cell))
             for sid, trials in usable.items():
                 ordered = sorted(trials, key=lambda r: r.trial_index)
                 rng = np.random.default_rng(derive_seed(run, sid, "curve"))
                 perm = rng.permutation(len(ordered))
-                train = [ordered[i] for i in perm[:size]]
-                test = [ordered[i] for i in perm[size:]]
-                fit_config = dataclasses.replace(
-                    config, seed=derive_seed(config.seed, run, sid, size)
-                )
-                params = fit_nudge(train, posterior, treatment, fit_config).params
-                frame_cells.append(
-                    _score_framework(test, posterior, params, config.clip_eps)
-                )
-                predict = _fit_logistic(
-                    [baseline_features(r) for r in train],
-                    [r.final_decision for r in train],
-                    baseline_l2, 0.1, 1000,
-                )
-                probs = np.clip(
-                    predict([baseline_features(r) for r in test]),
-                    config.clip_eps, 1.0 - config.clip_eps,
-                )
-                base_cells.append(metrics(
-                    [(float(p), int(p >= 0.5)) for p in probs],
-                    [r.final_decision for r in test],
-                    config.clip_eps,
-                ))
-            for method, cells in (("framework", frame_cells),
-                                  ("logistic_baseline", base_cells)):
-                mean = np.mean(cells, axis=0)
-                rows.append(CurvePoint(size=size, method=method, run_seed=run,
-                                       nll=float(mean[0]), f1=float(mean[2])))
+                cell.append((derive_seed(config.seed, run, sid, size),
+                             [ordered[i] for i in perm[:size]],
+                             [ordered[i] for i in perm[size:]]))
+    jobs = [job for _, _, cell in splits for job in cell]
+    fits = iter(fit_nudge_batch([train for _, train, _ in jobs], posterior,
+                                treatment, config,
+                                seeds=[seed for seed, _, _ in jobs]))
+    rows: list[CurvePoint] = []
+    for size, run, cell in splits:
+        frame_cells, base_cells = [], []
+        for _, train, test in cell:
+            frame_cells.append(_score_framework(
+                test, posterior, next(fits).params, config.clip_eps))
+            predict = _fit_logistic(
+                [baseline_features(r) for r in train],
+                [r.final_decision for r in train],
+                baseline_l2, 0.1, 1000,
+            )
+            probs = np.clip(
+                predict([baseline_features(r) for r in test]),
+                config.clip_eps, 1.0 - config.clip_eps,
+            )
+            base_cells.append(metrics(
+                [(float(p), int(p >= 0.5)) for p in probs],
+                [r.final_decision for r in test],
+                config.clip_eps,
+            ))
+        for method, cells in (("framework", frame_cells),
+                              ("logistic_baseline", base_cells)):
+            mean = np.mean(cells, axis=0)
+            rows.append(CurvePoint(size=size, method=method, run_seed=run,
+                                   nll=float(mean[0]), f1=float(mean[2])))
     return rows, warnings

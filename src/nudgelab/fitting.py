@@ -3,7 +3,9 @@
 The likelihood of a subject's final decisions is evaluated under the
 frozen posterior ensemble; shift vectors are optimized through smooth
 unconstrained reparameterizations (free signed scale, softplus
-magnitudes, sigmoid attention weight) by multi-restart Adam.  Gradients
+magnitudes, sigmoid attention weight) by multi-restart Adam.  Every
+subject and restart of one call runs in a single stacked Adam loop; each
+subject's result is the same bits as when it is fitted alone.  Gradients
 are analytic, exact for the frozen-sample objective; inside the Adam loop
 a large ensemble's response is interpolated from a per-trial table, and
 the gradient is exact for that interpolant.
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from ._util import Adam, derive_seed, sigmoid, softplus, softplus_inverse
 from .core import PopulationPosterior, WeightVector
@@ -26,6 +29,7 @@ __all__ = [
     "NudgeFitResult",
     "NudgeObjective",
     "fit_nudge",
+    "fit_nudge_batch",
     "fit_nudge_deterministic_ablation",
 ]
 
@@ -42,6 +46,9 @@ _GRID_NODES = 481
 # Smallest ensemble whose response is tabulated.  Below it a fit's exact
 # evaluations cost less than building the table (see CHANGES.md).
 _TABULATE_MIN_MEMBERS = 128
+# Member-by-trial temporaries hold at most max(one subject's trials x S,
+# this many) elements.
+_CHUNK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -75,27 +82,17 @@ class NudgeFitResult:
     theta: np.ndarray
 
 
-def _ensemble_response(base, weight, shift):
-    """Each trial's p_t = sum_s w_st sigmoid(base_st + c_t) and dp_t/dc_t."""
-    member = sigmoid(base + shift)
-    weighted = weight * member
-    p = weighted.sum(axis=0)
-    weighted *= np.subtract(1.0, member, out=member)
-    return p, weighted.sum(axis=0)
-
-
-def _tabulate(base, weight):
-    """``_ensemble_response`` at every node of the grid of shifts.
+def _tabulate(base, weight, count, p, slope):
+    """Each row's response at every node of the grid of shifts, written into
+    the columns ``p`` and ``slope`` (nodes x rows).  Overwrites ``base``.
 
     sigmoid(x) = 1 / (1 + e^-x), and stepping the shift by one node
     multiplies e^-x by a constant, so no node needs an exp.  Clipping base
     keeps e^-x finite and moves no probability by more than 1e-290.  One
-    node at a time keeps the temporaries at four copies of base.
+    node at a time keeps the temporaries at three more copies of base.
     """
-    p = np.empty((_GRID_NODES, base.shape[1]))
-    slope = np.empty_like(p)
-    decay = np.clip(base, -688.0, 688.0)
-    np.exp(-_GRID_LO - decay, out=decay)                         # e^-x at c_0
+    decay = np.clip(base, -688.0, 688.0, out=base)
+    np.exp(np.subtract(-_GRID_LO, decay, out=decay), out=decay)  # e^-x at c_0
     odds = np.empty_like(base)
     denom = np.empty_like(base)
     term = np.empty_like(base)
@@ -103,41 +100,101 @@ def _tabulate(base, weight):
         np.multiply(decay, np.exp(-_GRID_STEP * k), out=odds)    # e^-x
         np.add(odds, 1.0, out=denom)                              # 1 / sigmoid
         np.divide(weight, denom, out=term)                        # w sigmoid
-        p[k] = term.sum(axis=0)
+        p[k] = term.sum(axis=1) / count
         term /= denom
         term *= odds                                              # w sigmoid (1 - sigmoid)
-        slope[k] = term.sum(axis=0)
-    return p, slope
+        slope[k] = term.sum(axis=1) / count
 
 
-class _ResponseTable:
-    """``_ensemble_response`` as a piecewise cubic in each trial's shift.
+class _EnsembleResponse:
+    """Each trial's probability as a function of its scalar logit shift c:
+    p_t(c) = sum_s m_ts sigmoid(base_ts + c) / count_t, and dp_t/dc.
 
-    p_t and its slope are tabulated exactly at the nodes of a fixed grid of
-    shifts; between nodes, p_t is their cubic Hermite interpolant.  A shift
-    off the grid is evaluated exactly, for that trial only.
+    base_ts is member s's logit for trial t.  ``mask`` marks the members
+    each trial averages over: all of them, or for the delayed treatment
+    (``initial`` given) those whose own decision matches the trial's
+    initial one, or all when none does; ``count`` counts them.  Logits are
+    summed one feature at a time and every sum over members runs along one
+    row, so a trial's values are the same bits whichever trials are
+    stacked with it and however the rows are chunked.  Rows are processed
+    ``chunk`` at a time.
+
+    With at least ``_TABULATE_MIN_MEMBERS`` members, p_t and its slope are
+    tabulated exactly at the nodes of a fixed grid of shifts, and
+    ``interpolated`` evaluates their cubic Hermite interpolant; a shift off
+    the grid is evaluated exactly, for that trial only.  A tabulated
+    response keeps no logits: the few exact evaluations recompute theirs.
+    An untabulated one keeps them, since every evaluation reads them all.
     """
 
-    def __init__(self, base: np.ndarray, weight: np.ndarray):
-        self.base = base
-        self.weight = weight
-        n_trials = base.shape[1]
-        p, slope = _tabulate(base, weight)
-        # Hermite coefficients of each interval in u = (c - c_k) / step
-        rise = p[1:] - p[:-1]
-        m0 = _GRID_STEP * slope[:-1]
-        m1 = _GRID_STEP * slope[1:]
-        coef = np.empty((_GRID_NODES - 1, n_trials, 4))
-        coef[..., 0] = p[:-1]
-        coef[..., 1] = m0
-        coef[..., 2] = 3.0 * rise - 2.0 * m0 - m1
-        coef[..., 3] = m0 + m1 - 2.0 * rise
-        self.coef = coef.reshape(-1, 4)
+    def __init__(self, ensemble: np.ndarray, augmented: np.ndarray,
+                 initial: np.ndarray | None, chunk: int):
+        self.members = np.ascontiguousarray(ensemble.T)                 # (n+1, S)
+        self.augmented = augmented                                      # (T, n+1)
+        self.chunk = chunk
+        n_trials, n_members = len(augmented), len(ensemble)
         self.columns = np.arange(n_trials)
-        self.n_trials = n_trials
+        self.tabulated = n_members >= _TABULATE_MIN_MEMBERS
+        self.mask = (None if initial is None
+                     else np.empty((n_trials, n_members), dtype=bool))
+        self.count = np.full(n_trials, float(n_members))
+        self.base = None if self.tabulated else np.empty((n_trials, n_members))
+        if self.tabulated:
+            self.node_p = np.empty((_GRID_NODES, n_trials))
+            self.node_slope = np.empty_like(self.node_p)
+        for start in range(0, n_trials, chunk):
+            part = slice(start, start + chunk)
+            base = self._logits(part)
+            weight = 1.0
+            if initial is not None:
+                weight = self.mask[part]
+                np.equal(expit(base) >= 0.5, initial[part, None] == 1, out=weight)
+                weight[~weight.any(axis=1)] = True
+                self.count[part] = weight.sum(axis=1)
+            if self.tabulated:
+                _tabulate(base, weight, self.count[part],
+                          self.node_p[:, part], self.node_slope[:, part])
+            else:
+                self.base[part] = base
 
-    def __call__(self, shift: np.ndarray):
-        """(p, dp/dc) at each trial's shift."""
+    def _logits(self, rows):
+        """Member logits of trials ``rows``: (trials, S)."""
+        x = self.augmented[rows]
+        logits = np.multiply(x[:, :1], self.members[0])
+        term = np.empty_like(logits)
+        for j in range(1, x.shape[1]):
+            logits += np.multiply(x[:, j:j + 1], self.members[j], out=term)
+        return logits
+
+    def exact(self, shift: np.ndarray):
+        """(p, dp/dc) for shifts of shape (..., T)."""
+        rows = np.broadcast_to(self.columns, shift.shape)
+        p, slope = self._rows(rows.ravel(), shift.ravel())
+        return p.reshape(shift.shape), slope.reshape(shift.shape)
+
+    def _rows(self, rows, shift):
+        """Exact (p, dp/dc) of trials ``rows`` at ``shift``, one per row."""
+        p = np.empty(rows.size)
+        slope = np.empty(rows.size)
+        for start in range(0, rows.size, self.chunk):
+            part = slice(start, start + self.chunk)
+            take = rows[part]
+            member = self._logits(take) if self.base is None else self.base[take]
+            member += shift[part, None]
+            expit(member, out=member)
+            dmember = np.subtract(1.0, member)
+            dmember *= member
+            if self.mask is not None:
+                weight = self.mask[take]
+                member *= weight
+                dmember *= weight
+            count = self.count[take]
+            p[part] = member.sum(axis=1) / count
+            slope[part] = dmember.sum(axis=1) / count
+        return p, slope
+
+    def interpolated(self, shift: np.ndarray):
+        """(p, dp/dc) from the table, for shifts of shape (..., T)."""
         u = (shift - _GRID_LO) / _GRID_STEP
         node = np.floor(u)
         on_grid = (node >= 0.0) & (node <= _GRID_NODES - 2)
@@ -147,54 +204,73 @@ class _ResponseTable:
             node[off] = 0.0
             u[off] = 0.0
         u -= node
-        a0, a1, a2, a3 = self.coef[
-            node.astype(np.intp) * self.n_trials + self.columns].T
+        # Hermite coefficients of the interval in u = (c - c_k) / step
+        at = node.astype(np.intp) * self.columns.size + self.columns
+        after = at + self.columns.size
+        a0 = self.node_p.take(at)
+        rise = self.node_p.take(after) - a0
+        a1 = _GRID_STEP * self.node_slope.take(at)
+        m1 = _GRID_STEP * self.node_slope.take(after)
+        a2 = 3.0 * rise - 2.0 * a1 - m1
+        a3 = a1 + m1 - 2.0 * rise
         cubic = a3 * u
         quadratic = (cubic + a2) * u
         p = (quadratic + a1) * u + a0
         dp_dc = (cubic * u + 2.0 * quadratic + a1) / _GRID_STEP
         if not all_on_grid:
-            p[off], dp_dc[off] = _ensemble_response(
-                self.base[:, off], self.weight[:, off], shift[off])
+            p[off], dp_dc[off] = self._rows(np.nonzero(off)[-1], shift[off])
         return p, dp_dc
 
 
-class NudgeObjective:
-    """Mean negative log-likelihood of one subject's trials, with gradient.
+def _group_sum(values, groups, n_groups):
+    """Sum ``values`` (R, T, ...) over trials into ``groups[t]``: an
+    (R, n_groups, ...) array.  Each sum adds its terms in trial order, so
+    a group's sum does not depend on the other groups."""
+    n_rows = values.shape[0]
+    tail = values.shape[2:]
+    width = int(np.prod(tail, dtype=np.intp))
+    index = ((np.arange(n_rows)[:, None] * n_groups + groups)[..., None] * width
+             + np.arange(width))
+    sums = np.bincount(index.ravel(), weights=values.ravel(),
+                       minlength=n_rows * n_groups * width)
+    return sums.reshape((n_rows, n_groups) + tail)
 
-    Precomputes everything that depends only on the trials and the frozen
-    ensemble (base logits, per-trial conditioning weights, masked response
-    means).  ``theta`` layouts:
+
+class NudgeObjective:
+    """Mean negative log-likelihood of each subject's trials, with gradient.
+
+    ``trials`` is one subject's trials, or a list of several subjects' trial
+    lists; the K subjects' trials are stacked, and each subject's mean and
+    gradient sum over its own trials only.  Everything that depends only on
+    the trials and the frozen ensemble (conditioning masks, masked response
+    means, response tables) is computed once, straight into the stacked
+    arrays.
+
+    ``theta`` is (R, K, P): R stacked parameter rows per subject, such as
+    restarts.  With one subject it may also be a single (P,) vector.  P
+    layouts:
 
     * immediate    — [scale, raw_magnitudes x n]
     * delayed      — [scale_affirm, raw_affirm x n, scale_contra, raw_contra x n]
     * explanation  — [raw_attention]
 
     Immediate and delayed assistance move trial t only through a scalar
-    logit shift c_t, so its probability is a fixed 1-D function of c_t.
-    With at least ``_TABULATE_MIN_MEMBERS`` ensemble members that function
-    is tabulated once (``_ResponseTable``) and ``value_and_gradient(...,
-    tabulated=True)`` interpolates it; a shift off the grid is evaluated
-    exactly, for that trial only.  Everything else is exact.
+    logit shift c_t, so its probability is a fixed 1-D function of c_t
+    (``_EnsembleResponse``); ``value_and_gradient(..., tabulated=True)``
+    interpolates its table where it has one.  Everything else is exact.
     """
 
-    def __init__(self, trials: list[BehaviorRecord], ensemble: np.ndarray,
+    def __init__(self, trials, ensemble: np.ndarray,
                  treatment: Treatment, clip_eps: float = 1e-6,
                  l2_penalty: float = 0.0):
-        if not trials:
-            raise UsageError("at least one training trial is required")
+        trial_sets = ([trials] if not trials or isinstance(trials[0], BehaviorRecord)
+                      else [list(subject) for subject in trials])
         self.treatment = Treatment(treatment)
         if self.treatment == Treatment.INDEPENDENT:
             raise UsageError("independent treatment has no nudge parameters to fit")
-        subjects = {t.subject_id for t in trials}
-        if len(subjects) != 1:
-            raise UsageError(f"trials span multiple subjects: {sorted(subjects)}")
-        for t in trials:
-            if t.treatment != self.treatment:
-                raise UsageError(
-                    f"trial treatment {t.treatment.value!r} does not match "
-                    f"{self.treatment.value!r}"
-                )
+        for subject in trial_sets:
+            _check_subject(subject, self.treatment)
+        trials = [t for subject in trial_sets for t in subject]
         self.n = trials[0].n_features
         if ensemble.shape[1] != self.n + 1:
             raise ConfigurationError(
@@ -204,47 +280,46 @@ class NudgeObjective:
         self.clip_eps = float(clip_eps)
         self.l2_penalty = float(l2_penalty)
 
+        sizes = [len(subject) for subject in trial_sets]
+        self.n_subjects = len(sizes)
+        self.subject_trials = np.asarray(sizes, dtype=float)             # (K,)
+        self.subject = np.repeat(np.arange(self.n_subjects), sizes)      # (T,)
+        self.trial_count = self.subject_trials[self.subject]             # (T,)
+
         self.features = np.stack([t.features for t in trials])           # (T, n)
         n_trials = len(trials)
-        ones = np.ones((n_trials, 1))
         self.final = np.asarray([t.final_decision for t in trials], dtype=float)
 
         if self.treatment == Treatment.EXPLANATION:
             mask = np.stack([t.explanation_mask for t in trials]).astype(float)
+            ones = np.ones((n_trials, 1))
             focused = np.hstack([mask * self.features, ones])
             ignored = np.hstack([(1.0 - mask) * self.features, ones])
-            self.mean_focused = sigmoid(ensemble @ focused.T).mean(axis=0)   # (T,)
-            self.mean_ignored = sigmoid(ensemble @ ignored.T).mean(axis=0)   # (T,)
+            # (T,) response means, one subject's product at a time
+            cuts = np.cumsum(sizes)[:-1]
+            self.mean_focused, self.mean_ignored = (
+                np.concatenate([sigmoid(ensemble @ rows.T).mean(axis=0)
+                                for rows in np.split(inputs, cuts)])
+                for inputs in (focused, ignored))
             return
 
-        base = ensemble @ np.hstack([self.features, ones]).T              # (S, T)
         rec = np.asarray([t.ai_recommendation for t in trials])
+        initial = None
         if self.treatment == Treatment.IMMEDIATE:
             conf = np.asarray([t.ai_confidence for t in trials])
             self.direction = (2.0 * rec - 1.0) * conf                    # (T,)
             self.n_branches = 1                                          # direct
             branch = np.zeros(n_trials, dtype=np.intp)
-            # uniform member weights 1/S, broadcast over members
-            self.member_weight = np.full((1, n_trials), 1.0 / len(ensemble))
         else:
             initial = np.asarray([t.initial_decision for t in trials])
             self.direction = 2.0 * rec - 1.0
             self.n_branches = 2                                          # affirm, contra
             branch = (rec != initial).astype(np.intp)
-            consistent = (sigmoid(base) >= 0.5) == initial[None, :].astype(bool)
-            counts = consistent.sum(axis=0)
-            fallback = counts == 0
-            if np.any(fallback):
-                consistent[:, fallback] = True
-                counts = consistent.sum(axis=0)
-            self.member_weight = consistent / counts                     # (S, T)
-        # features in the column block of each trial's branch, zero elsewhere
-        in_branch = branch[:, None] == np.arange(self.n_branches)
-        self.branch_features = (in_branch[:, :, None] * self.features[:, None, :]
-                                ).reshape(n_trials, -1)                # (T, B*n)
-        self.base = base
-        self.table = (_ResponseTable(base, self.member_weight)
-                      if len(ensemble) >= _TABULATE_MIN_MEMBERS else None)
+        # the shift-vector block (subject, branch) that moves each trial
+        self.block = self.subject * self.n_branches + branch             # (T,)
+        self.response = _EnsembleResponse(
+            ensemble, np.hstack([self.features, np.ones((n_trials, 1))]), initial,
+            chunk=max(max(sizes), _CHUNK_ELEMENTS // len(ensemble)))
 
     @property
     def n_params(self) -> int:
@@ -255,6 +330,7 @@ class NudgeObjective:
     # -- parameterization -------------------------------------------------
 
     def params_from_theta(self, theta: np.ndarray) -> NudgeParams:
+        """One subject's parameters from its (P,) vector."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise ConfigurationError(f"theta must have shape ({self.n_params},)")
@@ -262,14 +338,10 @@ class NudgeObjective:
             return NudgeParams.for_explanation(float(sigmoid(theta[0])))
         vectors = [SignedSharedSignVector(scale=float(block[0]),
                                           magnitudes=softplus(block[1:]))
-                   for block in self._blocks(theta)]
+                   for block in theta.reshape(self.n_branches, 1 + self.n)]
         if self.treatment == Treatment.IMMEDIATE:
             return NudgeParams.for_immediate(*vectors)
         return NudgeParams.for_delayed(*vectors)
-
-    def _blocks(self, theta: np.ndarray) -> np.ndarray:
-        """theta as one [scale, raw magnitudes] row per branch."""
-        return theta.reshape(self.n_branches, 1 + self.n)
 
     def initial_theta(self, restart: int, seed: int) -> np.ndarray:
         """Restart 0 starts near zero nudge; restart 1 flips the scale sign;
@@ -292,140 +364,223 @@ class NudgeObjective:
                          rng.normal(-1.0, 1.0, size=self.n))
         ])
 
+    def _stacked(self, theta) -> tuple[np.ndarray, bool]:
+        """theta as (R, K, P), and whether it was a single (P,) vector."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape == (self.n_params,) and self.n_subjects == 1:
+            return theta.reshape(1, 1, -1), True
+        if theta.ndim != 3 or theta.shape[1:] != (self.n_subjects, self.n_params):
+            raise ConfigurationError(
+                f"theta must have shape (R, {self.n_subjects}, {self.n_params})")
+        return theta, False
+
     # -- objective ---------------------------------------------------------
 
     def probabilities(self, theta: np.ndarray) -> np.ndarray:
-        """Unclipped per-trial probabilities of a final decision of 1."""
-        return self._forward(np.asarray(theta, dtype=float), tabulated=False)[0]
+        """Unclipped per-trial probabilities of a final decision of 1:
+        (T,) for a single vector, (R, T) for stacked rows."""
+        stacked, single = self._stacked(theta)
+        probs = self._forward(stacked, tabulated=False)[0]
+        return probs[0] if single else probs
 
     def value_and_gradient(
         self, theta: np.ndarray, include_penalty: bool = True,
         tabulated: bool = False,
-    ) -> tuple[float, np.ndarray]:
-        """Mean NLL of the final decisions and its gradient in theta.
+    ):
+        """Mean NLL of each subject's final decisions and its gradient in
+        theta: (float, (P,)) for a single vector, ((R, K), (R, K, P)) for
+        stacked rows.
 
         Exact by default.  ``tabulated`` evaluates the ensemble response
         from the table where the objective has one; the gradient is then
         exact for the interpolated response.
         """
-        theta = np.asarray(theta, dtype=float)
-        probs, backward = self._forward(theta, tabulated)
+        stacked, single = self._stacked(theta)
+        probs, backward = self._forward(stacked, tabulated)
         eps = self.clip_eps
         clipped = np.clip(probs, eps, 1.0 - eps)
-        n_trials = probs.size
-        value = -float(np.mean(
-            self.final * np.log(clipped) + (1.0 - self.final) * np.log1p(-clipped)
-        ))
+        loglik = self.final * np.log(clipped) + (1.0 - self.final) * np.log1p(-clipped)
+        value = -(_group_sum(loglik, self.subject, self.n_subjects)
+                  / self.subject_trials)
         interior = (probs > eps) & (probs < 1.0 - eps)
         dvalue_dp = np.where(
             interior,
-            (clipped - self.final) / (clipped * (1.0 - clipped)) / n_trials,
+            (clipped - self.final) / (clipped * (1.0 - clipped)) / self.trial_count,
             0.0,
         )
         grad = backward(dvalue_dp)
         if include_penalty and self.l2_penalty > 0.0:
-            value_pen, grad_pen = self._penalty(theta)
-            value += value_pen
+            value_pen, grad_pen = self._penalty(stacked)
+            value = value + value_pen
             grad = grad + grad_pen
+        if single:
+            return float(value[0, 0]), grad[0, 0]
         return value, grad
 
-    def clipping_active(self, theta: np.ndarray) -> bool:
-        probs = self.probabilities(theta)
-        return bool(np.any((probs <= self.clip_eps)
-                           | (probs >= 1.0 - self.clip_eps)))
+    def clipping_active(self, theta: np.ndarray):
+        """Whether any of a subject's probabilities sits on the clip
+        boundary: a bool for a single vector, (R, K) for stacked rows."""
+        stacked, single = self._stacked(theta)
+        probs = self._forward(stacked, tabulated=False)[0]
+        on_boundary = (probs <= self.clip_eps) | (probs >= 1.0 - self.clip_eps)
+        active = _group_sum(on_boundary.astype(float), self.subject,
+                            self.n_subjects) > 0.0
+        return bool(active[0, 0]) if single else active
 
     def _forward(self, theta, tabulated):
+        n_rows = theta.shape[0]
         if self.treatment == Treatment.EXPLANATION:
-            attention = float(sigmoid(theta[0]))
-            probs = (attention * self.mean_focused
-                     + (1.0 - attention) * self.mean_ignored)
+            attention = sigmoid(theta[..., 0])                           # (R, K)
+            trial_attention = attention[:, self.subject]                 # (R, T)
+            probs = (trial_attention * self.mean_focused
+                     + (1.0 - trial_attention) * self.mean_ignored)
 
             def backward(dvalue_dp):
-                d_attention = float(
-                    np.sum(dvalue_dp * (self.mean_focused - self.mean_ignored))
-                )
-                return np.array([d_attention * attention * (1.0 - attention)])
+                d_attention = _group_sum(
+                    dvalue_dp * (self.mean_focused - self.mean_ignored),
+                    self.subject, self.n_subjects)
+                return (d_attention * attention * (1.0 - attention))[..., None]
 
             return probs, backward
 
-        # shift c_t = direction_t * x_t . delta_(branch of t)
-        blocks = self._blocks(theta)
-        mags = softplus(blocks[:, 1:])
-        deltas = blocks[:, :1] * mags                                    # (B, n)
-        shift = self.direction * (self.branch_features @ deltas.ravel())  # (T,)
-        if tabulated and self.table is not None:
-            probs, slope = self.table(shift)
+        # shift c_t = direction_t * x_t . delta_(subject and branch of t)
+        blocks = theta.reshape(n_rows, -1, 1 + self.n)                  # (R, K*B, 1+n)
+        mags = softplus(blocks[..., 1:])
+        deltas = blocks[..., :1] * mags                                  # (R, K*B, n)
+        shift = self.direction * (deltas[:, self.block] * self.features).sum(axis=2)
+        if tabulated and self.response.tabulated:
+            probs, slope = self.response.interpolated(shift)
         else:
-            probs, slope = _ensemble_response(self.base, self.member_weight, shift)
+            probs, slope = self.response.exact(shift)
 
         def backward(dvalue_dp):
-            dshift = dvalue_dp * slope * self.direction                  # (T,)
-            ddelta = (dshift @ self.branch_features).reshape(mags.shape)  # (B, n)
-            return _shift_vector_gradient(blocks, mags, ddelta)
+            dshift = dvalue_dp * slope * self.direction                  # (R, T)
+            ddelta = _group_sum(dshift[..., None] * self.features,
+                                self.block, blocks.shape[1])             # (R, K*B, n)
+            return _shift_vector_gradient(blocks, mags, ddelta).reshape(theta.shape)
 
         return probs, backward
 
     def _penalty(self, theta):
         if self.treatment == Treatment.EXPLANATION:
-            value = 0.5 * self.l2_penalty * float(theta[0] ** 2)
+            value = 0.5 * self.l2_penalty * theta[..., 0] ** 2
             return value, self.l2_penalty * theta
-        blocks = self._blocks(theta)
-        mags = softplus(blocks[:, 1:])
-        deltas = blocks[:, :1] * mags
-        value = 0.5 * self.l2_penalty * float(np.sum(deltas * deltas))
-        return value, _shift_vector_gradient(blocks, mags, self.l2_penalty * deltas)
+        blocks = theta.reshape(theta.shape[:2] + (self.n_branches, 1 + self.n))
+        mags = softplus(blocks[..., 1:])
+        deltas = blocks[..., :1] * mags
+        value = 0.5 * self.l2_penalty * (deltas * deltas).reshape(
+            theta.shape[:2] + (-1,)).sum(axis=-1)
+        grad = _shift_vector_gradient(blocks, mags, self.l2_penalty * deltas)
+        return value, grad.reshape(theta.shape)
+
+
+def _check_subject(trials, treatment):
+    if not trials:
+        raise UsageError("at least one training trial is required")
+    subjects = {t.subject_id for t in trials}
+    if len(subjects) != 1:
+        raise UsageError(f"trials span multiple subjects: {sorted(subjects)}")
+    for t in trials:
+        if t.treatment != treatment:
+            raise UsageError(
+                f"trial treatment {t.treatment.value!r} does not match "
+                f"{treatment.value!r}"
+            )
 
 
 def _shift_vector_gradient(blocks, mags, ddelta):
-    """Gradient in theta, given the gradient in each branch's realized shift
-    vector delta = scale * softplus(raw)."""
-    dscale = (ddelta * mags).sum(axis=1, keepdims=True)
-    dmags = blocks[:, :1] * ddelta * sigmoid(blocks[:, 1:])
-    return np.concatenate([dscale, dmags], axis=1).ravel()
+    """Gradient in theta, given the gradient in each block's realized shift
+    vector delta = scale * softplus(raw); blocks are [scale, raw] rows."""
+    dscale = (ddelta * mags).sum(axis=-1, keepdims=True)
+    dmags = blocks[..., :1] * ddelta * sigmoid(blocks[..., 1:])
+    return np.concatenate([dscale, dmags], axis=-1)
 
 
-def _minimize(objective: NudgeObjective, config: FitConfig):
-    """Multi-restart Adam; returns (value, theta, restart_index) of the best
-    iterate ever visited (so the result is never worse than any start)."""
-    best_value, best_theta, best_restart = np.inf, None, 0
+def _minimize(objective: NudgeObjective, config: FitConfig, seeds):
+    """Multi-restart Adam on every (restart, subject) row at once.
+
+    Returns each subject's best iterate ever visited (so the result is never
+    worse than any start) and its restart: the first restart to reach a
+    subject's lowest value wins, and within a restart the first iteration.
+    A row whose value goes non-finite is abandoned on its own.
+    """
+    theta = np.array([[objective.initial_theta(restart, seed) for seed in seeds]
+                      for restart in range(config.restarts)])            # (R, K, P)
+    optimizer = Adam(theta.shape, config.learning_rate)
+    best_value = np.full(theta.shape[:2], np.inf)
+    best_theta = theta.copy()
+    live = np.ones(theta.shape[:2], dtype=bool)
     switch = int(0.8 * config.iterations)
-    for restart in range(config.restarts):
-        theta = objective.initial_theta(restart, config.seed)
-        optimizer = Adam(theta.size, config.learning_rate)
-        for iteration in range(config.iterations + 1):
-            value, grad = objective.value_and_gradient(theta, tabulated=True)
-            if not np.isfinite(value):
-                break
-            if value < best_value:
-                best_value, best_theta, best_restart = value, theta.copy(), restart
-            if iteration == config.iterations:
-                break
-            # final 20% of iterations runs at a tenth of the step size
-            optimizer.learning_rate = (
-                config.learning_rate if iteration < switch
-                else 0.1 * config.learning_rate
-            )
+    for iteration in range(config.iterations + 1):
+        value, grad = objective.value_and_gradient(theta, tabulated=True)
+        live &= np.isfinite(value)
+        better = live & (value < best_value)
+        best_value[better] = value[better]
+        best_theta[better] = theta[better]
+        if iteration == config.iterations or not live.any():
+            break
+        # final 20% of iterations runs at a tenth of the step size
+        optimizer.learning_rate = (
+            config.learning_rate if iteration < switch
+            else 0.1 * config.learning_rate
+        )
+        if live.all():
             theta = optimizer.step(theta, grad)
-    if best_theta is None:
+        else:
+            grad[~live] = 0.0
+            theta = np.where(live[..., None], optimizer.step(theta, grad), theta)
+    restart = np.argmin(best_value, axis=0)                              # (K,)
+    subjects = np.arange(theta.shape[1])
+    if np.isinf(best_value[restart, subjects]).any():
         raise UsageError("no finite objective value reached from any restart")
-    return best_value, best_theta, best_restart
+    return best_theta[restart, subjects], restart
 
 
-def _fit(subject_trials, ensemble, treatment, config) -> NudgeFitResult:
-    objective = NudgeObjective(
-        subject_trials, ensemble, treatment, config.clip_eps, config.l2_penalty
-    )
-    _, best_theta, best_restart = _minimize(objective, config)
-    train_nll, grad = objective.value_and_gradient(best_theta, include_penalty=False)
-    converged = (float(np.max(np.abs(grad))) <= _GRADIENT_TOL
-                 and not objective.clipping_active(best_theta))
-    return NudgeFitResult(
-        params=objective.params_from_theta(best_theta),
-        train_nll=float(train_nll),
-        converged=bool(converged),
-        restart_index=int(best_restart),
-        theta=best_theta,
-    )
+def fit_nudge_batch(
+    trial_sets,
+    model: PopulationPosterior | WeightVector,
+    treatment: Treatment,
+    config: FitConfig = FitConfig(),
+    seeds=None,
+) -> list[NudgeFitResult]:
+    """``fit_nudge`` for several subjects' training trials in one call.
+
+    ``model`` is the population posterior, or a point model for the
+    deterministic ablation (delayed treatment only).  Subject k's restarts
+    are drawn from ``seeds[k]`` (default: ``config.seed`` for all).  All
+    subjects' restarts run in one stacked Adam loop; each result is
+    bit-identical to fitting that subject alone.
+    """
+    trial_sets = [list(trials) for trials in trial_sets]
+    seeds = [config.seed] * len(trial_sets) if seeds is None else list(seeds)
+    if len(seeds) != len(trial_sets):
+        raise UsageError(f"{len(seeds)} seeds for {len(trial_sets)} subjects")
+    if not trial_sets:
+        return []
+    if isinstance(model, WeightVector):
+        if Treatment(treatment) != Treatment.DELAYED:
+            raise UsageError(
+                "the deterministic ablation applies to the delayed treatment")
+        ensemble = model.augmented()[None, :]
+    else:
+        ensemble = model.ensemble[: config.ensemble_size]
+    objective = NudgeObjective(trial_sets, ensemble, treatment,
+                               config.clip_eps, config.l2_penalty)
+    best_theta, best_restart = _minimize(objective, config, seeds)
+    train_nll, grad = objective.value_and_gradient(best_theta[None],
+                                                   include_penalty=False)
+    converged = ((np.abs(grad[0]).max(axis=1) <= _GRADIENT_TOL)
+                 & ~objective.clipping_active(best_theta[None])[0])
+    return [
+        NudgeFitResult(
+            params=objective.params_from_theta(theta),
+            train_nll=float(train_nll[0, k]),
+            converged=bool(converged[k]),
+            restart_index=int(best_restart[k]),
+            theta=theta,
+        )
+        for k, theta in enumerate(best_theta)
+    ]
 
 
 def fit_nudge(
@@ -440,8 +595,7 @@ def fit_nudge(
     False when the gradient has not leveled off or the likelihood pushed
     probabilities onto the clip boundary (degenerate data).
     """
-    return _fit(subject_trials, posterior.ensemble[: config.ensemble_size],
-                treatment, config)
+    return fit_nudge_batch([subject_trials], posterior, treatment, config)[0]
 
 
 def fit_nudge_deterministic_ablation(
@@ -455,6 +609,4 @@ def fit_nudge_deterministic_ablation(
     Only defined for the delayed treatment (the ablation's setting); all
     expectations reduce to single evaluations at ``point_model``.
     """
-    if Treatment(treatment) != Treatment.DELAYED:
-        raise UsageError("the deterministic ablation applies to the delayed treatment")
-    return _fit(subject_trials, point_model.augmented()[None, :], treatment, config)
+    return fit_nudge_batch([subject_trials], point_model, treatment, config)[0]

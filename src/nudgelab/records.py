@@ -183,7 +183,8 @@ def _parse_row(row: dict[str, str], n_features: int, line: int) -> BehaviorRecor
 def ingest(path, skip_invalid: bool = False) -> list[BehaviorRecord]:
     """Read and validate a behavior CSV.
 
-    Per-row problems are collected with their line numbers; the whole run
+    Per-row problems are collected with their line numbers; a repeated
+    (subject_id, trial_index) is a problem of the later row.  The whole run
     aborts on any invalid row unless ``skip_invalid`` is set, in which
     case offending rows are dropped.  Schema problems (missing or
     misordered columns) always abort.
@@ -210,6 +211,7 @@ def ingest(path, skip_invalid: bool = False) -> list[BehaviorRecord]:
 
     records: list[BehaviorRecord] = []
     errors: list[str] = []
+    first_line: dict[tuple[str, int], int] = {}
     for line_no, text in lines[1:]:
         values = next(csv.reader([text]))
         if len(values) != len(header):
@@ -218,9 +220,17 @@ def ingest(path, skip_invalid: bool = False) -> list[BehaviorRecord]:
             continue
         row = dict(zip(header, values))
         try:
-            records.append(_parse_row(row, n_features, line_no))
+            record = _parse_row(row, n_features, line_no)
         except DataValidationError as exc:
             errors.append(str(exc))
+            continue
+        key = (record.subject_id, record.trial_index)
+        if key in first_line:
+            errors.append(f"line {line_no}: subject {key[0]!r} trial_index "
+                          f"{key[1]} repeats line {first_line[key]}")
+            continue
+        first_line[key] = line_no
+        records.append(record)
 
     # CRT score must be constant within a subject.
     seen_crt: dict[str, int | None] = {}

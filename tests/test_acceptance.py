@@ -39,7 +39,7 @@ from nudgelab import (
     condition_on_decision,
     elbo_and_gradient,
     evaluate_framework,
-    fit_nudge,
+    fit_nudge_batch,
     fit_population,
     gaussian_kl,
     generate_behavior,
@@ -279,13 +279,15 @@ def _bimodal_scale(rng, idx, weak, strong):
     return sign * rng.uniform(lo, hi)
 
 
-def _fit_recovery_subject(subject, tasks, ai, posterior, l2, iterations=1500):
-    records = generate_behavior(
+def _fit_recovery_subjects(subjects, tasks, ai, posterior, l2, iterations=1500):
+    """Each subject's fit, from one batch call over all of them."""
+    records = [generate_behavior(
         subject, tasks, ai,
         seed=derive_seed(RECOVERY_SEED, subject.subject_id, "b"))
-    config = FitConfig(seed=derive_seed(RECOVERY_SEED, subject.subject_id),
-                       l2_penalty=l2, iterations=iterations)
-    return fit_nudge(records, posterior, subject.treatment, config)
+        for subject in subjects]
+    config = FitConfig(l2_penalty=l2, iterations=iterations)
+    seeds = [derive_seed(RECOVERY_SEED, subject.subject_id) for subject in subjects]
+    return fit_nudge_batch(records, posterior, subjects[0].treatment, config, seeds)
 
 
 class TestCriterion4NudgeRecovery:
@@ -295,16 +297,19 @@ class TestCriterion4NudgeRecovery:
         ai = sharp_ai()
         tasks = _recovery_tasks()
         mean_subject = WeightVector(POP_MEAN[:-1], POP_MEAN[-1])
-        true_norms, fit_norms, signs_ok = [], [], 0
+        trues, subjects = [], []
         for i in range(RECOVERY_SUBJECTS):
             rng = np.random.default_rng(derive_seed(RECOVERY_SEED, "immediate", i))
             scale = _bimodal_scale(rng, i, (0.4, 1.0), (1.8, 2.6))
             true = SignedSharedSignVector(scale, rng.uniform(0.4, 0.7, N_FEATURES))
-            subject = SyntheticSubject(
+            trues.append(true)
+            subjects.append(SyntheticSubject(
                 f"imm{i:03d}", mean_subject, NudgeParams.for_immediate(true),
-                Treatment.IMMEDIATE, RECOVERY_TEMPERATURE, int(rng.integers(0, 4)))
-            fitted = _fit_recovery_subject(subject, tasks, ai, posterior,
-                                           l2=0.05).params.delta_direct
+                Treatment.IMMEDIATE, RECOVERY_TEMPERATURE, int(rng.integers(0, 4))))
+        fits = _fit_recovery_subjects(subjects, tasks, ai, posterior, l2=0.05)
+        true_norms, fit_norms, signs_ok = [], [], 0
+        for true, fit in zip(trues, fits):
+            fitted = fit.params.delta_direct
             true_norms.append(true.norm)
             fit_norms.append(fitted.norm)
             signs_ok += true.sign == fitted.sign
@@ -321,8 +326,7 @@ class TestCriterion4NudgeRecovery:
         tasks = _recovery_tasks()
         mean_subject = WeightVector(POP_MEAN[:-1], POP_MEAN[-1])
         magnitudes = np.full(N_FEATURES, 0.55)
-        true_norms, fit_norms = [], []
-        signs_ok = total_signs = 0
+        trues, subjects = [], []
         for i in range(RECOVERY_SUBJECTS):
             rng = np.random.default_rng(derive_seed(RECOVERY_SEED, "delayed", i))
 
@@ -331,11 +335,15 @@ class TestCriterion4NudgeRecovery:
                 return SignedSharedSignVector(scale, magnitudes.copy())
 
             true = NudgeParams.for_delayed(draw(), draw())
-            subject = SyntheticSubject(
+            trues.append(true)
+            subjects.append(SyntheticSubject(
                 f"del{i:03d}", mean_subject, true, Treatment.DELAYED,
-                RECOVERY_TEMPERATURE, int(rng.integers(0, 4)))
-            fitted = _fit_recovery_subject(subject, tasks, ai, posterior,
-                                           l2=0.02).params
+                RECOVERY_TEMPERATURE, int(rng.integers(0, 4))))
+        fits = _fit_recovery_subjects(subjects, tasks, ai, posterior, l2=0.02)
+        true_norms, fit_norms = [], []
+        signs_ok = total_signs = 0
+        for true, fit in zip(trues, fits):
+            fitted = fit.params
             true_norms.append(np.hypot(true.delta_affirm.norm,
                                        true.delta_contra.norm))
             fit_norms.append(np.hypot(fitted.delta_affirm.norm,
@@ -371,17 +379,18 @@ class TestCriterion4NudgeRecovery:
         tasks = [task for _, task in scored[:30]]
 
         mean_subject = WeightVector(POP_MEAN[:-1], POP_MEAN[-1])
-        errors = []
+        attentions, subjects = [], []
         for i in range(RECOVERY_SUBJECTS):
             rng = np.random.default_rng(derive_seed(RECOVERY_SEED, "explain", i))
             true_attention = float(rng.uniform(0.0, 1.0))
-            subject = SyntheticSubject(
+            attentions.append(true_attention)
+            subjects.append(SyntheticSubject(
                 f"exp{i:03d}", mean_subject,
                 NudgeParams.for_explanation(true_attention),
-                Treatment.EXPLANATION, 0.75, int(rng.integers(0, 4)))
-            fitted = _fit_recovery_subject(subject, tasks, ai, posterior,
-                                           l2=0.0).params.delta_exp
-            errors.append(abs(fitted - true_attention))
+                Treatment.EXPLANATION, 0.75, int(rng.integers(0, 4))))
+        fits = _fit_recovery_subjects(subjects, tasks, ai, posterior, l2=0.0)
+        errors = [abs(fit.params.delta_exp - true_attention)
+                  for fit, true_attention in zip(fits, attentions)]
         mean_err = float(np.mean(errors))
         report("4c", mean_err <= 0.2,
                f"explanation: mean |attention error| {mean_err:.3f} (<=0.2)")

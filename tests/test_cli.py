@@ -238,6 +238,17 @@ class TestMalformedArtifacts:
         assert error["category"] == "validation"
         assert "malformed params file" in error["message"]
 
+    def test_repeated_trial_exits_one(self, pipeline_dir, tmp_path, capsys):
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        data = tmp_path / "run" / "behavior.csv"
+        lines = data.read_text().splitlines(keepends=True)
+        data.write_text("".join(lines + lines[-1:]))
+        assert run_pipeline("fit-nudge", config) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert any(f"repeats line {len(lines)}" in row
+                   for row in error["row_errors"])
+
     def test_posterior_dimension_mismatch_exits_one(self, pipeline_dir, tmp_path,
                                                     capsys):
         out = tmp_path / "wide"

@@ -107,6 +107,15 @@ class TestGaussianKl:
         with pytest.raises(DomainError):
             PopulationPosterior.from_moments([0.0, 0.0], [1.0, 0.0], 2, seed=0)
 
+    def test_moment_length_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError, match="mean and variance"):
+            PopulationPosterior.from_moments([0.0, 0.0, 0.0], [1.0, 1.0], 2, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_invalid_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            PopulationPosterior.from_moments([0.0, 0.0], [1.0, 1.0], 2, seed=seed)
+
 
 class TestElboGradient:
     def test_matches_finite_differences(self):

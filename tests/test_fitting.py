@@ -18,11 +18,11 @@ from nudgelab import (
     UsageError,
     WeightVector,
     fit_nudge,
+    fit_nudge_batch,
     fit_nudge_deterministic_ablation,
     generate_behavior,
     uniform_tasks,
 )
-from nudgelab.fitting import _ensemble_response
 
 N = 3
 
@@ -71,7 +71,7 @@ class TestGradients:
         trials = make_trials(treatment, PARAMS_BY_TREATMENT[treatment])
         objective = NudgeObjective(trials, posterior.ensemble, treatment)
         if tabulated:
-            assert objective.table is not None
+            assert objective.response.tabulated
         rng = np.random.default_rng(31)
         h = 1e-5
         for _ in range(7):
@@ -139,15 +139,192 @@ class TestResponseTable:
     def test_matches_exact_response(self, treatment, seed, fallback, shifts):
         # the grid spans shifts in [-12, 12]; beyond it each trial falls
         # back to the exact response on its own
-        objective = response_objective(treatment, seed, fallback)
+        response = response_objective(treatment, seed, fallback).response
         if fallback and treatment == Treatment.DELAYED:
-            assert np.all(objective.base >= 0.0)
+            assert response.mask.all()
         shift = np.array(shifts)
-        p, slope = objective.table(shift)
-        p_exact, slope_exact = _ensemble_response(
-            objective.base, objective.member_weight, shift)
+        p, slope = response.interpolated(shift)
+        p_exact, slope_exact = response.exact(shift)
         assert np.max(np.abs(p - p_exact)) <= 1e-8
         assert np.max(np.abs(slope - slope_exact)) <= 1e-6
+
+
+def stacked_shift(objective, theta):
+    """Each trial's logit shift for stacked rows theta (R, K, P)."""
+    blocks = theta.reshape(theta.shape[0], -1, 1 + objective.n)
+    deltas = blocks[..., :1] * np.logaddexp(0.0, blocks[..., 1:])
+    return objective.direction * (deltas[:, objective.block]
+                                  * objective.features).sum(axis=2)
+
+
+def scaled_params(treatment, scale):
+    """PARAMS_BY_TREATMENT with every shift vector's scale multiplied."""
+    params = PARAMS_BY_TREATMENT[treatment]
+    if treatment == Treatment.IMMEDIATE:
+        vector = params.delta_direct
+        return NudgeParams.for_immediate(
+            SignedSharedSignVector(scale * vector.scale, vector.magnitudes))
+    if treatment == Treatment.DELAYED:
+        return NudgeParams.for_delayed(*(
+            SignedSharedSignVector(scale * v.scale, v.magnitudes)
+            for v in (params.delta_affirm, params.delta_contra)))
+    return params
+
+
+class TestStackedFit:
+    @settings(max_examples=24, deadline=None)
+    @given(
+        case=st.sampled_from(["immediate", "delayed", "explanation", "ablation"]),
+        members=st.sampled_from([60, 200]),
+        seed=st.integers(0, 2**16),
+        sizes=st.lists(st.integers(3, 20), min_size=2, max_size=4),
+        scale=st.floats(0.5, 12.0),
+    )
+    def test_each_subject_fits_as_if_alone(self, case, members, seed, sizes,
+                                           scale):
+        # a subject's result must not depend on which subjects share its
+        # stacked loop, nor on their order; large scales push shifts off
+        # the response table's grid
+        treatment = (Treatment.DELAYED if case == "ablation"
+                     else Treatment(case))
+        model = (WeightVector([1.0, -0.8, 0.6], bias=-0.3) if case == "ablation"
+                 else make_posterior(seed=seed, size=members))
+        trial_sets = [make_trials(treatment, scaled_params(treatment, scale),
+                                  seed=seed + k, n_trials=n)
+                      for k, n in enumerate(sizes)]
+        seeds = [seed + 7 * k for k in range(len(sizes))]
+        config = FitConfig(iterations=40, restarts=4, learning_rate=0.3)
+        alone = [fit_nudge_batch([trials], model, treatment, config, [s])[0]
+                 for trials, s in zip(trial_sets, seeds)]
+        stacked = fit_nudge_batch(trial_sets, model, treatment, config, seeds)
+        reverse = fit_nudge_batch(trial_sets[::-1], model, treatment, config,
+                                  seeds[::-1])[::-1]
+        for single, *others in zip(alone, stacked, reverse):
+            for other in others:
+                assert np.array_equal(single.theta, other.theta)
+                assert single.train_nll == other.train_nll
+                assert single.restart_index == other.restart_index
+                assert single.converged == other.converged
+
+    def test_one_subject_calls_are_batch_calls(self):
+        point = WeightVector([1.0, -0.8, 0.6], bias=-0.3)
+        trials = make_trials(Treatment.DELAYED,
+                             PARAMS_BY_TREATMENT[Treatment.DELAYED])
+        config = FitConfig(iterations=60, restarts=2, seed=4)
+        for single, model in (
+            (fit_nudge(trials, make_posterior(), Treatment.DELAYED, config),
+             make_posterior()),
+            (fit_nudge_deterministic_ablation(trials, point, Treatment.DELAYED,
+                                              config), point),
+        ):
+            (batch,) = fit_nudge_batch([trials], model, Treatment.DELAYED, config)
+            assert np.array_equal(single.theta, batch.theta)
+            assert single.train_nll == batch.train_nll
+
+    def test_empty_batch_and_seed_count(self):
+        assert fit_nudge_batch([], make_posterior(), Treatment.IMMEDIATE) == []
+        trials = make_trials(Treatment.IMMEDIATE,
+                             PARAMS_BY_TREATMENT[Treatment.IMMEDIATE])
+        with pytest.raises(UsageError):
+            fit_nudge_batch([trials, trials], make_posterior(),
+                            Treatment.IMMEDIATE, seeds=[1])
+
+    def _recorded_fit(self, trial_sets, config, seeds, forced=None):
+        """Fit while recording the stacked rows the Adam loop evaluates;
+        ``forced`` = (call, restart, subject) makes that row's value NaN
+        from that call on."""
+        value_and_gradient = NudgeObjective.value_and_gradient
+        seen = []
+
+        def recording(self, theta, include_penalty=True, tabulated=False):
+            value, grad = value_and_gradient(self, theta, include_penalty,
+                                             tabulated)
+            if tabulated:
+                seen.append(theta.copy())
+                if forced is not None and len(seen) > forced[0]:
+                    value = value.copy()
+                    value[forced[1], forced[2]] = np.nan
+            return value, grad
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(NudgeObjective, "value_and_gradient", recording)
+            results = fit_nudge_batch(trial_sets, make_posterior(),
+                                      Treatment.IMMEDIATE, config, seeds)
+        return results, seen
+
+    def test_non_finite_row_is_abandoned_alone(self):
+        trial_sets = [make_trials(Treatment.IMMEDIATE,
+                                  PARAMS_BY_TREATMENT[Treatment.IMMEDIATE],
+                                  seed=s) for s in (3, 5, 8)]
+        config = FitConfig(iterations=30, restarts=3)
+        seeds = [1, 2, 3]
+        free, free_seen = self._recorded_fit(trial_sets, config, seeds)
+        forced, forced_seen = self._recorded_fit(trial_sets, config, seeds,
+                                                 forced=(10, 1, 0))
+        assert len(forced_seen) == len(free_seen) == config.iterations + 1
+        for call, (a, b) in enumerate(zip(free_seen, forced_seen)):
+            others = np.ones(a.shape[:2], dtype=bool)
+            others[1, 0] = False
+            assert np.array_equal(a[others], b[others])
+            if call >= 10:
+                assert np.array_equal(b[1, 0], forced_seen[10][1, 0])
+        for a, b in zip(free[1:], forced[1:]):
+            assert np.array_equal(a.theta, b.theta)
+            assert a.train_nll == b.train_nll
+        # the untabulated, unpenalized objective is the train NLL itself,
+        # and the forced fit chose among fewer iterates
+        assert forced[0].train_nll >= free[0].train_nll
+
+    def test_subject_with_no_finite_row_is_rejected(self):
+        trial_sets = [make_trials(Treatment.IMMEDIATE,
+                                  PARAMS_BY_TREATMENT[Treatment.IMMEDIATE],
+                                  seed=s) for s in (3, 5)]
+        config = FitConfig(iterations=5, restarts=1)
+        with pytest.raises(UsageError):
+            self._recorded_fit(trial_sets, config, [1, 2], forced=(0, 0, 1))
+
+    @pytest.mark.parametrize("treatment, members", [
+        pytest.param(Treatment.IMMEDIATE, 60, id="immediate"),
+        pytest.param(Treatment.IMMEDIATE, 200, id="immediate-tabulated"),
+        pytest.param(Treatment.DELAYED, 200, id="delayed-tabulated"),
+        pytest.param(Treatment.EXPLANATION, 60, id="explanation"),
+    ])
+    def test_stacked_gradient_matches_finite_differences(self, treatment,
+                                                         members):
+        # R = 3 rows of K = 3 subjects of different lengths; row 0 has large
+        # scales, so some of its shifts leave the table's grid.  Each
+        # (restart, subject) value moves only with its own parameters.
+        posterior = make_posterior(size=members)
+        trial_sets = [make_trials(treatment, PARAMS_BY_TREATMENT[treatment],
+                                  seed=s, n_trials=n)
+                      for s, n in ((3, 9), (5, 14), (8, 6))]
+        objective = NudgeObjective(trial_sets, posterior.ensemble, treatment,
+                                   l2_penalty=0.1)
+        rng = np.random.default_rng(47)
+        theta = rng.normal(0.0, 1.0, (3, 3, objective.n_params))
+        tabulated = members >= 128
+        if treatment != Treatment.EXPLANATION:
+            assert objective.response.tabulated == tabulated
+            theta[0, :, ::1 + objective.n] = 30.0
+            shift = np.abs(stacked_shift(objective, theta))
+            assert np.any(shift > 12.0) and np.any(shift < 12.0)
+        value, grad = objective.value_and_gradient(theta, tabulated=tabulated)
+        assert value.shape == (3, 3) and grad.shape == theta.shape
+        h = 1e-5
+        for index in np.ndindex(theta.shape):
+            values = []
+            for delta in (h, -h):
+                moved = theta.copy()
+                moved[index] += delta
+                values.append(objective.value_and_gradient(
+                    moved, tabulated=tabulated)[0])
+            row = index[:2]
+            fd = (values[0][row] - values[1][row]) / (2 * h)
+            assert abs(grad[index] - fd) <= 1e-3 * max(abs(fd), abs(grad[index]),
+                                                       1e-8)
+            others = np.ones((3, 3), dtype=bool)
+            others[row] = False
+            assert np.array_equal(values[0][others], value[others])
 
 
 class TestReparameterization:

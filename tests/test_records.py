@@ -124,6 +124,23 @@ class TestCsvRoundTrip:
         loaded = ingest(path, skip_invalid=True)
         assert [r.trial_index for r in loaded] == [0, 2]
 
+    def test_repeated_trial_names_both_lines(self, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text(
+            ",".join(csv_header(1)) + "\n"
+            "a,independent,0,0.5,,,,,1,\n"
+            "b,independent,0,0.5,,,,,1,\n"
+            "a,independent,1,0.5,,,,,0,\n"
+            "a,independent,0,0.7,,,,,0,\n"
+        )
+        with pytest.raises(DataValidationError) as err:
+            ingest(path)
+        assert err.value.row_errors == [
+            "line 5: subject 'a' trial_index 0 repeats line 2"]
+        loaded = ingest(path, skip_invalid=True)
+        assert [(r.subject_id, r.trial_index, r.final_decision) for r in loaded] == [
+            ("a", 0, 1), ("b", 0, 1), ("a", 1, 0)]
+
     def test_crt_must_be_constant_per_subject(self, tmp_path):
         path = tmp_path / "crt.csv"
         path.write_text(
