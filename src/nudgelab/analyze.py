@@ -18,10 +18,13 @@ from scipy.special import betainc
 
 from .errors import InputError, UsageError
 from .nudge import NudgeParams
+from .records import Treatment
 
 __all__ = [
     "CrtGroup",
     "Branch",
+    "TREATMENT_BRANCHES",
+    "BRANCH_FIELDS",
     "AnovaResult",
     "PairwiseComparison",
     "crt_group",
@@ -43,6 +46,23 @@ class Branch(str, Enum):
     AFFIRM = "affirm"
     CONTRA = "contra"
     EXP = "exp"
+
+
+# The shift branches each treatment's effect is summarized by, in output order.
+TREATMENT_BRANCHES = {
+    Treatment.INDEPENDENT: (),
+    Treatment.IMMEDIATE: (Branch.DIRECT,),
+    Treatment.DELAYED: (Branch.AFFIRM, Branch.CONTRA),
+    Treatment.EXPLANATION: (Branch.EXP,),
+}
+
+# The NudgeParams field that holds each branch's shift.
+BRANCH_FIELDS = {
+    Branch.DIRECT: "delta_direct",
+    Branch.AFFIRM: "delta_affirm",
+    Branch.CONTRA: "delta_contra",
+    Branch.EXP: "delta_exp",
+}
 
 
 def crt_group(score: int) -> CrtGroup:
@@ -75,18 +95,12 @@ class PairwiseComparison:
 def effect_summary(params: NudgeParams, branch: Branch | str) -> float:
     """Scalar effect: sign(scale) * ||realized shift|| (attention passes through)."""
     branch = Branch(branch)
+    value = getattr(params, BRANCH_FIELDS[branch])
+    if value is None:
+        raise UsageError(f"params carry no {BRANCH_FIELDS[branch]}")
     if branch == Branch.EXP:
-        if params.delta_exp is None:
-            raise UsageError("params carry no attention weight")
-        return float(params.delta_exp)
-    vector = {
-        Branch.DIRECT: params.delta_direct,
-        Branch.AFFIRM: params.delta_affirm,
-        Branch.CONTRA: params.delta_contra,
-    }[branch]
-    if vector is None:
-        raise UsageError(f"params carry no {branch.value} shift vector")
-    return float(vector.sign * vector.norm)
+        return float(value)
+    return float(value.sign * value.norm)
 
 
 def _validated_groups(groups) -> list[np.ndarray]:
@@ -153,26 +167,20 @@ def pairwise_posthoc(groups, n_permutations: int = 10000,
     pooled = np.concatenate(arrays)
     sizes = np.array([a.size for a in arrays])
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    n_groups = len(arrays)
-    pairs = [(i, j) for i in range(n_groups) for j in range(i + 1, n_groups)]
-
-    observed_means = np.array([a.mean() for a in arrays])
-    observed_diffs = {
-        (i, j): observed_means[i] - observed_means[j] for i, j in pairs
-    }
-
     rng = np.random.default_rng(seed)
     max_stats = np.empty(n_permutations)
     for k in range(n_permutations):
         shuffled = pooled[rng.permutation(pooled.size)]
         means = np.add.reduceat(shuffled, starts) / sizes
-        max_stats[k] = max(abs(means[i] - means[j]) for i, j in pairs)
+        # the largest |mean_i - mean_j| over all pairs, to the bit
+        max_stats[k] = means.max() - means.min()
 
+    observed_means = np.array([a.mean() for a in arrays])
     out = []
-    for i, j in pairs:
-        observed = abs(observed_diffs[(i, j)])
-        p = float(np.mean(max_stats >= observed))
-        out.append(PairwiseComparison(pair=(i, j),
-                                      mean_diff=float(observed_diffs[(i, j)]),
-                                      p_value=p))
+    for i in range(len(arrays)):
+        for j in range(i + 1, len(arrays)):
+            diff = float(observed_means[i] - observed_means[j])
+            out.append(PairwiseComparison(
+                pair=(i, j), mean_diff=diff,
+                p_value=float(np.mean(max_stats >= abs(diff)))))
     return out

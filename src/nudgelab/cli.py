@@ -17,7 +17,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +27,8 @@ import numpy as np
 
 from ._util import derive_seed
 from .analyze import (
+    BRANCH_FIELDS,
+    TREATMENT_BRANCHES,
     Branch,
     CrtGroup,
     crt_group,
@@ -69,7 +73,24 @@ __all__ = ["RunConfig", "run_pipeline", "main", "load_posterior", "read_params_f
 COMMANDS = ("simulate", "fit-population", "fit-nudge", "evaluate",
             "learning-curve", "analyze")
 
-_ASSISTED = (Treatment.IMMEDIATE, Treatment.DELAYED, Treatment.EXPLANATION)
+_ASSISTED = tuple(t for t, branches in TREATMENT_BRANCHES.items() if branches)
+
+# Numeric settings that may be zero; every other one must be positive.
+_MAY_BE_ZERO = ("seed", "nudge_l2_penalty", "baseline_l2", "sim_noise_temperature")
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a config value (as JSON loads it) fits a field's annotation."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(_has_type(item, args[0]) for item in value))
+    if args:  # an optional field, X | None
+        return value is None or _has_type(value, args[0])
+    if hint is float:
+        return isinstance(value, int) or (isinstance(value, float)
+                                          and math.isfinite(value))
+    return isinstance(value, hint)
 
 
 @dataclass(frozen=True)
@@ -117,43 +138,32 @@ class RunConfig:
     posthoc_permutations: int = 10000
 
     def __post_init__(self):
-        positive = dict(
-            n_features=self.n_features,
-            prior_variance=self.prior_variance,
-            mc_ensemble_size=self.mc_ensemble_size,
-            clip_eps=self.clip_eps,
-            population_learning_rate=self.population_learning_rate,
-            population_iterations=self.population_iterations,
-            population_train_samples=self.population_train_samples,
-            nudge_learning_rate=self.nudge_learning_rate,
-            nudge_iterations=self.nudge_iterations,
-            nudge_restarts=self.nudge_restarts,
-            sim_subjects_per_treatment=self.sim_subjects_per_treatment,
-            sim_trials_per_subject=self.sim_trials_per_subject,
-            sim_task_pool_size=self.sim_task_pool_size,
-            sim_top_k=self.sim_top_k,
-            posthoc_permutations=self.posthoc_permutations,
-        )
-        for name, value in positive.items():
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+        hints = typing.get_type_hints(RunConfig)
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not _has_type(value, hints[field.name]):
+                raise ConfigurationError(
+                    f"{field.name} must be {field.type}, got {value!r}")
+            if isinstance(value, list):
+                object.__setattr__(self, field.name, tuple(value))
+            if hints[field.name] in (int, float) and (
+                    value < 0 or value == 0 and field.name not in _MAY_BE_ZERO):
+                raise ConfigurationError(
+                    f"{field.name} must not be {'negative' if value < 0 else 'zero'}")
+        if self.sim_trials_per_subject > self.sim_task_pool_size:
+            raise ConfigurationError(
+                "sim_trials_per_subject must not exceed sim_task_pool_size")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigurationError("train_fraction must lie in (0, 1)")
-        if self.nudge_l2_penalty < 0 or self.sim_noise_temperature < 0:
-            raise ConfigurationError("penalty and noise temperature must be >= 0")
-        if self.treatment is not None:
-            Treatment(self.treatment)
-        for t in self.sim_treatments:
-            Treatment(t)
+        known = [t.value for t in Treatment]
+        for name in (*self.sim_treatments, self.treatment):
+            if name is not None and name not in known:
+                raise ConfigurationError(f"unknown treatment {name!r}")
         for name in ("sim_scale_range", "sim_magnitude_range"):
             rng = getattr(self, name)
             if len(rng) != 2 or rng[0] > rng[1] or rng[0] < 0:
                 raise ConfigurationError(f"{name} must be (lo, hi) with 0 <= lo <= hi")
             object.__setattr__(self, name, (float(rng[0]), float(rng[1])))
-        object.__setattr__(self, "run_seeds", tuple(int(s) for s in self.run_seeds))
-        object.__setattr__(self, "train_sizes",
-                           tuple(int(s) for s in self.train_sizes))
-        object.__setattr__(self, "sim_treatments", tuple(self.sim_treatments))
 
     def fingerprint(self) -> str:
         """Hash of every setting that shapes outputs (paths excluded, so the
@@ -175,12 +185,11 @@ class RunConfig:
             include_bias=self.include_bias,
         )
 
-    def nudge_config(self, seed: int | None = None) -> FitConfig:
+    def nudge_config(self) -> FitConfig:
         return FitConfig(
             learning_rate=self.nudge_learning_rate,
             iterations=self.nudge_iterations,
-            seed=self.seed if seed is None else seed,
-            ensemble_size=self.mc_ensemble_size,
+            seed=self.seed,
             restarts=self.nudge_restarts,
             clip_eps=self.clip_eps,
             l2_penalty=self.nudge_l2_penalty,
@@ -287,22 +296,6 @@ def _malformed(what: str, path, exc: Exception) -> DataValidationError:
     return DataValidationError(f"malformed {what} {path}: {detail}")
 
 
-_BRANCH_FIELDS = {
-    Branch.DIRECT: "delta_direct",
-    Branch.AFFIRM: "delta_affirm",
-    Branch.CONTRA: "delta_contra",
-}
-
-
-def _vector_lines(name: str, vector: SignedSharedSignVector) -> list[str]:
-    return [
-        f"[{name}]",
-        f"scale: {_fmt(vector.scale)}",
-        "magnitudes: " + " ".join(_fmt(v) for v in vector.magnitudes),
-        "realized: " + " ".join(_fmt(v) for v in vector.realized),
-    ]
-
-
 def write_params_file(path, subject_id: str, treatment: Treatment,
                       result: NudgeFitResult, fingerprint: str):
     """Structured key/value dump of one subject's fitted parameters."""
@@ -315,14 +308,19 @@ def write_params_file(path, subject_id: str, treatment: Treatment,
         f"restart_index: {result.restart_index}",
         "theta: " + " ".join(_fmt(v) for v in result.theta),
     ]
-    params = result.params
-    for branch, field in _BRANCH_FIELDS.items():
-        vector = getattr(params, field)
-        if vector is not None:
-            lines.extend(_vector_lines(field, vector))
-    if params.delta_exp is not None:
-        lines.append("[delta_exp]")
-        lines.append(f"value: {_fmt(params.delta_exp)}")
+    for branch, field in BRANCH_FIELDS.items():
+        value = getattr(result.params, field)
+        if value is None:
+            continue
+        lines.append(f"[{field}]")
+        if branch == Branch.EXP:
+            lines.append(f"value: {_fmt(value)}")
+        else:
+            lines.extend([
+                f"scale: {_fmt(value.scale)}",
+                "magnitudes: " + " ".join(_fmt(v) for v in value.magnitudes),
+                "realized: " + " ".join(_fmt(v) for v in value.realized),
+            ])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
@@ -332,7 +330,7 @@ def read_params_file(path) -> dict:
     """Parse a params file back into {subject_id, treatment, params, ...}."""
     try:
         return _parse_params(Path(path).read_text())
-    except _MALFORMED as exc:
+    except (*_MALFORMED, ConfigurationError) as exc:
         raise _malformed("params file", path, exc) from exc
 
 
@@ -351,23 +349,19 @@ def _parse_params(text: str) -> dict:
         sections[current][key.strip()] = value.strip()
 
     top = sections[""]
-    vectors = {}
-    for name in ("delta_direct", "delta_affirm", "delta_contra"):
-        if name in sections:
-            vectors[name] = SignedSharedSignVector(
-                scale=float(sections[name]["scale"]),
-                magnitudes=np.array(
-                    [float(v) for v in sections[name]["magnitudes"].split()]
-                ),
+    fields = {}
+    for branch, field in BRANCH_FIELDS.items():
+        if field not in sections:
+            continue
+        section = sections[field]
+        if branch == Branch.EXP:
+            fields[field] = float(section["value"])
+        else:
+            fields[field] = SignedSharedSignVector(
+                scale=float(section["scale"]),
+                magnitudes=np.array([float(v) for v in section["magnitudes"].split()]),
             )
-    if "delta_exp" in sections:
-        params = NudgeParams.for_explanation(float(sections["delta_exp"]["value"]))
-    elif "delta_direct" in vectors:
-        params = NudgeParams.for_immediate(vectors["delta_direct"])
-    else:
-        params = NudgeParams.for_delayed(
-            vectors["delta_affirm"], vectors["delta_contra"]
-        )
+    params = NudgeParams(**fields)
     return {
         "subject_id": top["subject_id"],
         "treatment": Treatment(top["treatment"]),
@@ -420,19 +414,10 @@ def _cmd_simulate(config: RunConfig) -> list[str]:
                 subject, tasks, ai,
                 seed=derive_seed(config.seed, subject.subject_id, "behavior"),
             ))
-            params = subject.true_params
-            if params is None:
-                continue
-            if treatment == Treatment.IMMEDIATE:
-                branches = [Branch.DIRECT]
-            elif treatment == Treatment.DELAYED:
-                branches = [Branch.AFFIRM, Branch.CONTRA]
-            else:
-                branches = [Branch.EXP]
-            for branch in branches:
+            for branch in TREATMENT_BRANCHES[treatment]:
                 effect_rows.append((
                     subject.subject_id, treatment.value, branch.value,
-                    effect_summary(params, branch),
+                    effect_summary(subject.true_params, branch),
                 ))
 
     out = Path(config.out_dir)
@@ -490,10 +475,7 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
             write_params_file(path, sid, treatment, result, fingerprint)
             written.append(str(path))
             crt = trials[0].crt_score
-            branches = ([Branch.DIRECT] if treatment == Treatment.IMMEDIATE
-                        else [Branch.AFFIRM, Branch.CONTRA]
-                        if treatment == Treatment.DELAYED else [Branch.EXP])
-            for branch in branches:
+            for branch in TREATMENT_BRANCHES[treatment]:
                 effect_rows.append((
                     sid, treatment.value, branch.value,
                     effect_summary(result.params, branch),
@@ -601,10 +583,7 @@ def _cmd_analyze(config: RunConfig) -> list[str]:
         entries = [f for f in fitted if f["treatment"] == treatment]
         if not entries:
             continue
-        branches = ([Branch.DIRECT] if treatment == Treatment.IMMEDIATE
-                    else [Branch.AFFIRM, Branch.CONTRA]
-                    if treatment == Treatment.DELAYED else [Branch.EXP])
-        for branch in branches:
+        for branch in TREATMENT_BRANCHES[treatment]:
             buckets: dict[CrtGroup, list[float]] = {g: [] for g in ordered_groups}
             for entry in entries:
                 crt = crt_by_subject.get(entry["subject_id"])

@@ -359,14 +359,18 @@ def ensemble_probability(members: np.ndarray, task: TaskInstance,
     return float(np.mean(sigmoid(logits)))
 
 
-def predict_independent(posterior: PopulationPosterior,
-                        task: TaskInstance) -> tuple[float, int]:
-    """Ensemble-average probability of deciding 1, and the thresholded decision."""
+def _check_dims(posterior: PopulationPosterior, task: TaskInstance):
     if task.n_features != posterior.n_features:
         raise ConfigurationError(
             f"task has {task.n_features} features but posterior expects "
             f"{posterior.n_features}"
         )
+
+
+def predict_independent(posterior: PopulationPosterior,
+                        task: TaskInstance) -> tuple[float, int]:
+    """Ensemble-average probability of deciding 1, and the thresholded decision."""
+    _check_dims(posterior, task)
     probability = ensemble_probability(posterior.ensemble, task)
     return probability, int(probability >= 0.5)
 
@@ -379,11 +383,7 @@ def condition_on_decision(posterior: PopulationPosterior, task: TaskInstance,
     returned with ``fallback_used`` set, so downstream expectations stay
     well defined.
     """
-    if task.n_features != posterior.n_features:
-        raise ConfigurationError(
-            f"task has {task.n_features} features but posterior expects "
-            f"{posterior.n_features}"
-        )
+    _check_dims(posterior, task)
     if observed not in (0, 1):
         raise UsageError("observed decision must be 0 or 1")
     probs = sigmoid(posterior.ensemble @ augment_features(task))

@@ -111,25 +111,31 @@ def split_trials(
     trials: list[BehaviorRecord], run_seed: int, train_fraction: float
 ) -> tuple[list[BehaviorRecord], list[BehaviorRecord]]:
     """Deterministic per-(subject, run) shuffle split; both halves nonempty."""
+    shuffled = _shuffled(trials, run_seed, "split")
+    n_train = int(round(len(shuffled) * train_fraction))
+    n_train = max(1, min(len(shuffled) - 1, n_train))
+    return shuffled[:n_train], shuffled[n_train:]
+
+
+def _shuffled(trials: list[BehaviorRecord], run_seed: int,
+              salt: str) -> list[BehaviorRecord]:
+    """One subject's trials in a permutation drawn from (run, subject, salt)."""
     ordered = sorted(trials, key=lambda r: r.trial_index)
-    subject_id = ordered[0].subject_id
-    rng = np.random.default_rng(derive_seed(run_seed, subject_id, "split"))
-    perm = rng.permutation(len(ordered))
-    n_train = int(round(len(ordered) * train_fraction))
-    n_train = max(1, min(len(ordered) - 1, n_train))
-    train = [ordered[i] for i in perm[:n_train]]
-    test = [ordered[i] for i in perm[n_train:]]
-    return train, test
+    rng = np.random.default_rng(derive_seed(run_seed, ordered[0].subject_id, salt))
+    return [ordered[i] for i in rng.permutation(len(ordered))]
 
 
-def _single_treatment(dataset) -> Treatment:
+def _single_treatment(dataset, expected: Treatment | None = None) -> Treatment:
     treatments = {rec.treatment for rec in dataset}
     if len(treatments) != 1:
         raise UsageError(
             "evaluate one treatment at a time; got "
             + ", ".join(sorted(t.value for t in treatments))
         )
-    return treatments.pop()
+    treatment = treatments.pop()
+    if expected is not None and treatment != Treatment(expected):
+        raise UsageError("dataset treatment does not match the requested treatment")
+    return treatment
 
 
 def _eligible_groups(dataset):
@@ -273,28 +279,28 @@ def baseline_logistic(
     clip_eps: float = 1e-6,
 ) -> EvalReport:
     """Per-subject supervised logistic baseline on the same splits."""
-    treatment = Treatment(treatment)
-    if _single_treatment(dataset) != treatment:
-        raise UsageError("dataset treatment does not match the requested treatment")
+    treatment = _single_treatment(dataset, treatment)
     eligible, warnings = _eligible_groups(dataset)
     cells = {}
     for run in plan.run_seeds:
         for sid, trials in eligible.items():
             train, test = split_trials(trials, run, plan.train_fraction)
-            predict = _fit_logistic(
-                [baseline_features(r) for r in train],
-                [r.final_decision for r in train],
-                l2, learning_rate, iterations,
-            )
-            probs = np.clip(
-                predict([baseline_features(r) for r in test]),
-                clip_eps, 1.0 - clip_eps,
-            )
-            predictions = [(float(p), int(p >= 0.5)) for p in probs]
-            cells[(run, sid)] = metrics(
-                predictions, [r.final_decision for r in test], clip_eps
-            )
+            cells[(run, sid)] = _score_baseline(train, test, l2, learning_rate,
+                                                iterations, clip_eps)
     return _aggregate(cells, treatment, plan.run_seeds, warnings)
+
+
+def _score_baseline(train, test, l2, learning_rate, iterations, clip_eps):
+    """Fit the logistic baseline on ``train``; (NLL, accuracy, F1) on ``test``."""
+    predict = _fit_logistic(
+        [baseline_features(r) for r in train],
+        [r.final_decision for r in train],
+        l2, learning_rate, iterations,
+    )
+    probs = np.clip(predict([baseline_features(r) for r in test]),
+                    clip_eps, 1.0 - clip_eps)
+    return metrics([(float(p), int(p >= 0.5)) for p in probs],
+                   [r.final_decision for r in test], clip_eps)
 
 
 def learning_curve(
@@ -312,9 +318,7 @@ def learning_curve(
     train and the remainder tests, so train sets are nested across sizes.
     Sizes a subject cannot support are skipped with a warning.
     """
-    treatment = Treatment(treatment)
-    if _single_treatment(dataset) != treatment:
-        raise UsageError("dataset treatment does not match the requested treatment")
+    treatment = _single_treatment(dataset, treatment)
     eligible, warnings = _eligible_groups(dataset)
     # every (size, run seed, subject) split first, so one batch fits them all
     splits: list[tuple[int, int, list]] = []
@@ -334,12 +338,9 @@ def learning_curve(
             cell = []
             splits.append((size, run, cell))
             for sid, trials in usable.items():
-                ordered = sorted(trials, key=lambda r: r.trial_index)
-                rng = np.random.default_rng(derive_seed(run, sid, "curve"))
-                perm = rng.permutation(len(ordered))
+                shuffled = _shuffled(trials, run, "curve")
                 cell.append((derive_seed(config.seed, run, sid, size),
-                             [ordered[i] for i in perm[:size]],
-                             [ordered[i] for i in perm[size:]]))
+                             shuffled[:size], shuffled[size:]))
     jobs = [job for _, _, cell in splits for job in cell]
     fits = iter(fit_nudge_batch([train for _, train, _ in jobs], posterior,
                                 treatment, config,
@@ -350,20 +351,8 @@ def learning_curve(
         for _, train, test in cell:
             frame_cells.append(_score_framework(
                 test, posterior, next(fits).params, config.clip_eps))
-            predict = _fit_logistic(
-                [baseline_features(r) for r in train],
-                [r.final_decision for r in train],
-                baseline_l2, 0.1, 1000,
-            )
-            probs = np.clip(
-                predict([baseline_features(r) for r in test]),
-                config.clip_eps, 1.0 - config.clip_eps,
-            )
-            base_cells.append(metrics(
-                [(float(p), int(p >= 0.5)) for p in probs],
-                [r.final_decision for r in test],
-                config.clip_eps,
-            ))
+            base_cells.append(_score_baseline(train, test, baseline_l2, 0.1, 1000,
+                                              config.clip_eps))
         for method, cells in (("framework", frame_cells),
                               ("logistic_baseline", base_cells)):
             mean = np.mean(cells, axis=0)

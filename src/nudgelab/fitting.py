@@ -58,14 +58,12 @@ class FitConfig:
     learning_rate: float = 0.05
     iterations: int = 500
     seed: int = 0
-    ensemble_size: int = 1000
     restarts: int = 4
     clip_eps: float = 1e-6
     l2_penalty: float = 0.0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.iterations, self.ensemble_size,
-               self.clip_eps) <= 0:
+        if min(self.learning_rate, self.iterations, self.clip_eps) <= 0:
             raise ConfigurationError("fit settings must be positive")
         if self.restarts < 1:
             raise ConfigurationError("restarts must be >= 1")
@@ -545,11 +543,11 @@ def fit_nudge_batch(
 ) -> list[NudgeFitResult]:
     """``fit_nudge`` for several subjects' training trials in one call.
 
-    ``model`` is the population posterior, or a point model for the
-    deterministic ablation (delayed treatment only).  Subject k's restarts
-    are drawn from ``seeds[k]`` (default: ``config.seed`` for all).  All
-    subjects' restarts run in one stacked Adam loop; each result is
-    bit-identical to fitting that subject alone.
+    ``model`` is the population posterior, whose whole ensemble is used,
+    or a point model for the deterministic ablation (delayed treatment
+    only).  Subject k's restarts are drawn from ``seeds[k]`` (default:
+    ``config.seed`` for all).  All subjects' restarts run in one stacked
+    Adam loop; each result is bit-identical to fitting that subject alone.
     """
     trial_sets = [list(trials) for trials in trial_sets]
     seeds = [config.seed] * len(trial_sets) if seeds is None else list(seeds)
@@ -563,7 +561,7 @@ def fit_nudge_batch(
                 "the deterministic ablation applies to the delayed treatment")
         ensemble = model.augmented()[None, :]
     else:
-        ensemble = model.ensemble[: config.ensemble_size]
+        ensemble = model.ensemble
     objective = NudgeObjective(trial_sets, ensemble, treatment,
                                config.clip_eps, config.l2_penalty)
     best_theta, best_restart = _minimize(objective, config, seeds)

@@ -28,6 +28,7 @@ from .core import (
     FilteredEnsemble,
     PopulationPosterior,
     TaskInstance,
+    _check_dims,
     _frozen_array,
     condition_on_decision,
     ensemble_probability,
@@ -182,14 +183,6 @@ class NudgeParams:
         return cls(delta_exp=delta_exp)
 
 
-def _check_dims(posterior: PopulationPosterior, task: TaskInstance):
-    if task.n_features != posterior.n_features:
-        raise ConfigurationError(
-            f"task has {task.n_features} features but posterior expects "
-            f"{posterior.n_features}"
-        )
-
-
 def predict_immediate(
     posterior: PopulationPosterior,
     task: TaskInstance,
@@ -224,7 +217,6 @@ def predict_delayed(
     the affirm vector applies when the recommendation matches it, the
     contradict vector otherwise.
     """
-    _check_dims(posterior, task)
     for delta in (affirm, contra):
         if delta.magnitudes.size != task.n_features:
             raise ConfigurationError("delta dimensionality does not match the task")

@@ -68,6 +68,10 @@ class BehaviorRecord:
     crt_score: int | None = None
 
     def __post_init__(self):
+        # ingest reads one line per row and skips lines that start with "#"
+        sid = self.subject_id
+        if sid.lstrip().startswith("#") or "\n" in sid or "\r" in sid:
+            raise ConfigurationError("subject_id must not start with # or break a line")
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 1 or feats.size == 0:
             raise ConfigurationError("record features must be a nonempty vector")

@@ -431,8 +431,7 @@ def population():
 class TestCriterion5DataEfficiency:
     def test_framework_degrades_less_than_baseline(self, population):
         data, posterior = population
-        config = FitConfig(iterations=400, restarts=3, ensemble_size=500,
-                           seed=5, l2_penalty=0.05)
+        config = FitConfig(iterations=400, restarts=3, seed=5, l2_penalty=0.05)
         plan = SplitPlan(run_seeds=(0, 1, 2, 3, 4))
         rows, _ = learning_curve(data, Treatment.DELAYED, posterior, [5, 25],
                                  plan, config)
@@ -451,8 +450,7 @@ class TestCriterion5DataEfficiency:
 
     def test_probabilistic_beats_deterministic_ablation(self, population):
         data, posterior = population
-        config = FitConfig(iterations=400, restarts=3, ensemble_size=500,
-                           seed=5, l2_penalty=0.05)
+        config = FitConfig(iterations=400, restarts=3, seed=5, l2_penalty=0.05)
         plan = SplitPlan(run_seeds=(0, 1, 2, 3, 4))
         probabilistic = evaluate_framework(data, posterior, plan, config)
         deterministic = evaluate_framework(data, posterior, plan, config,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from nudgelab import (
@@ -10,13 +12,16 @@ from nudgelab import (
     InputError,
     NudgeParams,
     SignedSharedSignVector,
+    Treatment,
     UsageError,
     crt_group,
     effect_summary,
     f_survival,
     one_way_anova,
     pairwise_posthoc,
+    random_nudge_params,
 )
+from nudgelab.analyze import BRANCH_FIELDS, TREATMENT_BRANCHES
 
 
 class TestCrtGrouping:
@@ -58,6 +63,21 @@ class TestEffectSummary:
         )
         assert effect_summary(params, Branch.AFFIRM) == pytest.approx(5.0)
         assert effect_summary(params, Branch.CONTRA) == pytest.approx(-5.0)
+
+
+class TestBranchTable:
+    def test_lists_every_treatment_and_branch(self):
+        assert list(TREATMENT_BRANCHES) == list(Treatment)
+        listed = [b for branches in TREATMENT_BRANCHES.values() for b in branches]
+        assert sorted(listed) == sorted(Branch) == sorted(BRANCH_FIELDS)
+
+    def test_effect_summary_accepts_each_listed_branch(self):
+        rng = np.random.default_rng(17)
+        for treatment, branches in TREATMENT_BRANCHES.items():
+            params = random_nudge_params(treatment, 4, rng)
+            assert (params is None) == (not branches)
+            for branch in branches:
+                assert np.isfinite(effect_summary(params, branch))
 
 
 class TestOneWayAnova:
@@ -158,3 +178,33 @@ class TestPairwisePosthoc:
         comparisons = pairwise_posthoc(groups, n_permutations=1000, seed=5)
         for c in comparisons:
             assert 0.0 <= c.p_value <= 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        groups=st.lists(
+            st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.1, 0.3, 1.0, 7.25])
+                     | st.floats(-1e3, 1e3), min_size=2, max_size=6),
+            min_size=2, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_p_values_equal_an_explicit_pairwise_maximum(self, groups, seed):
+        n_permutations = 150
+        arrays = [np.asarray(g, dtype=float) for g in groups]
+        pooled = np.concatenate(arrays)
+        sizes = np.array([a.size for a in arrays])
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        pairs = [(i, j) for i in range(len(arrays))
+                 for j in range(i + 1, len(arrays))]
+        rng = np.random.default_rng(seed)
+        max_stats = np.empty(n_permutations)
+        for k in range(n_permutations):
+            means = np.add.reduceat(pooled[rng.permutation(pooled.size)],
+                                    starts) / sizes
+            max_stats[k] = max(abs(means[i] - means[j]) for i, j in pairs)
+        observed = [a.mean() for a in arrays]
+
+        comparisons = pairwise_posthoc(groups, n_permutations, seed)
+        assert [c.pair for c in comparisons] == pairs
+        for c, (i, j) in zip(comparisons, pairs):
+            assert c.mean_diff == observed[i] - observed[j]
+            assert c.p_value == np.mean(max_stats >= abs(observed[i] - observed[j]))

@@ -1,5 +1,6 @@
 """Command-line pipeline: configs, artifacts, exit codes, determinism."""
 
+import dataclasses
 import json
 import filecmp
 import shutil
@@ -19,6 +20,24 @@ from nudgelab.cli import (
 )
 from nudgelab.errors import ConfigurationError
 from nudgelab.fitting import NudgeFitResult
+
+
+# Config values that are malformed (wrong type, not finite, unknown name) or
+# inconsistent (more trials per subject than tasks in the pool).
+BAD_CONFIG_VALUES = [
+    {"nudge_iterations": "x"},
+    {"prior_variance": "nan"},
+    {"nudge_learning_rate": float("nan")},
+    {"run_seeds": 5},
+    {"train_sizes": "ab"},
+    {"sim_scale_range": 3},
+    {"n_features": 2.5},
+    {"treatment": "bogus"},
+    {"sim_treatments": ["independent", "bogus"]},
+    {"sim_trials_per_subject": 600, "sim_task_pool_size": 500},
+    {"nudge_l2_penalty": -0.5},
+    {"seed": -1},
+]
 
 
 def tiny_config(out_dir, data_path=None, **kwargs):
@@ -76,31 +95,50 @@ class TestConfig:
         assert a.fingerprint() != tiny_config(tmp_path / "a", seed=99).fingerprint()
 
     def test_invalid_values_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            tiny_config(tmp_path, n_features=0)
+        for bad in [{"n_features": 0}, *BAD_CONFIG_VALUES]:
+            with pytest.raises(ConfigurationError):
+                tiny_config(tmp_path, **bad)
+
+    @pytest.mark.parametrize("bad", BAD_CONFIG_VALUES, ids="-".join)
+    def test_invalid_config_file_is_one_json_line(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert _single_json_error(capsys)["category"] == "configuration"
+
+
+_AFFIRM = SignedSharedSignVector(1.25, np.array([0.5, 0.25, 0.125, 0.0625]))
+_CONTRA = SignedSharedSignVector(-0.75, np.array([0.1, 0.2, 0.3, 0.4]))
 
 
 class TestParamsFiles:
-    def test_round_trip(self, tmp_path):
-        params = NudgeParams.for_delayed(
-            SignedSharedSignVector(1.25, np.array([0.5, 0.25, 0.125, 0.0625])),
-            SignedSharedSignVector(-0.75, np.array([0.1, 0.2, 0.3, 0.4])),
-        )
+    @pytest.mark.parametrize("params", [
+        pytest.param(NudgeParams.for_immediate(_CONTRA), id="immediate"),
+        pytest.param(NudgeParams.for_delayed(_AFFIRM, _CONTRA), id="delayed"),
+        pytest.param(NudgeParams.for_explanation(0.3125), id="explanation"),
+    ])
+    def test_round_trip(self, tmp_path, params):
         result = NudgeFitResult(params=params, train_nll=0.4321, converged=True,
                                 restart_index=2, theta=np.array([1.0, -2.0]))
         path = tmp_path / "s1.txt"
-        write_params_file(path, "s1", Treatment.DELAYED, result, "feedface")
+        write_params_file(path, "s1", params.treatment, result, "feedface")
         loaded = read_params_file(path)
         assert loaded["subject_id"] == "s1"
-        assert loaded["treatment"] == Treatment.DELAYED
+        assert loaded["treatment"] == params.treatment
         assert loaded["train_nll"] == 0.4321
         assert loaded["converged"] is True
         back = loaded["params"]
-        assert back.delta_affirm.scale == params.delta_affirm.scale
-        assert np.array_equal(back.delta_affirm.magnitudes,
-                              params.delta_affirm.magnitudes)
-        assert np.array_equal(back.delta_contra.realized,
-                              params.delta_contra.realized)
+        assert back.treatment == params.treatment
+        assert back.delta_exp == params.delta_exp
+        for field in ("delta_direct", "delta_affirm", "delta_contra"):
+            vector, read = getattr(params, field), getattr(back, field)
+            if vector is None:
+                assert read is None
+                continue
+            assert read.scale == vector.scale
+            assert np.array_equal(read.magnitudes, vector.magnitudes)
+            assert np.array_equal(read.realized, vector.realized)
 
 
 class TestCommands:
@@ -151,6 +189,26 @@ class TestCommands:
         rows = [l for l in curve if not l.startswith("#")]
         assert rows[0] == "size,method,run_seed,nll,f1"
         assert len(rows) == 1 + 2 * 2  # two methods x two run seeds, one size
+
+    def test_evaluate_deterministic_ablation_adds_a_method(self, pipeline_dir,
+                                                          tmp_path):
+        config = dataclasses.replace(_copy_inputs(pipeline_dir, tmp_path / "run"),
+                                     treatment="delayed", deterministic_ablation=True)
+        assert run_pipeline("evaluate", config) == 0
+        report = (tmp_path / "run" / "evaluation_report.csv").read_text()
+        rows = [l.split(",") for l in report.splitlines() if not l.startswith("#")]
+        assert [(r[0], r[1]) for r in rows[1:]] == [
+            ("delayed", "framework"), ("delayed", "logistic_baseline"),
+            ("delayed", "deterministic_ablation")]
+
+    def test_fit_nudge_ablation_needs_delayed_treatment(self, pipeline_dir,
+                                                        tmp_path, capsys):
+        config = dataclasses.replace(_copy_inputs(pipeline_dir, tmp_path / "run"),
+                                     treatment="immediate", deterministic_ablation=True)
+        assert run_pipeline("fit-nudge", config) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert "--deterministic-ablation" in error["message"]
 
     def test_invalid_data_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

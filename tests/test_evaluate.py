@@ -104,7 +104,7 @@ def _posterior():
     return PopulationPosterior.from_moments(mean, np.full(4, 0.15), 300, seed=10)
 
 
-FAST_FIT = FitConfig(iterations=150, restarts=2, ensemble_size=300, seed=0)
+FAST_FIT = FitConfig(iterations=150, restarts=2, seed=0)
 
 
 class TestEvaluateFramework:
@@ -150,8 +150,7 @@ class TestEvaluateFramework:
             data.extend(_records_for_subject(f"s{i}", 30, tau=0.0, seed=100 + i))
         plan = SplitPlan(run_seeds=(0, 1))
         report = evaluate_framework(data, posterior, plan,
-                                    FitConfig(iterations=400, restarts=2,
-                                              ensemble_size=300, seed=0,
+                                    FitConfig(iterations=400, restarts=2, seed=0,
                                               l2_penalty=0.05))
         independent_nlls = []
         for i in range(6):

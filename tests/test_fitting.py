@@ -398,8 +398,7 @@ class TestFitNudge:
                 ai_recommendation=rec, ai_confidence=conf,
             ))
         result = fit_nudge(trials, posterior, Treatment.IMMEDIATE,
-                           FitConfig(seed=2, iterations=600, ensemble_size=200,
-                                     restarts=2))
+                           FitConfig(seed=2, iterations=600, restarts=2))
         assert result.params.delta_direct.norm <= 0.2
 
     def test_recovers_positive_trust_sign_and_norm(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nudgelab import BehaviorRecord, ConfigurationError, Treatment
 from nudgelab.errors import DataValidationError
@@ -48,16 +50,64 @@ class TestRecordValidation:
                            trial_index=0, features=[0.5], final_decision=1,
                            ai_recommendation=1, ai_confidence=0.3)
 
+    def test_subject_id_must_fit_one_csv_line(self):
+        for subject_id in ("#s1", "  # s1", "s\n1", "s\r1"):
+            with pytest.raises(ConfigurationError):
+                BehaviorRecord(subject_id=subject_id, treatment=Treatment.INDEPENDENT,
+                               trial_index=0, features=[0.5], final_decision=1)
+
     def test_feature_range(self):
         with pytest.raises(ConfigurationError):
             BehaviorRecord(subject_id="x", treatment=Treatment.INDEPENDENT,
                            trial_index=0, features=[1.5], final_decision=1)
 
 
+def _one_line(text):
+    return "\n" not in text and "\r" not in text
+
+
+@st.composite
+def record_lists(draw):
+    """Records of every treatment, several trials per subject, one dimension."""
+    n = draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0)
+    bit = st.integers(0, 1)
+    records = []
+    for s, treatment in enumerate(draw(st.lists(st.sampled_from(Treatment),
+                                                min_size=1, max_size=5))):
+        # the subject number keeps ids distinct; the text tests CSV quoting
+        subject_id = f"s{s}{draw(st.text(max_size=4).filter(_one_line))}"
+        crt = draw(st.none() | st.integers(0, 3))
+        for index in draw(st.sets(st.integers(-5, 10**6), min_size=1, max_size=3)):
+            payload = {}
+            if treatment in (Treatment.IMMEDIATE, Treatment.DELAYED):
+                payload["ai_recommendation"] = draw(bit)
+            if treatment == Treatment.IMMEDIATE:
+                payload["ai_confidence"] = draw(st.floats(0.5, 1.0))
+            if treatment == Treatment.DELAYED:
+                payload["initial_decision"] = draw(bit)
+            if treatment == Treatment.EXPLANATION:
+                payload["explanation_mask"] = draw(st.lists(bit, min_size=n,
+                                                            max_size=n))
+            records.append(BehaviorRecord(
+                subject_id=subject_id, treatment=treatment, trial_index=index,
+                features=draw(st.lists(unit, min_size=n, max_size=n)),
+                final_decision=draw(bit), crt_score=crt, **payload))
+    return records
+
+
 class TestCsvRoundTrip:
     def test_export_then_ingest_losslessly(self, tmp_path):
-        records = sample_records()
-        path = tmp_path / "behavior.csv"
+        self._check_round_trip(sample_records(), tmp_path / "behavior.csv")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=record_lists())
+    def test_round_trip_of_random_records(self, tmp_path, records):
+        self._check_round_trip(records, tmp_path / "random.csv")
+
+    @staticmethod
+    def _check_round_trip(records, path):
         export_csv(records, path, fingerprint="cafe1234")
         loaded = ingest(path)
         assert len(loaded) == len(records)
