@@ -14,10 +14,10 @@ category plus a human message.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -87,9 +87,8 @@ def _has_type(value, hint) -> bool:
                 and all(_has_type(item, args[0]) for item in value))
     if args:  # an optional field, X | None
         return value is None or _has_type(value, args[0])
-    if hint is float:
-        return isinstance(value, int) or (isinstance(value, float)
-                                          and math.isfinite(value))
+    if hint is float:  # finite, and an int that converts to a float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 
@@ -146,6 +145,8 @@ class RunConfig:
                     f"{field.name} must be {field.type}, got {value!r}")
             if isinstance(value, list):
                 object.__setattr__(self, field.name, tuple(value))
+            if hints[field.name] is float:  # 1 and 1.0 fingerprint alike
+                object.__setattr__(self, field.name, float(value))
             if hints[field.name] in (int, float) and (
                     value < 0 or value == 0 and field.name not in _MAY_BE_ZERO):
                 raise ConfigurationError(
@@ -241,9 +242,9 @@ def write_csv(path, header, rows, fingerprint, comments=()):
         handle.write(f"# config_fingerprint={fingerprint}\n")
         for comment in comments:
             handle.write(f"# {comment}\n")
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def save_posterior(posterior: PopulationPosterior, path, fingerprint: str):
@@ -362,9 +363,13 @@ def _parse_params(text: str) -> dict:
                 magnitudes=np.array([float(v) for v in section["magnitudes"].split()]),
             )
     params = NudgeParams(**fields)
+    treatment = Treatment(top["treatment"])
+    if params.treatment != treatment:
+        raise ValueError(f"treatment {treatment.value} does not match its "
+                         f"{params.treatment.value} parameters")
     return {
         "subject_id": top["subject_id"],
-        "treatment": Treatment(top["treatment"]),
+        "treatment": treatment,
         "train_nll": float(top["train_nll"]),
         "converged": top["converged"] == "true",
         "restart_index": int(top["restart_index"]),
@@ -440,6 +445,12 @@ def _cmd_fit_population(config: RunConfig) -> list[str]:
     return [str(path)]
 
 
+def _collapsed(posterior: PopulationPosterior) -> PopulationPosterior:
+    """The deterministic ablation's model: one member at the posterior mean."""
+    return PopulationPosterior.point(
+        WeightVector(weights=posterior.mean[:-1], bias=posterior.mean[-1]))
+
+
 def _fit_treatments(config: RunConfig, records) -> list[Treatment]:
     if config.treatment is not None:
         return [Treatment(config.treatment)]
@@ -457,11 +468,10 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
         raise ConfigurationError(
             "--deterministic-ablation requires --treatment delayed"
         )
-    point = WeightVector(weights=posterior.mean[:-1], bias=posterior.mean[-1])
+    model = _collapsed(posterior) if config.deterministic_ablation else posterior
 
     effect_rows = []
     written = []
-    model = point if config.deterministic_ablation else posterior
     for treatment in treatments:
         groups = group_by_subject(_filter_treatment(records, treatment))
         if not groups:
@@ -500,6 +510,10 @@ def _cmd_evaluate(config: RunConfig) -> list[str]:
     treatments = _fit_treatments(config, records)
     if not treatments:
         raise UsageError("no assisted-treatment records to evaluate")
+    if config.deterministic_ablation and Treatment.DELAYED not in treatments:
+        raise ConfigurationError(
+            "--deterministic-ablation requires the delayed treatment"
+        )
 
     rows, subject_rows, comments = [], [], []
     for treatment in treatments:
@@ -513,8 +527,7 @@ def _cmd_evaluate(config: RunConfig) -> list[str]:
         ]
         if config.deterministic_ablation and treatment == Treatment.DELAYED:
             reports.append(("deterministic_ablation", evaluate_framework(
-                subset, posterior, plan, config.nudge_config(),
-                deterministic_ablation=True)))
+                subset, _collapsed(posterior), plan, config.nudge_config())))
         for method, report in reports:
             rows.append((treatment.value, method, report.nll, report.accuracy,
                          report.f1, report.n_subjects, report.n_runs))

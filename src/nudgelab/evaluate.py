@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import Adam, derive_seed, sigmoid
-from .core import PopulationPosterior, WeightVector
+from .core import PopulationPosterior
 from .errors import ConfigurationError, UsageError
 # fit_nudge stays importable here: perfbench/selftest.py looks it up in this module
 from .fitting import FitConfig, fit_nudge, fit_nudge_batch  # noqa: F401
@@ -191,33 +191,24 @@ def evaluate_framework(
     posterior: PopulationPosterior,
     plan: SplitPlan = SplitPlan(),
     config: FitConfig = FitConfig(),
-    deterministic_ablation: bool = False,
 ) -> EvalReport:
     """Split/fit/score every subject over every run seed and average.
 
-    With ``deterministic_ablation`` the posterior is collapsed onto its
-    mean (delayed treatment only): fitting and scoring both use the single
-    point model.
+    ``posterior`` both fits and scores; the deterministic ablation passes
+    the one-member posterior at the population mean.
     """
     treatment = _single_treatment(dataset)
     eligible, warnings = _eligible_groups(dataset)
-    if deterministic_ablation:
-        point = WeightVector(weights=posterior.mean[:-1], bias=posterior.mean[-1])
-        score_posterior = PopulationPosterior.point(point)
-    else:
-        score_posterior = posterior
     splits = {(run, sid): split_trials(trials, run, plan.train_fraction)
               for run in plan.run_seeds for sid, trials in eligible.items()}
     params = dict.fromkeys(splits)
     if treatment != Treatment.INDEPENDENT:
         fits = fit_nudge_batch(
-            [train for train, _ in splits.values()],
-            point if deterministic_ablation else posterior, treatment, config,
+            [train for train, _ in splits.values()], posterior, treatment, config,
             seeds=[derive_seed(config.seed, run, sid) for run, sid in splits],
         )
         params = {key: fit.params for key, fit in zip(splits, fits)}
-    cells = {key: _score_framework(test, score_posterior, params[key],
-                                   config.clip_eps)
+    cells = {key: _score_framework(test, posterior, params[key], config.clip_eps)
              for key, (_, test) in splits.items()}
     return _aggregate(cells, treatment, plan.run_seeds, warnings)
 

@@ -237,16 +237,14 @@ def _group_sum(values, groups, n_groups):
 class NudgeObjective:
     """Mean negative log-likelihood of each subject's trials, with gradient.
 
-    ``trials`` is one subject's trials, or a list of several subjects' trial
-    lists; the K subjects' trials are stacked, and each subject's mean and
-    gradient sum over its own trials only.  Everything that depends only on
-    the trials and the frozen ensemble (conditioning masks, masked response
-    means, response tables) is computed once, straight into the stacked
-    arrays.
+    ``trial_sets`` is a list of K subjects' trial lists; their trials are
+    stacked, and each subject's mean and gradient sum over its own trials
+    only.  Everything that depends only on the trials and the frozen
+    ensemble (conditioning masks, masked response means, response tables)
+    is computed once, straight into the stacked arrays.
 
     ``theta`` is (R, K, P): R stacked parameter rows per subject, such as
-    restarts.  With one subject it may also be a single (P,) vector.  P
-    layouts:
+    restarts.  P layouts:
 
     * immediate    — [scale, raw_magnitudes x n]
     * delayed      — [scale_affirm, raw_affirm x n, scale_contra, raw_contra x n]
@@ -254,15 +252,17 @@ class NudgeObjective:
 
     Immediate and delayed assistance move trial t only through a scalar
     logit shift c_t, so its probability is a fixed 1-D function of c_t
-    (``_EnsembleResponse``); ``value_and_gradient(..., tabulated=True)``
-    interpolates its table where it has one.  Everything else is exact.
+    (``_EnsembleResponse``); ``value_and_gradient``, the objective the Adam
+    loop steps, interpolates its table where it has one.  ``fit_summary``
+    and ``probabilities`` are exact.
     """
 
-    def __init__(self, trials, ensemble: np.ndarray,
+    def __init__(self, trial_sets, ensemble: np.ndarray,
                  treatment: Treatment, clip_eps: float = 1e-6,
                  l2_penalty: float = 0.0):
-        trial_sets = ([trials] if not trials or isinstance(trials[0], BehaviorRecord)
-                      else [list(subject) for subject in trials])
+        trial_sets = [list(subject) for subject in trial_sets]
+        if not trial_sets:
+            raise UsageError("at least one subject's trials are required")
         self.treatment = Treatment(treatment)
         if self.treatment == Treatment.INDEPENDENT:
             raise UsageError("independent treatment has no nudge parameters to fit")
@@ -362,39 +362,50 @@ class NudgeObjective:
                          rng.normal(-1.0, 1.0, size=self.n))
         ])
 
-    def _stacked(self, theta) -> tuple[np.ndarray, bool]:
-        """theta as (R, K, P), and whether it was a single (P,) vector."""
+    def _stacked(self, theta) -> np.ndarray:
+        """theta as a float (R, K, P) array."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape == (self.n_params,) and self.n_subjects == 1:
-            return theta.reshape(1, 1, -1), True
         if theta.ndim != 3 or theta.shape[1:] != (self.n_subjects, self.n_params):
             raise ConfigurationError(
                 f"theta must have shape (R, {self.n_subjects}, {self.n_params})")
-        return theta, False
+        return theta
 
     # -- objective ---------------------------------------------------------
 
     def probabilities(self, theta: np.ndarray) -> np.ndarray:
-        """Unclipped per-trial probabilities of a final decision of 1:
-        (T,) for a single vector, (R, T) for stacked rows."""
-        stacked, single = self._stacked(theta)
-        probs = self._forward(stacked, tabulated=False)[0]
-        return probs[0] if single else probs
+        """Unclipped per-trial probabilities of a final decision of 1: (R, T)."""
+        return self._forward(self._stacked(theta), tabulated=False)[0]
 
-    def value_and_gradient(
-        self, theta: np.ndarray, include_penalty: bool = True,
-        tabulated: bool = False,
-    ):
-        """Mean NLL of each subject's final decisions and its gradient in
-        theta: (float, (P,)) for a single vector, ((R, K), (R, K, P)) for
-        stacked rows.
+    def value_and_gradient(self, theta: np.ndarray):
+        """The objective the Adam loop steps: each subject's mean NLL plus
+        its L2 penalty, (R, K), and the gradient in theta, (R, K, P).
 
-        Exact by default.  ``tabulated`` evaluates the ensemble response
-        from the table where the objective has one; the gradient is then
-        exact for the interpolated response.
+        Where the objective has a response table the ensemble response is
+        interpolated from it, and the gradient is exact for the
+        interpolant.
         """
-        stacked, single = self._stacked(theta)
-        probs, backward = self._forward(stacked, tabulated)
+        theta = self._stacked(theta)
+        value, grad, _ = self._nll(theta, tabulated=True)
+        if self.l2_penalty > 0.0:
+            value_pen, grad_pen = self._penalty(theta)
+            value = value + value_pen
+            grad = grad + grad_pen
+        return value, grad
+
+    def fit_summary(self, theta: np.ndarray):
+        """A fit's report, from one exact pass without the penalty: each
+        subject's mean NLL (R, K), its gradient (R, K, P), and whether any
+        of its probabilities sits on the clip boundary (R, K)."""
+        value, grad, probs = self._nll(self._stacked(theta), tabulated=False)
+        on_boundary = (probs <= self.clip_eps) | (probs >= 1.0 - self.clip_eps)
+        clipped = _group_sum(on_boundary.astype(float), self.subject,
+                             self.n_subjects) > 0.0
+        return value, grad, clipped
+
+    def _nll(self, theta, tabulated):
+        """Mean NLL (R, K), its gradient (R, K, P) and the unclipped
+        probabilities (R, T)."""
+        probs, backward = self._forward(theta, tabulated)
         eps = self.clip_eps
         clipped = np.clip(probs, eps, 1.0 - eps)
         loglik = self.final * np.log(clipped) + (1.0 - self.final) * np.log1p(-clipped)
@@ -406,24 +417,7 @@ class NudgeObjective:
             (clipped - self.final) / (clipped * (1.0 - clipped)) / self.trial_count,
             0.0,
         )
-        grad = backward(dvalue_dp)
-        if include_penalty and self.l2_penalty > 0.0:
-            value_pen, grad_pen = self._penalty(stacked)
-            value = value + value_pen
-            grad = grad + grad_pen
-        if single:
-            return float(value[0, 0]), grad[0, 0]
-        return value, grad
-
-    def clipping_active(self, theta: np.ndarray):
-        """Whether any of a subject's probabilities sits on the clip
-        boundary: a bool for a single vector, (R, K) for stacked rows."""
-        stacked, single = self._stacked(theta)
-        probs = self._forward(stacked, tabulated=False)[0]
-        on_boundary = (probs <= self.clip_eps) | (probs >= 1.0 - self.clip_eps)
-        active = _group_sum(on_boundary.astype(float), self.subject,
-                            self.n_subjects) > 0.0
-        return bool(active[0, 0]) if single else active
+        return value, backward(dvalue_dp), probs
 
     def _forward(self, theta, tabulated):
         n_rows = theta.shape[0]
@@ -510,7 +504,7 @@ def _minimize(objective: NudgeObjective, config: FitConfig, seeds):
     live = np.ones(theta.shape[:2], dtype=bool)
     switch = int(0.8 * config.iterations)
     for iteration in range(config.iterations + 1):
-        value, grad = objective.value_and_gradient(theta, tabulated=True)
+        value, grad = objective.value_and_gradient(theta)
         live &= np.isfinite(value)
         better = live & (value < best_value)
         best_value[better] = value[better]
@@ -522,11 +516,8 @@ def _minimize(objective: NudgeObjective, config: FitConfig, seeds):
             config.learning_rate if iteration < switch
             else 0.1 * config.learning_rate
         )
-        if live.all():
-            theta = optimizer.step(theta, grad)
-        else:
-            grad[~live] = 0.0
-            theta = np.where(live[..., None], optimizer.step(theta, grad), theta)
+        grad[~live] = 0.0
+        theta = np.where(live[..., None], optimizer.step(theta, grad), theta)
     restart = np.argmin(best_value, axis=0)                              # (K,)
     subjects = np.arange(theta.shape[1])
     if np.isinf(best_value[restart, subjects]).any():
@@ -536,18 +527,17 @@ def _minimize(objective: NudgeObjective, config: FitConfig, seeds):
 
 def fit_nudge_batch(
     trial_sets,
-    model: PopulationPosterior | WeightVector,
+    posterior: PopulationPosterior,
     treatment: Treatment,
     config: FitConfig = FitConfig(),
     seeds=None,
 ) -> list[NudgeFitResult]:
     """``fit_nudge`` for several subjects' training trials in one call.
 
-    ``model`` is the population posterior, whose whole ensemble is used,
-    or a point model for the deterministic ablation (delayed treatment
-    only).  Subject k's restarts are drawn from ``seeds[k]`` (default:
-    ``config.seed`` for all).  All subjects' restarts run in one stacked
-    Adam loop; each result is bit-identical to fitting that subject alone.
+    The posterior's whole ensemble is used.  Subject k's restarts are drawn
+    from ``seeds[k]`` (default: ``config.seed`` for all).  All subjects'
+    restarts run in one stacked Adam loop; each result is bit-identical to
+    fitting that subject alone.
     """
     trial_sets = [list(trials) for trials in trial_sets]
     seeds = [config.seed] * len(trial_sets) if seeds is None else list(seeds)
@@ -555,20 +545,11 @@ def fit_nudge_batch(
         raise UsageError(f"{len(seeds)} seeds for {len(trial_sets)} subjects")
     if not trial_sets:
         return []
-    if isinstance(model, WeightVector):
-        if Treatment(treatment) != Treatment.DELAYED:
-            raise UsageError(
-                "the deterministic ablation applies to the delayed treatment")
-        ensemble = model.augmented()[None, :]
-    else:
-        ensemble = model.ensemble
-    objective = NudgeObjective(trial_sets, ensemble, treatment,
+    objective = NudgeObjective(trial_sets, posterior.ensemble, treatment,
                                config.clip_eps, config.l2_penalty)
     best_theta, best_restart = _minimize(objective, config, seeds)
-    train_nll, grad = objective.value_and_gradient(best_theta[None],
-                                                   include_penalty=False)
-    converged = ((np.abs(grad[0]).max(axis=1) <= _GRADIENT_TOL)
-                 & ~objective.clipping_active(best_theta[None])[0])
+    train_nll, grad, clipped = objective.fit_summary(best_theta[None])
+    converged = (np.abs(grad[0]).max(axis=1) <= _GRADIENT_TOL) & ~clipped[0]
     return [
         NudgeFitResult(
             params=objective.params_from_theta(theta),
@@ -604,7 +585,10 @@ def fit_nudge_deterministic_ablation(
 ) -> NudgeFitResult:
     """The same MLE with the ensemble collapsed onto one point model.
 
-    Only defined for the delayed treatment (the ablation's setting); all
-    expectations reduce to single evaluations at ``point_model``.
+    Only defined for the delayed treatment (the ablation's setting); the
+    fit is ``fit_nudge`` under the one-member posterior at ``point_model``.
     """
-    return fit_nudge_batch([subject_trials], point_model, treatment, config)[0]
+    if Treatment(treatment) != Treatment.DELAYED:
+        raise UsageError("the deterministic ablation applies to the delayed treatment")
+    return fit_nudge_batch([subject_trials], PopulationPosterior.point(point_model),
+                           treatment, config)[0]

@@ -68,10 +68,14 @@ class BehaviorRecord:
     crt_score: int | None = None
 
     def __post_init__(self):
-        # ingest reads one line per row and skips lines that start with "#"
+        # ingest reads one line per row and skips lines that start with "#";
+        # fit-nudge writes each subject's parameters to a file named after it
         sid = self.subject_id
         if sid.lstrip().startswith("#") or "\n" in sid or "\r" in sid:
             raise ConfigurationError("subject_id must not start with # or break a line")
+        if sid in (".", "..") or any(c in sid for c in "/\\\0"):
+            raise ConfigurationError(
+                "subject_id must be a file name: no /, \\ or NUL, and not . or ..")
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 1 or feats.size == 0:
             raise ConfigurationError("record features must be a nonempty vector")

@@ -212,15 +212,15 @@ class TestCriterion2Numerics:
             subject = SyntheticSubject("g", WeightVector([1.0, -0.8, 0.6], -0.3),
                                        params, treatment, 1.0, 1)
             trials = generate_behavior(subject, tasks, ai, seed=11)
-            objective = NudgeObjective(trials, posterior.ensemble, treatment)
+            objective = NudgeObjective([trials], posterior.ensemble, treatment)
             for _ in range(7):
                 theta = rng.normal(0, 1, objective.n_params)
-                _, grad = objective.value_and_gradient(theta)
+                grad = objective.value_and_gradient(theta[None, None])[1][0, 0]
                 for k in range(objective.n_params):
                     def value(d, k=k):
                         t = theta.copy()
                         t[k] += d
-                        return objective.value_and_gradient(t)[0]
+                        return objective.value_and_gradient(t[None, None])[0][0, 0]
 
                     fd = (value(h) - value(-h)) / (2 * h)
                     worst = max(worst, abs(grad[k] - fd)
@@ -453,8 +453,9 @@ class TestCriterion5DataEfficiency:
         config = FitConfig(iterations=400, restarts=3, seed=5, l2_penalty=0.05)
         plan = SplitPlan(run_seeds=(0, 1, 2, 3, 4))
         probabilistic = evaluate_framework(data, posterior, plan, config)
-        deterministic = evaluate_framework(data, posterior, plan, config,
-                                           deterministic_ablation=True)
+        collapsed = PopulationPosterior.point(
+            WeightVector(posterior.mean[:-1], posterior.mean[-1]))
+        deterministic = evaluate_framework(data, collapsed, plan, config)
         report("5b", probabilistic.nll <= deterministic.nll,
                f"probabilistic test NLL {probabilistic.nll:.4f} <= "
                f"deterministic {deterministic.nll:.4f} "

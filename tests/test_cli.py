@@ -1,5 +1,6 @@
 """Command-line pipeline: configs, artifacts, exit codes, determinism."""
 
+import csv
 import dataclasses
 import json
 import filecmp
@@ -16,6 +17,7 @@ from nudgelab.cli import (
     main,
     read_params_file,
     run_pipeline,
+    write_csv,
     write_params_file,
 )
 from nudgelab.errors import ConfigurationError
@@ -37,6 +39,7 @@ BAD_CONFIG_VALUES = [
     {"sim_trials_per_subject": 600, "sim_task_pool_size": 500},
     {"nudge_l2_penalty": -0.5},
     {"seed": -1},
+    {"sim_noise_temperature": 10**400},
 ]
 
 
@@ -93,6 +96,10 @@ class TestConfig:
         b = tiny_config(tmp_path / "b", data_path=tmp_path / "x.csv")
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != tiny_config(tmp_path / "a", seed=99).fingerprint()
+
+    def test_integer_float_setting_fingerprints_like_the_float(self, tmp_path):
+        assert (tiny_config(tmp_path, prior_variance=1).fingerprint()
+                == tiny_config(tmp_path, prior_variance=1.0).fingerprint())
 
     def test_invalid_values_rejected(self, tmp_path):
         for bad in [{"n_features": 0}, *BAD_CONFIG_VALUES]:
@@ -210,6 +217,23 @@ class TestCommands:
         assert error["category"] == "configuration"
         assert "--deterministic-ablation" in error["message"]
 
+    def test_evaluate_ablation_needs_delayed_treatment(self, pipeline_dir,
+                                                       tmp_path, capsys):
+        config = dataclasses.replace(_copy_inputs(pipeline_dir, tmp_path / "run"),
+                                     treatment="immediate", deterministic_ablation=True)
+        assert run_pipeline("evaluate", config) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert "--deterministic-ablation" in error["message"]
+
+    def test_csv_fields_are_quoted(self, tmp_path):
+        path = tmp_path / "effects.csv"
+        row = ('lab 3, cohort "A"', "immediate", 0.5)
+        write_csv(path, ["subject_id", "treatment", "value"], [row], "feedface")
+        lines = path.read_text().splitlines()
+        assert lines[1] == "subject_id,treatment,value"
+        assert list(csv.reader(lines[2:])) == [[row[0], "immediate", "0.5"]]
+
     def test_invalid_data_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject_id,treatment\n")
@@ -284,6 +308,9 @@ class TestMalformedArtifacts:
         pytest.param("subject_id: s1\ntreatment: sideways\ntrain_nll: 0.5\n"
                      "converged: true\nrestart_index: 0\n[delta_exp]\n"
                      "value: 0.5\n", id="unknown-treatment"),
+        pytest.param("subject_id: s1\ntreatment: immediate\ntrain_nll: 0.5\n"
+                     "converged: true\nrestart_index: 0\n[delta_exp]\n"
+                     "value: 0.5\n", id="treatment-mismatch"),
     ])
     def test_broken_params_file_exits_one(self, pipeline_dir, tmp_path, capsys,
                                           text):
@@ -306,6 +333,20 @@ class TestMalformedArtifacts:
         assert error["category"] == "validation"
         assert any(f"repeats line {len(lines)}" in row
                    for row in error["row_errors"])
+
+    def test_subject_id_that_is_not_a_file_name_exits_one(self, pipeline_dir,
+                                                          tmp_path, capsys):
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        data = tmp_path / "run" / "behavior.csv"
+        lines = data.read_text().splitlines(keepends=True)
+        last = lines[-1]
+        data.write_text("".join(lines[:-1]) + "../escaped" + last[last.index(","):])
+        assert run_pipeline("fit-nudge", config) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert any(f"line {len(lines)}:" in row and "subject_id" in row
+                   for row in error["row_errors"])
+        assert not (tmp_path / "run" / "escaped.txt").exists()
 
     def test_posterior_dimension_mismatch_exits_one(self, pipeline_dir, tmp_path,
                                                     capsys):

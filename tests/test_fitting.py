@@ -23,6 +23,7 @@ from nudgelab import (
     generate_behavior,
     uniform_tasks,
 )
+from nudgelab.fitting import _EnsembleResponse
 
 N = 3
 
@@ -69,19 +70,19 @@ class TestGradients:
         # tabulated ensemble is that of the interpolated response
         posterior = make_posterior(size=200 if tabulated else 60)
         trials = make_trials(treatment, PARAMS_BY_TREATMENT[treatment])
-        objective = NudgeObjective(trials, posterior.ensemble, treatment)
+        objective = NudgeObjective([trials], posterior.ensemble, treatment)
         if tabulated:
             assert objective.response.tabulated
         rng = np.random.default_rng(31)
         h = 1e-5
         for _ in range(7):
             theta = rng.normal(0.0, 1.0, objective.n_params)
-            _, grad = objective.value_and_gradient(theta, tabulated=tabulated)
+            grad = objective.value_and_gradient(theta[None, None])[1][0, 0]
             for k in range(objective.n_params):
                 def value(delta, k=k):
                     t = theta.copy()
                     t[k] += delta
-                    return objective.value_and_gradient(t, tabulated=tabulated)[0]
+                    return objective.value_and_gradient(t[None, None])[0][0, 0]
 
                 fd = (value(h) - value(-h)) / (2 * h)
                 assert abs(grad[k] - fd) <= 1e-3 * max(abs(fd), abs(grad[k]), 1e-8)
@@ -89,17 +90,17 @@ class TestGradients:
     def test_l2_penalty_gradient(self):
         posterior = make_posterior()
         trials = make_trials(Treatment.DELAYED, PARAMS_BY_TREATMENT[Treatment.DELAYED])
-        objective = NudgeObjective(trials, posterior.ensemble, Treatment.DELAYED,
+        objective = NudgeObjective([trials], posterior.ensemble, Treatment.DELAYED,
                                    l2_penalty=0.5)
         rng = np.random.default_rng(37)
         theta = rng.normal(0.0, 1.0, objective.n_params)
-        _, grad = objective.value_and_gradient(theta)
+        grad = objective.value_and_gradient(theta[None, None])[1][0, 0]
         h = 1e-5
         for k in range(objective.n_params):
             def value(delta, k=k):
                 t = theta.copy()
                 t[k] += delta
-                return objective.value_and_gradient(t)[0]
+                return objective.value_and_gradient(t[None, None])[0][0, 0]
 
             fd = (value(h) - value(-h)) / (2 * h)
             assert abs(grad[k] - fd) <= 1e-3 * max(abs(fd), abs(grad[k]), 1e-8)
@@ -125,7 +126,7 @@ def response_objective(treatment, seed, fallback, n_trials=12):
         )
         for i in range(n_trials)
     ]
-    return NudgeObjective(trials, posterior.ensemble, treatment)
+    return NudgeObjective([trials], posterior.ensemble, treatment)
 
 
 class TestResponseTable:
@@ -187,8 +188,8 @@ class TestStackedFit:
         # the response table's grid
         treatment = (Treatment.DELAYED if case == "ablation"
                      else Treatment(case))
-        model = (WeightVector([1.0, -0.8, 0.6], bias=-0.3) if case == "ablation"
-                 else make_posterior(seed=seed, size=members))
+        model = (PopulationPosterior.point(WeightVector([1.0, -0.8, 0.6], bias=-0.3))
+                 if case == "ablation" else make_posterior(seed=seed, size=members))
         trial_sets = [make_trials(treatment, scaled_params(treatment, scale),
                                   seed=seed + k, n_trials=n)
                       for k, n in enumerate(sizes)]
@@ -215,7 +216,8 @@ class TestStackedFit:
             (fit_nudge(trials, make_posterior(), Treatment.DELAYED, config),
              make_posterior()),
             (fit_nudge_deterministic_ablation(trials, point, Treatment.DELAYED,
-                                              config), point),
+                                              config),
+             PopulationPosterior.point(point)),
         ):
             (batch,) = fit_nudge_batch([trials], model, Treatment.DELAYED, config)
             assert np.array_equal(single.theta, batch.theta)
@@ -236,14 +238,12 @@ class TestStackedFit:
         value_and_gradient = NudgeObjective.value_and_gradient
         seen = []
 
-        def recording(self, theta, include_penalty=True, tabulated=False):
-            value, grad = value_and_gradient(self, theta, include_penalty,
-                                             tabulated)
-            if tabulated:
-                seen.append(theta.copy())
-                if forced is not None and len(seen) > forced[0]:
-                    value = value.copy()
-                    value[forced[1], forced[2]] = np.nan
+        def recording(self, theta):
+            value, grad = value_and_gradient(self, theta)
+            seen.append(theta.copy())
+            if forced is not None and len(seen) > forced[0]:
+                value = value.copy()
+                value[forced[1], forced[2]] = np.nan
             return value, grad
 
         with pytest.MonkeyPatch.context() as patch:
@@ -271,8 +271,8 @@ class TestStackedFit:
         for a, b in zip(free[1:], forced[1:]):
             assert np.array_equal(a.theta, b.theta)
             assert a.train_nll == b.train_nll
-        # the untabulated, unpenalized objective is the train NLL itself,
-        # and the forced fit chose among fewer iterates
+        # the untabulated, unpenalized objective is the train NLL itself
+        # (fit_summary), and the forced fit chose among fewer iterates
         assert forced[0].train_nll >= free[0].train_nll
 
     def test_subject_with_no_finite_row_is_rejected(self):
@@ -303,12 +303,12 @@ class TestStackedFit:
         rng = np.random.default_rng(47)
         theta = rng.normal(0.0, 1.0, (3, 3, objective.n_params))
         tabulated = members >= 128
-        if treatment != Treatment.EXPLANATION:
-            assert objective.response.tabulated == tabulated
+        if tabulated:
+            assert objective.response.tabulated
             theta[0, :, ::1 + objective.n] = 30.0
             shift = np.abs(stacked_shift(objective, theta))
             assert np.any(shift > 12.0) and np.any(shift < 12.0)
-        value, grad = objective.value_and_gradient(theta, tabulated=tabulated)
+        value, grad = objective.value_and_gradient(theta)
         assert value.shape == (3, 3) and grad.shape == theta.shape
         h = 1e-5
         for index in np.ndindex(theta.shape):
@@ -316,8 +316,7 @@ class TestStackedFit:
             for delta in (h, -h):
                 moved = theta.copy()
                 moved[index] += delta
-                values.append(objective.value_and_gradient(
-                    moved, tabulated=tabulated)[0])
+                values.append(objective.value_and_gradient(moved)[0])
             row = index[:2]
             fd = (values[0][row] - values[1][row]) / (2 * h)
             assert abs(grad[index] - fd) <= 1e-3 * max(abs(fd), abs(grad[index]),
@@ -332,7 +331,7 @@ class TestReparameterization:
     def test_round_trip_satisfies_invariants(self, treatment):
         posterior = make_posterior()
         trials = make_trials(treatment, PARAMS_BY_TREATMENT[treatment])
-        objective = NudgeObjective(trials, posterior.ensemble, treatment)
+        objective = NudgeObjective([trials], posterior.ensemble, treatment)
         rng = np.random.default_rng(41)
         for _ in range(25):
             params = objective.params_from_theta(
@@ -369,13 +368,13 @@ class TestFitNudge:
                              PARAMS_BY_TREATMENT[Treatment.IMMEDIATE])
         config = FitConfig(iterations=150, restarts=4, seed=5)
         result = fit_nudge(trials, posterior, Treatment.IMMEDIATE, config)
-        objective = NudgeObjective(trials, posterior.ensemble, Treatment.IMMEDIATE,
+        objective = NudgeObjective([trials], posterior.ensemble, Treatment.IMMEDIATE,
                                    config.clip_eps)
         for restart in range(config.restarts):
             init_value, _ = objective.value_and_gradient(
-                objective.initial_theta(restart, config.seed)
+                objective.initial_theta(restart, config.seed)[None, None]
             )
-            assert result.train_nll <= init_value + 1e-12
+            assert result.train_nll <= init_value[0, 0] + 1e-12
 
     def test_zero_nudge_data_yields_small_delta(self):
         # finals sampled from the model's own unnudged probabilities: the
@@ -449,25 +448,20 @@ class TestDeterministicAblation:
     @given(seed=st.integers(0, 2**16), n_trials=st.integers(4, 30))
     def test_point_model_fit_is_exact(self, seed, n_trials):
         # a one-member ensemble is never tabulated: the ablation's fit must
-        # equal, bit for bit, a fit held to the exact response
+        # never evaluate the interpolated response
         point = WeightVector([1.0, -0.8, 0.6], bias=-0.3)
         trials = make_trials(Treatment.DELAYED,
                              PARAMS_BY_TREATMENT[Treatment.DELAYED],
                              seed=seed, n_trials=n_trials)
         config = FitConfig(iterations=60, restarts=3, seed=seed)
-        fitted = fit_nudge_deterministic_ablation(trials, point,
-                                                  Treatment.DELAYED, config)
-        value_and_gradient = NudgeObjective.value_and_gradient
 
-        def exact_only(self, theta, include_penalty=True, tabulated=False):
-            return value_and_gradient(self, theta, include_penalty)
+        def interpolated(self, shift):
+            raise AssertionError("the point model's response was interpolated")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(NudgeObjective, "value_and_gradient", exact_only)
-            exact = fit_nudge_deterministic_ablation(trials, point,
-                                                     Treatment.DELAYED, config)
-        assert np.array_equal(fitted.theta, exact.theta)
-        assert fitted.train_nll == exact.train_nll
+            patch.setattr(_EnsembleResponse, "interpolated", interpolated)
+            fit_nudge_deterministic_ablation(trials, point, Treatment.DELAYED,
+                                             config)
 
     def test_restricted_to_delayed(self):
         point = WeightVector([1.0, -0.8, 0.6], bias=-0.3)
@@ -486,11 +480,11 @@ class TestBatchConsistency:
 
         posterior = make_posterior()
         trials = make_trials(treatment, PARAMS_BY_TREATMENT[treatment])
-        objective = NudgeObjective(trials, posterior.ensemble, treatment)
+        objective = NudgeObjective([trials], posterior.ensemble, treatment)
         rng = np.random.default_rng(43)
         theta = rng.normal(0.0, 1.0, objective.n_params)
         params = objective.params_from_theta(theta)
-        batch = objective.probabilities(theta)
+        batch = objective.probabilities(theta[None, None])[0]
         for prob, rec in zip(batch, trials):
             single = decision_probability(rec, posterior, params)
             assert prob == pytest.approx(single, abs=1e-12)

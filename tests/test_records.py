@@ -56,14 +56,24 @@ class TestRecordValidation:
                 BehaviorRecord(subject_id=subject_id, treatment=Treatment.INDEPENDENT,
                                trial_index=0, features=[0.5], final_decision=1)
 
+    def test_subject_id_must_be_a_file_name(self):
+        for subject_id in ("../escaped", "a/b", "a\\b", "a\0b", ".", ".."):
+            with pytest.raises(ConfigurationError):
+                BehaviorRecord(subject_id=subject_id, treatment=Treatment.INDEPENDENT,
+                               trial_index=0, features=[0.5], final_decision=1)
+        record = BehaviorRecord(subject_id="...", treatment=Treatment.INDEPENDENT,
+                                trial_index=0, features=[0.5], final_decision=1)
+        assert record.subject_id == "..."
+
     def test_feature_range(self):
         with pytest.raises(ConfigurationError):
             BehaviorRecord(subject_id="x", treatment=Treatment.INDEPENDENT,
                            trial_index=0, features=[1.5], final_decision=1)
 
 
-def _one_line(text):
-    return "\n" not in text and "\r" not in text
+def _id_text(text):
+    """Text that may follow a subject id's leading characters."""
+    return not any(c in text for c in "\n\r/\\\0")
 
 
 @st.composite
@@ -76,7 +86,7 @@ def record_lists(draw):
     for s, treatment in enumerate(draw(st.lists(st.sampled_from(Treatment),
                                                 min_size=1, max_size=5))):
         # the subject number keeps ids distinct; the text tests CSV quoting
-        subject_id = f"s{s}{draw(st.text(max_size=4).filter(_one_line))}"
+        subject_id = f"s{s}{draw(st.text(max_size=4).filter(_id_text))}"
         crt = draw(st.none() | st.integers(0, 3))
         for index in draw(st.sets(st.integers(-5, 10**6), min_size=1, max_size=3)):
             payload = {}
