@@ -44,6 +44,8 @@ class Treatment(str, Enum):
 _FIXED_PREFIX = ["subject_id", "treatment", "trial_index"]
 _FIXED_SUFFIX = ["ai_rec", "ai_conf", "exp_mask", "initial_decision",
                  "final_decision", "crt_score"]
+# a file name holds at most 255 bytes, and fit-nudge appends ".txt"
+_MAX_ID_BYTES = 255 - len(".txt")
 
 
 def csv_header(n_features: int) -> list[str]:
@@ -73,9 +75,11 @@ class BehaviorRecord:
         sid = self.subject_id
         if sid.lstrip().startswith("#") or "\n" in sid or "\r" in sid:
             raise ConfigurationError("subject_id must not start with # or break a line")
-        if sid in (".", "..") or any(c in sid for c in "/\\\0"):
+        if (sid in (".", "..") or any(c in sid for c in "/\\\0")
+                or len(sid.encode("utf-8", "surrogatepass")) > _MAX_ID_BYTES):
             raise ConfigurationError(
-                "subject_id must be a file name: no /, \\ or NUL, and not . or ..")
+                "subject_id must be a file name: no /, \\ or NUL, not . or .., "
+                f"and at most {_MAX_ID_BYTES} UTF-8 bytes")
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 1 or feats.size == 0:
             raise ConfigurationError("record features must be a nonempty vector")

@@ -57,13 +57,17 @@ class TestRecordValidation:
                                trial_index=0, features=[0.5], final_decision=1)
 
     def test_subject_id_must_be_a_file_name(self):
-        for subject_id in ("../escaped", "a/b", "a\\b", "a\0b", ".", ".."):
+        for subject_id in ("../escaped", "a/b", "a\\b", "a\0b", ".", "..",
+                           "s" * 252, "\u00e9" * 126):
             with pytest.raises(ConfigurationError):
                 BehaviorRecord(subject_id=subject_id, treatment=Treatment.INDEPENDENT,
                                trial_index=0, features=[0.5], final_decision=1)
         record = BehaviorRecord(subject_id="...", treatment=Treatment.INDEPENDENT,
                                 trial_index=0, features=[0.5], final_decision=1)
         assert record.subject_id == "..."
+        longest = BehaviorRecord(subject_id="s" * 251, treatment=Treatment.INDEPENDENT,
+                                 trial_index=0, features=[0.5], final_decision=1)
+        assert len(longest.subject_id) == 251
 
     def test_feature_range(self):
         with pytest.raises(ConfigurationError):
