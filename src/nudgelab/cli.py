@@ -76,7 +76,7 @@ COMMANDS = ("simulate", "fit-population", "fit-nudge", "evaluate",
 _ASSISTED = tuple(t for t, branches in TREATMENT_BRANCHES.items() if branches)
 
 # Numeric settings that may be zero; every other one must be positive.
-_MAY_BE_ZERO = ("seed", "nudge_l2_penalty", "baseline_l2", "sim_noise_temperature")
+_MAY_BE_ZERO = ("seed", "nudge_l2_penalty", "sim_noise_temperature")
 
 
 def _has_type(value, hint) -> bool:
@@ -87,6 +87,8 @@ def _has_type(value, hint) -> bool:
                 and all(_has_type(item, args[0]) for item in value))
     if args:  # an optional field, X | None
         return value is None or _has_type(value, args[0])
+    if isinstance(value, bool):  # bool subclasses int, but true is not 1
+        return hint is bool
     if hint is float:  # finite, and an int that converts to a float
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import Adam, derive_seed, sigmoid
+from ._util import derive_seed, sigmoid
 from .core import PopulationPosterior
 from .errors import ConfigurationError, UsageError
 # fit_nudge stays importable here: perfbench/selftest.py looks it up in this module
@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 UNINFORMATIVE_NLL = float(np.log(2.0))  # constant p=0.5 reference
+
+# The logistic baseline's Newton loop: step tolerance and step cap.  On
+# random designs of 2-30 rows it converges within 9 steps.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -229,35 +234,50 @@ def baseline_features(record: BehaviorRecord) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def _fit_logistic(features, labels, l2, learning_rate, iterations):
-    """L2-regularized logistic fit by Adam (intercept unpenalized).
+def _fit_logistic(features, labels, l2):
+    """L2-regularized logistic fit (intercept unpenalized).
 
-    Returns a predict(features) -> probabilities callable.  Single-class
-    labels short-circuit to the constant class probability.
+    Returns a predict(features) -> probabilities callable.  ``l2`` must be
+    positive: on separable data the unpenalized fit has no finite optimum.
+    Single-class labels take the fit's limit, an infinite intercept, which
+    predicts the constant class probability.
     """
+    if not l2 > 0:
+        raise ConfigurationError(f"the baseline l2 penalty must be positive, got {l2}")
+    features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if np.all(labels == labels[0]):
-        constant = float(labels[0])
-
-        def predict_constant(rows):
-            return np.full(np.asarray(rows).shape[0], constant)
-
-        return predict_constant
-
-    design = np.asarray(features, dtype=float)
-    theta = np.zeros(design.shape[1] + 1)  # [weights, intercept]
-    optimizer = Adam(theta.size, learning_rate)
-    for _ in range(iterations):
-        logits = design @ theta[:-1] + theta[-1]
-        residual = sigmoid(logits) - labels
-        grad = np.concatenate([design.T @ residual + l2 * theta[:-1],
-                               [residual.sum()]])
-        theta = optimizer.step(theta, grad)
+        weights, intercept = np.zeros(features.shape[1]), np.inf * (2 * labels[0] - 1)
+    else:
+        weights, intercept = _newton_logistic(features, labels, l2)
 
     def predict(rows):
-        return sigmoid(np.asarray(rows) @ theta[:-1] + theta[-1])
+        return sigmoid(np.asarray(rows) @ weights + intercept)
 
     return predict
+
+
+def _newton_logistic(design, labels, l2):
+    """(weights, intercept) minimizing the logistic NLL of 0/1 ``labels``
+    plus l2 / 2 * |weights|^2, by Newton's method from zero.
+
+    With mixed labels and l2 > 0 the objective is strictly convex, so each
+    step solves the (d+1) x (d+1) Newton system.
+    """
+    design = np.hstack([design, np.ones((len(design), 1))])
+    penalty = np.full(design.shape[1], float(l2))
+    penalty[-1] = 0.0
+    theta = np.zeros(design.shape[1])
+    for _ in range(_NEWTON_MAX_STEPS):
+        probs = sigmoid(design @ theta)
+        gradient = design.T @ (probs - labels) + penalty * theta
+        hessian = (design.T * (probs * (1.0 - probs))) @ design
+        hessian[np.diag_indices_from(hessian)] += penalty
+        step = np.linalg.solve(hessian, gradient)
+        theta -= step
+        if np.abs(step).max() <= _NEWTON_TOL:
+            break
+    return theta[:-1], theta[-1]
 
 
 def baseline_logistic(
@@ -265,8 +285,6 @@ def baseline_logistic(
     treatment: Treatment,
     plan: SplitPlan = SplitPlan(),
     l2: float = 1.0,
-    learning_rate: float = 0.1,
-    iterations: int = 1000,
     clip_eps: float = 1e-6,
 ) -> EvalReport:
     """Per-subject supervised logistic baseline on the same splits."""
@@ -276,18 +294,14 @@ def baseline_logistic(
     for run in plan.run_seeds:
         for sid, trials in eligible.items():
             train, test = split_trials(trials, run, plan.train_fraction)
-            cells[(run, sid)] = _score_baseline(train, test, l2, learning_rate,
-                                                iterations, clip_eps)
+            cells[(run, sid)] = _score_baseline(train, test, l2, clip_eps)
     return _aggregate(cells, treatment, plan.run_seeds, warnings)
 
 
-def _score_baseline(train, test, l2, learning_rate, iterations, clip_eps):
+def _score_baseline(train, test, l2, clip_eps):
     """Fit the logistic baseline on ``train``; (NLL, accuracy, F1) on ``test``."""
-    predict = _fit_logistic(
-        [baseline_features(r) for r in train],
-        [r.final_decision for r in train],
-        l2, learning_rate, iterations,
-    )
+    predict = _fit_logistic([baseline_features(r) for r in train],
+                            [r.final_decision for r in train], l2)
     probs = np.clip(predict([baseline_features(r) for r in test]),
                     clip_eps, 1.0 - clip_eps)
     return metrics([(float(p), int(p >= 0.5)) for p in probs],
@@ -342,7 +356,7 @@ def learning_curve(
         for _, train, test in cell:
             frame_cells.append(_score_framework(
                 test, posterior, next(fits).params, config.clip_eps))
-            base_cells.append(_score_baseline(train, test, baseline_l2, 0.1, 1000,
+            base_cells.append(_score_baseline(train, test, baseline_l2,
                                               config.clip_eps))
         for method, cells in (("framework", frame_cells),
                               ("logistic_baseline", base_cells)):

@@ -82,14 +82,14 @@ class NudgeFitResult:
 
 def _tabulate(base, weight, count, p, slope):
     """Each row's response at every node of the grid of shifts, written into
-    the columns ``p`` and ``slope`` (nodes x rows).  Overwrites ``base``.
+    the columns ``p`` and ``slope`` (nodes x rows).
 
     sigmoid(x) = 1 / (1 + e^-x), and stepping the shift by one node
     multiplies e^-x by a constant, so no node needs an exp.  Clipping base
     keeps e^-x finite and moves no probability by more than 1e-290.  One
-    node at a time keeps the temporaries at three more copies of base.
+    node at a time keeps the temporaries at four copies of base.
     """
-    decay = np.clip(base, -688.0, 688.0, out=base)
+    decay = np.clip(base, -688.0, 688.0)
     np.exp(np.subtract(-_GRID_LO, decay, out=decay), out=decay)  # e^-x at c_0
     odds = np.empty_like(base)
     denom = np.empty_like(base)
@@ -120,15 +120,13 @@ class _EnsembleResponse:
     With at least ``_TABULATE_MIN_MEMBERS`` members, p_t and its slope are
     tabulated exactly at the nodes of a fixed grid of shifts, and
     ``interpolated`` evaluates their cubic Hermite interpolant; a shift off
-    the grid is evaluated exactly, for that trial only.  A tabulated
-    response keeps no logits: the few exact evaluations recompute theirs.
-    An untabulated one keeps them, since every evaluation reads them all.
+    the grid is evaluated exactly, for that trial only.  Every exact
+    evaluation reads the kept logits ``base`` (T x S).
     """
 
     def __init__(self, ensemble: np.ndarray, augmented: np.ndarray,
                  initial: np.ndarray | None, chunk: int):
-        self.members = np.ascontiguousarray(ensemble.T)                 # (n+1, S)
-        self.augmented = augmented                                      # (T, n+1)
+        members = np.ascontiguousarray(ensemble.T)                      # (n+1, S)
         self.chunk = chunk
         n_trials, n_members = len(augmented), len(ensemble)
         self.columns = np.arange(n_trials)
@@ -136,13 +134,16 @@ class _EnsembleResponse:
         self.mask = (None if initial is None
                      else np.empty((n_trials, n_members), dtype=bool))
         self.count = np.full(n_trials, float(n_members))
-        self.base = None if self.tabulated else np.empty((n_trials, n_members))
+        self.base = np.empty((n_trials, n_members))                     # (T, S)
         if self.tabulated:
             self.node_p = np.empty((_GRID_NODES, n_trials))
             self.node_slope = np.empty_like(self.node_p)
         for start in range(0, n_trials, chunk):
             part = slice(start, start + chunk)
-            base = self._logits(part)
+            x = augmented[part]
+            base = np.multiply(x[:, :1], members[0], out=self.base[part])
+            for j in range(1, x.shape[1]):
+                base += x[:, j:j + 1] * members[j]
             weight = 1.0
             if initial is not None:
                 weight = self.mask[part]
@@ -152,17 +153,6 @@ class _EnsembleResponse:
             if self.tabulated:
                 _tabulate(base, weight, self.count[part],
                           self.node_p[:, part], self.node_slope[:, part])
-            else:
-                self.base[part] = base
-
-    def _logits(self, rows):
-        """Member logits of trials ``rows``: (trials, S)."""
-        x = self.augmented[rows]
-        logits = np.multiply(x[:, :1], self.members[0])
-        term = np.empty_like(logits)
-        for j in range(1, x.shape[1]):
-            logits += np.multiply(x[:, j:j + 1], self.members[j], out=term)
-        return logits
 
     def exact(self, shift: np.ndarray):
         """(p, dp/dc) for shifts of shape (..., T)."""
@@ -177,7 +167,7 @@ class _EnsembleResponse:
         for start in range(0, rows.size, self.chunk):
             part = slice(start, start + self.chunk)
             take = rows[part]
-            member = self._logits(take) if self.base is None else self.base[take]
+            member = self.base[take]
             member += shift[part, None]
             expit(member, out=member)
             dmember = np.subtract(1.0, member)

@@ -5,10 +5,14 @@ import dataclasses
 import json
 import filecmp
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nudgelab
 from nudgelab import NudgeParams, SignedSharedSignVector, Treatment
 from nudgelab.cli import (
     RunConfig,
@@ -24,7 +28,8 @@ from nudgelab.errors import ConfigurationError
 from nudgelab.fitting import NudgeFitResult
 
 
-# Config values that are malformed (wrong type, not finite, unknown name) or
+# Config values that are malformed (wrong type, not finite, unknown name, a
+# JSON boolean for a number, zero where a positive value is needed) or
 # inconsistent (more trials per subject than tasks in the pool).
 BAD_CONFIG_VALUES = [
     {"nudge_iterations": "x"},
@@ -40,6 +45,9 @@ BAD_CONFIG_VALUES = [
     {"nudge_l2_penalty": -0.5},
     {"seed": -1},
     {"sim_noise_temperature": 10**400},
+    {"nudge_restarts": True},
+    {"clip_eps": True},
+    {"baseline_l2": 0},
 ]
 
 
@@ -419,3 +427,16 @@ class TestNumericExitCode:
         assert run_pipeline("simulate", tiny_config(tmp_path)) == 2
         err = capsys.readouterr().err
         assert '"category": "numeric"' in err
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_scipy_optimize(self):
+        # importing scipy.optimize after nudgelab.cli raises the peak RSS
+        # from about 55 to 77 MB (numpy 2.4, scipy 1.17), 21 MB that every
+        # command would pay; nothing in the package may pull it in
+        src = Path(nudgelab.__file__).parents[1]
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import nudgelab.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        loaded = subprocess.run([sys.executable, "-c", probe, str(src)],
+                                capture_output=True, text=True, check=True).stdout
+        assert loaded.strip() == "[]"

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nudgelab import (
+    BehaviorRecord,
+    ConfigurationError,
     FitConfig,
     NudgeParams,
     PopulationPosterior,
@@ -23,7 +27,12 @@ from nudgelab import (
     split_trials,
     uniform_tasks,
 )
-from nudgelab.evaluate import UNINFORMATIVE_NLL, _fit_logistic, baseline_features
+from nudgelab.evaluate import (
+    UNINFORMATIVE_NLL,
+    _fit_logistic,
+    _newton_logistic,
+    baseline_features,
+)
 
 
 class TestMetrics:
@@ -170,23 +179,57 @@ class TestLogisticBaseline:
     def test_separable_data_interpolates_training(self):
         rows = np.array([[0.1], [0.2], [0.8], [0.9]])
         labels = np.array([0, 0, 1, 1])
-        predict = _fit_logistic(rows, labels, l2=0.1, learning_rate=0.1,
-                                iterations=1500)
+        predict = _fit_logistic(rows, labels, l2=0.1)
         decisions = (predict(rows) >= 0.5).astype(int)
         assert np.array_equal(decisions, labels)
 
     def test_constant_features_give_base_rate(self):
         rows = np.tile([[0.4, 0.6]], (10, 1))
         labels = np.array([1, 1, 1, 0, 0, 1, 0, 1, 1, 0])
-        predict = _fit_logistic(rows, labels, l2=1.0, learning_rate=0.1,
-                                iterations=3000)
+        predict = _fit_logistic(rows, labels, l2=1.0)
         assert np.allclose(predict(rows), labels.mean(), atol=1e-3)
 
     def test_single_class_shortcut(self):
         rows = np.array([[0.1], [0.9]])
-        predict = _fit_logistic(rows, np.array([1, 1]), l2=1.0,
-                                learning_rate=0.1, iterations=10)
+        predict = _fit_logistic(rows, np.array([1, 1]), l2=1.0)
         assert np.array_equal(predict(rows), [1.0, 1.0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        treatment=st.sampled_from(list(Treatment)),
+        n_features=st.integers(1, 6),
+        n_rows=st.integers(2, 30),
+        seed=st.integers(0, 2**16),
+        l2=st.floats(0.1, 10.0),
+    )
+    def test_fit_is_stationary(self, treatment, n_features, n_rows, seed, l2):
+        # the penalized optimum: X^T (p - y) + l2 * w = 0, with X carrying
+        # the unpenalized intercept column
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, n_rows)
+        labels[:2] = [0, 1]
+        rows = np.stack([baseline_features(BehaviorRecord(
+            subject_id="s", treatment=treatment, trial_index=i,
+            features=rng.random(n_features), final_decision=int(label),
+            ai_recommendation=None if treatment in (
+                Treatment.INDEPENDENT, Treatment.EXPLANATION)
+            else int(rng.integers(2)),
+            ai_confidence=float(rng.uniform(0.5, 1.0))
+            if treatment == Treatment.IMMEDIATE else None,
+            initial_decision=int(rng.integers(2))
+            if treatment == Treatment.DELAYED else None,
+            explanation_mask=rng.integers(0, 2, n_features)
+            if treatment == Treatment.EXPLANATION else None,
+        )) for i, label in enumerate(labels)])
+        weights, _ = _newton_logistic(rows, labels, l2)
+        residual = _fit_logistic(rows, labels, l2)(rows) - labels
+        assert np.abs(rows.T @ residual + l2 * weights).max() <= 1e-8
+        assert abs(residual.sum()) <= 1e-8
+
+    @pytest.mark.parametrize("l2", [0.0, -1.0])
+    def test_penalty_must_be_positive(self, l2):
+        with pytest.raises(ConfigurationError):
+            _fit_logistic(np.array([[0.1], [0.9]]), np.array([0, 1]), l2=l2)
 
     def test_feature_widths_per_treatment(self):
         imm = _records_for_subject("a", 2, seed=1)[0]
@@ -206,7 +249,7 @@ class TestLogisticBaseline:
         data = (_records_for_subject("a", 10, seed=1)
                 + _records_for_subject("b", 10, seed=2))
         report = baseline_logistic(data, Treatment.IMMEDIATE,
-                                   SplitPlan(run_seeds=(0, 1)), iterations=200)
+                                   SplitPlan(run_seeds=(0, 1)))
         assert report.n_subjects == 2
         assert report.n_runs == 2
         assert len(report.per_subject) == 2

@@ -488,3 +488,28 @@ class TestBatchConsistency:
         for prob, rec in zip(batch, trials):
             single = decision_probability(rec, posterior, params)
             assert prob == pytest.approx(single, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        treatment=st.sampled_from(list(PARAMS_BY_TREATMENT)),
+        members=st.sampled_from([60, 200]),
+        seed=st.integers(0, 2**16),
+        scale=st.floats(0.5, 8.0),
+    )
+    def test_probabilities_match_predictors_at_any_shift(self, treatment,
+                                                         members, seed, scale):
+        # on both sides of _TABULATE_MIN_MEMBERS, and at shifts far beyond
+        # the table's grid, the exact stacked path equals the per-record one
+        from nudgelab import decision_probability
+
+        posterior = make_posterior(seed=seed, size=members)
+        trials = make_trials(treatment, PARAMS_BY_TREATMENT[treatment],
+                             seed=seed)
+        objective = NudgeObjective([trials], posterior.ensemble, treatment)
+        theta = scale * np.random.default_rng(seed).normal(
+            0.0, 1.0, (3, 1, objective.n_params))
+        for row, probs in zip(theta, objective.probabilities(theta)):
+            params = objective.params_from_theta(row[0])
+            for prob, rec in zip(probs, trials):
+                single = decision_probability(rec, posterior, params, clip_eps=0.0)
+                assert prob == pytest.approx(single, abs=1e-12)
