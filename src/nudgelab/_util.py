@@ -1,4 +1,4 @@
-"""Shared numeric helpers: stable transforms, Adam steps, seed derivation."""
+"""Shared numeric helpers: stable transforms, Adam and Newton steps, seeds."""
 
 from __future__ import annotations
 
@@ -58,6 +58,28 @@ class Adam:
         m_hat = self.m / (1.0 - self.beta1 ** self.t)
         v_hat = self.v / (1.0 - self.beta2 ** self.t)
         return theta - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+NEWTON_TOL = 1e-10
+
+
+def newton(terms, theta, max_steps):
+    """Stationary point of a strictly convex or concave function, from ``theta``.
+
+    ``terms(theta)`` gives its (gradient, Hessian), or None outside its
+    domain; a step is halved only while it leaves the domain.  Stops after
+    a step of at most ``NEWTON_TOL`` in every coordinate, or ``max_steps``.
+    """
+    current = terms(theta)
+    for _ in range(max_steps):
+        gradient, hessian = current
+        step = -np.linalg.solve(hessian, gradient)
+        while (current := terms(theta + step)) is None:
+            step = 0.5 * step
+        theta = theta + step
+        if np.abs(step).max() <= NEWTON_TOL:
+            break
+    return theta
 
 
 def sigmoid(z):

@@ -108,10 +108,8 @@ class RunConfig:
     mc_ensemble_size: int = 1000
     clip_eps: float = 1e-6
     # population posterior fit
-    population_learning_rate: float = 0.01
-    population_iterations: int = 2000
+    population_iterations: int = 50
     population_train_samples: int = 64
-    include_bias: bool = True
     # per-subject nudge fit
     nudge_learning_rate: float = 0.05
     nudge_iterations: int = 500
@@ -179,13 +177,11 @@ class RunConfig:
 
     def population_config(self) -> PopulationFitConfig:
         return PopulationFitConfig(
-            learning_rate=self.population_learning_rate,
             iterations=self.population_iterations,
             seed=self.seed,
             train_samples=self.population_train_samples,
             ensemble_size=self.mc_ensemble_size,
             prior_variance=self.prior_variance,
-            include_bias=self.include_bias,
         )
 
     def nudge_config(self) -> FitConfig:
@@ -277,8 +273,10 @@ def load_posterior(path) -> PopulationPosterior:
             payload = json.load(handle)
         mean = np.asarray(payload["mean"], dtype=float)
         variance = np.asarray(payload["variance"], dtype=float)
-        size = int(payload["ensemble_size"])
-        seed = int(payload["seed"])
+        size, seed = payload["ensemble_size"], payload["seed"]
+        for name, value in (("ensemble_size", size), ("seed", seed)):
+            if not _has_type(value, int):
+                raise TypeError(f"{name} must be a JSON integer, got {value!r}")
     except _MALFORMED as exc:
         raise _malformed("population posterior", path, exc) from exc
     if mean.ndim != 1 or variance.shape != mean.shape or seed < 0:

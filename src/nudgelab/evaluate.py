@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import derive_seed, sigmoid
+from ._util import derive_seed, newton, sigmoid
 from .core import PopulationPosterior
 from .errors import ConfigurationError, UsageError
 # fit_nudge stays importable here: perfbench/selftest.py looks it up in this module
@@ -35,9 +35,8 @@ __all__ = [
 
 UNINFORMATIVE_NLL = float(np.log(2.0))  # constant p=0.5 reference
 
-# The logistic baseline's Newton loop: step tolerance and step cap.  On
-# random designs of 2-30 rows it converges within 9 steps.
-_NEWTON_TOL = 1e-10
+# The logistic baseline's Newton step cap.  On random designs of 2-30 rows
+# it converges within 9 steps.
 _NEWTON_MAX_STEPS = 50
 
 
@@ -267,16 +266,14 @@ def _newton_logistic(design, labels, l2):
     design = np.hstack([design, np.ones((len(design), 1))])
     penalty = np.full(design.shape[1], float(l2))
     penalty[-1] = 0.0
-    theta = np.zeros(design.shape[1])
-    for _ in range(_NEWTON_MAX_STEPS):
+    def terms(theta):
         probs = sigmoid(design @ theta)
         gradient = design.T @ (probs - labels) + penalty * theta
         hessian = (design.T * (probs * (1.0 - probs))) @ design
         hessian[np.diag_indices_from(hessian)] += penalty
-        step = np.linalg.solve(hessian, gradient)
-        theta -= step
-        if np.abs(step).max() <= _NEWTON_TOL:
-            break
+        return gradient, hessian
+
+    theta = newton(terms, np.zeros(design.shape[1]), _NEWTON_MAX_STEPS)
     return theta[:-1], theta[-1]
 
 

@@ -86,11 +86,23 @@ def pipeline_dir(tmp_path_factory):
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self, tmp_path):
+    # the population fit has no learning rate and always fits an intercept
+    @pytest.mark.parametrize("key", ["not_a_key", "population_learning_rate",
+                                     "include_bias"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"not_a_key": 1}))
-        with pytest.raises(ConfigurationError):
+        path.write_text(json.dumps({key: 1}))
+        with pytest.raises(ConfigurationError, match=key):
             load_config(path)
+
+    def test_removed_key_is_one_json_line(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"population_learning_rate": 0.01}))
+        assert main(["fit-population", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert "population_learning_rate" in error["message"]
 
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "c.json"
@@ -295,6 +307,11 @@ class TestMalformedArtifacts:
             dict(payload, variance=payload["variance"][:-1])), id="short-variance"),
         pytest.param(lambda payload: json.dumps(
             dict(payload, mean="high")), id="non-numeric-mean"),
+        *(pytest.param(lambda payload, key=key, value=value: json.dumps(
+            dict(payload, **{key: value})), id=f"{key}-{value!r}")
+          for key, value in [("ensemble_size", 1.5), ("ensemble_size", True),
+                             ("ensemble_size", "7"), ("seed", 1.5),
+                             ("seed", -0.5), ("seed", True)]),
     ])
     def test_broken_posterior_exits_one(self, pipeline_dir, tmp_path, capsys,
                                         corrupt):

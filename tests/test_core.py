@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -20,6 +22,9 @@ from nudgelab import (
     logistic_response,
     predict_independent,
 )
+
+from nudgelab._util import derive_seed
+from nudgelab.core import _elbo_hessian
 
 from conftest import random_posterior, random_task, singleton_posterior
 
@@ -144,9 +149,43 @@ class TestElboGradient:
                 assert abs(analytic[k] - fd) <= 1e-3 * max(abs(fd), abs(analytic[k]), 1e-8)
 
 
+def _gradient_in_std(mean, std, design, labels, noise, prior_variance):
+    """The ELBO's gradient in (mean, std), the coordinates the fit solves in."""
+    _, g_mean, g_log_std = elbo_and_gradient(
+        mean, np.log(std), design, labels, noise, prior_variance)
+    return np.concatenate([g_mean, g_log_std / std])
+
+
+class TestElboHessian:
+    def test_matches_differenced_gradient_and_is_negative_definite(self):
+        rng = np.random.default_rng(41)
+        h = 1e-6
+        for _ in range(20):
+            n, n_obs, n_draws = (int(rng.integers(1, 5)), int(rng.integers(1, 40)),
+                                 int(rng.integers(1, 30)))
+            design = np.hstack([rng.random((n_obs, n)), np.ones((n_obs, 1))])
+            labels = rng.integers(0, 2, n_obs).astype(float)
+            noise = rng.standard_normal((n_draws, n + 1))
+            prior_variance = float(rng.uniform(0.1, 5.0))
+            mean = rng.normal(0.0, 1.0, n + 1)
+            std = rng.uniform(0.05, 1.5, n + 1)
+            theta = np.concatenate([mean, std])
+            hessian = _elbo_hessian(mean, std, design, noise, prior_variance)
+
+            def gradient(delta, k):
+                t = theta.copy()
+                t[k] += delta
+                return _gradient_in_std(t[:n + 1], t[n + 1:], design, labels,
+                                        noise, prior_variance)
+
+            numeric = np.stack([(gradient(h, k) - gradient(-h, k)) / (2 * h)
+                                for k in range(theta.size)], axis=1)
+            assert np.abs(numeric - hessian).max() <= 1e-6
+            assert np.linalg.eigvalsh(hessian).max() < 0.0
+
+
 def _fast_config(**kwargs):
-    defaults = dict(learning_rate=0.05, iterations=400, train_samples=24,
-                    ensemble_size=200, seed=0)
+    defaults = dict(iterations=400, train_samples=24, ensemble_size=200, seed=0)
     defaults.update(kwargs)
     return PopulationFitConfig(**defaults)
 
@@ -192,13 +231,43 @@ class TestFitPopulation:
         assert np.array_equal(a.variance, b.variance)
         assert np.array_equal(a.ensemble, b.ensemble)
 
-    def test_no_intercept_mode_pins_bias(self):
-        rng = np.random.default_rng(13)
-        data = [(TaskInstance(x), int(y)) for x, y in
-                zip(rng.random((100, 2)), rng.integers(0, 2, 100))]
-        post = fit_population(data, _fast_config(iterations=150, include_bias=False))
-        assert post.mean[-1] == 0.0
-        assert np.max(np.abs(post.ensemble[:, -1])) < 1e-6
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(1, 400),
+        n_features=st.integers(1, 8),
+        binary=st.booleans(),
+        labelling=st.sampled_from(["random", "constant", "separable"]),
+        prior_variance=st.floats(0.01, 10.0),
+        train_samples=st.integers(1, 100),
+        seed=st.integers(0, 2**16),
+    )
+    def test_newton_reaches_the_maximum(self, n_rows, n_features, binary,
+                                        labelling, prior_variance,
+                                        train_samples, seed):
+        # the ELBO is strictly concave in (mean, std): at the returned
+        # moments its gradient vanishes, and it is above its starting value
+        rng = np.random.default_rng(seed)
+        tasks = rng.random((n_rows, n_features))
+        if binary:
+            tasks = np.round(tasks)
+        labels = {"random": rng.integers(0, 2, n_rows),
+                  "constant": np.full(n_rows, seed % 2),
+                  "separable": (tasks[:, 0] >= 0.5).astype(int)}[labelling]
+        data = [(TaskInstance(x), int(y)) for x, y in zip(tasks, labels)]
+        config = PopulationFitConfig(seed=seed, train_samples=train_samples,
+                                     ensemble_size=1, prior_variance=prior_variance)
+        post = fit_population(data, config)
+
+        design = np.hstack([tasks, np.ones((n_rows, 1))])
+        noise = np.random.default_rng(derive_seed(seed, "elbo-noise")).standard_normal(
+            (train_samples, n_features + 1))
+        args = (design, labels.astype(float), noise, prior_variance)
+        std = np.sqrt(post.variance)
+        assert np.abs(_gradient_in_std(post.mean, std, *args)).max() <= 1e-8
+        fitted = elbo_and_gradient(post.mean, np.log(std), *args)[0]
+        initial = elbo_and_gradient(np.zeros(n_features + 1),
+                                    np.full(n_features + 1, np.log(0.3)), *args)[0]
+        assert fitted >= initial
 
 
 class TestPredictIndependent:
@@ -283,8 +352,6 @@ class TestPosteriorType:
 
 class TestElboContract:
     def test_returned_posterior_not_below_initialization(self):
-        from nudgelab._util import derive_seed
-
         rng = np.random.default_rng(29)
         tasks = rng.random((150, 2))
         labels = (rng.random(150) < expit(tasks @ [1.0, -1.0])).astype(int)
@@ -303,13 +370,3 @@ class TestElboContract:
             np.zeros(3), np.full(3, np.log(0.3)), design,
             labels.astype(float), noise, config.prior_variance)
         assert fitted >= initial
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_reports_iteration(self):
-        from nudgelab.errors import NumericError
-
-        rng = np.random.default_rng(33)
-        data = [(TaskInstance(x), int(y)) for x, y in
-                zip(rng.random((20, 2)), rng.integers(0, 2, 20))]
-        with pytest.raises(NumericError, match="iteration"):
-            fit_population(data, _fast_config(learning_rate=1e9, iterations=10))
