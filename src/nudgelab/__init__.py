@@ -38,7 +38,6 @@ from .errors import (
     DomainError,
     InputError,
     NudgelabError,
-    NumericError,
     UsageError,
 )
 from .evaluate import (

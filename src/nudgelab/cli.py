@@ -6,7 +6,7 @@ Commands: ``simulate``, ``fit-population``, ``fit-nudge``, ``evaluate``,
 carries the fingerprint of the config that produced it, and repeated runs
 are byte-identical.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numeric failure.
+Exit codes: 0 success, 1 validation/usage error.
 Errors are printed to stderr as one JSON line with a machine-readable
 category plus a human message.
 """
@@ -46,7 +46,6 @@ from .errors import (
     ConfigurationError,
     DataValidationError,
     NudgelabError,
-    NumericError,
     UsageError,
 )
 from .evaluate import (
@@ -273,16 +272,20 @@ def load_posterior(path) -> PopulationPosterior:
             payload = json.load(handle)
         mean = np.asarray(payload["mean"], dtype=float)
         variance = np.asarray(payload["variance"], dtype=float)
-        size, seed = payload["ensemble_size"], payload["seed"]
-        for name, value in (("ensemble_size", size), ("seed", seed)):
+        size, seed, n_features = (payload["ensemble_size"], payload["seed"],
+                                  payload["n_features"])
+        for name, value in (("ensemble_size", size), ("seed", seed),
+                            ("n_features", n_features)):
             if not _has_type(value, int):
                 raise TypeError(f"{name} must be a JSON integer, got {value!r}")
     except _MALFORMED as exc:
         raise _malformed("population posterior", path, exc) from exc
-    if mean.ndim != 1 or variance.shape != mean.shape or seed < 0:
+    if (mean.ndim != 1 or variance.shape != mean.shape
+            or n_features != mean.size - 1 or size < 1 or seed < 0):
         raise DataValidationError(
             f"malformed population posterior {path}: mean and variance must be "
-            f"lists of equal length and seed must be nonnegative"
+            f"lists of n_features + 1 values, ensemble_size must be positive "
+            f"and seed must be nonnegative"
         )
     return PopulationPosterior.from_moments(mean, variance, size, seed=seed)
 
@@ -684,9 +687,6 @@ def run_pipeline(command: str, config: RunConfig) -> int:
         return 1
     try:
         artifacts = _DISPATCH[command](config)
-    except NumericError as exc:
-        _print_error(exc.category, str(exc))
-        return 2
     except NudgelabError as exc:
         rows = exc.row_errors if isinstance(exc, DataValidationError) else []
         _print_error(exc.category, str(exc), rows)

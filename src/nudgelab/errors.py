@@ -35,12 +35,6 @@ class InputError(NudgelabError):
     category = "input"
 
 
-class NumericError(NudgelabError):
-    """Non-finite values or divergence during optimization."""
-
-    category = "numeric"
-
-
 class DataValidationError(NudgelabError):
     """Behavior-data file failed schema or row validation."""
 

@@ -7,8 +7,9 @@ magnitudes, sigmoid attention weight) by multi-restart Adam.  Every
 subject and restart of one call runs in a single stacked Adam loop; each
 subject's result is the same bits as when it is fitted alone.  Gradients
 are analytic, exact for the frozen-sample objective; inside the Adam loop
-a large ensemble's response is interpolated from a per-trial table, and
-the gradient is exact for that interpolant.
+a large ensemble's response is interpolated from a per-trial table of the
+exact response, whose nodes are evaluated when the fit first reads them,
+and the gradient is exact for that interpolant.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ __all__ = [
 # scale) and no trial probability sits on the clip boundary.
 _GRADIENT_TOL = 1e-2
 
-# Grid of logit shifts on which _ResponseTable tabulates a trial's ensemble
+# Grid of logit shifts on which _EnsembleResponse tabulates a trial's ensemble
 # response: step 0.05 over [-12, 12].  The cubic Hermite error is at most
 # step^4 / 384 * max|d^4 sigmoid / dx^4| = 2.1e-9 in probability.
 _GRID_LO = -12.0
 _GRID_STEP = 0.05
 _GRID_NODES = 481
 # Smallest ensemble whose response is tabulated.  Below it a fit's exact
-# evaluations cost less than building the table (see CHANGES.md).
+# evaluations cost less than the table's lookups (see CHANGES.md).
 _TABULATE_MIN_MEMBERS = 128
 # Member-by-trial temporaries hold at most max(one subject's trials x S,
 # this many) elements.
@@ -80,30 +81,6 @@ class NudgeFitResult:
     theta: np.ndarray
 
 
-def _tabulate(base, weight, count, p, slope):
-    """Each row's response at every node of the grid of shifts, written into
-    the columns ``p`` and ``slope`` (nodes x rows).
-
-    sigmoid(x) = 1 / (1 + e^-x), and stepping the shift by one node
-    multiplies e^-x by a constant, so no node needs an exp.  Clipping base
-    keeps e^-x finite and moves no probability by more than 1e-290.  One
-    node at a time keeps the temporaries at four copies of base.
-    """
-    decay = np.clip(base, -688.0, 688.0)
-    np.exp(np.subtract(-_GRID_LO, decay, out=decay), out=decay)  # e^-x at c_0
-    odds = np.empty_like(base)
-    denom = np.empty_like(base)
-    term = np.empty_like(base)
-    for k in range(_GRID_NODES):
-        np.multiply(decay, np.exp(-_GRID_STEP * k), out=odds)    # e^-x
-        np.add(odds, 1.0, out=denom)                              # 1 / sigmoid
-        np.divide(weight, denom, out=term)                        # w sigmoid
-        p[k] = term.sum(axis=1) / count
-        term /= denom
-        term *= odds                                              # w sigmoid (1 - sigmoid)
-        slope[k] = term.sum(axis=1) / count
-
-
 class _EnsembleResponse:
     """Each trial's probability as a function of its scalar logit shift c:
     p_t(c) = sum_s m_ts sigmoid(base_ts + c) / count_t, and dp_t/dc.
@@ -117,11 +94,14 @@ class _EnsembleResponse:
     stacked with it and however the rows are chunked.  Rows are processed
     ``chunk`` at a time.
 
-    With at least ``_TABULATE_MIN_MEMBERS`` members, p_t and its slope are
-    tabulated exactly at the nodes of a fixed grid of shifts, and
-    ``interpolated`` evaluates their cubic Hermite interpolant; a shift off
-    the grid is evaluated exactly, for that trial only.  Every exact
-    evaluation reads the kept logits ``base`` (T x S).
+    With at least ``_TABULATE_MIN_MEMBERS`` members, ``interpolated``
+    evaluates the cubic Hermite interpolant of p_t and its slope between
+    the nodes of a fixed grid of shifts; a shift off the grid is evaluated
+    exactly, for that trial only.  The table (``node_p``, ``node_slope``:
+    nodes x T) is a cache of the exact response: a cell is evaluated the
+    first time a lookup reads it and marked in ``filled``, so a fit pays
+    only for the nodes it visits.  Every exact evaluation, cells included,
+    reads the kept logits ``base`` (T x S).
     """
 
     def __init__(self, ensemble: np.ndarray, augmented: np.ndarray,
@@ -136,23 +116,20 @@ class _EnsembleResponse:
         self.count = np.full(n_trials, float(n_members))
         self.base = np.empty((n_trials, n_members))                     # (T, S)
         if self.tabulated:
-            self.node_p = np.empty((_GRID_NODES, n_trials))
-            self.node_slope = np.empty_like(self.node_p)
+            self.node_p = np.full((_GRID_NODES, n_trials), np.nan)
+            self.node_slope = np.full_like(self.node_p, np.nan)
+            self.filled = np.zeros(self.node_p.shape, dtype=bool)
         for start in range(0, n_trials, chunk):
             part = slice(start, start + chunk)
             x = augmented[part]
             base = np.multiply(x[:, :1], members[0], out=self.base[part])
             for j in range(1, x.shape[1]):
                 base += x[:, j:j + 1] * members[j]
-            weight = 1.0
             if initial is not None:
                 weight = self.mask[part]
                 np.equal(expit(base) >= 0.5, initial[part, None] == 1, out=weight)
                 weight[~weight.any(axis=1)] = True
                 self.count[part] = weight.sum(axis=1)
-            if self.tabulated:
-                _tabulate(base, weight, self.count[part],
-                          self.node_p[:, part], self.node_slope[:, part])
 
     def exact(self, shift: np.ndarray):
         """(p, dp/dc) for shifts of shape (..., T)."""
@@ -169,7 +146,12 @@ class _EnsembleResponse:
             take = rows[part]
             member = self.base[take]
             member += shift[part, None]
-            expit(member, out=member)
+            # sigmoid = 1 / (1 + e^-x), the formula of scipy's expit at a
+            # quarter of its cost; e^-x overflows to inf where sigmoid is 0
+            with np.errstate(over="ignore"):
+                np.exp(np.negative(member, out=member), out=member)
+            member += 1.0
+            np.reciprocal(member, out=member)
             dmember = np.subtract(1.0, member)
             dmember *= member
             if self.mask is not None:
@@ -192,9 +174,18 @@ class _EnsembleResponse:
             node[off] = 0.0
             u[off] = 0.0
         u -= node
-        # Hermite coefficients of the interval in u = (c - c_k) / step
         at = node.astype(np.intp) * self.columns.size + self.columns
         after = at + self.columns.size
+        # evaluate the cells this lookup reads that no earlier lookup filled
+        cells = np.stack((at, after))[:, on_grid]
+        cells = cells[~self.filled.take(cells)]
+        if cells.size:
+            cells = np.unique(cells)
+            k, t = np.divmod(cells, self.columns.size)
+            self.node_p.flat[cells], self.node_slope.flat[cells] = self._rows(
+                t, _GRID_LO + _GRID_STEP * k)
+            self.filled.flat[cells] = True
+        # Hermite coefficients of the interval in u = (c - c_k) / step
         a0 = self.node_p.take(at)
         rise = self.node_p.take(after) - a0
         a1 = _GRID_STEP * self.node_slope.take(at)

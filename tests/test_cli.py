@@ -310,8 +310,10 @@ class TestMalformedArtifacts:
         *(pytest.param(lambda payload, key=key, value=value: json.dumps(
             dict(payload, **{key: value})), id=f"{key}-{value!r}")
           for key, value in [("ensemble_size", 1.5), ("ensemble_size", True),
-                             ("ensemble_size", "7"), ("seed", 1.5),
-                             ("seed", -0.5), ("seed", True)]),
+                             ("ensemble_size", "7"), ("ensemble_size", 0),
+                             ("seed", 1.5), ("seed", -0.5), ("seed", True),
+                             ("n_features", 3), ("n_features", 5),
+                             ("n_features", 4.0)]),
     ])
     def test_broken_posterior_exits_one(self, pipeline_dir, tmp_path, capsys,
                                         corrupt):
@@ -430,20 +432,6 @@ class TestZeroNudgeOracle:
                 assert abs(float(row[4])) <= 0.2, row
                 checked += 1
         assert checked >= 4
-
-
-class TestNumericExitCode:
-    def test_numeric_failure_maps_to_exit_two(self, tmp_path, monkeypatch, capsys):
-        from nudgelab import cli as cli_module
-        from nudgelab.errors import NumericError
-
-        def boom(config):
-            raise NumericError("objective diverged at iteration 7")
-
-        monkeypatch.setitem(cli_module._DISPATCH, "simulate", boom)
-        assert run_pipeline("simulate", tiny_config(tmp_path)) == 2
-        err = capsys.readouterr().err
-        assert '"category": "numeric"' in err
 
 
 class TestImportFootprint:

@@ -1,5 +1,7 @@
 """Nudge-parameter MLE: gradients, reparameterization, recovery, ablation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from nudgelab import (
     generate_behavior,
     uniform_tasks,
 )
-from nudgelab.fitting import _EnsembleResponse
+from nudgelab.fitting import _GRID_LO, _GRID_STEP, _EnsembleResponse, _minimize
 
 N = 3
 
@@ -148,6 +150,64 @@ class TestResponseTable:
         p_exact, slope_exact = response.exact(shift)
         assert np.max(np.abs(p - p_exact)) <= 1e-8
         assert np.max(np.abs(slope - slope_exact)) <= 1e-6
+
+    def test_extreme_shifts_saturate_without_warnings(self):
+        response = response_objective(Treatment.DELAYED, 3, False).response
+        shift = np.repeat([[-1e6], [-800.0], [800.0], [1e6]], 12, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, slope = response.exact(shift)
+        assert np.array_equal(p, np.repeat([[0.0], [0.0], [1.0], [1.0]], 12, axis=1))
+        assert not slope.any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        treatment=st.sampled_from([Treatment.IMMEDIATE, Treatment.DELAYED]),
+        seed=st.integers(0, 2**16),
+        fallback=st.booleans(),
+        lookups=st.lists(st.lists(st.floats(-20.0, 20.0), min_size=24,
+                                  max_size=24), min_size=1, max_size=4),
+    )
+    def test_filling_on_demand_gives_the_same_bits(self, treatment, seed,
+                                                   fallback, lookups):
+        # a lookup fills only the cells it reads, so a cell must not depend
+        # on which lookup filled it or which cells were filled with it
+        lazy = response_objective(treatment, seed, fallback).response
+        eager = response_objective(treatment, seed, fallback).response
+        fill_table(eager, np.ones_like(eager.filled))
+        for shifts in lookups:
+            shift = np.reshape(shifts, (2, 12))
+            for got, want in zip(lazy.interpolated(shift),
+                                 eager.interpolated(shift)):
+                assert np.array_equal(got, want)
+        assert np.array_equal(lazy.node_p[lazy.filled], eager.node_p[lazy.filled])
+        assert np.array_equal(lazy.node_slope[lazy.filled],
+                              eager.node_slope[lazy.filled])
+
+    @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
+    def test_stacked_fit_fills_only_the_cells_it_reads(self, treatment):
+        trial_sets = [make_trials(treatment, PARAMS_BY_TREATMENT[treatment],
+                                  seed=s, n_trials=n)
+                      for s, n in ((3, 9), (5, 14), (8, 6))]
+        objective = NudgeObjective(trial_sets, make_posterior(size=200).ensemble,
+                                   treatment)
+        _minimize(objective, FitConfig(iterations=60, restarts=4), [1, 2, 3])
+        response = objective.response
+        filled = response.filled.copy()
+        assert filled.any() and not filled.all()
+        p, slope = response.node_p.copy(), response.node_slope.copy()
+        fill_table(response, filled)
+        assert np.array_equal(p[filled], response.node_p[filled])
+        assert np.array_equal(slope[filled], response.node_slope[filled])
+        assert np.isnan(p[~filled]).all() and np.isnan(slope[~filled]).all()
+
+
+def fill_table(response, cells):
+    """Evaluate the table cells marked in ``cells`` (nodes x T) exactly."""
+    k, t = np.nonzero(cells)
+    response.node_p[cells], response.node_slope[cells] = response._rows(
+        t, _GRID_LO + _GRID_STEP * k)
+    response.filled |= cells
 
 
 def stacked_shift(objective, theta):
