@@ -52,12 +52,21 @@ class Adam:
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        # the moments are updated in place, in the order of
+        # m = beta1 * m + (1 - beta1) * grad and
+        # step = learning_rate * m_hat / (sqrt(v_hat) + eps)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return theta - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        step = self.m / (1.0 - self.beta1 ** self.t)
+        step *= self.learning_rate
+        denominator = self.v / (1.0 - self.beta2 ** self.t)
+        np.sqrt(denominator, out=denominator)
+        denominator += self.eps
+        step /= denominator
+        return theta - step
 
 
 NEWTON_TOL = 1e-10

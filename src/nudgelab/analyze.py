@@ -152,6 +152,10 @@ def one_way_anova(groups) -> AnovaResult:
                        f_survival(f, df_between, df_within), group_means)
 
 
+# Permutations drawn and reduced at once by pairwise_posthoc.
+_PERMUTATION_BLOCK = 1000
+
+
 def pairwise_posthoc(groups, n_permutations: int = 10000,
                      seed: int = 0) -> list[PairwiseComparison]:
     """Max-T permutation analog of Tukey's HSD.
@@ -169,11 +173,13 @@ def pairwise_posthoc(groups, n_permutations: int = 10000,
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     rng = np.random.default_rng(seed)
     max_stats = np.empty(n_permutations)
-    for k in range(n_permutations):
-        shuffled = pooled[rng.permutation(pooled.size)]
-        means = np.add.reduceat(shuffled, starts) / sizes
+    # blocks of permutations, each row drawn as rng.permutation(pooled.size)
+    for first in range(0, n_permutations, _PERMUTATION_BLOCK):
+        rows = min(_PERMUTATION_BLOCK, n_permutations - first)
+        order = rng.permuted(np.tile(np.arange(pooled.size), (rows, 1)), axis=1)
+        means = np.add.reduceat(pooled[order], starts, axis=1) / sizes
         # the largest |mean_i - mean_j| over all pairs, to the bit
-        max_stats[k] = means.max() - means.min()
+        max_stats[first:first + rows] = means.max(axis=1) - means.min(axis=1)
 
     observed_means = np.array([a.mean() for a in arrays])
     out = []

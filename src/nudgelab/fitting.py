@@ -14,10 +14,10 @@ and the gradient is exact for that interpolant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ._util import Adam, derive_seed, sigmoid, softplus, softplus_inverse
 from .core import PopulationPosterior, WeightVector
@@ -39,11 +39,12 @@ __all__ = [
 _GRADIENT_TOL = 1e-2
 
 # Grid of logit shifts on which _EnsembleResponse tabulates a trial's ensemble
-# response: step 0.05 over [-12, 12].  The cubic Hermite error is at most
+# response: step 0.05 over [-24, 24], wide enough for most shifts a delayed
+# fit visits.  The cubic Hermite error is at most
 # step^4 / 384 * max|d^4 sigmoid / dx^4| = 2.1e-9 in probability.
-_GRID_LO = -12.0
+_GRID_LO = -24.0
 _GRID_STEP = 0.05
-_GRID_NODES = 481
+_GRID_NODES = 961
 # Smallest ensemble whose response is tabulated.  Below it a fit's exact
 # evaluations cost less than the table's lookups (see CHANGES.md).
 _TABULATE_MIN_MEMBERS = 128
@@ -100,8 +101,10 @@ class _EnsembleResponse:
     exactly, for that trial only.  The table (``node_p``, ``node_slope``:
     nodes x T) is a cache of the exact response: a cell is evaluated the
     first time a lookup reads it and marked in ``filled``, so a fit pays
-    only for the nodes it visits.  Every exact evaluation, cells included,
-    reads the kept logits ``base`` (T x S).
+    only for the nodes it visits.  ``ready`` marks the intervals (node k,
+    trial t) whose two end cells are both filled, so a lookup that needs
+    no new cell costs one read of it.  Every exact evaluation, cells
+    included, reads the kept logits ``base`` (T x S).
     """
 
     def __init__(self, ensemble: np.ndarray, augmented: np.ndarray,
@@ -119,6 +122,7 @@ class _EnsembleResponse:
             self.node_p = np.full((_GRID_NODES, n_trials), np.nan)
             self.node_slope = np.full_like(self.node_p, np.nan)
             self.filled = np.zeros(self.node_p.shape, dtype=bool)
+            self.ready = np.zeros((_GRID_NODES - 1, n_trials), dtype=bool)
         for start in range(0, n_trials, chunk):
             part = slice(start, start + chunk)
             x = augmented[part]
@@ -127,7 +131,7 @@ class _EnsembleResponse:
                 base += x[:, j:j + 1] * members[j]
             if initial is not None:
                 weight = self.mask[part]
-                np.equal(expit(base) >= 0.5, initial[part, None] == 1, out=weight)
+                np.equal(base >= 0.0, initial[part, None] == 1, out=weight)
                 weight[~weight.any(axis=1)] = True
                 self.count[part] = weight.sum(axis=1)
 
@@ -145,11 +149,12 @@ class _EnsembleResponse:
             part = slice(start, start + self.chunk)
             take = rows[part]
             member = self.base[take]
-            member += shift[part, None]
+            # -x = -shift - base: the same bits as -(base + shift)
+            np.subtract(-shift[part, None], member, out=member)
             # sigmoid = 1 / (1 + e^-x), the formula of scipy's expit at a
             # quarter of its cost; e^-x overflows to inf where sigmoid is 0
             with np.errstate(over="ignore"):
-                np.exp(np.negative(member, out=member), out=member)
+                np.exp(member, out=member)
             member += 1.0
             np.reciprocal(member, out=member)
             dmember = np.subtract(1.0, member)
@@ -174,17 +179,15 @@ class _EnsembleResponse:
             node[off] = 0.0
             u[off] = 0.0
         u -= node
+        # interval (k, t) of ready and cell (k, t) of the table share the
+        # flat index k * T + t
         at = node.astype(np.intp) * self.columns.size + self.columns
+        ready = self.ready.take(at)
+        if not all_on_grid:
+            ready |= off
+        if not ready.all():
+            self._fill(at[~ready])
         after = at + self.columns.size
-        # evaluate the cells this lookup reads that no earlier lookup filled
-        cells = np.stack((at, after))[:, on_grid]
-        cells = cells[~self.filled.take(cells)]
-        if cells.size:
-            cells = np.unique(cells)
-            k, t = np.divmod(cells, self.columns.size)
-            self.node_p.flat[cells], self.node_slope.flat[cells] = self._rows(
-                t, _GRID_LO + _GRID_STEP * k)
-            self.filled.flat[cells] = True
         # Hermite coefficients of the interval in u = (c - c_k) / step
         a0 = self.node_p.take(at)
         rise = self.node_p.take(after) - a0
@@ -200,19 +203,45 @@ class _EnsembleResponse:
             p[off], dp_dc[off] = self._rows(np.nonzero(off)[-1], shift[off])
         return p, dp_dc
 
+    def _fill(self, at):
+        """Evaluate the cells not yet filled at both ends of the intervals
+        that start at (flat) cells ``at``, and mark them ready."""
+        n_trials = self.columns.size
+        cells = np.unique(np.concatenate((at, at + n_trials)))
+        cells = cells[~self.filled.take(cells)]
+        k, t = np.divmod(cells, n_trials)
+        self.node_p.flat[cells], self.node_slope.flat[cells] = self._rows(
+            t, _GRID_LO + _GRID_STEP * k)
+        self.filled.flat[cells] = True
+        # the intervals that end at a new cell and those that start at one
+        intervals = np.concatenate((cells[k > 0] - n_trials,
+                                    cells[k < _GRID_NODES - 1]))
+        self.ready.flat[intervals] = (self.filled.take(intervals)
+                                      & self.filled.take(intervals + n_trials))
 
-def _group_sum(values, groups, n_groups):
-    """Sum ``values`` (R, T, ...) over trials into ``groups[t]``: an
+
+class _GroupSum:
+    """Sums of (R, T, ...) values over trials into ``groups[t]``: an
     (R, n_groups, ...) array.  Each sum adds its terms in trial order, so
-    a group's sum does not depend on the other groups."""
-    n_rows = values.shape[0]
-    tail = values.shape[2:]
-    width = int(np.prod(tail, dtype=np.intp))
-    index = ((np.arange(n_rows)[:, None] * n_groups + groups)[..., None] * width
-             + np.arange(width))
-    sums = np.bincount(index.ravel(), weights=values.ravel(),
-                       minlength=n_rows * n_groups * width)
-    return sums.reshape((n_rows, n_groups) + tail)
+    a group's sum does not depend on the other groups.  The ``bincount``
+    index of each input shape is built once and kept."""
+
+    def __init__(self, groups, n_groups):
+        self.groups = groups
+        self.n_groups = n_groups
+        self.index = {}
+
+    def __call__(self, values):
+        n_rows, _, *tail = values.shape
+        width = math.prod(tail)
+        index = self.index.get(values.shape)
+        if index is None:
+            index = ((np.arange(n_rows)[:, None] * self.n_groups
+                      + self.groups)[..., None] * width + np.arange(width)).ravel()
+            self.index[values.shape] = index
+        sums = np.bincount(index, weights=values.ravel(),
+                           minlength=n_rows * self.n_groups * width)
+        return sums.reshape((n_rows, self.n_groups, *tail))
 
 
 class NudgeObjective:
@@ -264,6 +293,7 @@ class NudgeObjective:
         self.subject_trials = np.asarray(sizes, dtype=float)             # (K,)
         self.subject = np.repeat(np.arange(self.n_subjects), sizes)      # (T,)
         self.trial_count = self.subject_trials[self.subject]             # (T,)
+        self.by_subject = _GroupSum(self.subject, self.n_subjects)
 
         self.features = np.stack([t.features for t in trials])           # (T, n)
         n_trials = len(trials)
@@ -296,6 +326,7 @@ class NudgeObjective:
             branch = (rec != initial).astype(np.intp)
         # the shift-vector block (subject, branch) that moves each trial
         self.block = self.subject * self.n_branches + branch             # (T,)
+        self.by_block = _GroupSum(self.block, self.n_subjects * self.n_branches)
         self.response = _EnsembleResponse(
             ensemble, np.hstack([self.features, np.ones((n_trials, 1))]), initial,
             chunk=max(max(sizes), _CHUNK_ELEMENTS // len(ensemble)))
@@ -379,8 +410,7 @@ class NudgeObjective:
         of its probabilities sits on the clip boundary (R, K)."""
         value, grad, probs = self._nll(self._stacked(theta), tabulated=False)
         on_boundary = (probs <= self.clip_eps) | (probs >= 1.0 - self.clip_eps)
-        clipped = _group_sum(on_boundary.astype(float), self.subject,
-                             self.n_subjects) > 0.0
+        clipped = self.by_subject(on_boundary.astype(float)) > 0.0
         return value, grad, clipped
 
     def _nll(self, theta, tabulated):
@@ -390,8 +420,7 @@ class NudgeObjective:
         eps = self.clip_eps
         clipped = np.clip(probs, eps, 1.0 - eps)
         loglik = self.final * np.log(clipped) + (1.0 - self.final) * np.log1p(-clipped)
-        value = -(_group_sum(loglik, self.subject, self.n_subjects)
-                  / self.subject_trials)
+        value = -self.by_subject(loglik) / self.subject_trials
         interior = (probs > eps) & (probs < 1.0 - eps)
         dvalue_dp = np.where(
             interior,
@@ -409,9 +438,8 @@ class NudgeObjective:
                      + (1.0 - trial_attention) * self.mean_ignored)
 
             def backward(dvalue_dp):
-                d_attention = _group_sum(
-                    dvalue_dp * (self.mean_focused - self.mean_ignored),
-                    self.subject, self.n_subjects)
+                d_attention = self.by_subject(
+                    dvalue_dp * (self.mean_focused - self.mean_ignored))
                 return (d_attention * attention * (1.0 - attention))[..., None]
 
             return probs, backward
@@ -428,8 +456,7 @@ class NudgeObjective:
 
         def backward(dvalue_dp):
             dshift = dvalue_dp * slope * self.direction                  # (R, T)
-            ddelta = _group_sum(dshift[..., None] * self.features,
-                                self.block, blocks.shape[1])             # (R, K*B, n)
+            ddelta = self.by_block(dshift[..., None] * self.features)   # (R, K*B, n)
             return _shift_vector_gradient(blocks, mags, ddelta).reshape(theta.shape)
 
         return probs, backward

@@ -83,7 +83,8 @@ class BehaviorRecord:
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 1 or feats.size == 0:
             raise ConfigurationError("record features must be a nonempty vector")
-        if np.any(feats < 0.0) or np.any(feats > 1.0) or not np.all(np.isfinite(feats)):
+        # one range test; NaN and +-inf fail it too
+        if not ((feats >= 0.0) & (feats <= 1.0)).all():
             raise ConfigurationError("record features must lie in [0, 1]")
         object.__setattr__(self, "features", _frozen_array(feats))
         object.__setattr__(self, "treatment", Treatment(self.treatment))
@@ -93,7 +94,7 @@ class BehaviorRecord:
             raise ConfigurationError("crt_score must be in 0..3")
         if self.explanation_mask is not None:
             mask = np.asarray(self.explanation_mask, dtype=int)
-            if mask.shape != feats.shape or not np.all(np.isin(mask, (0, 1))):
+            if mask.shape != feats.shape or not ((mask == 0) | (mask == 1)).all():
                 raise ConfigurationError("explanation_mask must be 0/1 of feature length")
             object.__setattr__(self, "explanation_mask", _frozen_array(mask, dtype=int))
         self._check_payload()

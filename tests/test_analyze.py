@@ -208,3 +208,34 @@ class TestPairwisePosthoc:
         for c, (i, j) in zip(comparisons, pairs):
             assert c.mean_diff == observed[i] - observed[j]
             assert c.p_value == np.mean(max_stats >= abs(observed[i] - observed[j]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        groups=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40),
+                        min_size=2, max_size=4),
+        n_permutations=st.sampled_from([100, 999, 1000, 1001, 2000, 2345]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocks_of_permutations_equal_one_at_a_time(self, groups,
+                                                        n_permutations, seed):
+        # the oracle draws and reduces one permutation at a time, as
+        # pairwise_posthoc did before it drew them in blocks
+        arrays = [np.asarray(g, dtype=float) for g in groups]
+        pooled = np.concatenate(arrays)
+        sizes = np.array([a.size for a in arrays])
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        rng = np.random.default_rng(seed)
+        max_stats = np.empty(n_permutations)
+        for k in range(n_permutations):
+            shuffled = pooled[rng.permutation(pooled.size)]
+            means = np.add.reduceat(shuffled, starts) / sizes
+            max_stats[k] = means.max() - means.min()
+        observed = [a.mean() for a in arrays]
+
+        comparisons = pairwise_posthoc(groups, n_permutations, seed)
+        pairs = [(i, j) for i in range(len(arrays))
+                 for j in range(i + 1, len(arrays))]
+        assert [c.pair for c in comparisons] == pairs
+        for c, (i, j) in zip(comparisons, pairs):
+            assert c.mean_diff == observed[i] - observed[j]
+            assert c.p_value == np.mean(max_stats >= abs(observed[i] - observed[j]))

@@ -25,9 +25,19 @@ from nudgelab import (
     generate_behavior,
     uniform_tasks,
 )
-from nudgelab.fitting import _GRID_LO, _GRID_STEP, _EnsembleResponse, _minimize
+from nudgelab.fitting import (
+    _GRID_LO,
+    _GRID_NODES,
+    _GRID_STEP,
+    _EnsembleResponse,
+    _minimize,
+)
 
 N = 3
+# the response table's grid spans shifts in [_GRID_LO, GRID_HI]; the tests
+# draw shifts up to half as far again on either side, so some fall beyond it
+GRID_HI = _GRID_LO + _GRID_STEP * (_GRID_NODES - 1)
+BEYOND_GRID = 1.5 * max(-_GRID_LO, GRID_HI)
 
 
 def make_posterior(seed=1, size=60, variance=0.3):
@@ -137,11 +147,12 @@ class TestResponseTable:
         treatment=st.sampled_from([Treatment.IMMEDIATE, Treatment.DELAYED]),
         seed=st.integers(0, 2**16),
         fallback=st.booleans(),
-        shifts=st.lists(st.floats(-20.0, 20.0), min_size=12, max_size=12),
+        shifts=st.lists(st.floats(-BEYOND_GRID, BEYOND_GRID), min_size=12,
+                        max_size=12),
     )
     def test_matches_exact_response(self, treatment, seed, fallback, shifts):
-        # the grid spans shifts in [-12, 12]; beyond it each trial falls
-        # back to the exact response on its own
+        # beyond the grid each trial falls back to the exact response on
+        # its own
         response = response_objective(treatment, seed, fallback).response
         if fallback and treatment == Treatment.DELAYED:
             assert response.mask.all()
@@ -165,8 +176,9 @@ class TestResponseTable:
         treatment=st.sampled_from([Treatment.IMMEDIATE, Treatment.DELAYED]),
         seed=st.integers(0, 2**16),
         fallback=st.booleans(),
-        lookups=st.lists(st.lists(st.floats(-20.0, 20.0), min_size=24,
-                                  max_size=24), min_size=1, max_size=4),
+        lookups=st.lists(st.lists(st.floats(-BEYOND_GRID, BEYOND_GRID),
+                                  min_size=24, max_size=24),
+                         min_size=1, max_size=4),
     )
     def test_filling_on_demand_gives_the_same_bits(self, treatment, seed,
                                                    fallback, lookups):
@@ -201,6 +213,34 @@ class TestResponseTable:
         assert np.array_equal(slope[filled], response.node_slope[filled])
         assert np.isnan(p[~filled]).all() and np.isnan(slope[~filled]).all()
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        treatment=st.sampled_from([Treatment.IMMEDIATE, Treatment.DELAYED]),
+        seed=st.integers(0, 2**16),
+        lookups=st.lists(st.lists(st.floats(-BEYOND_GRID, BEYOND_GRID),
+                                  min_size=24, max_size=24),
+                         min_size=1, max_size=4),
+    )
+    def test_ready_marks_intervals_with_both_ends_filled(self, treatment, seed,
+                                                         lookups):
+        response = response_objective(treatment, seed, False).response
+        for shifts in lookups:
+            response.interpolated(np.reshape(shifts, (2, 12)))
+            assert np.array_equal(response.ready,
+                                  response.filled[:-1] & response.filled[1:])
+        # every interval of a repeated lookup is ready, so it fills nothing
+        shift = np.reshape(lookups[-1], (2, 12))
+        expected = response.interpolated(shift)
+        filled = response.filled.copy()
+
+        def no_fill(at):
+            raise AssertionError("a ready lookup filled cells")
+
+        response._fill = no_fill
+        for got, want in zip(response.interpolated(shift), expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(response.filled, filled)
+
 
 def fill_table(response, cells):
     """Evaluate the table cells marked in ``cells`` (nodes x T) exactly."""
@@ -208,6 +248,7 @@ def fill_table(response, cells):
     response.node_p[cells], response.node_slope[cells] = response._rows(
         t, _GRID_LO + _GRID_STEP * k)
     response.filled |= cells
+    response.ready = response.filled[:-1] & response.filled[1:]
 
 
 def stacked_shift(objective, theta):
@@ -232,6 +273,11 @@ def scaled_params(treatment, scale):
     return params
 
 
+# the largest scale test_each_subject_fits_as_if_alone multiplies the true
+# shift vectors by
+LARGEST_SCALE = 12.0
+
+
 class TestStackedFit:
     @settings(max_examples=24, deadline=None)
     @given(
@@ -239,7 +285,7 @@ class TestStackedFit:
         members=st.sampled_from([60, 200]),
         seed=st.integers(0, 2**16),
         sizes=st.lists(st.integers(3, 20), min_size=2, max_size=4),
-        scale=st.floats(0.5, 12.0),
+        scale=st.floats(0.5, LARGEST_SCALE),
     )
     def test_each_subject_fits_as_if_alone(self, case, members, seed, sizes,
                                            scale):
@@ -266,6 +312,50 @@ class TestStackedFit:
                 assert single.train_nll == other.train_nll
                 assert single.restart_index == other.restart_index
                 assert single.converged == other.converged
+
+    @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
+    def test_large_scales_reach_beyond_the_grid(self, treatment):
+        # the test above covers the exact fallback of the tabulated response
+        # only if its largest scale drives some shifts past the grid
+        interpolated = _EnsembleResponse.interpolated
+        largest = []
+
+        def recording(self, shift):
+            largest.append(np.abs(shift).max())
+            return interpolated(self, shift)
+
+        trial_sets = [make_trials(treatment,
+                                  scaled_params(treatment, LARGEST_SCALE),
+                                  seed=k, n_trials=20) for k in range(3)]
+        config = FitConfig(iterations=40, restarts=4, learning_rate=0.3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_EnsembleResponse, "interpolated", recording)
+            fit_nudge_batch(trial_sets, make_posterior(seed=0, size=200),
+                            treatment, config, [0, 7, 14])
+        assert len(largest) == config.iterations + 1
+        assert max(largest) > GRID_HI
+
+    @pytest.mark.parametrize("treatment", list(PARAMS_BY_TREATMENT))
+    def test_row_counts_share_one_objective(self, treatment):
+        # an objective keeps its group-sum indices per row count; evaluating
+        # R = 1, then R = 3, then R = 1 rows must give the bits of fresh
+        # objectives
+        trial_sets = [make_trials(treatment, PARAMS_BY_TREATMENT[treatment],
+                                  seed=s, n_trials=n)
+                      for s, n in ((3, 9), (5, 14), (8, 6))]
+        ensemble = make_posterior(size=200).ensemble
+        shared = NudgeObjective(trial_sets, ensemble, treatment)
+        theta = np.random.default_rng(53).normal(0.0, 1.0,
+                                                 (3, 3, shared.n_params))
+        for rows in (theta[:1], theta, theta[:1]):
+            fresh = NudgeObjective(trial_sets, ensemble, treatment)
+            for got, want in zip(shared.value_and_gradient(rows),
+                                 fresh.value_and_gradient(rows)):
+                assert np.array_equal(got, want)
+            fresh = NudgeObjective(trial_sets, ensemble, treatment)
+            for got, want in zip(shared.fit_summary(rows),
+                                 fresh.fit_summary(rows)):
+                assert np.array_equal(got, want)
 
     def test_one_subject_calls_are_batch_calls(self):
         point = WeightVector([1.0, -0.8, 0.6], bias=-0.3)
@@ -365,9 +455,9 @@ class TestStackedFit:
         tabulated = members >= 128
         if treatment != Treatment.EXPLANATION:
             assert objective.response.tabulated == tabulated
-            theta[0, :, ::1 + objective.n] = 30.0
+            theta[0, :, ::1 + objective.n] = 60.0
             shift = np.abs(stacked_shift(objective, theta))
-            assert np.any(shift > 12.0) and np.any(shift < 12.0)
+            assert np.any(shift > GRID_HI) and np.any(shift < GRID_HI)
         value, grad = objective.value_and_gradient(theta)
         assert value.shape == (3, 3) and grad.shape == theta.shape
         h = 1e-5

@@ -70,9 +70,24 @@ class TestRecordValidation:
         assert len(longest.subject_id) == 251
 
     def test_feature_range(self):
-        with pytest.raises(ConfigurationError):
-            BehaviorRecord(subject_id="x", treatment=Treatment.INDEPENDENT,
-                           trial_index=0, features=[1.5], final_decision=1)
+        for bad in (1.5, -0.25, np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError,
+                               match=r"record features must lie in \[0, 1\]"):
+                BehaviorRecord(subject_id="x", treatment=Treatment.INDEPENDENT,
+                               trial_index=0, features=[0.5, bad],
+                               final_decision=1)
+        record = BehaviorRecord(subject_id="x", treatment=Treatment.INDEPENDENT,
+                                trial_index=0, features=[0.0, 1.0],
+                                final_decision=1)
+        assert record.features.tolist() == [0.0, 1.0]
+
+    def test_explanation_mask_is_zero_one_of_feature_length(self):
+        for bad in ([1, 2], [-1, 0], [1], [1, 0, 1]):
+            with pytest.raises(ConfigurationError,
+                               match="explanation_mask must be 0/1 of feature length"):
+                BehaviorRecord(subject_id="x", treatment=Treatment.EXPLANATION,
+                               trial_index=0, features=[0.5, 0.5],
+                               final_decision=1, explanation_mask=bad)
 
 
 def _id_text(text):
