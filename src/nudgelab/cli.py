@@ -47,6 +47,7 @@ from .errors import (
     DataValidationError,
     NudgelabError,
     UsageError,
+    open_input,
 )
 from .evaluate import (
     UNINFORMATIVE_NLL,
@@ -205,7 +206,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         path = Path(path)
         if not path.exists():
             raise DataValidationError(f"config file not found: {path}")
-        with open(path) as handle:
+        with open_input(path, "config file") as handle:
             try:
                 values = json.load(handle)
             except json.JSONDecodeError as exc:
@@ -268,7 +269,7 @@ def load_posterior(path) -> PopulationPosterior:
             f"population posterior missing: {path} (run fit-population first)"
         )
     try:
-        with open(path) as handle:
+        with open_input(path, "population posterior") as handle:
             payload = json.load(handle)
         mean = np.asarray(payload["mean"], dtype=float)
         variance = np.asarray(payload["variance"], dtype=float)
@@ -302,7 +303,13 @@ def _malformed(what: str, path, exc: Exception) -> DataValidationError:
 
 def write_params_file(path, subject_id: str, treatment: Treatment,
                       result: NudgeFitResult, fingerprint: str):
-    """Structured key/value dump of one subject's fitted parameters."""
+    """Structured key/value dump of one subject's fitted parameters.
+
+    ``theta`` is the fit's parameter vector: for a shift-vector fit its
+    [scale, raw magnitudes] blocks (magnitudes = softplus(raw)) and the
+    winning ``restart_index``; for an explanation fit the attention weight
+    itself, with ``restart_index`` 0.  One section per parameter follows.
+    """
     lines = [
         f"config_fingerprint: {fingerprint}",
         f"subject_id: {subject_id}",
@@ -332,8 +339,10 @@ def write_params_file(path, subject_id: str, treatment: Treatment,
 
 def read_params_file(path) -> dict:
     """Parse a params file back into {subject_id, treatment, params, ...}."""
+    with open_input(path, "params file") as handle:
+        text = handle.read()
     try:
-        return _parse_params(Path(path).read_text())
+        return _parse_params(text)
     except (*_MALFORMED, ConfigurationError) as exc:
         raise _malformed("params file", path, exc) from exc
 

@@ -1,8 +1,11 @@
 """Semantic exception hierarchy.
 
 Every failure mode maps to one category so callers (and the CLI exit-code
-logic) can dispatch without string matching.
+logic) can dispatch without string matching.  ``open_input`` maps a file
+that cannot be read to that hierarchy too.
 """
+
+from contextlib import contextmanager
 
 
 class NudgelabError(Exception):
@@ -43,3 +46,20 @@ class DataValidationError(NudgelabError):
     def __init__(self, message, row_errors=None):
         super().__init__(message)
         self.row_errors = list(row_errors) if row_errors else []
+
+
+@contextmanager
+def open_input(path, what: str, newline: str | None = None):
+    """``open(path, newline=newline)`` for reading, where a file that cannot
+    be read (a directory, no permission, bytes the text encoding rejects)
+    raises a DataValidationError that names ``what``."""
+    try:
+        with open(path, newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        reason = str(exc)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    else:
+        return
+    raise DataValidationError(f"cannot read {what} {path}: {reason}")

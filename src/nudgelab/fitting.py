@@ -1,15 +1,18 @@
 """Per-subject maximum-likelihood estimation of nudge parameters.
 
 The likelihood of a subject's final decisions is evaluated under the
-frozen posterior ensemble; shift vectors are optimized through smooth
+frozen posterior ensemble.  Shift vectors are optimized through smooth
 unconstrained reparameterizations (free signed scale, softplus
-magnitudes, sigmoid attention weight) by multi-restart Adam.  Every
-subject and restart of one call runs in a single stacked Adam loop; each
-subject's result is the same bits as when it is fitted alone.  Gradients
-are analytic, exact for the frozen-sample objective; inside the Adam loop
-a large ensemble's response is interpolated from a per-trial table of the
-exact response, whose nodes are evaluated when the fit first reads them,
-and the gradient is exact for that interpolant.
+magnitudes) by multi-restart Adam; every subject and restart of one call
+runs in a single stacked Adam loop.  Gradients are analytic, exact for
+the frozen-sample objective; inside the Adam loop a large ensemble's
+response is interpolated from a per-trial table of the exact response,
+whose nodes are evaluated when the fit first reads them, and the gradient
+is exact for that interpolant.  An explanation trial's probability is
+linear in the attention weight, so its penalized NLL is convex in it and
+a stacked safeguarded Newton solve finds each subject's optimum exactly,
+with no restarts.  Either way each subject's result is the same bits as
+when it is fitted alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import Adam, derive_seed, sigmoid, softplus, softplus_inverse
+from ._util import NEWTON_TOL, Adam, derive_seed, sigmoid, softplus, softplus_inverse
 from .core import PopulationPosterior, WeightVector
 from .errors import ConfigurationError, UsageError
 from .nudge import NudgeParams, SignedSharedSignVector
@@ -39,12 +42,15 @@ __all__ = [
 _GRADIENT_TOL = 1e-2
 
 # Grid of logit shifts on which _EnsembleResponse tabulates a trial's ensemble
-# response: step 0.05 over [-24, 24], wide enough for most shifts a delayed
-# fit visits.  The cubic Hermite error is at most
-# step^4 / 384 * max|d^4 sigmoid / dx^4| = 2.1e-9 in probability.
+# response: step 0.2 over [-24, 24], wide enough for most shifts a delayed
+# fit visits.  The quintic Hermite error is at most
+# step^6 / 46080 * max|d^6 sigmoid / dx^6| = 5.7e-10 in probability.
 _GRID_LO = -24.0
-_GRID_STEP = 0.05
-_GRID_NODES = 961
+_GRID_STEP = 0.2
+_GRID_NODES = 241
+# The explanation solve's step cap; bisection alone would reach NEWTON_TOL in
+# 34 steps.
+_ATTENTION_MAX_STEPS = 100
 # Smallest ensemble whose response is tabulated.  Below it a fit's exact
 # evaluations cost less than the table's lookups (see CHANGES.md).
 _TABULATE_MIN_MEMBERS = 128
@@ -55,7 +61,10 @@ _CHUNK_ELEMENTS = 4096
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for the nudge-parameter MLE."""
+    """Settings for the nudge-parameter MLE.  ``learning_rate``,
+    ``iterations``, ``seed`` and ``restarts`` drive the shift-vector fits'
+    Adam loop; the explanation solve uses only ``clip_eps`` and
+    ``l2_penalty``."""
 
     learning_rate: float = 0.05
     iterations: int = 500
@@ -96,15 +105,17 @@ class _EnsembleResponse:
     ``chunk`` at a time.
 
     With at least ``_TABULATE_MIN_MEMBERS`` members, ``interpolated``
-    evaluates the cubic Hermite interpolant of p_t and its slope between
+    evaluates the quintic Hermite interpolant of p_t and its slope between
     the nodes of a fixed grid of shifts; a shift off the grid is evaluated
-    exactly, for that trial only.  The table (``node_p``, ``node_slope``:
-    nodes x T) is a cache of the exact response: a cell is evaluated the
-    first time a lookup reads it and marked in ``filled``, so a fit pays
-    only for the nodes it visits.  ``ready`` marks the intervals (node k,
-    trial t) whose two end cells are both filled, so a lookup that needs
-    no new cell costs one read of it.  Every exact evaluation, cells
-    included, reads the kept logits ``base`` (T x S).
+    exactly, for that trial only.  The table (``node_p``, ``node_slope``,
+    ``node_curv`` = d2p/dc2: nodes x T) is a cache of the exact response:
+    a cell is evaluated the first time a lookup reads it and marked in
+    ``filled``, so a fit pays only for the nodes it visits.  ``ready``
+    marks the intervals (node k, trial t) whose two end cells are both
+    filled, and ``coef`` holds those intervals' polynomial coefficients,
+    so a lookup that needs no new cell reads ``ready`` and ``coef`` only.
+    Every exact evaluation, cells included, reads the kept logits ``base``
+    (T x S).
     """
 
     def __init__(self, ensemble: np.ndarray, augmented: np.ndarray,
@@ -121,8 +132,11 @@ class _EnsembleResponse:
         if self.tabulated:
             self.node_p = np.full((_GRID_NODES, n_trials), np.nan)
             self.node_slope = np.full_like(self.node_p, np.nan)
+            self.node_curv = np.full_like(self.node_p, np.nan)
             self.filled = np.zeros(self.node_p.shape, dtype=bool)
             self.ready = np.zeros((_GRID_NODES - 1, n_trials), dtype=bool)
+            # row j: the coefficient of u^j in interval k * T + t
+            self.coef = np.full((6, self.ready.size), np.nan)
         for start in range(0, n_trials, chunk):
             part = slice(start, start + chunk)
             x = augmented[part]
@@ -138,13 +152,15 @@ class _EnsembleResponse:
     def exact(self, shift: np.ndarray):
         """(p, dp/dc) for shifts of shape (..., T)."""
         rows = np.broadcast_to(self.columns, shift.shape)
-        p, slope = self._rows(rows.ravel(), shift.ravel())
+        p, slope, _ = self._rows(rows.ravel(), shift.ravel())
         return p.reshape(shift.shape), slope.reshape(shift.shape)
 
-    def _rows(self, rows, shift):
-        """Exact (p, dp/dc) of trials ``rows`` at ``shift``, one per row."""
+    def _rows(self, rows, shift, curvature=False):
+        """Exact (p, dp/dc, d2p/dc2) of trials ``rows`` at ``shift``, one per
+        row; d2p/dc2 is None unless ``curvature``."""
         p = np.empty(rows.size)
         slope = np.empty(rows.size)
+        curv = np.empty(rows.size) if curvature else None
         for start in range(0, rows.size, self.chunk):
             part = slice(start, start + self.chunk)
             take = rows[part]
@@ -166,7 +182,14 @@ class _EnsembleResponse:
             count = self.count[take]
             p[part] = member.sum(axis=1) / count
             slope[part] = dmember.sum(axis=1) / count
-        return p, slope
+            if curvature:
+                # sigmoid'' = sigmoid (1 - sigmoid) (1 - 2 sigmoid), zero
+                # where the masked dmember is
+                member *= -2.0
+                member += 1.0
+                member *= dmember
+                curv[part] = member.sum(axis=1) / count
+        return p, slope, curv
 
     def interpolated(self, shift: np.ndarray):
         """(p, dp/dc) from the table, for shifts of shape (..., T)."""
@@ -187,20 +210,19 @@ class _EnsembleResponse:
             ready |= off
         if not ready.all():
             self._fill(at[~ready])
-        after = at + self.columns.size
-        # Hermite coefficients of the interval in u = (c - c_k) / step
-        a0 = self.node_p.take(at)
-        rise = self.node_p.take(after) - a0
-        a1 = _GRID_STEP * self.node_slope.take(at)
-        m1 = _GRID_STEP * self.node_slope.take(after)
-        a2 = 3.0 * rise - 2.0 * a1 - m1
-        a3 = a1 + m1 - 2.0 * rise
-        cubic = a3 * u
-        quadratic = (cubic + a2) * u
-        p = (quadratic + a1) * u + a0
-        dp_dc = (cubic * u + 2.0 * quadratic + a1) / _GRID_STEP
+        # p = sum_j coef_j u^j and dp/du, by Horner's rule
+        a0, a1, a2, a3, a4, a5 = (row.take(at) for row in self.coef)
+        p = a5 * u
+        dp_du = 5.0 * a5
+        for j, a in ((4, a4), (3, a3), (2, a2), (1, a1)):
+            p += a
+            p *= u
+            dp_du *= u
+            dp_du += j * a
+        p += a0
+        dp_dc = dp_du / _GRID_STEP
         if not all_on_grid:
-            p[off], dp_dc[off] = self._rows(np.nonzero(off)[-1], shift[off])
+            p[off], dp_dc[off], _ = self._rows(np.nonzero(off)[-1], shift[off])
         return p, dp_dc
 
     def _fill(self, at):
@@ -210,14 +232,34 @@ class _EnsembleResponse:
         cells = np.unique(np.concatenate((at, at + n_trials)))
         cells = cells[~self.filled.take(cells)]
         k, t = np.divmod(cells, n_trials)
-        self.node_p.flat[cells], self.node_slope.flat[cells] = self._rows(
-            t, _GRID_LO + _GRID_STEP * k)
+        (self.node_p.flat[cells], self.node_slope.flat[cells],
+         self.node_curv.flat[cells]) = self._rows(t, _GRID_LO + _GRID_STEP * k,
+                                                  curvature=True)
         self.filled.flat[cells] = True
         # the intervals that end at a new cell and those that start at one
         intervals = np.concatenate((cells[k > 0] - n_trials,
                                     cells[k < _GRID_NODES - 1]))
-        self.ready.flat[intervals] = (self.filled.take(intervals)
-                                      & self.filled.take(intervals + n_trials))
+        intervals = intervals[self.filled.take(intervals)
+                              & self.filled.take(intervals + n_trials)]
+        self.ready.flat[intervals] = True
+        self._coefficients(intervals)
+
+    def _coefficients(self, intervals):
+        """Set ``coef`` of the (flat) intervals: the quintic Hermite
+        polynomial in u = (c - c_k) / step that matches p, step * dp/dc and
+        step^2 * d2p/dc2 at both ends."""
+        after = intervals + self.columns.size
+        p0 = self.node_p.take(intervals)
+        rise = self.node_p.take(after) - p0
+        d0 = _GRID_STEP * self.node_slope.take(intervals)
+        d1 = _GRID_STEP * self.node_slope.take(after)
+        s0 = _GRID_STEP ** 2 * self.node_curv.take(intervals)
+        s1 = _GRID_STEP ** 2 * self.node_curv.take(after)
+        self.coef[:, intervals] = (
+            p0, d0, 0.5 * s0,
+            10.0 * rise - 6.0 * d0 - 4.0 * d1 - 0.5 * (3.0 * s0 - s1),
+            -15.0 * rise + 8.0 * d0 + 7.0 * d1 + 0.5 * (3.0 * s0 - 2.0 * s1),
+            6.0 * rise - 3.0 * (d0 + d1) - 0.5 * (s0 - s1))
 
 
 class _GroupSum:
@@ -258,13 +300,15 @@ class NudgeObjective:
 
     * immediate    — [scale, raw_magnitudes x n]
     * delayed      — [scale_affirm, raw_affirm x n, scale_contra, raw_contra x n]
-    * explanation  — [raw_attention]
+    * explanation  — [attention], read as the nearest point of [0, 1]
 
     Immediate and delayed assistance move trial t only through a scalar
     logit shift c_t, so its probability is a fixed 1-D function of c_t
     (``_EnsembleResponse``); ``value_and_gradient``, the objective the Adam
     loop steps, interpolates its table where it has one.  ``fit_summary``
-    and ``probabilities`` are exact.
+    and ``probabilities`` are exact.  An explanation trial's probability is
+    linear in the attention weight, so ``attention_derivatives`` gives the
+    exact first and second derivatives that its 1-D solve needs.
     """
 
     def __init__(self, trial_sets, ensemble: np.ndarray,
@@ -345,7 +389,7 @@ class NudgeObjective:
         if theta.shape != (self.n_params,):
             raise ConfigurationError(f"theta must have shape ({self.n_params},)")
         if self.treatment == Treatment.EXPLANATION:
-            return NudgeParams.for_explanation(float(sigmoid(theta[0])))
+            return NudgeParams.for_explanation(float(np.clip(theta[0], 0.0, 1.0)))
         vectors = [SignedSharedSignVector(scale=float(block[0]),
                                           magnitudes=softplus(block[1:]))
                    for block in theta.reshape(self.n_branches, 1 + self.n)]
@@ -354,14 +398,8 @@ class NudgeObjective:
         return NudgeParams.for_delayed(*vectors)
 
     def initial_theta(self, restart: int, seed: int) -> np.ndarray:
-        """Restart 0 starts near zero nudge; restart 1 flips the scale sign;
-        later restarts are random."""
-        if self.treatment == Treatment.EXPLANATION:
-            fixed = [0.0, 1.5, -1.5]
-            if restart < len(fixed):
-                return np.array([fixed[restart]])
-            rng = np.random.default_rng(derive_seed(seed, "init", restart))
-            return rng.normal(0.0, 1.5, size=1)
+        """A shift-vector fit's start: restart 0 starts near zero nudge;
+        restart 1 flips the scale sign; later restarts are random."""
         if restart in (0, 1):
             scale = 0.5 if restart == 0 else -0.5
             small = float(softplus_inverse(0.02))
@@ -432,15 +470,19 @@ class NudgeObjective:
     def _forward(self, theta, tabulated):
         n_rows = theta.shape[0]
         if self.treatment == Treatment.EXPLANATION:
-            attention = sigmoid(theta[..., 0])                           # (R, K)
-            trial_attention = attention[:, self.subject]                 # (R, T)
-            probs = (trial_attention * self.mean_focused
-                     + (1.0 - trial_attention) * self.mean_ignored)
+            raw = theta[..., 0]
+            attention = np.clip(raw, 0.0, 1.0)                           # (R, K)
+            probs = self._mixture(attention)
 
             def backward(dvalue_dp):
                 d_attention = self.by_subject(
                     dvalue_dp * (self.mean_focused - self.mean_ignored))
-                return (d_attention * attention * (1.0 - attention))[..., None]
+                # zero beyond [0, 1], where the clip is flat; at a bound,
+                # only the part that points into [0, 1] (the KKT residual)
+                d_attention[raw == 0.0] = np.minimum(d_attention[raw == 0.0], 0.0)
+                d_attention[raw == 1.0] = np.maximum(d_attention[raw == 1.0], 0.0)
+                d_attention[(raw < 0.0) | (raw > 1.0)] = 0.0
+                return d_attention[..., None]
 
             return probs, backward
 
@@ -461,10 +503,38 @@ class NudgeObjective:
 
         return probs, backward
 
+    def _mixture(self, attention):
+        """Explanation trials' probabilities (R, T) at attention (R, K)."""
+        trial_attention = attention[:, self.subject]                     # (R, T)
+        return (trial_attention * self.mean_focused
+                + (1.0 - trial_attention) * self.mean_ignored)
+
+    def attention_derivatives(self, attention):
+        """First and second derivatives of each subject's penalized mean
+        NLL in its attention weight, (K,) each, at ``attention`` (K,) in
+        [0, 1] (in (0, 1) with a penalty).  Clipped trials add nothing."""
+        probs = self._mixture(attention[None])[0]                        # (T,)
+        eps = self.clip_eps
+        interior = (probs > eps) & (probs < 1.0 - eps)
+        spread = np.where(interior, self.mean_focused - self.mean_ignored, 0.0)
+        probs = np.clip(probs, eps, 1.0 - eps)
+        y = self.final
+        dnll_dp = (probs - y) / (probs * (1.0 - probs))
+        d2nll_dp2 = y / probs ** 2 + (1.0 - y) / (1.0 - probs) ** 2
+        terms = np.stack([dnll_dp * spread, d2nll_dp2 * spread ** 2], axis=-1)
+        sums = self.by_subject(terms[None])[0]                           # (K, 2)
+        first, second = (sums / self.subject_trials[:, None]).T
+        if self.l2_penalty > 0.0:
+            _, d_penalty, d2_penalty = _logit_penalty(attention, self.l2_penalty)
+            first = first + d_penalty
+            second = second + d2_penalty
+        return first, second
+
     def _penalty(self, theta):
         if self.treatment == Treatment.EXPLANATION:
-            value = 0.5 * self.l2_penalty * theta[..., 0] ** 2
-            return value, self.l2_penalty * theta
+            value, grad, _ = _logit_penalty(np.clip(theta[..., 0], 0.0, 1.0),
+                                            self.l2_penalty)
+            return value, grad[..., None]
         blocks = theta.reshape(theta.shape[:2] + (self.n_branches, 1 + self.n))
         mags = softplus(blocks[..., 1:])
         deltas = blocks[..., :1] * mags
@@ -486,6 +556,17 @@ def _check_subject(trials, treatment):
                 f"trial treatment {t.treatment.value!r} does not match "
                 f"{treatment.value!r}"
             )
+
+
+def _logit_penalty(attention, l2_penalty):
+    """The attention weight's ridge penalty 0.5 * l2 * logit(a)^2 and its
+    first and second derivatives in a; infinite at a = 0 and a = 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logit = np.log(attention) - np.log1p(-attention)
+        variance = attention * (1.0 - attention)                         # 1 / dlogit/da
+        first = l2_penalty * logit / variance
+        second = l2_penalty * (1.0 - (1.0 - 2.0 * attention) * logit) / variance ** 2
+    return 0.5 * l2_penalty * logit ** 2, first, second
 
 
 def _shift_vector_gradient(blocks, mags, ddelta):
@@ -533,6 +614,44 @@ def _minimize(objective: NudgeObjective, config: FitConfig, seeds):
     return best_theta[restart, subjects], restart
 
 
+def _solve_attention(objective: NudgeObjective) -> np.ndarray:
+    """Each subject's optimal attention weight in [0, 1], (K,).
+
+    p is linear in the weight a, so each penalized mean NLL is convex in
+    a, and its minimizer is a bound whose derivative points outward
+    (without a penalty) or the root of the derivative, which safeguarded
+    Newton finds: a Newton step that leaves the bracket of the root is
+    replaced by bisection.  Each subject stops when its own step is at
+    most ``NEWTON_TOL``, so a stacked solve gives every subject the bits
+    of solving it alone.
+    """
+    n_subjects = objective.n_subjects
+    low, high = np.zeros(n_subjects), np.ones(n_subjects)
+    attention = np.full(n_subjects, 0.5)
+    live = np.ones(n_subjects, dtype=bool)
+    if objective.l2_penalty == 0.0:
+        # the penalty is infinite at the bounds; without it a bound is the
+        # minimizer when the derivative there points out of [0, 1]
+        for bound, outward in ((0.0, np.greater_equal), (1.0, np.less_equal)):
+            at_bound = outward(objective.attention_derivatives(
+                np.full(n_subjects, bound))[0], 0.0) & live
+            attention[at_bound] = bound
+            live &= ~at_bound
+    for _ in range(_ATTENTION_MAX_STEPS):
+        if not live.any():
+            break
+        first, second = objective.attention_derivatives(attention)
+        low = np.where(live & (first < 0.0), attention, low)
+        high = np.where(live & (first > 0.0), attention, high)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = attention - first / second
+        step = np.where((step > low) & (step < high), step, 0.5 * (low + high))
+        done = live & ((np.abs(step - attention) <= NEWTON_TOL) | (first == 0.0))
+        attention = np.where(live & (first != 0.0), step, attention)
+        live &= ~done
+    return attention
+
+
 def fit_nudge_batch(
     trial_sets,
     posterior: PopulationPosterior,
@@ -544,8 +663,9 @@ def fit_nudge_batch(
 
     The posterior's whole ensemble is used.  Subject k's restarts are drawn
     from ``seeds[k]`` (default: ``config.seed`` for all).  All subjects'
-    restarts run in one stacked Adam loop; each result is bit-identical to
-    fitting that subject alone.
+    restarts run in one stacked Adam loop, or for the explanation treatment
+    one stacked attention solve, whose results have ``restart_index`` 0;
+    each result is bit-identical to fitting that subject alone.
     """
     trial_sets = [list(trials) for trials in trial_sets]
     seeds = [config.seed] * len(trial_sets) if seeds is None else list(seeds)
@@ -555,7 +675,11 @@ def fit_nudge_batch(
         return []
     objective = NudgeObjective(trial_sets, posterior.ensemble, treatment,
                                config.clip_eps, config.l2_penalty)
-    best_theta, best_restart = _minimize(objective, config, seeds)
+    if objective.treatment == Treatment.EXPLANATION:
+        best_theta = _solve_attention(objective)[:, None]
+        best_restart = np.zeros(len(trial_sets), dtype=np.intp)
+    else:
+        best_theta, best_restart = _minimize(objective, config, seeds)
     train_nll, grad, clipped = objective.fit_summary(best_theta[None])
     converged = (np.abs(grad[0]).max(axis=1) <= _GRADIENT_TOL) & ~clipped[0]
     return [

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import TaskInstance, _frozen_array
-from .errors import ConfigurationError, DataValidationError
+from .errors import ConfigurationError, DataValidationError, open_input
 
 __all__ = [
     "Treatment",
@@ -46,6 +46,15 @@ _FIXED_SUFFIX = ["ai_rec", "ai_conf", "exp_mask", "initial_decision",
                  "final_decision", "crt_score"]
 # a file name holds at most 255 bytes, and fit-nudge appends ".txt"
 _MAX_ID_BYTES = 255 - len(".txt")
+# the optional payload fields, and which of them each treatment requires
+# (the others it must not carry)
+_PAYLOAD_FIELDS = ("ai_rec", "ai_conf", "exp_mask", "initial_decision")
+_PAYLOAD_REQUIRED = {
+    Treatment.INDEPENDENT: (False, False, False, False),
+    Treatment.IMMEDIATE: (True, True, False, False),
+    Treatment.DELAYED: (True, False, False, True),
+    Treatment.EXPLANATION: (False, False, True, False),
+}
 
 
 def csv_header(n_features: int) -> list[str]:
@@ -80,48 +89,45 @@ class BehaviorRecord:
             raise ConfigurationError(
                 "subject_id must be a file name: no /, \\ or NUL, not . or .., "
                 f"and at most {_MAX_ID_BYTES} UTF-8 bytes")
-        feats = np.asarray(self.features, dtype=float)
+        # the vectors are short, so their value tests run in Python: one
+        # numpy call each costs more than the whole loop
+        feats = _frozen_array(self.features)
         if feats.ndim != 1 or feats.size == 0:
             raise ConfigurationError("record features must be a nonempty vector")
         # one range test; NaN and +-inf fail it too
-        if not ((feats >= 0.0) & (feats <= 1.0)).all():
+        if not all(0.0 <= v <= 1.0 for v in feats.tolist()):
             raise ConfigurationError("record features must lie in [0, 1]")
-        object.__setattr__(self, "features", _frozen_array(feats))
+        object.__setattr__(self, "features", feats)
         object.__setattr__(self, "treatment", Treatment(self.treatment))
         if self.final_decision not in (0, 1):
             raise ConfigurationError("final_decision must be 0 or 1")
         if self.crt_score is not None and self.crt_score not in (0, 1, 2, 3):
             raise ConfigurationError("crt_score must be in 0..3")
         if self.explanation_mask is not None:
-            mask = np.asarray(self.explanation_mask, dtype=int)
-            if mask.shape != feats.shape or not ((mask == 0) | (mask == 1)).all():
+            mask = _frozen_array(self.explanation_mask, dtype=int)
+            if (mask.shape != feats.shape
+                    or not all(v in (0, 1) for v in mask.tolist())):
                 raise ConfigurationError("explanation_mask must be 0/1 of feature length")
-            object.__setattr__(self, "explanation_mask", _frozen_array(mask, dtype=int))
+            object.__setattr__(self, "explanation_mask", mask)
         self._check_payload()
 
     def _check_payload(self):
         t = self.treatment
-        has = {
-            "ai_rec": self.ai_recommendation is not None,
-            "ai_conf": self.ai_confidence is not None,
-            "exp_mask": self.explanation_mask is not None,
-            "initial_decision": self.initial_decision is not None,
-        }
-        required = {
-            Treatment.INDEPENDENT: set(),
-            Treatment.IMMEDIATE: {"ai_rec", "ai_conf"},
-            Treatment.DELAYED: {"ai_rec", "initial_decision"},
-            Treatment.EXPLANATION: {"exp_mask"},
-        }[t]
-        for name, present in has.items():
-            if name in required and not present:
-                raise ConfigurationError(
-                    f"{t.value} treatment requires {name}"
-                )
-            if name not in required and present:
-                raise ConfigurationError(
-                    f"{t.value} treatment must not carry {name}"
-                )
+        present = (self.ai_recommendation is not None,
+                   self.ai_confidence is not None,
+                   self.explanation_mask is not None,
+                   self.initial_decision is not None)
+        required = _PAYLOAD_REQUIRED[t]
+        if present != required:
+            for name, has, needs in zip(_PAYLOAD_FIELDS, present, required):
+                if needs and not has:
+                    raise ConfigurationError(
+                        f"{t.value} treatment requires {name}"
+                    )
+                if has and not needs:
+                    raise ConfigurationError(
+                        f"{t.value} treatment must not carry {name}"
+                    )
         if self.ai_recommendation is not None and self.ai_recommendation not in (0, 1):
             raise ConfigurationError("ai_rec must be 0 or 1")
         if self.ai_confidence is not None and not 0.5 <= self.ai_confidence <= 1.0:
@@ -137,60 +143,76 @@ class BehaviorRecord:
         return TaskInstance(features=self.features)
 
 
-def _parse_row(row: dict[str, str], n_features: int, line: int) -> BehaviorRecord:
-    def blank(name):
-        return row[name] is None or row[name] == ""
+def _required_int(name, text, allowed=None):
+    if text == "":
+        raise ValueError(f"{name} is required")
+    value = int(text)
+    if allowed is not None and value not in allowed:
+        raise ValueError(f"{name} must be one of {sorted(allowed)}")
+    return value
 
-    def req_int(name, allowed=None):
-        if blank(name):
-            raise ValueError(f"{name} is required")
-        value = int(row[name])
-        if allowed is not None and value not in allowed:
-            raise ValueError(f"{name} must be one of {sorted(allowed)}")
-        return value
 
+def _parse_row(values: list[str], n_features: int, line: int) -> BehaviorRecord:
+    """The record of one data row; ``values`` are its fields in header order."""
+    subject_id, treatment, trial_index = values[:3]
+    ai_rec, ai_conf, exp_mask, initial, final, crt = values[3 + n_features:]
     try:
-        treatment = Treatment(row["treatment"])
+        treatment = Treatment(treatment)
     except ValueError:
         raise DataValidationError(
-            f"line {line}: unknown treatment {row['treatment']!r}"
+            f"line {line}: unknown treatment {treatment!r}"
         ) from None
 
-    features = np.empty(n_features)
-    for i in range(n_features):
-        name = f"x_{i + 1}"
+    features = []
+    for i, text in enumerate(values[3:3 + n_features]):
         try:
-            features[i] = float(row[name])
-        except (TypeError, ValueError):
-            raise DataValidationError(f"line {line}: {name} is not a number") from None
-        if not 0.0 <= features[i] <= 1.0:
-            raise DataValidationError(
-                f"line {line}: {name} out of [0, 1]: {row[name]}"
-            )
+            value = float(text)
+        except ValueError:
+            raise DataValidationError(f"line {line}: x_{i + 1} is not a number") from None
+        if not 0.0 <= value <= 1.0:
+            raise DataValidationError(f"line {line}: x_{i + 1} out of [0, 1]: {text}")
+        features.append(value)
 
     try:
         kwargs = dict(
-            subject_id=row["subject_id"],
+            subject_id=subject_id,
             treatment=treatment,
-            trial_index=req_int("trial_index"),
+            trial_index=_required_int("trial_index", trial_index),
             features=features,
-            final_decision=req_int("final_decision", allowed=(0, 1)),
-            crt_score=None if blank("crt_score") else req_int("crt_score", (0, 1, 2, 3)),
+            final_decision=_required_int("final_decision", final, (0, 1)),
+            crt_score=None if crt == "" else _required_int("crt_score", crt,
+                                                           (0, 1, 2, 3)),
         )
-        if not blank("ai_rec"):
-            kwargs["ai_recommendation"] = req_int("ai_rec", allowed=(0, 1))
-        if not blank("ai_conf"):
-            kwargs["ai_confidence"] = float(row["ai_conf"])
-        if not blank("initial_decision"):
-            kwargs["initial_decision"] = req_int("initial_decision", allowed=(0, 1))
-        if not blank("exp_mask"):
-            mask_text = row["exp_mask"]
-            if len(mask_text) != n_features or set(mask_text) - {"0", "1"}:
+        if ai_rec != "":
+            kwargs["ai_recommendation"] = _required_int("ai_rec", ai_rec, (0, 1))
+        if ai_conf != "":
+            kwargs["ai_confidence"] = float(ai_conf)
+        if initial != "":
+            kwargs["initial_decision"] = _required_int("initial_decision", initial,
+                                                       (0, 1))
+        if exp_mask != "":
+            if len(exp_mask) != n_features or set(exp_mask) - {"0", "1"}:
                 raise ValueError(f"exp_mask must be {n_features} characters of 0/1")
-            kwargs["explanation_mask"] = np.array([int(c) for c in mask_text])
+            kwargs["explanation_mask"] = [int(c) for c in exp_mask]
         return BehaviorRecord(**kwargs)
     except (ValueError, ConfigurationError) as exc:
         raise DataValidationError(f"line {line}: {exc}") from None
+
+
+def _fields(lines: list[str]):
+    """Yield each line's CSV fields, as if it were read alone.  One reader
+    reads line after line until a quoted field runs past the end of its
+    line; that line is read alone, and a new reader starts after it."""
+    done = 0
+    while done < len(lines):
+        start = done
+        reader = csv.reader(lines[start:])
+        for values in reader:
+            done += 1
+            if reader.line_num > done - start:
+                yield next(csv.reader([lines[done - 1]]))
+                break
+            yield values
 
 
 def ingest(path, skip_invalid: bool = False) -> list[BehaviorRecord]:
@@ -200,12 +222,12 @@ def ingest(path, skip_invalid: bool = False) -> list[BehaviorRecord]:
     (subject_id, trial_index) is a problem of the later row.  The whole run
     aborts on any invalid row unless ``skip_invalid`` is set, in which
     case offending rows are dropped.  Schema problems (missing or
-    misordered columns) always abort.
+    misordered columns) and a file that cannot be read always abort.
     """
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"behavior file not found: {path}")
-    with open(path, newline="") as handle:
+    with open_input(path, "behavior file", newline="") as handle:
         lines = [(i + 1, line) for i, line in enumerate(handle)
                  if line.strip() and not line.lstrip().startswith("#")]
     if not lines:
@@ -225,15 +247,14 @@ def ingest(path, skip_invalid: bool = False) -> list[BehaviorRecord]:
     records: list[BehaviorRecord] = []
     errors: list[str] = []
     first_line: dict[tuple[str, int], int] = {}
-    for line_no, text in lines[1:]:
-        values = next(csv.reader([text]))
+    rows = _fields([text for _, text in lines[1:]])
+    for (line_no, _), values in zip(lines[1:], rows):
         if len(values) != len(header):
             errors.append(f"line {line_no}: expected {len(header)} fields, "
                           f"got {len(values)}")
             continue
-        row = dict(zip(header, values))
         try:
-            record = _parse_row(row, n_features, line_no)
+            record = _parse_row(values, n_features, line_no)
         except DataValidationError as exc:
             errors.append(str(exc))
             continue

@@ -1,7 +1,9 @@
 """Command-line pipeline: configs, artifacts, exit codes, determinism."""
 
+import builtins
 import csv
 import dataclasses
+import errno
 import json
 import filecmp
 import shutil
@@ -296,6 +298,55 @@ def _copy_inputs(pipeline_dir, out):
     shutil.copy(pipeline_dir / "behavior.csv", out / "behavior.csv")
     shutil.copy(pipeline_dir / "posterior.json", out / "posterior.json")
     return tiny_config(out, data_path=out / "behavior.csv")
+
+
+def _make_unreadable(path, problem, monkeypatch):
+    """Turn ``path`` into a directory, a file that open refuses, or a file
+    holding a byte that is not UTF-8."""
+    if path.exists():
+        path.unlink()
+    if problem == "directory":
+        path.mkdir()
+    elif problem == "non-utf8":
+        path.write_bytes(b"\xff\n")
+    else:
+        path.write_text("{}\n")
+        real_open = builtins.open
+
+        def refusing(file, *args, **kwargs):
+            if Path(file) == path:
+                raise PermissionError(errno.EACCES, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refusing)
+
+
+class TestUnreadableInput:
+    # each input a command opens may be a directory, a file that cannot be
+    # opened or one that does not decode; each ends as one JSON line
+    @pytest.mark.parametrize("problem", ["directory", "permission", "non-utf8"])
+    @pytest.mark.parametrize("target", ["data", "config", "posterior", "params"])
+    def test_one_json_line_and_exit_one(self, pipeline_dir, tmp_path, capsys,
+                                        monkeypatch, target, problem):
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        run = tmp_path / "run"
+        args = ["--out", str(run), "--data", config.data_path]
+        if target == "data":
+            command, path = "fit-population", run / "behavior.csv"
+        elif target == "config":
+            command, path = "fit-population", tmp_path / "config.json"
+            args += ["--config", str(path)]
+        elif target == "posterior":
+            command, path = "fit-nudge", run / "posterior.json"
+        else:
+            (run / "nudge_params").mkdir()
+            command, path = "analyze", run / "nudge_params" / "s1.txt"
+        _make_unreadable(path, problem, monkeypatch)
+        assert main([command, *args]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert error["message"].startswith("cannot read ")
+        assert str(path) in error["message"]
 
 
 class TestMalformedArtifacts:

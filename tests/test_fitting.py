@@ -162,6 +162,23 @@ class TestResponseTable:
         assert np.max(np.abs(p - p_exact)) <= 1e-8
         assert np.max(np.abs(slope - slope_exact)) <= 1e-6
 
+    @pytest.mark.parametrize("treatment, fallback", [
+        pytest.param(Treatment.IMMEDIATE, False, id="immediate"),
+        pytest.param(Treatment.DELAYED, False, id="delayed"),
+        pytest.param(Treatment.DELAYED, True, id="delayed-fallback"),
+    ])
+    def test_interpolant_is_within_its_error_bound(self, treatment, fallback):
+        # the quintic Hermite error is at most 5.7e-10 in probability; a
+        # sweep across the grid reads every interval at several points
+        # (each trial at its own offsets) and some shifts beyond the grid
+        response = response_objective(treatment, 11, fallback).response
+        offsets = np.random.default_rng(5).uniform(0.0, _GRID_STEP, 12)
+        shift = np.linspace(-BEYOND_GRID, BEYOND_GRID, 4001)[:, None] + offsets
+        p, _ = response.interpolated(shift)
+        p_exact, _ = response.exact(shift)
+        assert response.ready.all()
+        assert np.max(np.abs(p - p_exact)) <= 1e-9
+
     def test_extreme_shifts_saturate_without_warnings(self):
         response = response_objective(Treatment.DELAYED, 3, False).response
         shift = np.repeat([[-1e6], [-800.0], [800.0], [1e6]], 12, axis=1)
@@ -192,9 +209,11 @@ class TestResponseTable:
             for got, want in zip(lazy.interpolated(shift),
                                  eager.interpolated(shift)):
                 assert np.array_equal(got, want)
-        assert np.array_equal(lazy.node_p[lazy.filled], eager.node_p[lazy.filled])
-        assert np.array_equal(lazy.node_slope[lazy.filled],
-                              eager.node_slope[lazy.filled])
+        for name in TABLE_ARRAYS:
+            assert np.array_equal(getattr(lazy, name)[lazy.filled],
+                                  getattr(eager, name)[lazy.filled])
+        assert np.array_equal(lazy.coef[:, lazy.ready.ravel()],
+                              eager.coef[:, lazy.ready.ravel()])
 
     @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
     def test_stacked_fit_fills_only_the_cells_it_reads(self, treatment):
@@ -207,11 +226,15 @@ class TestResponseTable:
         response = objective.response
         filled = response.filled.copy()
         assert filled.any() and not filled.all()
-        p, slope = response.node_p.copy(), response.node_slope.copy()
+        tables = [getattr(response, name).copy() for name in TABLE_ARRAYS]
+        coef = response.coef.copy()
         fill_table(response, filled)
-        assert np.array_equal(p[filled], response.node_p[filled])
-        assert np.array_equal(slope[filled], response.node_slope[filled])
-        assert np.isnan(p[~filled]).all() and np.isnan(slope[~filled]).all()
+        for name, table in zip(TABLE_ARRAYS, tables):
+            assert np.array_equal(table[filled], getattr(response, name)[filled])
+            assert np.isnan(table[~filled]).all()
+        ready = response.ready.ravel()
+        assert np.array_equal(coef[:, ready], response.coef[:, ready])
+        assert np.isnan(coef[:, ~ready]).all()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -242,13 +265,19 @@ class TestResponseTable:
         assert np.array_equal(response.filled, filled)
 
 
+# the per-cell arrays of the response table
+TABLE_ARRAYS = ("node_p", "node_slope", "node_curv")
+
+
 def fill_table(response, cells):
     """Evaluate the table cells marked in ``cells`` (nodes x T) exactly."""
     k, t = np.nonzero(cells)
-    response.node_p[cells], response.node_slope[cells] = response._rows(
-        t, _GRID_LO + _GRID_STEP * k)
+    (response.node_p[cells], response.node_slope[cells],
+     response.node_curv[cells]) = response._rows(t, _GRID_LO + _GRID_STEP * k,
+                                                 curvature=True)
     response.filled |= cells
     response.ready = response.filled[:-1] & response.filled[1:]
+    response._coefficients(np.flatnonzero(response.ready))
 
 
 def stacked_shift(objective, theta):
@@ -453,7 +482,10 @@ class TestStackedFit:
         rng = np.random.default_rng(47)
         theta = rng.normal(0.0, 1.0, (3, 3, objective.n_params))
         tabulated = members >= 128
-        if treatment != Treatment.EXPLANATION:
+        if treatment == Treatment.EXPLANATION:
+            # the attention weight's penalty is finite only inside (0, 1)
+            theta = rng.uniform(0.0, 1.0, theta.shape)
+        else:
             assert objective.response.tabulated == tabulated
             theta[0, :, ::1 + objective.n] = 60.0
             shift = np.abs(stacked_shift(objective, theta))
@@ -474,6 +506,77 @@ class TestStackedFit:
             others = np.ones((3, 3), dtype=bool)
             others[row] = False
             assert np.array_equal(values[0][others], value[others])
+
+
+def explanation_trials(seed, n_trials, pull):
+    """One subject's explanation trials whose final decisions follow the
+    highlighted features' response (``pull`` "focused"), the ignored
+    features' one ("ignored"), or are random ("random").  The first two
+    put the unpenalized optimum at attention 1 and 0."""
+    rng = np.random.default_rng(seed)
+    trials = [
+        BehaviorRecord(subject_id="s", treatment=Treatment.EXPLANATION,
+                       trial_index=i, features=rng.random(N),
+                       final_decision=int(rng.integers(2)),
+                       explanation_mask=rng.integers(0, 2, N))
+        for i in range(n_trials)
+    ]
+    if pull == "random":
+        return trials
+    objective = NudgeObjective([trials], make_posterior().ensemble,
+                               Treatment.EXPLANATION)
+    toward = objective.mean_focused - objective.mean_ignored
+    if pull == "ignored":
+        toward = -toward
+    return [BehaviorRecord(subject_id=t.subject_id, treatment=t.treatment,
+                           trial_index=t.trial_index, features=t.features,
+                           final_decision=int(d > 0.0),
+                           explanation_mask=t.explanation_mask)
+            for t, d in zip(trials, toward)]
+
+
+class TestAttentionSolve:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        subjects=st.lists(st.tuples(st.integers(3, 30),
+                                    st.sampled_from(["focused", "ignored",
+                                                     "random"])),
+                          min_size=1, max_size=3),
+        l2=st.sampled_from([0.0, 1e-3, 0.1, 2.0]),
+    )
+    def test_solution_is_the_minimum(self, seed, subjects, l2):
+        # each subject's attention satisfies the KKT conditions of its
+        # penalized NLL on [0, 1], and no point of a fine grid is lower
+        trial_sets = [explanation_trials(seed + k, n, pull)
+                      for k, (n, pull) in enumerate(subjects)]
+        posterior = make_posterior()
+        results = fit_nudge_batch(trial_sets, posterior, Treatment.EXPLANATION,
+                                  FitConfig(l2_penalty=l2))
+        grid = np.linspace(0.0, 1.0, 2001)
+        for trials, (_, pull), result in zip(trial_sets, subjects, results):
+            objective = NudgeObjective([trials], posterior.ensemble,
+                                       Treatment.EXPLANATION, l2_penalty=l2)
+            attention = result.params.delta_exp
+            assert result.theta[0] == attention and result.restart_index == 0
+            first, second = (d[0] for d in objective.attention_derivatives(
+                np.array([attention])))
+            if attention == 0.0:
+                assert l2 == 0.0 and first >= 0.0
+            elif attention == 1.0:
+                assert l2 == 0.0 and first <= 0.0
+            else:
+                assert abs(first) <= 1e-8 * max(1.0, second)
+            if l2 == 0.0:
+                # the convergence check reads the gradient projected on
+                # [0, 1], which vanishes at a bound optimum too
+                assert result.converged
+                if pull != "random":
+                    assert attention == (1.0 if pull == "focused" else 0.0)
+            with np.errstate(divide="ignore"):
+                values = objective.value_and_gradient(grid[:, None, None])[0]
+            value = objective.value_and_gradient(np.array([[[attention]]]))[0]
+            assert value[0, 0] <= values.min() + 1e-12
 
 
 class TestReparameterization:

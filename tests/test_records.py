@@ -1,5 +1,7 @@
 """Behavior records: validation, CSV schema, round-trips."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -237,6 +239,188 @@ class TestCsvRoundTrip:
         first = path.read_text().splitlines()[0]
         assert first == "# config_fingerprint=deadbeef"
         assert len(ingest(path)) == 5
+
+
+def oracle_parse_row(row, n_features, line):
+    """The per-row parser that ingest used to call, one dict per row."""
+    def blank(name):
+        return row[name] is None or row[name] == ""
+
+    def req_int(name, allowed=None):
+        if blank(name):
+            raise ValueError(f"{name} is required")
+        value = int(row[name])
+        if allowed is not None and value not in allowed:
+            raise ValueError(f"{name} must be one of {sorted(allowed)}")
+        return value
+
+    try:
+        treatment = Treatment(row["treatment"])
+    except ValueError:
+        raise DataValidationError(
+            f"line {line}: unknown treatment {row['treatment']!r}") from None
+    features = np.empty(n_features)
+    for i in range(n_features):
+        name = f"x_{i + 1}"
+        try:
+            features[i] = float(row[name])
+        except (TypeError, ValueError):
+            raise DataValidationError(f"line {line}: {name} is not a number") from None
+        if not 0.0 <= features[i] <= 1.0:
+            raise DataValidationError(f"line {line}: {name} out of [0, 1]: {row[name]}")
+    try:
+        kwargs = dict(
+            subject_id=row["subject_id"], treatment=treatment,
+            trial_index=req_int("trial_index"), features=features,
+            final_decision=req_int("final_decision", allowed=(0, 1)),
+            crt_score=None if blank("crt_score") else req_int("crt_score", (0, 1, 2, 3)),
+        )
+        if not blank("ai_rec"):
+            kwargs["ai_recommendation"] = req_int("ai_rec", allowed=(0, 1))
+        if not blank("ai_conf"):
+            kwargs["ai_confidence"] = float(row["ai_conf"])
+        if not blank("initial_decision"):
+            kwargs["initial_decision"] = req_int("initial_decision", allowed=(0, 1))
+        if not blank("exp_mask"):
+            mask_text = row["exp_mask"]
+            if len(mask_text) != n_features or set(mask_text) - {"0", "1"}:
+                raise ValueError(f"exp_mask must be {n_features} characters of 0/1")
+            kwargs["explanation_mask"] = np.array([int(c) for c in mask_text])
+        return BehaviorRecord(**kwargs)
+    except (ValueError, ConfigurationError) as exc:
+        raise DataValidationError(f"line {line}: {exc}") from None
+
+
+def oracle_ingest(path, skip_invalid=False):
+    """ingest as it was: each line read by its own csv reader into a dict."""
+    with open(path, newline="") as handle:
+        lines = [(i + 1, line) for i, line in enumerate(handle)
+                 if line.strip() and not line.lstrip().startswith("#")]
+    header = next(csv.reader([lines[0][1]]))
+    n_features = len([c for c in header if c.startswith("x_")])
+    assert header == csv_header(n_features)
+    records, errors, first_line = [], [], {}
+    for line_no, text in lines[1:]:
+        values = next(csv.reader([text]))
+        if len(values) != len(header):
+            errors.append(f"line {line_no}: expected {len(header)} fields, "
+                          f"got {len(values)}")
+            continue
+        try:
+            record = oracle_parse_row(dict(zip(header, values)), n_features, line_no)
+        except DataValidationError as exc:
+            errors.append(str(exc))
+            continue
+        key = (record.subject_id, record.trial_index)
+        if key in first_line:
+            errors.append(f"line {line_no}: subject {key[0]!r} trial_index "
+                          f"{key[1]} repeats line {first_line[key]}")
+            continue
+        first_line[key] = line_no
+        records.append(record)
+    seen_crt = {}
+    for rec in records:
+        if rec.subject_id not in seen_crt:
+            seen_crt[rec.subject_id] = rec.crt_score
+        elif seen_crt[rec.subject_id] != rec.crt_score:
+            errors.append(f"subject {rec.subject_id}: crt_score is not constant "
+                          f"across trials")
+            break
+    if errors and not skip_invalid:
+        raise DataValidationError(f"{path}: {len(errors)} invalid row(s)",
+                                  row_errors=errors)
+    return records
+
+
+def field(*values):
+    return st.sampled_from(values)
+
+
+# each field of a 3-feature row: valid values, values a rule rejects, and
+# stray quotes and separators
+FIELD_VARIANTS = [
+    field("s1", "s2", "#x", "a/b", "", '"s,1"', 'a"b', '"open'),
+    field(*(t.value for t in Treatment), "bogus", ""),
+    field("0", "1", "2", " 3", "x", ""),
+    *[field("0.5", "0", "1", "1e-3", "1.5", "-0.1", "nan", "inf", "x", "",
+            '"0.25"')] * 3,
+    field("", "0", "1", "2", "x"),
+    field("", "0.75", "0.3", "1", "x", "nan"),
+    field("", "101", "10", "1x1", "111"),
+    field("", "0", "1", "2"),
+    field("0", "1", "", "2", "x"),
+    field("", "0", "3", "4", "x"),
+]
+# the payload fields (ai_rec, ai_conf, exp_mask, initial_decision) of a
+# valid row of each treatment
+PAYLOADS = {
+    Treatment.INDEPENDENT: ("", "", "", ""),
+    Treatment.IMMEDIATE: ("1", "0.75", "", ""),
+    Treatment.DELAYED: ("0", "", "", "1"),
+    Treatment.EXPLANATION: ("", "", "101", ""),
+}
+
+
+@st.composite
+def behavior_line(draw):
+    """A valid row with up to two fields replaced by variants, a row with a
+    field too few or too many, a comment, or raw text with quotes and
+    line breaks."""
+    kind = draw(st.sampled_from(["row"] * 6 + ["short", "long", "comment",
+                                               "raw"]))
+    if kind == "comment":
+        return "# " + draw(st.text(alphabet="ab,", max_size=5))
+    if kind == "raw":
+        return draw(st.text(alphabet='ab01,."\r\n ', max_size=20))
+    treatment = draw(st.sampled_from(list(Treatment)))
+    values = [draw(field("s1", "s2")), treatment.value,
+              str(draw(st.integers(0, 3))),
+              *(draw(field("0.5", "0", "1", "0.25")) for _ in range(3)),
+              *PAYLOADS[treatment], draw(field("0", "1")), draw(field("", "1", "2"))]
+    for position in draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
+        values[position] = draw(FIELD_VARIANTS[position])
+    if kind == "short":
+        values.pop(draw(st.integers(0, len(values) - 1)))
+    elif kind == "long":
+        values.append("0")
+    return ",".join(values)
+
+
+class TestIngestOracle:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(behavior_line(), max_size=12),
+           ending=st.sampled_from(["\n", "\r\n"]))
+    def test_same_records_and_errors_as_per_row_parsing(self, tmp_path, lines,
+                                                        ending):
+        # ingest reads every line with one csv reader and positional fields;
+        # records, messages, line numbers and --skip-invalid drops must be
+        # those of the old per-line, per-dict loop
+        path = tmp_path / "rows.csv"
+        path.write_bytes(ending.join([",".join(csv_header(3)), *lines, ""])
+                         .encode("utf-8"))
+        for skip_invalid in (False, True):
+            try:
+                want = oracle_ingest(path, skip_invalid)
+            except DataValidationError as exc:
+                with pytest.raises(DataValidationError) as got:
+                    ingest(path, skip_invalid)
+                assert str(got.value) == str(exc)
+                assert got.value.row_errors == exc.row_errors
+                continue
+            got = ingest(path, skip_invalid)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert (a.subject_id, a.treatment, a.trial_index, a.final_decision,
+                        a.ai_recommendation, a.ai_confidence, a.initial_decision,
+                        a.crt_score) == (
+                    b.subject_id, b.treatment, b.trial_index, b.final_decision,
+                    b.ai_recommendation, b.ai_confidence, b.initial_decision,
+                    b.crt_score)
+                assert np.array_equal(a.features, b.features)
+                assert (a.explanation_mask is None) == (b.explanation_mask is None)
+                if a.explanation_mask is not None:
+                    assert np.array_equal(a.explanation_mask, b.explanation_mask)
 
 
 class TestGrouping:
