@@ -20,17 +20,14 @@ from .analyze import (
     pairwise_posthoc,
 )
 from .core import (
-    FilteredEnsemble,
     PopulationFitConfig,
     PopulationPosterior,
     TaskInstance,
     WeightVector,
-    condition_on_decision,
     elbo_and_gradient,
     fit_population,
     gaussian_kl,
     logistic_response,
-    predict_independent,
 )
 from .errors import (
     ConfigurationError,
@@ -60,10 +57,6 @@ from .fitting import (
     fit_nudge_deterministic_ablation,
 )
 from .nudge import (
-    Assistance,
-    DelayedAssistance,
-    ExplanationAssistance,
-    ImmediateAssistance,
     NudgeParams,
     SignedSharedSignVector,
     decision_probability,

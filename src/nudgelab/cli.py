@@ -211,6 +211,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                 values = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise DataValidationError(f"config file is not valid JSON: {exc}")
+        if not isinstance(values, dict):
+            raise DataValidationError(f"config file {path} must hold a JSON "
+                                      f"object, not {json.dumps(values)[:40]}")
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(values) - known
     if unknown:

@@ -1,9 +1,11 @@
 """Independent human decision model.
 
-A logistic response over normalized task features, a diagonal-Gaussian
+A logistic response over normalized task features, and a diagonal-Gaussian
 population posterior over the response weights fitted by maximizing a
-frozen-sample ELBO with Newton's method, Monte-Carlo ensemble prediction,
-and filtering of the ensemble on an observed decision.
+frozen-sample ELBO with Newton's method.  The posterior carries a frozen
+Monte-Carlo ensemble; ``nudgelab.nudge.EnsembleResponse`` averages its
+members' responses, unassisted (at logit shift 0) or nudged, and filters
+it on an observed decision.
 
 Conventions used throughout the package:
 
@@ -30,14 +32,11 @@ __all__ = [
     "TaskInstance",
     "WeightVector",
     "PopulationPosterior",
-    "FilteredEnsemble",
     "PopulationFitConfig",
     "logistic_response",
     "gaussian_kl",
     "elbo_and_gradient",
     "fit_population",
-    "predict_independent",
-    "condition_on_decision",
 ]
 
 # Variance of every coordinate of a point posterior
@@ -182,25 +181,6 @@ class PopulationPosterior:
 
 
 @dataclass(frozen=True)
-class FilteredEnsemble:
-    """Subset of a posterior ensemble consistent with an observed decision."""
-
-    members: np.ndarray
-    source_size: int
-    fallback_used: bool
-
-    def __post_init__(self):
-        members = np.asarray(self.members, dtype=float)
-        if members.ndim != 2 or members.shape[0] < 1:
-            raise ConfigurationError("filtered ensemble must be nonempty")
-        object.__setattr__(self, "members", _frozen_array(members))
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[0]
-
-
-@dataclass(frozen=True)
 class PopulationFitConfig:
     """Settings for the variational population fit (``iterations`` caps its
     Newton steps)."""
@@ -340,49 +320,3 @@ def fit_population(
     return PopulationPosterior.from_moments(
         theta[:dim], theta[dim:] ** 2, config.ensemble_size, seed=config.seed
     )
-
-
-def ensemble_probability(members: np.ndarray, task: TaskInstance,
-                         shift: float = 0.0) -> float:
-    """Mean logistic response of an ensemble, with an optional scalar logit shift."""
-    logits = members @ augment_features(task)
-    if shift != 0.0:
-        logits = logits + shift
-    return float(np.mean(sigmoid(logits)))
-
-
-def _check_dims(posterior: PopulationPosterior, task: TaskInstance):
-    if task.n_features != posterior.n_features:
-        raise ConfigurationError(
-            f"task has {task.n_features} features but posterior expects "
-            f"{posterior.n_features}"
-        )
-
-
-def predict_independent(posterior: PopulationPosterior,
-                        task: TaskInstance) -> tuple[float, int]:
-    """Ensemble-average probability of deciding 1, and the thresholded decision."""
-    _check_dims(posterior, task)
-    probability = ensemble_probability(posterior.ensemble, task)
-    return probability, int(probability >= 0.5)
-
-
-def condition_on_decision(posterior: PopulationPosterior, task: TaskInstance,
-                          observed: int) -> FilteredEnsemble:
-    """Keep the ensemble members whose thresholded response matches ``observed``.
-
-    If no member reproduces the observed decision the full ensemble is
-    returned with ``fallback_used`` set, so downstream expectations stay
-    well defined.
-    """
-    _check_dims(posterior, task)
-    if observed not in (0, 1):
-        raise UsageError("observed decision must be 0 or 1")
-    probs = sigmoid(posterior.ensemble @ augment_features(task))
-    keep = (probs >= 0.5) == bool(observed)
-    source = posterior.ensemble_size
-    if not np.any(keep):
-        return FilteredEnsemble(members=posterior.ensemble, source_size=source,
-                                fallback_used=True)
-    return FilteredEnsemble(members=posterior.ensemble[keep], source_size=source,
-                            fallback_used=False)

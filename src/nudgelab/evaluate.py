@@ -182,12 +182,16 @@ def _aggregate(cells, treatment, run_seeds, warnings) -> EvalReport:
     )
 
 
-def _score_framework(test, posterior, params, clip_eps):
-    predictions = []
-    for rec in test:
-        p = decision_probability(rec, posterior, params, clip_eps)
-        predictions.append((p, int(p >= 0.5)))
-    return metrics(predictions, [rec.final_decision for rec in test], clip_eps)
+def _score_framework(tests, posterior, params, clip_eps):
+    """(NLL, accuracy, F1) of each subject's test trials at its parameters,
+    every subject scored in one ``decision_probability`` call."""
+    if not tests:
+        return []
+    probs = decision_probability(tests, posterior, params, clip_eps)
+    cuts = np.cumsum([len(test) for test in tests])[:-1]
+    return [metrics([(float(p), int(p >= 0.5)) for p in part],
+                    [rec.final_decision for rec in test], clip_eps)
+            for part, test in zip(np.split(probs, cuts), tests)]
 
 
 def evaluate_framework(
@@ -212,8 +216,9 @@ def evaluate_framework(
             seeds=[derive_seed(config.seed, run, sid) for run, sid in splits],
         )
         params = {key: fit.params for key, fit in zip(splits, fits)}
-    cells = {key: _score_framework(test, posterior, params[key], config.clip_eps)
-             for key, (_, test) in splits.items()}
+    cells = dict(zip(splits, _score_framework(
+        [test for _, test in splits.values()], posterior, list(params.values()),
+        config.clip_eps)))
     return _aggregate(cells, treatment, plan.run_seeds, warnings)
 
 
@@ -344,17 +349,15 @@ def learning_curve(
                 cell.append((derive_seed(config.seed, run, sid, size),
                              shuffled[:size], shuffled[size:]))
     jobs = [job for _, _, cell in splits for job in cell]
-    fits = iter(fit_nudge_batch([train for _, train, _ in jobs], posterior,
-                                treatment, config,
-                                seeds=[seed for seed, _, _ in jobs]))
+    fits = fit_nudge_batch([train for _, train, _ in jobs], posterior,
+                           treatment, config, seeds=[seed for seed, _, _ in jobs])
+    scores = iter(_score_framework([test for _, _, test in jobs], posterior,
+                                   [fit.params for fit in fits], config.clip_eps))
     rows: list[CurvePoint] = []
     for size, run, cell in splits:
-        frame_cells, base_cells = [], []
-        for _, train, test in cell:
-            frame_cells.append(_score_framework(
-                test, posterior, next(fits).params, config.clip_eps))
-            base_cells.append(_score_baseline(train, test, baseline_l2,
-                                              config.clip_eps))
+        frame_cells = [next(scores) for _ in cell]
+        base_cells = [_score_baseline(train, test, baseline_l2, config.clip_eps)
+                      for _, train, test in cell]
         for method, cells in (("framework", frame_cells),
                               ("logistic_baseline", base_cells)):
             mean = np.mean(cells, axis=0)

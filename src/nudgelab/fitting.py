@@ -1,7 +1,8 @@
 """Per-subject maximum-likelihood estimation of nudge parameters.
 
 The likelihood of a subject's final decisions is evaluated under the
-frozen posterior ensemble.  Shift vectors are optimized through smooth
+frozen posterior ensemble, with the probability kernel of
+``nudgelab.nudge``.  Shift vectors are optimized through smooth
 unconstrained reparameterizations (free signed scale, softplus
 magnitudes) by multi-restart Adam; every subject and restart of one call
 runs in a single stacked Adam loop.  Gradients are analytic, exact for
@@ -25,7 +26,14 @@ import numpy as np
 from ._util import NEWTON_TOL, Adam, derive_seed, sigmoid, softplus, softplus_inverse
 from .core import PopulationPosterior, WeightVector
 from .errors import ConfigurationError, UsageError
-from .nudge import NudgeParams, SignedSharedSignVector
+from .nudge import (
+    EnsembleResponse,
+    NudgeParams,
+    SignedSharedSignVector,
+    attention_mixture,
+    explanation_means,
+    logit_shift,
+)
 from .records import BehaviorRecord, Treatment
 
 __all__ = [
@@ -37,8 +45,9 @@ __all__ = [
     "fit_nudge_deterministic_ablation",
 ]
 
-# A fit counts as converged when the final gradient is this small (mean-NLL
-# scale) and no trial probability sits on the clip boundary.
+# A fit counts as converged when the final gradient of its penalized
+# objective is this small (mean-NLL scale) and no trial probability sits on
+# the clip boundary.
 _GRADIENT_TOL = 1e-2
 
 # Grid of logit shifts on which _EnsembleResponse tabulates a trial's ensemble
@@ -54,9 +63,6 @@ _ATTENTION_MAX_STEPS = 100
 # Smallest ensemble whose response is tabulated.  Below it a fit's exact
 # evaluations cost less than the table's lookups (see CHANGES.md).
 _TABULATE_MIN_MEMBERS = 128
-# Member-by-trial temporaries hold at most max(one subject's trials x S,
-# this many) elements.
-_CHUNK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -91,22 +97,13 @@ class NudgeFitResult:
     theta: np.ndarray
 
 
-class _EnsembleResponse:
-    """Each trial's probability as a function of its scalar logit shift c:
-    p_t(c) = sum_s m_ts sigmoid(base_ts + c) / count_t, and dp_t/dc.
+class _EnsembleResponse(EnsembleResponse):
+    """``EnsembleResponse`` with, for an ensemble of at least
+    ``_TABULATE_MIN_MEMBERS`` members, a table of it on a fixed grid of
+    shifts.
 
-    base_ts is member s's logit for trial t.  ``mask`` marks the members
-    each trial averages over: all of them, or for the delayed treatment
-    (``initial`` given) those whose own decision matches the trial's
-    initial one, or all when none does; ``count`` counts them.  Logits are
-    summed one feature at a time and every sum over members runs along one
-    row, so a trial's values are the same bits whichever trials are
-    stacked with it and however the rows are chunked.  Rows are processed
-    ``chunk`` at a time.
-
-    With at least ``_TABULATE_MIN_MEMBERS`` members, ``interpolated``
-    evaluates the quintic Hermite interpolant of p_t and its slope between
-    the nodes of a fixed grid of shifts; a shift off the grid is evaluated
+    ``interpolated`` evaluates the quintic Hermite interpolant of p_t and
+    its slope between the grid's nodes; a shift off the grid is evaluated
     exactly, for that trial only.  The table (``node_p``, ``node_slope``,
     ``node_curv`` = d2p/dc2: nodes x T) is a cache of the exact response:
     a cell is evaluated the first time a lookup reads it and marked in
@@ -114,82 +111,20 @@ class _EnsembleResponse:
     marks the intervals (node k, trial t) whose two end cells are both
     filled, and ``coef`` holds those intervals' polynomial coefficients,
     so a lookup that needs no new cell reads ``ready`` and ``coef`` only.
-    Every exact evaluation, cells included, reads the kept logits ``base``
-    (T x S).
     """
 
-    def __init__(self, ensemble: np.ndarray, augmented: np.ndarray,
-                 initial: np.ndarray | None, chunk: int):
-        members = np.ascontiguousarray(ensemble.T)                      # (n+1, S)
-        self.chunk = chunk
-        n_trials, n_members = len(augmented), len(ensemble)
-        self.columns = np.arange(n_trials)
-        self.tabulated = n_members >= _TABULATE_MIN_MEMBERS
-        self.mask = (None if initial is None
-                     else np.empty((n_trials, n_members), dtype=bool))
-        self.count = np.full(n_trials, float(n_members))
-        self.base = np.empty((n_trials, n_members))                     # (T, S)
+    def __init__(self, ensemble: np.ndarray, features: np.ndarray,
+                 initial: np.ndarray | None, min_chunk: int):
+        super().__init__(ensemble, features, initial, min_chunk)
+        self.tabulated = len(ensemble) >= _TABULATE_MIN_MEMBERS
         if self.tabulated:
-            self.node_p = np.full((_GRID_NODES, n_trials), np.nan)
+            self.node_p = np.full((_GRID_NODES, len(features)), np.nan)
             self.node_slope = np.full_like(self.node_p, np.nan)
             self.node_curv = np.full_like(self.node_p, np.nan)
             self.filled = np.zeros(self.node_p.shape, dtype=bool)
-            self.ready = np.zeros((_GRID_NODES - 1, n_trials), dtype=bool)
+            self.ready = np.zeros((_GRID_NODES - 1, len(features)), dtype=bool)
             # row j: the coefficient of u^j in interval k * T + t
             self.coef = np.full((6, self.ready.size), np.nan)
-        for start in range(0, n_trials, chunk):
-            part = slice(start, start + chunk)
-            x = augmented[part]
-            base = np.multiply(x[:, :1], members[0], out=self.base[part])
-            for j in range(1, x.shape[1]):
-                base += x[:, j:j + 1] * members[j]
-            if initial is not None:
-                weight = self.mask[part]
-                np.equal(base >= 0.0, initial[part, None] == 1, out=weight)
-                weight[~weight.any(axis=1)] = True
-                self.count[part] = weight.sum(axis=1)
-
-    def exact(self, shift: np.ndarray):
-        """(p, dp/dc) for shifts of shape (..., T)."""
-        rows = np.broadcast_to(self.columns, shift.shape)
-        p, slope, _ = self._rows(rows.ravel(), shift.ravel())
-        return p.reshape(shift.shape), slope.reshape(shift.shape)
-
-    def _rows(self, rows, shift, curvature=False):
-        """Exact (p, dp/dc, d2p/dc2) of trials ``rows`` at ``shift``, one per
-        row; d2p/dc2 is None unless ``curvature``."""
-        p = np.empty(rows.size)
-        slope = np.empty(rows.size)
-        curv = np.empty(rows.size) if curvature else None
-        for start in range(0, rows.size, self.chunk):
-            part = slice(start, start + self.chunk)
-            take = rows[part]
-            member = self.base[take]
-            # -x = -shift - base: the same bits as -(base + shift)
-            np.subtract(-shift[part, None], member, out=member)
-            # sigmoid = 1 / (1 + e^-x), the formula of scipy's expit at a
-            # quarter of its cost; e^-x overflows to inf where sigmoid is 0
-            with np.errstate(over="ignore"):
-                np.exp(member, out=member)
-            member += 1.0
-            np.reciprocal(member, out=member)
-            dmember = np.subtract(1.0, member)
-            dmember *= member
-            if self.mask is not None:
-                weight = self.mask[take]
-                member *= weight
-                dmember *= weight
-            count = self.count[take]
-            p[part] = member.sum(axis=1) / count
-            slope[part] = dmember.sum(axis=1) / count
-            if curvature:
-                # sigmoid'' = sigmoid (1 - sigmoid) (1 - 2 sigmoid), zero
-                # where the masked dmember is
-                member *= -2.0
-                member += 1.0
-                member *= dmember
-                curv[part] = member.sum(axis=1) / count
-        return p, slope, curv
 
     def interpolated(self, shift: np.ndarray):
         """(p, dp/dc) from the table, for shifts of shape (..., T)."""
@@ -302,13 +237,16 @@ class NudgeObjective:
     * delayed      — [scale_affirm, raw_affirm x n, scale_contra, raw_contra x n]
     * explanation  — [attention], read as the nearest point of [0, 1]
 
-    Immediate and delayed assistance move trial t only through a scalar
-    logit shift c_t, so its probability is a fixed 1-D function of c_t
-    (``_EnsembleResponse``); ``value_and_gradient``, the objective the Adam
-    loop steps, interpolates its table where it has one.  ``fit_summary``
-    and ``probabilities`` are exact.  An explanation trial's probability is
-    linear in the attention weight, so ``attention_derivatives`` gives the
-    exact first and second derivatives that its 1-D solve needs.
+    The probabilities are those of ``nudgelab.nudge``'s kernel.  Immediate
+    and delayed assistance move trial t only through a scalar logit shift
+    c_t, so its probability is a fixed 1-D function of c_t
+    (``EnsembleResponse``, here with its table: ``_EnsembleResponse``);
+    ``value_and_gradient``, the objective the Adam loop steps, interpolates
+    the table where it has one.  ``fit_summary`` and ``probabilities`` are
+    exact.  An explanation trial's probability is linear in the attention
+    weight between its two response means (``explanation_means``), so
+    ``attention_derivatives`` gives the exact first and second derivatives
+    that its 1-D solve needs.
     """
 
     def __init__(self, trial_sets, ensemble: np.ndarray,
@@ -344,16 +282,9 @@ class NudgeObjective:
         self.final = np.asarray([t.final_decision for t in trials], dtype=float)
 
         if self.treatment == Treatment.EXPLANATION:
-            mask = np.stack([t.explanation_mask for t in trials]).astype(float)
-            ones = np.ones((n_trials, 1))
-            focused = np.hstack([mask * self.features, ones])
-            ignored = np.hstack([(1.0 - mask) * self.features, ones])
-            # (T,) response means, one subject's product at a time
-            cuts = np.cumsum(sizes)[:-1]
-            self.mean_focused, self.mean_ignored = (
-                np.concatenate([sigmoid(ensemble @ rows.T).mean(axis=0)
-                                for rows in np.split(inputs, cuts)])
-                for inputs in (focused, ignored))
+            masks = np.stack([t.explanation_mask for t in trials]).astype(float)
+            self.mean_focused, self.mean_ignored = explanation_means(
+                ensemble, self.features, masks)                          # (T,) each
             return
 
         rec = np.asarray([t.ai_recommendation for t in trials])
@@ -371,9 +302,8 @@ class NudgeObjective:
         # the shift-vector block (subject, branch) that moves each trial
         self.block = self.subject * self.n_branches + branch             # (T,)
         self.by_block = _GroupSum(self.block, self.n_subjects * self.n_branches)
-        self.response = _EnsembleResponse(
-            ensemble, np.hstack([self.features, np.ones((n_trials, 1))]), initial,
-            chunk=max(max(sizes), _CHUNK_ELEMENTS // len(ensemble)))
+        self.response = _EnsembleResponse(ensemble, self.features, initial,
+                                          min_chunk=max(sizes))
 
     @property
     def n_params(self) -> int:
@@ -490,7 +420,7 @@ class NudgeObjective:
         blocks = theta.reshape(n_rows, -1, 1 + self.n)                  # (R, K*B, 1+n)
         mags = softplus(blocks[..., 1:])
         deltas = blocks[..., :1] * mags                                  # (R, K*B, n)
-        shift = self.direction * (deltas[:, self.block] * self.features).sum(axis=2)
+        shift = logit_shift(self.direction, deltas[:, self.block], self.features)
         if tabulated and self.response.tabulated:
             probs, slope = self.response.interpolated(shift)
         else:
@@ -505,9 +435,8 @@ class NudgeObjective:
 
     def _mixture(self, attention):
         """Explanation trials' probabilities (R, T) at attention (R, K)."""
-        trial_attention = attention[:, self.subject]                     # (R, T)
-        return (trial_attention * self.mean_focused
-                + (1.0 - trial_attention) * self.mean_ignored)
+        return attention_mixture(attention[:, self.subject], self.mean_focused,
+                                 self.mean_ignored)
 
     def attention_derivatives(self, attention):
         """First and second derivatives of each subject's penalized mean
@@ -681,6 +610,9 @@ def fit_nudge_batch(
     else:
         best_theta, best_restart = _minimize(objective, config, seeds)
     train_nll, grad, clipped = objective.fit_summary(best_theta[None])
+    if objective.l2_penalty > 0.0:
+        # converged means stationary for the objective the fit minimized
+        grad = grad + objective._penalty(best_theta[None])[1]
     converged = (np.abs(grad[0]).max(axis=1) <= _GRADIENT_TOL) & ~clipped[0]
     return [
         NudgeFitResult(

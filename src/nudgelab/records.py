@@ -215,6 +215,13 @@ def _fields(lines: list[str]):
             yield values
 
 
+def _unparsable(path, line_no, exc) -> DataValidationError:
+    """The error for a line the csv module refuses, such as one with a field
+    longer than ``csv.field_size_limit()``."""
+    return DataValidationError(
+        f"cannot read behavior file {path}: line {line_no}: {exc}")
+
+
 def ingest(path, skip_invalid: bool = False) -> list[BehaviorRecord]:
     """Read and validate a behavior CSV.
 
@@ -222,7 +229,8 @@ def ingest(path, skip_invalid: bool = False) -> list[BehaviorRecord]:
     (subject_id, trial_index) is a problem of the later row.  The whole run
     aborts on any invalid row unless ``skip_invalid`` is set, in which
     case offending rows are dropped.  Schema problems (missing or
-    misordered columns) and a file that cannot be read always abort.
+    misordered columns), a file that cannot be read and a line the csv
+    module cannot parse always abort.
     """
     path = Path(path)
     if not path.exists():
@@ -234,7 +242,10 @@ def ingest(path, skip_invalid: bool = False) -> list[BehaviorRecord]:
         raise DataValidationError(f"{path} contains no data")
 
     header_line, header_text = lines[0]
-    header = next(csv.reader([header_text]))
+    try:
+        header = next(csv.reader([header_text]))
+    except csv.Error as exc:
+        raise _unparsable(path, header_line, exc) from None
     feature_cols = [c for c in header if c.startswith("x_")]
     n_features = len(feature_cols)
     if n_features == 0 or header != csv_header(n_features):
@@ -248,7 +259,11 @@ def ingest(path, skip_invalid: bool = False) -> list[BehaviorRecord]:
     errors: list[str] = []
     first_line: dict[tuple[str, int], int] = {}
     rows = _fields([text for _, text in lines[1:]])
-    for (line_no, _), values in zip(lines[1:], rows):
+    for line_no, _ in lines[1:]:
+        try:
+            values = next(rows)
+        except csv.Error as exc:
+            raise _unparsable(path, line_no, exc) from None
         if len(values) != len(header):
             errors.append(f"line {line_no}: expected {len(header)} fields, "
                           f"got {len(values)}")

@@ -16,9 +16,7 @@ from ._util import derive_seed, sigmoid
 from .core import PopulationPosterior, TaskInstance, WeightVector, logistic_response
 from .errors import ConfigurationError, UsageError
 from .nudge import (
-    DelayedAssistance,
-    ExplanationAssistance,
-    ImmediateAssistance,
+    EnsembleResponse,
     NudgeParams,
     SignedSharedSignVector,
     predict_delayed,
@@ -113,42 +111,43 @@ def generate_behavior(
     """Forward-sample one record per task from the subject's true model.
 
     The subject's own weights act as a singleton ensemble, so the nudged
-    probability is the exact generative probability; the final decision is
-    Bernoulli at (temperature-scaled) face probability, or thresholded
-    when the temperature is zero.  Delayed initial decisions come from the
-    unnudged weights.
+    probability is the exact generative probability; one predictor call
+    gives every trial's.  The final decision is Bernoulli at
+    (temperature-scaled) face probability, or thresholded when the
+    temperature is zero.  Delayed initial decisions are the unnudged
+    decisions: the sign of the subject's own logit.
     """
     if not tasks:
         raise UsageError("generate_behavior requires at least one task")
     rng = np.random.default_rng(seed)
     point = PopulationPosterior.point(subject.true_weights)
     params = subject.true_params
+    features = np.stack([task.features for task in tasks])
+    fields: dict = {}
+    if subject.treatment == Treatment.INDEPENDENT:
+        probability = EnsembleResponse(point.ensemble, features).exact(
+            np.zeros(len(tasks)))[0]
+    elif subject.treatment == Treatment.IMMEDIATE:
+        rec, conf = zip(*(ai_recommend(ai, task) for task in tasks))
+        probability = predict_immediate(point, features, rec, conf,
+                                        params.delta_direct.realized)
+        fields = dict(ai_recommendation=rec, ai_confidence=conf)
+    elif subject.treatment == Treatment.DELAYED:
+        rec = [ai_recommend(ai, task)[0] for task in tasks]
+        initial = EnsembleResponse(point.ensemble, features).decisions()[:, 0]
+        probability = predict_delayed(point, features, rec, initial,
+                                      params.delta_affirm.realized,
+                                      params.delta_contra.realized)
+        fields = dict(ai_recommendation=rec,
+                      initial_decision=initial.astype(int).tolist())
+    else:
+        masks = [ai_explain(ai, task) for task in tasks]
+        probability = predict_explanation(point, features, masks, params.delta_exp)
+        fields = dict(explanation_mask=masks)
     out: list[BehaviorRecord] = []
     for index, task in enumerate(tasks):
-        fields: dict = {}
-        if subject.treatment == Treatment.INDEPENDENT:
-            probability = logistic_response(task, subject.true_weights)
-        elif subject.treatment == Treatment.IMMEDIATE:
-            rec, conf = ai_recommend(ai, task)
-            probability, _ = predict_immediate(
-                point, task, ImmediateAssistance(rec, conf), params.delta_direct
-            )
-            fields = dict(ai_recommendation=rec, ai_confidence=conf)
-        elif subject.treatment == Treatment.DELAYED:
-            rec, _ = ai_recommend(ai, task)
-            initial = int(logistic_response(task, subject.true_weights) >= 0.5)
-            probability, _ = predict_delayed(
-                point, task, DelayedAssistance(rec, initial),
-                params.delta_affirm, params.delta_contra,
-            )
-            fields = dict(ai_recommendation=rec, initial_decision=initial)
-        else:
-            mask = ai_explain(ai, task)
-            probability, _ = predict_explanation(
-                point, task, ExplanationAssistance(mask), params.delta_exp
-            )
-            fields = dict(explanation_mask=mask)
-        final = _sample_decision(probability, subject.noise_temperature, rng)
+        final = _sample_decision(float(probability[index]),
+                                 subject.noise_temperature, rng)
         out.append(BehaviorRecord(
             subject_id=subject.subject_id,
             treatment=subject.treatment,
@@ -156,7 +155,7 @@ def generate_behavior(
             features=task.features,
             final_decision=final,
             crt_score=subject.crt_score,
-            **fields,
+            **{name: values[index] for name, values in fields.items()},
         ))
     return out
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nudgelab import PopulationPosterior, TaskInstance
+from nudgelab.nudge import EnsembleResponse
 
 
 @pytest.fixture
@@ -36,3 +37,11 @@ def random_posterior(rng, n_features, size=40):
 
 def random_task(rng, n_features):
     return TaskInstance(features=rng.random(n_features))
+
+
+def unassisted(posterior, features):
+    """Each trial's unassisted probability: the ensemble response at logit
+    shift 0, (T,) for features (T, n)."""
+    features = np.asarray(features, dtype=float)
+    return EnsembleResponse(posterior.ensemble, features).exact(
+        np.zeros(len(features)))[0]

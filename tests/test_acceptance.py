@@ -22,10 +22,7 @@ import pytest
 from scipy.integrate import quad
 
 from nudgelab import (
-    DelayedAssistance,
-    ExplanationAssistance,
     FitConfig,
-    ImmediateAssistance,
     NudgeObjective,
     NudgeParams,
     PopulationFitConfig,
@@ -36,7 +33,6 @@ from nudgelab import (
     TaskInstance,
     Treatment,
     WeightVector,
-    condition_on_decision,
     elbo_and_gradient,
     evaluate_framework,
     fit_nudge_batch,
@@ -49,13 +45,16 @@ from nudgelab import (
     predict_delayed,
     predict_explanation,
     predict_immediate,
-    predict_independent,
     uniform_tasks,
 )
 from nudgelab._util import derive_seed, sigmoid
 from nudgelab.cli import RunConfig, run_pipeline
 from nudgelab.evaluate import SplitPlan
+from nudgelab.nudge import EnsembleResponse
 from nudgelab.simulate import default_population_moments, default_surrogate_ai
+
+import per_record
+from conftest import unassisted
 
 N_FEATURES = 6
 POP_MEAN, _ = default_population_moments(N_FEATURES)
@@ -97,6 +96,9 @@ def balanced_ai():
 
 class TestCriterion1ZeroNudgeIdentity:
     def test_identity_suite(self):
+        # every zero nudge is the ensemble response at logit shift 0: the
+        # unassisted probability, or for the delayed treatment its average
+        # over the members the old per-record filter keeps
         rng = np.random.default_rng(1001)
         exact = 0
         total = 1000
@@ -107,28 +109,26 @@ class TestCriterion1ZeroNudgeIdentity:
                 rng.normal(0, 1, dim), rng.uniform(0.05, 0.8, dim), 24,
                 seed=int(rng.integers(1 << 30)),
             )
-            task = TaskInstance(rng.random(n))
-            p_ind, d_ind = predict_independent(posterior, task)
+            x = rng.random((1, n))
+            zero = np.zeros(n)
+            p_ind = unassisted(posterior, x)
 
-            assist = ImmediateAssistance(int(rng.integers(0, 2)),
-                                         float(rng.uniform(0.5, 1.0)))
-            p_imm, d_imm = predict_immediate(posterior, task, assist,
-                                             SignedSharedSignVector.zero(n))
+            p_imm = predict_immediate(posterior, x, [int(rng.integers(0, 2))],
+                                      [float(rng.uniform(0.5, 1.0))], zero)
 
-            initial = int(rng.integers(0, 2))
-            filtered = condition_on_decision(posterior, task, initial)
-            p_ref = float(np.mean(sigmoid(
-                filtered.members @ np.append(task.features, 1.0))))
-            p_del, _ = predict_delayed(
-                posterior, task, DelayedAssistance(int(rng.integers(0, 2)), initial),
-                SignedSharedSignVector.zero(n), SignedSharedSignVector.zero(n))
+            initial = np.array([int(rng.integers(0, 2))])
+            filtered = EnsembleResponse(posterior.ensemble, x, initial)
+            kept, _ = per_record.condition_on_decision(posterior, x[0], initial[0])
+            p_ref = filtered.exact(np.zeros(1))[0]
+            p_del = predict_delayed(posterior, x, [int(rng.integers(0, 2))], initial,
+                                    zero, zero)
 
-            p_exp, d_exp = predict_explanation(
-                posterior, task, ExplanationAssistance(np.ones(n, dtype=int)), 1.0)
+            p_exp = predict_explanation(posterior, x, np.ones((1, n), dtype=int), 1.0)
 
-            exact += (p_imm == p_ind and d_imm == d_ind
-                      and p_del == p_ref
-                      and p_exp == p_ind and d_exp == d_ind)
+            exact += bool(np.array_equal(p_imm, p_ind)
+                          and np.array_equal(p_del, p_ref)
+                          and np.array_equal(posterior.ensemble[filtered.mask[0]], kept)
+                          and np.array_equal(p_exp, p_ind))
         report(1, exact == total,
                f"bit-exact zero-nudge identity on {exact}/{total} random pairs")
 
@@ -252,10 +252,7 @@ class TestCriterion3PopulationRecovery:
         test_p = sigmoid(test_x @ true_w + true_b)
         test_y = (held.random(4000) < test_p).astype(int)
         bayes = float(np.mean((test_p >= 0.5) == test_y))
-        model = float(np.mean([
-            predict_independent(posterior, TaskInstance(x))[1] == y
-            for x, y in zip(test_x, test_y)
-        ]))
+        model = float(np.mean((unassisted(posterior, test_x) >= 0.5) == test_y))
         gap = abs(bayes - model)
         report(3, coord_err <= 0.15 and gap <= 0.03,
                f"max coordinate error {coord_err:.3f} (<=0.15), "

@@ -136,6 +136,18 @@ class TestConfig:
                      "--out", str(tmp_path / "out")]) == 1
         assert _single_json_error(capsys)["category"] == "configuration"
 
+    @pytest.mark.parametrize("text", ["5", "[]", '"x"', "null"])
+    def test_config_that_is_not_an_object_is_one_json_line(self, tmp_path, capsys,
+                                                           text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert "must hold a JSON object" in error["message"]
+        assert str(path) in error["message"]
+
 
 _AFFIRM = SignedSharedSignVector(1.25, np.array([0.5, 0.25, 0.125, 0.0625]))
 _CONTRA = SignedSharedSignVector(-0.75, np.array([0.1, 0.2, 0.3, 0.4]))
@@ -347,6 +359,23 @@ class TestUnreadableInput:
         assert error["category"] == "validation"
         assert error["message"].startswith("cannot read ")
         assert str(path) in error["message"]
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_over_the_csv_limit_names_its_line(self, pipeline_dir, tmp_path,
+                                                     capsys, line):
+        # a field longer than csv.field_size_limit(), in the header or in a row
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        path = Path(config.data_path)
+        lines = [text for text in path.read_text().splitlines()
+                 if not text.startswith("#")]
+        lines[line - 1] = "s" * (csv.field_size_limit() + 10) + lines[line - 1]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit-population", "--out", config.out_dir,
+                     "--data", str(path)]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert error["message"].startswith(f"cannot read behavior file {path}: "
+                                           f"line {line}: field larger than")
 
 
 class TestMalformedArtifacts:

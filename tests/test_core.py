@@ -1,4 +1,5 @@
-"""Core decision model: logistic response, KL, variational fit, filtering."""
+"""Core decision model: logistic response, KL, variational fit, and the
+unassisted prediction and decision filter of the posterior's ensemble."""
 
 import numpy as np
 import pytest
@@ -13,20 +14,22 @@ from nudgelab import (
     PopulationFitConfig,
     PopulationPosterior,
     TaskInstance,
+    Treatment,
     UsageError,
     WeightVector,
-    condition_on_decision,
+    BehaviorRecord,
+    decision_probability,
     elbo_and_gradient,
     fit_population,
     gaussian_kl,
     logistic_response,
-    predict_independent,
 )
 
 from nudgelab._util import derive_seed
 from nudgelab.core import _elbo_hessian
+from nudgelab.nudge import EnsembleResponse
 
-from conftest import random_posterior, random_task, singleton_posterior
+from conftest import random_posterior, random_task, singleton_posterior, unassisted
 
 
 class TestLogisticResponse:
@@ -271,18 +274,17 @@ class TestFitPopulation:
 
 
 class TestPredictIndependent:
+    # the unassisted prediction is the ensemble response at logit shift 0
     def test_singleton_tie_goes_to_one(self):
         post = singleton_posterior([0.0, 0.0], bias=0.0)
-        prob, decision = predict_independent(post, TaskInstance([0.3, 0.9]))
+        prob = unassisted(post, [[0.3, 0.9]])[0]
         assert prob == 0.5
-        assert decision == 1
+        assert prob >= 0.5
 
     def test_two_member_average(self, two_member_posterior):
-        prob, decision = predict_independent(
-            two_member_posterior, TaskInstance([1.0, 0.0])
-        )
+        prob = unassisted(two_member_posterior, [[1.0, 0.0]])[0]
         assert prob == pytest.approx(0.5, abs=1e-15)
-        assert decision == 1
+        assert prob >= 0.5
 
     def test_single_member_matches_logistic_response(self):
         rng = np.random.default_rng(23)
@@ -291,50 +293,55 @@ class TestPredictIndependent:
             w = WeightVector(rng.normal(0, 2, n), bias=float(rng.normal()))
             post = singleton_posterior(w.weights, w.bias)
             task = random_task(rng, n)
-            prob, decision = predict_independent(post, task)
+            prob = unassisted(post, [task.features])[0]
             direct = logistic_response(task, w)
-            assert prob == direct
-            assert decision == int(direct >= 0.5)
+            assert prob == pytest.approx(direct, rel=0, abs=1e-15)
+            assert (prob >= 0.5) == (direct >= 0.5)
 
     def test_dimension_mismatch(self, two_member_posterior):
+        record = BehaviorRecord(subject_id="s", treatment=Treatment.INDEPENDENT,
+                                trial_index=0, features=[0.1], final_decision=1)
         with pytest.raises(ConfigurationError):
-            predict_independent(two_member_posterior, TaskInstance([0.1]))
+            decision_probability([[record]], two_member_posterior, [None])
 
 
 class TestConditionOnDecision:
+    # a delayed trial averages over the members whose own decision matches
+    # its initial decision, or over all of them when none does
     def test_retains_consistent_member(self, two_member_posterior):
-        fe = condition_on_decision(two_member_posterior, TaskInstance([1.0, 0.0]), 1)
-        assert fe.members.shape == (1, 3)
-        assert fe.members[0, 0] == 1.0
-        assert not fe.fallback_used
-        assert fe.source_size == 2
+        response = EnsembleResponse(two_member_posterior.ensemble,
+                                    np.array([[1.0, 0.0]]), np.array([1]))
+        assert response.mask.tolist() == [[True, False]]
+        assert response.count.tolist() == [1.0]
 
     def test_identity_when_all_consistent(self, two_member_posterior):
-        # x = 0 gives every member probability 0.5 -> decision 1
-        fe = condition_on_decision(two_member_posterior, TaskInstance([0.0, 0.0]), 1)
-        assert np.array_equal(fe.members, two_member_posterior.ensemble)
-        assert not fe.fallback_used
+        # x = 0 gives every member logit 0, which decides 1
+        response = EnsembleResponse(two_member_posterior.ensemble,
+                                    np.array([[0.0, 0.0]]), np.array([1]))
+        assert response.mask.all()
+        assert response.count.tolist() == [2.0]
 
     def test_fallback_on_empty_filter(self):
         post = singleton_posterior([1.0, 0.0])
-        fe = condition_on_decision(post, TaskInstance([1.0, 0.0]), 0)
-        assert fe.fallback_used
-        assert np.array_equal(fe.members, post.ensemble)
+        response = EnsembleResponse(post.ensemble, np.array([[1.0, 0.0]]),
+                                    np.array([0]))
+        assert response.mask.all()
+        assert response.count.tolist() == [1.0]
 
     def test_subset_and_nonempty(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             post = random_posterior(rng, 3, size=20)
-            task = random_task(rng, 3)
-            observed = int(rng.integers(0, 2))
-            fe = condition_on_decision(post, task, observed)
-            assert fe.members.shape[0] >= 1
-            if not fe.fallback_used:
-                rows = {tuple(r) for r in fe.members}
-                full = {tuple(r) for r in post.ensemble}
-                assert rows <= full
-                probs = expit(fe.members @ np.append(task.features, 1.0))
-                assert np.all((probs >= 0.5) == bool(observed))
+            features = rng.random((4, 3))
+            observed = rng.integers(0, 2, 4)
+            response = EnsembleResponse(post.ensemble, features, observed)
+            assert np.array_equal(response.count, response.mask.sum(axis=1))
+            for x, kept, decision in zip(features, response.mask, observed):
+                decides = expit(post.ensemble @ np.append(x, 1.0)) >= 0.5
+                consistent = decides == bool(decision)
+                assert kept.any()
+                assert np.array_equal(kept, consistent if consistent.any()
+                                      else np.ones_like(kept))
 
 
 class TestPosteriorType:

@@ -164,12 +164,10 @@ class TestEvaluateFramework:
         independent_nlls = []
         for i in range(6):
             recs = [r for r in data if r.subject_id == f"s{i}"]
-            preds = []
-            for rec in recs:
-                p = decision_probability(
-                    rec, posterior,
-                    NudgeParams.for_immediate(SignedSharedSignVector.zero(3)))
-                preds.append((p, int(p >= 0.5)))
+            probs = decision_probability(
+                [recs], posterior,
+                [NudgeParams.for_immediate(SignedSharedSignVector.zero(3))])
+            preds = [(p, int(p >= 0.5)) for p in probs]
             independent_nlls.append(
                 metrics(preds, [r.final_decision for r in recs])[0])
         assert abs(report.nll - float(np.mean(independent_nlls))) <= 0.05

@@ -25,6 +25,7 @@ from nudgelab import (
     generate_behavior,
     uniform_tasks,
 )
+from nudgelab.nudge import decision_probability
 from nudgelab.fitting import (
     _GRID_LO,
     _GRID_NODES,
@@ -32,6 +33,9 @@ from nudgelab.fitting import (
     _EnsembleResponse,
     _minimize,
 )
+
+import per_record
+from conftest import unassisted
 
 N = 3
 # the response table's grid spans shifts in [_GRID_LO, GRID_HI]; the tests
@@ -567,16 +571,26 @@ class TestAttentionSolve:
                 assert l2 == 0.0 and first <= 0.0
             else:
                 assert abs(first) <= 1e-8 * max(1.0, second)
-            if l2 == 0.0:
-                # the convergence check reads the gradient projected on
-                # [0, 1], which vanishes at a bound optimum too
-                assert result.converged
-                if pull != "random":
-                    assert attention == (1.0 if pull == "focused" else 0.0)
+            # the convergence check reads the penalized gradient, projected
+            # on [0, 1], which vanishes at a bound optimum too
+            assert result.converged
+            if l2 == 0.0 and pull != "random":
+                assert attention == (1.0 if pull == "focused" else 0.0)
             with np.errstate(divide="ignore"):
                 values = objective.value_and_gradient(grid[:, None, None])[0]
             value = objective.value_and_gradient(np.array([[[attention]]]))[0]
             assert value[0, 0] <= values.min() + 1e-12
+
+
+    def test_exact_solve_with_a_penalty_reads_converged(self):
+        # converged judges the objective the solve minimized, penalty included
+        trial_sets = [make_trials(Treatment.EXPLANATION,
+                                  PARAMS_BY_TREATMENT[Treatment.EXPLANATION],
+                                  seed=seed, n_trials=30) for seed in range(4)]
+        results = fit_nudge_batch(trial_sets, make_posterior(),
+                                  Treatment.EXPLANATION, FitConfig(l2_penalty=0.1))
+        assert all(0.0 < r.params.delta_exp < 1.0 for r in results)
+        assert all(r.converged for r in results)
 
 
 class TestReparameterization:
@@ -632,17 +646,15 @@ class TestFitNudge:
     def test_zero_nudge_data_yields_small_delta(self):
         # finals sampled from the model's own unnudged probabilities: the
         # fitter must not hallucinate an assistance effect
-        from nudgelab import (
-            BehaviorRecord, SurrogateAI, ai_recommend, predict_independent,
-        )
+        from nudgelab import BehaviorRecord, SurrogateAI, ai_recommend
 
         posterior = make_posterior(variance=0.15, size=200)
         ai = SurrogateAI(WeightVector([-0.8, -1.0, 0.9], bias=0.45), top_k=2)
         tasks = uniform_tasks(1500, N, seed=77)
         rng = np.random.default_rng(123)
+        probs = unassisted(posterior, [task.features for task in tasks])
         trials = []
-        for i, task in enumerate(tasks):
-            p, _ = predict_independent(posterior, task)
+        for i, (task, p) in enumerate(zip(tasks, probs)):
             rec, conf = ai_recommend(ai, task)
             trials.append(BehaviorRecord(
                 subject_id="s", treatment=Treatment.IMMEDIATE, trial_index=i,
@@ -725,12 +737,10 @@ class TestDeterministicAblation:
 
 
 class TestBatchConsistency:
+    # the fit's stacked probabilities and the batched scoring path share one
+    # kernel; both must agree with the old per-record predictors
     @pytest.mark.parametrize("treatment", list(PARAMS_BY_TREATMENT))
     def test_objective_probabilities_match_predictors(self, treatment):
-        # the vectorized fitting path and the per-record scoring path must
-        # agree on every trial probability
-        from nudgelab import decision_probability
-
         posterior = make_posterior()
         trials = make_trials(treatment, PARAMS_BY_TREATMENT[treatment])
         objective = NudgeObjective([trials], posterior.ensemble, treatment)
@@ -738,9 +748,12 @@ class TestBatchConsistency:
         theta = rng.normal(0.0, 1.0, objective.n_params)
         params = objective.params_from_theta(theta)
         batch = objective.probabilities(theta[None, None])[0]
-        for prob, rec in zip(batch, trials):
-            single = decision_probability(rec, posterior, params)
-            assert prob == pytest.approx(single, abs=1e-12)
+        oracle = [per_record.decision_probability(rec, posterior, params)
+                  for rec in trials]
+        assert batch == pytest.approx(oracle, abs=1e-12)
+        assert np.array_equal(
+            np.clip(batch, 1e-6, 1 - 1e-6),
+            decision_probability([trials], posterior, [params]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -753,8 +766,6 @@ class TestBatchConsistency:
                                                          members, seed, scale):
         # on both sides of _TABULATE_MIN_MEMBERS, and at shifts far beyond
         # the table's grid, the exact stacked path equals the per-record one
-        from nudgelab import decision_probability
-
         posterior = make_posterior(seed=seed, size=members)
         trials = make_trials(treatment, PARAMS_BY_TREATMENT[treatment],
                              seed=seed)
@@ -763,6 +774,8 @@ class TestBatchConsistency:
             0.0, 1.0, (3, 1, objective.n_params))
         for row, probs in zip(theta, objective.probabilities(theta)):
             params = objective.params_from_theta(row[0])
-            for prob, rec in zip(probs, trials):
-                single = decision_probability(rec, posterior, params, clip_eps=0.0)
-                assert prob == pytest.approx(single, abs=1e-12)
+            oracle = [per_record.decision_probability(rec, posterior, params)
+                      for rec in trials]
+            assert probs == pytest.approx(oracle, abs=1e-12)
+            assert np.array_equal(
+                probs, decision_probability([trials], posterior, [params], 0.0))

@@ -1,30 +1,30 @@
-"""Nudge predictors: shifts, filtering, attention mixtures, dispatch."""
+"""Nudge predictors: the ensemble response kernel, shifts, filtering,
+attention mixtures, batched scoring."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+import per_record
 from nudgelab import (
     BehaviorRecord,
     ConfigurationError,
-    DelayedAssistance,
-    ExplanationAssistance,
-    ImmediateAssistance,
     InputError,
     NudgeParams,
+    PopulationPosterior,
     SignedSharedSignVector,
     Treatment,
     UsageError,
-    condition_on_decision,
     decision_probability,
     predict_delayed,
     predict_explanation,
     predict_immediate,
-    predict_independent,
-    TaskInstance,
 )
+from nudgelab.nudge import EnsembleResponse
 
-from conftest import random_posterior, random_task, singleton_posterior
+from conftest import random_posterior, singleton_posterior, unassisted
 
 
 def zero_delta(n):
@@ -80,31 +80,28 @@ class TestPredictImmediate:
         for _ in range(100):
             n = int(rng.integers(1, 6))
             post = random_posterior(rng, n, size=16)
-            task = random_task(rng, n)
-            assist = ImmediateAssistance(int(rng.integers(0, 2)),
-                                         float(rng.uniform(0.5, 1.0)))
-            p0, d0 = predict_independent(post, task)
-            p1, d1 = predict_immediate(post, task, assist, zero_delta(n))
-            assert p1 == p0 and d1 == d0
+            features = rng.random((5, n))
+            p0 = unassisted(post, features)
+            p1 = predict_immediate(post, features, rng.integers(0, 2, 5),
+                                   rng.uniform(0.5, 1.0, 5), np.zeros(n))
+            assert np.array_equal(p1, p0)
 
     def test_single_member_hand_values(self):
         post = singleton_posterior([2.0, -1.0])
-        task = TaskInstance([0.5, 0.5])
-        delta = SignedSharedSignVector(1.0, np.array([1.0, 1.0]))
-        # (2+1)*0.5 + (-1+1)*0.5 = 1.5
-        p, d = predict_immediate(post, task, ImmediateAssistance(1, 1.0), delta)
-        assert p == pytest.approx(float(expit(1.5)), abs=1e-12)
-        assert d == 1
-        # recommendation 0 flips the shift: (2-1)*0.5 + (-1-1)*0.5 = -0.5
-        p, d = predict_immediate(post, task, ImmediateAssistance(0, 1.0), delta)
-        assert p == pytest.approx(float(expit(-0.5)), abs=1e-12)
-        assert d == 0
+        features = [[0.5, 0.5], [0.5, 0.5]]
+        delta = np.array([1.0, 1.0])
+        # recommendation 1: (2+1)*0.5 + (-1+1)*0.5 = 1.5; recommendation 0
+        # flips the shift: (2-1)*0.5 + (-1-1)*0.5 = -0.5
+        p = predict_immediate(post, features, [1, 0], [1.0, 1.0], delta)
+        assert p == pytest.approx(expit([1.5, -0.5]), abs=1e-12)
+        assert list(p >= 0.5) == [True, False]
 
     def test_confidence_range_enforced(self):
-        with pytest.raises(InputError):
-            ImmediateAssistance(1, 0.4)
-        with pytest.raises(InputError):
-            ImmediateAssistance(1, 1.1)
+        post = singleton_posterior([2.0, -1.0])
+        for confidence in (0.4, 1.1):
+            with pytest.raises(InputError):
+                predict_immediate(post, [[0.5, 0.5]], [1], [confidence],
+                                  np.zeros(2))
 
     def test_confidence_monotonicity(self):
         # positive scale, recommendation 1 -> nondecreasing in confidence;
@@ -113,15 +110,12 @@ class TestPredictImmediate:
         for _ in range(200):
             n = int(rng.integers(1, 6))
             post = random_posterior(rng, n, size=12)
-            task = random_task(rng, n)
-            delta = SignedSharedSignVector(float(rng.uniform(0.1, 2.0)),
-                                           rng.uniform(0, 1.5, n))
+            features = np.repeat(rng.random((1, n)), 2, axis=0)
+            delta = float(rng.uniform(0.1, 2.0)) * rng.uniform(0, 1.5, n)
             c_low, c_high = sorted(rng.uniform(0.5, 1.0, 2))
             for rec, cmp in ((1, np.greater_equal), (0, np.less_equal)):
-                p_low, _ = predict_immediate(post, task,
-                                             ImmediateAssistance(rec, c_low), delta)
-                p_high, _ = predict_immediate(post, task,
-                                              ImmediateAssistance(rec, c_high), delta)
+                p_low, p_high = predict_immediate(post, features, [rec, rec],
+                                                  [c_low, c_high], delta)
                 assert cmp(p_high, p_low)
 
     def test_recommendation_symmetry(self):
@@ -130,46 +124,39 @@ class TestPredictImmediate:
         for _ in range(50):
             n = int(rng.integers(1, 6))
             post = random_posterior(rng, n, size=8)
-            task = random_task(rng, n)
-            conf = float(rng.uniform(0.5, 1.0))
-            delta = SignedSharedSignVector(float(rng.normal(0, 1.5)),
-                                           rng.uniform(0, 1.5, n))
-            flipped = SignedSharedSignVector(-delta.scale, delta.magnitudes)
-            p_rec0, _ = predict_immediate(post, task,
-                                          ImmediateAssistance(0, conf), delta)
-            p_rec1_neg, _ = predict_immediate(post, task,
-                                              ImmediateAssistance(1, conf), flipped)
-            assert p_rec0 == p_rec1_neg
+            features = rng.random((4, n))
+            conf = rng.uniform(0.5, 1.0, 4)
+            delta = float(rng.normal(0, 1.5)) * rng.uniform(0, 1.5, n)
+            p_rec0 = predict_immediate(post, features, np.zeros(4, int), conf, delta)
+            p_rec1_neg = predict_immediate(post, features, np.ones(4, int), conf,
+                                           -delta)
+            assert np.array_equal(p_rec0, p_rec1_neg)
 
 
 class TestPredictDelayed:
     def test_zero_nudge_equals_filtered_mean(self, two_member_posterior):
-        task = TaskInstance([1.0, 0.0])
-        fe = condition_on_decision(two_member_posterior, task, 1)
-        expected = float(np.mean(expit(fe.members @ np.append(task.features, 1.0))))
-        p, _ = predict_delayed(two_member_posterior, task, DelayedAssistance(1, 1),
-                               zero_delta(2), zero_delta(2))
-        assert p == expected
+        # initial decision 1 on x = (1, 0) keeps only member (1, 0)
+        features = [[1.0, 0.0]]
+        kept = singleton_posterior([1.0, 0.0])
+        p = predict_delayed(two_member_posterior, features, [1], [1],
+                            np.zeros(2), np.zeros(2))
+        assert np.array_equal(p, unassisted(kept, features))
 
     def test_affirm_branch_hand_value(self, two_member_posterior):
-        task = TaskInstance([1.0, 0.0])
-        affirm = SignedSharedSignVector(1.0, np.array([1.0, 0.0]))
-        contra = zero_delta(2)
-        p, d = predict_delayed(two_member_posterior, task, DelayedAssistance(1, 1),
-                               affirm, contra)
-        assert p == pytest.approx(float(expit(2.0)), abs=1e-12)
-        assert d == 1
+        affirm = np.array([1.0, 0.0])
+        p = predict_delayed(two_member_posterior, [[1.0, 0.0]], [1], [1],
+                            affirm, np.zeros(2))
+        assert p[0] == pytest.approx(float(expit(2.0)), abs=1e-12)
+        assert p[0] >= 0.5
 
     def test_contra_branch_and_tie_rule(self, two_member_posterior):
-        task = TaskInstance([1.0, 0.0])
-        affirm = zero_delta(2)
-        contra = SignedSharedSignVector(1.0, np.array([1.0, 0.0]))
+        contra = np.array([1.0, 0.0])
         # initial 1 keeps member (1,0); recommendation 0 contradicts:
         # shift = -1 * 1 -> logit 0 -> probability one half -> decision 1
-        p, d = predict_delayed(two_member_posterior, task, DelayedAssistance(0, 1),
-                               affirm, contra)
-        assert p == 0.5
-        assert d == 1
+        p = predict_delayed(two_member_posterior, [[1.0, 0.0]], [0], [1],
+                            np.zeros(2), contra)
+        assert p[0] == 0.5
+        assert p[0] >= 0.5
 
     def test_branch_exclusivity(self):
         # only the matching branch's vector can influence the output
@@ -177,22 +164,16 @@ class TestPredictDelayed:
         for _ in range(50):
             n = int(rng.integers(1, 5))
             post = random_posterior(rng, n, size=10)
-            task = random_task(rng, n)
-            rec, initial = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            assist = DelayedAssistance(rec, initial)
-            active = SignedSharedSignVector(float(rng.normal(0, 1)),
-                                            rng.uniform(0, 1, n))
-            other_a = SignedSharedSignVector(float(rng.normal(0, 1)),
-                                             rng.uniform(0, 1, n))
-            other_b = SignedSharedSignVector(float(rng.normal(0, 1)),
-                                             rng.uniform(0, 1, n))
-            if rec == initial:
-                p1, _ = predict_delayed(post, task, assist, active, other_a)
-                p2, _ = predict_delayed(post, task, assist, active, other_b)
-            else:
-                p1, _ = predict_delayed(post, task, assist, other_a, active)
-                p2, _ = predict_delayed(post, task, assist, other_b, active)
-            assert p1 == p2
+            features = rng.random((6, n))
+            rec, initial = rng.integers(0, 2, 6), rng.integers(0, 2, 6)
+            matches = (rec == initial)[:, None]
+            active, other_a, other_b = (float(rng.normal(0, 1)) * rng.uniform(0, 1, n)
+                                        for _ in range(3))
+            p1, p2 = (predict_delayed(post, features, rec, initial,
+                                      np.where(matches, active, other),
+                                      np.where(matches, other, active))
+                      for other in (other_a, other_b))
+            assert np.array_equal(p1, p2)
 
 
 class TestPredictExplanation:
@@ -201,54 +182,77 @@ class TestPredictExplanation:
         for _ in range(100):
             n = int(rng.integers(1, 6))
             post = random_posterior(rng, n, size=16)
-            task = random_task(rng, n)
-            p0, d0 = predict_independent(post, task)
-            p1, d1 = predict_explanation(post, task,
-                                         ExplanationAssistance(np.ones(n, dtype=int)),
-                                         1.0)
-            assert p1 == p0 and d1 == d0
+            features = rng.random((5, n))
+            p0 = unassisted(post, features)
+            p1 = predict_explanation(post, features, np.ones((5, n), dtype=int), 1.0)
+            assert np.array_equal(p1, p0)
 
     def test_equal_mixture(self):
         post = singleton_posterior([1.2, -0.7])
-        task = TaskInstance([0.8, 0.4])
-        mask = ExplanationAssistance([1, 0])
         focused = float(expit(1.2 * 0.8))
         ignored = float(expit(-0.7 * 0.4))
-        p, _ = predict_explanation(post, task, mask, 0.5)
-        assert p == pytest.approx(0.5 * (focused + ignored), abs=1e-12)
+        p = predict_explanation(post, [[0.8, 0.4]], [[1, 0]], 0.5)
+        assert p[0] == pytest.approx(0.5 * (focused + ignored), abs=1e-12)
 
     def test_hand_value(self):
         post = singleton_posterior([1.0, 1.0])
-        task = TaskInstance([1.0, 0.5])
-        p, d = predict_explanation(post, task, ExplanationAssistance([1, 0]), 0.8)
+        p = predict_explanation(post, [[1.0, 0.5]], [[1, 0]], 0.8)
         expected = 0.8 * float(expit(1.0)) + 0.2 * float(expit(0.5))
-        assert p == pytest.approx(expected, abs=1e-12)
-        assert d == 1
+        assert p[0] == pytest.approx(expected, abs=1e-12)
+        assert p[0] >= 0.5
 
     def test_mixture_bounds(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             n = int(rng.integers(2, 6))
             post = random_posterior(rng, n, size=12)
-            task = random_task(rng, n)
-            mask = ExplanationAssistance(rng.integers(0, 2, n))
-            lo, _ = predict_explanation(post, task, mask, 0.0)
-            hi, _ = predict_explanation(post, task, mask, 1.0)
-            for g in rng.uniform(0, 1, 5):
-                p, _ = predict_explanation(post, task, mask, float(g))
-                assert min(lo, hi) - 1e-12 <= p <= max(lo, hi) + 1e-12
+            features = rng.random((1, n))
+            mask = rng.integers(0, 2, (1, n))
+            lo = predict_explanation(post, features, mask, 0.0)[0]
+            hi = predict_explanation(post, features, mask, 1.0)[0]
+            attention = rng.uniform(0, 1, 5)
+            p = predict_explanation(post, np.repeat(features, 5, axis=0),
+                                    np.repeat(mask, 5, axis=0), attention)
+            assert np.all(min(lo, hi) - 1e-12 <= p)
+            assert np.all(p <= max(lo, hi) + 1e-12)
 
     def test_attention_range_enforced(self):
         post = singleton_posterior([1.0, 1.0])
-        task = TaskInstance([0.5, 0.5])
         with pytest.raises(InputError):
-            predict_explanation(post, task, ExplanationAssistance([1, 0]), 1.5)
+            predict_explanation(post, [[0.5, 0.5]], [[1, 0]], 1.5)
 
     def test_mask_length_enforced(self):
         post = singleton_posterior([1.0, 1.0])
         with pytest.raises(ConfigurationError):
-            predict_explanation(post, TaskInstance([0.5, 0.5]),
-                                ExplanationAssistance([1, 0, 1]), 0.5)
+            predict_explanation(post, [[0.5, 0.5]], [[1, 0, 1]], 0.5)
+
+
+def _record(treatment, features, rng, index=0, subject="s1"):
+    """A record of ``treatment`` with a random payload."""
+    n = len(features)
+    payload = {
+        Treatment.INDEPENDENT: {},
+        Treatment.IMMEDIATE: dict(ai_recommendation=int(rng.integers(2)),
+                                  ai_confidence=float(rng.uniform(0.5, 1.0))),
+        Treatment.DELAYED: dict(ai_recommendation=int(rng.integers(2)),
+                                initial_decision=int(rng.integers(2))),
+        Treatment.EXPLANATION: dict(explanation_mask=rng.integers(0, 2, n)),
+    }[treatment]
+    return BehaviorRecord(subject_id=subject, treatment=treatment,
+                          trial_index=index, features=features,
+                          final_decision=int(rng.integers(2)), **payload)
+
+
+def _random_params(treatment, n, rng, scale=1.5):
+    def vector():
+        return SignedSharedSignVector(float(rng.normal(0, scale)),
+                                      rng.uniform(0, 1.5, n))
+
+    return {Treatment.INDEPENDENT: lambda: None,
+            Treatment.IMMEDIATE: lambda: NudgeParams.for_immediate(vector()),
+            Treatment.DELAYED: lambda: NudgeParams.for_delayed(vector(), vector()),
+            Treatment.EXPLANATION: lambda: NudgeParams.for_explanation(
+                float(rng.uniform(0, 1)))}[treatment]()
 
 
 class TestDecisionProbability:
@@ -258,8 +262,8 @@ class TestDecisionProbability:
         rec = BehaviorRecord(subject_id="s1", treatment=Treatment.INDEPENDENT,
                              trial_index=0, features=[0.2, 0.4, 0.9],
                              final_decision=1)
-        expected, _ = predict_independent(post, rec.task())
-        assert decision_probability(rec, post, None) == expected
+        expected = unassisted(post, [rec.features])
+        assert np.array_equal(decision_probability([[rec]], post, [None]), expected)
 
     def test_immediate_zero_nudge_matches_independent(self):
         rng = np.random.default_rng(18)
@@ -269,8 +273,8 @@ class TestDecisionProbability:
                              final_decision=0, ai_recommendation=1,
                              ai_confidence=0.9)
         params = NudgeParams.for_immediate(zero_delta(2))
-        independent, _ = predict_independent(post, rec.task())
-        assert decision_probability(rec, post, params) == independent
+        assert np.array_equal(decision_probability([[rec]], post, [params]),
+                              unassisted(post, [rec.features]))
 
     def test_params_mismatch_raises(self):
         rng = np.random.default_rng(20)
@@ -280,13 +284,90 @@ class TestDecisionProbability:
                              final_decision=0, ai_recommendation=1,
                              ai_confidence=0.9)
         with pytest.raises(UsageError):
-            decision_probability(rec, post, NudgeParams.for_explanation(0.5))
+            decision_probability([[rec]], post, [NudgeParams.for_explanation(0.5)])
         with pytest.raises(UsageError):
-            decision_probability(rec, post, None)
+            decision_probability([[rec]], post, [None])
+        with pytest.raises(UsageError):
+            decision_probability([[rec], [rec]], post,
+                                 [NudgeParams.for_immediate(zero_delta(2))])
 
     def test_degenerate_probability_clipped(self):
         post = singleton_posterior([80.0, 80.0], bias=0.0)
         rec = BehaviorRecord(subject_id="s1", treatment=Treatment.INDEPENDENT,
                              trial_index=0, features=[1.0, 1.0], final_decision=1)
-        p = decision_probability(rec, post, None)
-        assert p == 1.0 - 1e-6
+        p = decision_probability([[rec]], post, [None])
+        assert p[0] == 1.0 - 1e-6
+
+    @pytest.mark.parametrize("treatment", list(Treatment), ids=lambda t: t.value)
+    def test_batches_match_the_per_record_oracle(self, treatment):
+        # K subjects scored in one call: each trial within 1e-12 of the old
+        # per-record predictor, and each subject's probabilities the same
+        # bits as scoring it alone
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            post = random_posterior(rng, n, size=int(rng.choice([1, 30, 300])))
+            trial_sets = [[_record(treatment, rng.random(n), rng, i, f"s{k}")
+                           for i in range(int(rng.integers(1, 6)))]
+                          for k in range(int(rng.integers(1, 4)))]
+            params = [_random_params(treatment, n, rng) for _ in trial_sets]
+            batch = decision_probability(trial_sets, post, params, clip_eps=0.0)
+            oracle = [per_record.decision_probability(rec, post, p)
+                      for trials, p in zip(trial_sets, params) for rec in trials]
+            assert batch == pytest.approx(oracle, abs=1e-12)
+            alone = np.concatenate([decision_probability([trials], post, [p])
+                                    for trials, p in zip(trial_sets, params)])
+            assert np.array_equal(np.clip(batch, 1e-6, 1 - 1e-6), alone)
+
+    @settings(max_examples=60, deadline=None)
+    @given(treatment=st.sampled_from(list(Treatment)), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 6), members=st.integers(1, 50),
+           logit_scale=st.floats(0.0, 200.0), scale=st.floats(0.0, 100.0),
+           clip_eps=st.sampled_from([1e-12, 1e-6, 1e-3, 0.25]))
+    def test_every_probability_lies_in_the_clip_interval(
+            self, treatment, seed, n, members, logit_scale, scale, clip_eps):
+        rng = np.random.default_rng(seed)
+        post = PopulationPosterior(
+            mean=np.zeros(n + 1), variance=np.ones(n + 1), seed=0,
+            ensemble=logit_scale * rng.normal(0, 1, (members, n + 1)))
+        trial_sets = [[_record(treatment, rng.random(n), rng, i, f"s{k}")
+                       for i in range(4)] for k in range(2)]
+        params = [_random_params(treatment, n, rng, scale) for _ in trial_sets]
+        p = decision_probability(trial_sets, post, params, clip_eps)
+        assert p.shape == (8,)
+        assert np.all((clip_eps <= p) & (p <= 1.0 - clip_eps))
+
+
+class TestZeroNudgeProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           members=st.integers(1, 300), trials=st.integers(1, 12),
+           spread=st.floats(0.0, 30.0))
+    def test_zero_nudge_is_the_unassisted_kernel_bit_exactly(
+            self, seed, n, members, trials, spread):
+        # random dimension, ensemble, features, recommendation, confidence
+        # and initial decision: no nudge means the kernel at c = 0
+        rng = np.random.default_rng(seed)
+        post = PopulationPosterior(
+            mean=np.zeros(n + 1), variance=np.ones(n + 1), seed=0,
+            ensemble=spread * rng.normal(0, 1, (members, n + 1)))
+        features = rng.random((trials, n))
+        rec = rng.integers(0, 2, trials)
+        initial = rng.integers(0, 2, trials)
+        independent = unassisted(post, features)
+        immediate = predict_immediate(post, features, rec,
+                                      rng.uniform(0.5, 1.0, trials), np.zeros(n))
+        explanation = predict_explanation(post, features,
+                                          np.ones((trials, n), dtype=int), 1.0)
+        assert np.array_equal(immediate, independent)
+        assert np.array_equal(explanation, independent)
+        # the delayed kernel averages the unassisted response over the
+        # members the initial decision keeps
+        delayed = predict_delayed(post, features, rec, initial, np.zeros(n),
+                                  np.zeros(n))
+        mask = EnsembleResponse(post.ensemble, features, initial).mask
+        for t in range(trials):
+            kept = PopulationPosterior(mean=post.mean, variance=post.variance,
+                                       ensemble=post.ensemble[mask[t]], seed=0)
+            assert delayed[t] == pytest.approx(
+                unassisted(kept, features[t:t + 1])[0], rel=0, abs=1e-15)
