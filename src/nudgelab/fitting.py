@@ -169,7 +169,7 @@ class _EnsembleResponse(EnsembleResponse):
         k, t = np.divmod(cells, n_trials)
         (self.node_p.flat[cells], self.node_slope.flat[cells],
          self.node_curv.flat[cells]) = self._rows(t, _GRID_LO + _GRID_STEP * k,
-                                                  curvature=True)
+                                                  derivatives=2)
         self.filled.flat[cells] = True
         # the intervals that end at a new cell and those that start at one
         intervals = np.concatenate((cells[k > 0] - n_trials,

@@ -56,8 +56,9 @@ PROBABILITY_EPS = 1e-6
 # many) elements.
 _CHUNK_ELEMENTS = 4096
 # A one-off evaluation builds its EnsembleResponse this many member-by-trial
-# elements at a time, so it keeps no T x S array beyond one block.
-_BLOCK_ELEMENTS = 1 << 16
+# elements at a time (128 KB a temporary), so it keeps no T x S array
+# beyond one block.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class EnsembleResponse:
@@ -99,23 +100,19 @@ class EnsembleResponse:
                 weight[~weight.any(axis=1)] = True
                 self.count[part] = weight.sum(axis=1)
 
-    def decisions(self) -> np.ndarray:
-        """Each member's unassisted decision on each trial (T, S): the
-        sign of its logit at c = 0, a logit of 0 deciding 1."""
-        return self.base >= 0.0
-
     def exact(self, shift: np.ndarray):
         """(p, dp/dc) for shifts of shape (..., T)."""
         rows = np.broadcast_to(self.columns, shift.shape)
         p, slope, _ = self._rows(rows.ravel(), shift.ravel())
         return p.reshape(shift.shape), slope.reshape(shift.shape)
 
-    def _rows(self, rows, shift, curvature=False):
+    def _rows(self, rows, shift, derivatives=1):
         """Exact (p, dp/dc, d2p/dc2) of trials ``rows`` at ``shift``, one per
-        row; d2p/dc2 is None unless ``curvature``."""
+        row; the derivatives past the first ``derivatives`` (0 to 2) are
+        None."""
         p = np.empty(rows.size)
-        slope = np.empty(rows.size)
-        curv = np.empty(rows.size) if curvature else None
+        slope = np.empty(rows.size) if derivatives >= 1 else None
+        curv = np.empty(rows.size) if derivatives >= 2 else None
         for start in range(0, rows.size, self.chunk):
             part = slice(start, start + self.chunk)
             take = rows[part]
@@ -128,16 +125,18 @@ class EnsembleResponse:
                 np.exp(member, out=member)
             member += 1.0
             np.reciprocal(member, out=member)
-            dmember = np.subtract(1.0, member)
-            dmember *= member
-            if self.mask is not None:
-                weight = self.mask[take]
-                member *= weight
-                dmember *= weight
+            weight = None if self.mask is None else self.mask[take]
             count = self.count[take]
+            if slope is not None:
+                dmember = np.subtract(1.0, member)
+                dmember *= member
+                if weight is not None:
+                    dmember *= weight
+                slope[part] = dmember.sum(axis=1) / count
+            if weight is not None:
+                member *= weight
             p[part] = member.sum(axis=1) / count
-            slope[part] = dmember.sum(axis=1) / count
-            if curvature:
+            if curv is not None:
                 # sigmoid'' = sigmoid (1 - sigmoid) (1 - 2 sigmoid), zero
                 # where the masked dmember is
                 member *= -2.0
@@ -148,14 +147,23 @@ class EnsembleResponse:
 
 
 def _response_at(ensemble, features, shift, initial=None) -> np.ndarray:
-    """``EnsembleResponse(ensemble, features, initial).exact(shift)``'s
-    probabilities (T,), built and evaluated one block of trials at a time."""
+    """The probabilities (T,) of ``EnsembleResponse(ensemble, features,
+    initial)`` at ``shift``, without their slopes, built and evaluated one
+    block of trials at a time."""
     block = max(1, _BLOCK_ELEMENTS // len(ensemble))
-    return np.concatenate([
-        EnsembleResponse(ensemble, features[start:start + block],
-                         None if initial is None else initial[start:start + block],
-                         min_chunk=block).exact(shift[start:start + block])[0]
-        for start in range(0, len(features), block)])
+    p = np.empty(len(features))
+    for start in range(0, len(features), block):
+        part = slice(start, start + block)
+        response = EnsembleResponse(ensemble, features[part],
+                                    None if initial is None else initial[part],
+                                    min_chunk=block)
+        p[part] = response._rows(response.columns, shift[part], derivatives=0)[0]
+    return p
+
+
+def _unassisted(ensemble, features) -> np.ndarray:
+    """Each trial's unassisted probability (T,): the response at c = 0."""
+    return _response_at(ensemble, features, np.zeros(len(features)))
 
 
 def logit_shift(direction, deltas, features):
@@ -169,9 +177,8 @@ def explanation_means(ensemble: np.ndarray, features: np.ndarray,
     """Each trial's mean member response to its highlighted features and to
     the others, the intercept kept in both: two (T,) arrays, the ensemble
     response at c = 0 on the masked features."""
-    zero = np.zeros(len(features))
-    return (_response_at(ensemble, masks * features, zero),
-            _response_at(ensemble, (1.0 - masks) * features, zero))
+    return (_unassisted(ensemble, masks * features),
+            _unassisted(ensemble, (1.0 - masks) * features))
 
 
 def attention_mixture(attention, focused, ignored):
@@ -386,8 +393,7 @@ def decision_probability(trial_sets, posterior: PopulationPosterior, params,
         return per_trial([getattr(p, field).realized for p in params])
 
     if treatment == Treatment.INDEPENDENT:
-        probability = _response_at(posterior.ensemble, features,
-                                   np.zeros(len(trials)))
+        probability = _unassisted(posterior.ensemble, features)
     elif treatment == Treatment.EXPLANATION:
         probability = predict_explanation(
             posterior, features, [rec.explanation_mask for rec in trials],

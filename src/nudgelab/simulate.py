@@ -16,9 +16,9 @@ from ._util import derive_seed, sigmoid
 from .core import PopulationPosterior, TaskInstance, WeightVector, logistic_response
 from .errors import ConfigurationError, UsageError
 from .nudge import (
-    EnsembleResponse,
     NudgeParams,
     SignedSharedSignVector,
+    _unassisted,
     predict_delayed,
     predict_explanation,
     predict_immediate,
@@ -115,7 +115,7 @@ def generate_behavior(
     gives every trial's.  The final decision is Bernoulli at
     (temperature-scaled) face probability, or thresholded when the
     temperature is zero.  Delayed initial decisions are the unnudged
-    decisions: the sign of the subject's own logit.
+    decisions: 1 where the unassisted probability is at least 0.5.
     """
     if not tasks:
         raise UsageError("generate_behavior requires at least one task")
@@ -125,8 +125,7 @@ def generate_behavior(
     features = np.stack([task.features for task in tasks])
     fields: dict = {}
     if subject.treatment == Treatment.INDEPENDENT:
-        probability = EnsembleResponse(point.ensemble, features).exact(
-            np.zeros(len(tasks)))[0]
+        probability = _unassisted(point.ensemble, features)
     elif subject.treatment == Treatment.IMMEDIATE:
         rec, conf = zip(*(ai_recommend(ai, task) for task in tasks))
         probability = predict_immediate(point, features, rec, conf,
@@ -134,12 +133,12 @@ def generate_behavior(
         fields = dict(ai_recommendation=rec, ai_confidence=conf)
     elif subject.treatment == Treatment.DELAYED:
         rec = [ai_recommend(ai, task)[0] for task in tasks]
-        initial = EnsembleResponse(point.ensemble, features).decisions()[:, 0]
+        initial = (_unassisted(point.ensemble, features) >= 0.5).astype(int)
         probability = predict_delayed(point, features, rec, initial,
                                       params.delta_affirm.realized,
                                       params.delta_contra.realized)
         fields = dict(ai_recommendation=rec,
-                      initial_decision=initial.astype(int).tolist())
+                      initial_decision=initial.tolist())
     else:
         masks = [ai_explain(ai, task) for task in tasks]
         probability = predict_explanation(point, features, masks, params.delta_exp)

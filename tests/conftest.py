@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nudgelab import PopulationPosterior, TaskInstance
-from nudgelab.nudge import EnsembleResponse
+from nudgelab.nudge import _unassisted
 
 
 @pytest.fixture
@@ -42,6 +42,4 @@ def random_task(rng, n_features):
 def unassisted(posterior, features):
     """Each trial's unassisted probability: the ensemble response at logit
     shift 0, (T,) for features (T, n)."""
-    features = np.asarray(features, dtype=float)
-    return EnsembleResponse(posterior.ensemble, features).exact(
-        np.zeros(len(features)))[0]
+    return _unassisted(posterior.ensemble, np.asarray(features, dtype=float))

@@ -29,6 +29,7 @@ from nudgelab._util import derive_seed
 from nudgelab.core import _elbo_hessian
 from nudgelab.nudge import EnsembleResponse
 
+import per_record
 from conftest import random_posterior, random_task, singleton_posterior, unassisted
 
 
@@ -293,8 +294,12 @@ class TestPredictIndependent:
             w = WeightVector(rng.normal(0, 2, n), bias=float(rng.normal()))
             post = singleton_posterior(w.weights, w.bias)
             task = random_task(rng, n)
-            prob = unassisted(post, [task.features])[0]
             direct = logistic_response(task, w)
+            assert per_record.predict_independent(post, task.features) == direct
+            # the kernel sums the logit one feature at a time and takes
+            # 1 / (1 + e^-x), so it may differ from expit of the dot
+            # product in the last bit, but not in the decision
+            prob = unassisted(post, [task.features])[0]
             assert prob == pytest.approx(direct, rel=0, abs=1e-15)
             assert (prob >= 0.5) == (direct >= 0.5)
 

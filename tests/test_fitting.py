@@ -278,7 +278,7 @@ def fill_table(response, cells):
     k, t = np.nonzero(cells)
     (response.node_p[cells], response.node_slope[cells],
      response.node_curv[cells]) = response._rows(t, _GRID_LO + _GRID_STEP * k,
-                                                 curvature=True)
+                                                 derivatives=2)
     response.filled |= cells
     response.ready = response.filled[:-1] & response.filled[1:]
     response._coefficients(np.flatnonzero(response.ready))
