@@ -64,7 +64,7 @@ from .nudge import (
     predict_explanation,
     predict_immediate,
 )
-from .records import BehaviorRecord, Treatment, export_csv, group_by_subject, ingest
+from .records import Treatment, Trials, export_csv, group_by_subject, ingest
 from .simulate import (
     SurrogateAI,
     SyntheticSubject,

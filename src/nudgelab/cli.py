@@ -39,6 +39,7 @@ from .analyze import (
 from .core import (
     PopulationFitConfig,
     PopulationPosterior,
+    TaskInstance,
     WeightVector,
     fit_population,
 )
@@ -59,7 +60,7 @@ from .evaluate import (
 # fit_nudge stays importable here: perfbench/selftest.py looks it up in this module
 from .fitting import FitConfig, NudgeFitResult, fit_nudge, fit_nudge_batch  # noqa: F401
 from .nudge import NudgeParams, SignedSharedSignVector
-from .records import BehaviorRecord, Treatment, export_csv, group_by_subject, ingest
+from .records import Treatment, Trials, export_csv, group_by_subject, ingest
 from .simulate import (
     default_population_moments,
     default_surrogate_ai,
@@ -395,14 +396,10 @@ def _parse_params(text: str) -> dict:
 # -- commands -----------------------------------------------------------------
 
 
-def _require_data(config: RunConfig) -> list[BehaviorRecord]:
+def _require_data(config: RunConfig) -> Trials:
     if config.data_path is None:
         raise UsageError("this command requires --data")
     return ingest(config.data_path, skip_invalid=config.skip_invalid)
-
-
-def _filter_treatment(records, treatment: Treatment):
-    return [r for r in records if r.treatment == treatment]
 
 
 def _cmd_simulate(config: RunConfig) -> list[str]:
@@ -413,7 +410,7 @@ def _cmd_simulate(config: RunConfig) -> list[str]:
     pool = uniform_tasks(config.sim_task_pool_size, n,
                          derive_seed(config.seed, "task-pool"))
 
-    all_records: list[BehaviorRecord] = []
+    tables = []
     effect_rows = []
     for name in config.sim_treatments:
         treatment = Treatment(name)
@@ -430,7 +427,7 @@ def _cmd_simulate(config: RunConfig) -> list[str]:
             picks = task_rng.choice(len(pool), size=config.sim_trials_per_subject,
                                     replace=False)
             tasks = [pool[i] for i in picks]
-            all_records.extend(generate_behavior(
+            tables.append(generate_behavior(
                 subject, tasks, ai,
                 seed=derive_seed(config.seed, subject.subject_id, "behavior"),
             ))
@@ -441,7 +438,7 @@ def _cmd_simulate(config: RunConfig) -> list[str]:
                 ))
 
     out = Path(config.out_dir)
-    export_csv(all_records, out / "behavior.csv", fingerprint=fingerprint)
+    export_csv(Trials.concat(tables), out / "behavior.csv", fingerprint=fingerprint)
     write_csv(out / "true_effects.csv",
               ["subject_id", "treatment", "branch", "true_signed_magnitude"],
               effect_rows, fingerprint)
@@ -450,10 +447,11 @@ def _cmd_simulate(config: RunConfig) -> list[str]:
 
 def _cmd_fit_population(config: RunConfig) -> list[str]:
     records = _require_data(config)
-    independent = _filter_treatment(records, Treatment.INDEPENDENT)
-    if not independent:
+    independent = records.take(records.treatment == Treatment.INDEPENDENT)
+    if not len(independent):
         raise UsageError("no independent-treatment records to fit the population on")
-    data = [(r.task(), r.final_decision) for r in independent]
+    data = [(TaskInstance(features=x), y) for x, y in
+            zip(independent.features, independent.final_decision.tolist())]
     posterior = fit_population(data, config.population_config())
     path = Path(config.out_dir) / "posterior.json"
     save_posterior(posterior, path, config.fingerprint())
@@ -469,7 +467,7 @@ def _collapsed(posterior: PopulationPosterior) -> PopulationPosterior:
 def _fit_treatments(config: RunConfig, records) -> list[Treatment]:
     if config.treatment is not None:
         return [Treatment(config.treatment)]
-    present = {r.treatment for r in records}
+    present = set(records.treatment.tolist())
     return [t for t in _ASSISTED if t in present]
 
 
@@ -488,7 +486,7 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
     effect_rows = []
     written = []
     for treatment in treatments:
-        groups = group_by_subject(_filter_treatment(records, treatment))
+        groups = group_by_subject(records.take(records.treatment == treatment))
         if not groups:
             raise UsageError(f"no records for treatment {treatment.value!r}")
         results = fit_nudge_batch(
@@ -499,7 +497,7 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
             path = out / "nudge_params" / f"{sid}.txt"
             write_params_file(path, sid, treatment, result, fingerprint)
             written.append(str(path))
-            crt = trials[0].crt_score
+            crt = trials.optional("crt_score")[0]
             for branch in TREATMENT_BRANCHES[treatment]:
                 effect_rows.append((
                     sid, treatment.value, branch.value,
@@ -532,7 +530,7 @@ def _cmd_evaluate(config: RunConfig) -> list[str]:
 
     rows, subject_rows, comments = [], [], []
     for treatment in treatments:
-        subset = _filter_treatment(records, treatment)
+        subset = records.take(records.treatment == treatment)
         reports = [
             ("framework", evaluate_framework(subset, posterior, plan,
                                              config.nudge_config())),
@@ -573,7 +571,7 @@ def _cmd_learning_curve(config: RunConfig) -> list[str]:
         raise UsageError("learning-curve requires --treatment "
                          "(or a single-treatment data file)")
     treatment = treatments[0]
-    subset = _filter_treatment(records, treatment)
+    subset = records.take(records.treatment == treatment)
     rows, warnings = learning_curve(
         subset, treatment, posterior, list(config.train_sizes),
         config.split_plan(), config.nudge_config(),
@@ -597,9 +595,10 @@ def _cmd_analyze(config: RunConfig) -> list[str]:
         )
     records = _require_data(config)
     fingerprint = config.fingerprint()
-    crt_by_subject = {}
-    for rec in records:
-        crt_by_subject.setdefault(rec.subject_id, rec.crt_score)
+    # each subject's CRT score, read from its first row
+    subjects, first = np.unique(records.subject_id, return_index=True)
+    crt_by_subject = dict(zip(subjects.tolist(),
+                              records.take(first).optional("crt_score")))
 
     fitted = [read_params_file(p) for p in sorted(params_dir.glob("*.txt"))]
     if not fitted:
@@ -625,19 +624,13 @@ def _cmd_analyze(config: RunConfig) -> list[str]:
                 )
             for group in ordered_groups:
                 values = np.asarray(buckets[group], dtype=float)
-                if values.size == 0:
-                    group_rows.append((treatment.value, branch.value,
-                                       group.value, 0, "", "", ""))
-                    continue
-                mean = float(values.mean())
+                mean = float(values.mean()) if values.size else ""
+                interval = ("", "")
                 if values.size >= 2:
                     half = 1.96 * float(values.std(ddof=1)) / np.sqrt(values.size)
-                    ci_low, ci_high = mean - half, mean + half
-                    group_rows.append((treatment.value, branch.value, group.value,
-                                       values.size, mean, ci_low, ci_high))
-                else:
-                    group_rows.append((treatment.value, branch.value, group.value,
-                                       values.size, mean, "", ""))
+                    interval = (mean - half, mean + half)
+                group_rows.append((treatment.value, branch.value, group.value,
+                                   values.size, mean, *interval))
             testable = [buckets[g] for g in ordered_groups if len(buckets[g]) >= 2]
             names = [g for g in ordered_groups if len(buckets[g]) >= 2]
             if len(testable) < 2:

@@ -157,7 +157,10 @@ class PopulationPosterior:
         if np.any(variance <= 0.0):
             raise DomainError("variances must be strictly positive")
         rng = np.random.default_rng(seed)
-        draws = mean + np.sqrt(variance) * rng.standard_normal((size, mean.size))
+        try:
+            draws = mean + np.sqrt(variance) * rng.standard_normal((size, mean.size))
+        except MemoryError:
+            raise ConfigurationError(f"cannot allocate {size} ensemble members") from None
         return cls(mean=mean, variance=variance, ensemble=draws, seed=seed)
 
     @classmethod

@@ -1,10 +1,11 @@
 """Evaluation protocol: metrics, per-subject splits, baseline, data-efficiency.
 
-Each subject's trials are split into train and test halves per run seed;
-the framework fits nudge parameters on the train half and is scored on
-the test half, and the per-subject logistic baseline consumes exactly the
-same splits so comparisons are paired.  Aggregates are means over
-subjects, then over runs.
+Every function takes a ``Trials`` table of one treatment.  Each subject's
+rows are split into train and test halves per run seed; the framework
+fits nudge parameters on the train half and is scored on the test half,
+and the per-subject logistic baseline, whose design matrix is built from
+the table's columns, consumes exactly the same splits so comparisons are
+paired.  Aggregates are means over subjects, then over runs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import ConfigurationError, UsageError
 # fit_nudge stays importable here: perfbench/selftest.py looks it up in this module
 from .fitting import FitConfig, fit_nudge, fit_nudge_batch  # noqa: F401
 from .nudge import decision_probability
-from .records import BehaviorRecord, Treatment, group_by_subject
+from .records import Treatment, Trials, group_by_subject
 
 __all__ = [
     "SplitPlan",
@@ -84,53 +85,51 @@ class CurvePoint:
     f1: float
 
 
-def metrics(predictions, truths, clip_eps: float = 1e-6) -> tuple[float, float, float]:
-    """(NLL, accuracy, F1) of (probability, decision) pairs against 0/1 truths.
+def metrics(probabilities, truths, clip_eps: float = 1e-6) -> tuple[float, float, float]:
+    """(NLL, accuracy, F1) of probabilities of decision 1 against 0/1 truths.
 
-    F1 uses decision 1 as the positive class; with no positive truths and
-    no positive predictions it is 1 by convention.
+    Each predicted decision is 1 where its probability is at least 0.5, the
+    package's tie rule.  F1 uses decision 1 as the positive class; with no
+    positive truths and no positive predictions it is 1 by convention.
     """
-    predictions = list(predictions)
-    truths = list(truths)
-    if len(predictions) != len(truths):
-        raise UsageError("predictions and truths must have equal length")
-    if not predictions:
-        raise UsageError("metrics require at least one prediction")
-    probs = np.clip([p for p, _ in predictions], clip_eps, 1.0 - clip_eps)
-    decisions = np.asarray([d for _, d in predictions])
+    probabilities = np.asarray(probabilities, dtype=float)
     y = np.asarray(truths)
+    if probabilities.shape != y.shape or probabilities.ndim != 1:
+        raise UsageError("probabilities and truths must have equal length")
+    if not probabilities.size:
+        raise UsageError("metrics require at least one prediction")
+    probs = np.clip(probabilities, clip_eps, 1.0 - clip_eps)
+    decisions = probabilities >= 0.5
     nll = -float(np.mean(y * np.log(probs) + (1 - y) * np.log1p(-probs)))
     accuracy = float(np.mean(decisions == y))
-    tp = int(np.sum((decisions == 1) & (y == 1)))
-    fp = int(np.sum((decisions == 1) & (y == 0)))
-    fn = int(np.sum((decisions == 0) & (y == 1)))
-    if tp + fp + fn == 0:
-        f1 = 1.0
-    else:
-        f1 = 2.0 * tp / (2.0 * tp + fp + fn)
-    return nll, accuracy, float(f1)
+    tp = int(np.sum(decisions & (y == 1)))
+    fp = int(np.sum(decisions & (y == 0)))
+    fn = int(np.sum(~decisions & (y == 1)))
+    f1 = 2.0 * tp / (2.0 * tp + fp + fn) if tp + fp + fn else 1.0
+    return nll, accuracy, f1
 
 
 def split_trials(
-    trials: list[BehaviorRecord], run_seed: int, train_fraction: float
-) -> tuple[list[BehaviorRecord], list[BehaviorRecord]]:
+    trials: Trials, run_seed: int, train_fraction: float
+) -> tuple[Trials, Trials]:
     """Deterministic per-(subject, run) shuffle split; both halves nonempty."""
     shuffled = _shuffled(trials, run_seed, "split")
     n_train = int(round(len(shuffled) * train_fraction))
     n_train = max(1, min(len(shuffled) - 1, n_train))
-    return shuffled[:n_train], shuffled[n_train:]
+    return shuffled.take(slice(n_train)), shuffled.take(slice(n_train, None))
 
 
-def _shuffled(trials: list[BehaviorRecord], run_seed: int,
-              salt: str) -> list[BehaviorRecord]:
-    """One subject's trials in a permutation drawn from (run, subject, salt)."""
-    ordered = sorted(trials, key=lambda r: r.trial_index)
-    rng = np.random.default_rng(derive_seed(run_seed, ordered[0].subject_id, salt))
-    return [ordered[i] for i in rng.permutation(len(ordered))]
+def _shuffled(trials: Trials, run_seed: int, salt: str) -> Trials:
+    """One subject's trials, stably sorted by trial_index, in a permutation
+    drawn from (run, subject, salt)."""
+    order = np.argsort(trials.trial_index, kind="stable")
+    rng = np.random.default_rng(
+        derive_seed(run_seed, trials.subject_id[order[0]], salt))
+    return trials.take(order[rng.permutation(len(order))])
 
 
-def _single_treatment(dataset, expected: Treatment | None = None) -> Treatment:
-    treatments = {rec.treatment for rec in dataset}
+def _single_treatment(dataset: Trials, expected: Treatment | None = None) -> Treatment:
+    treatments = set(dataset.treatment.tolist())
     if len(treatments) != 1:
         raise UsageError(
             "evaluate one treatment at a time; got "
@@ -144,12 +143,9 @@ def _single_treatment(dataset, expected: Treatment | None = None) -> Treatment:
 
 def _eligible_groups(dataset):
     groups = group_by_subject(dataset)
-    eligible, warnings = {}, []
-    for sid, trials in groups.items():
-        if len(trials) < 2:
-            warnings.append(f"subject {sid} excluded: fewer than 2 trials")
-        else:
-            eligible[sid] = trials
+    eligible = {sid: trials for sid, trials in groups.items() if len(trials) >= 2}
+    warnings = [f"subject {sid} excluded: fewer than 2 trials"
+                for sid in groups if sid not in eligible]
     if not eligible:
         raise UsageError("no subject has at least 2 trials")
     return eligible, warnings
@@ -189,13 +185,12 @@ def _score_framework(tests, posterior, params, clip_eps):
         return []
     probs = decision_probability(tests, posterior, params, clip_eps)
     cuts = np.cumsum([len(test) for test in tests])[:-1]
-    return [metrics([(float(p), int(p >= 0.5)) for p in part],
-                    [rec.final_decision for rec in test], clip_eps)
+    return [metrics(part, test.final_decision, clip_eps)
             for part, test in zip(np.split(probs, cuts), tests)]
 
 
 def evaluate_framework(
-    dataset: list[BehaviorRecord],
+    dataset: Trials,
     posterior: PopulationPosterior,
     plan: SplitPlan = SplitPlan(),
     config: FitConfig = FitConfig(),
@@ -225,17 +220,16 @@ def evaluate_framework(
 # -- per-subject logistic baseline ------------------------------------------
 
 
-def baseline_features(record: BehaviorRecord) -> np.ndarray:
-    """Treatment-specific input row for the supervised baseline."""
-    x = record.features
-    t = record.treatment
-    if t == Treatment.IMMEDIATE:
-        return np.concatenate([x, [record.ai_recommendation, record.ai_confidence]])
-    if t == Treatment.DELAYED:
-        return np.concatenate([x, [record.initial_decision, record.ai_recommendation]])
-    if t == Treatment.EXPLANATION:
-        return np.concatenate([x, record.explanation_mask.astype(float)])
-    return np.asarray(x, dtype=float)
+def baseline_features(trials: Trials) -> np.ndarray:
+    """The supervised baseline's N x d design matrix: the features, then
+    the treatment's payload columns."""
+    payload = {
+        Treatment.IMMEDIATE: ("ai_recommendation", "ai_confidence"),
+        Treatment.DELAYED: ("initial_decision", "ai_recommendation"),
+        Treatment.EXPLANATION: ("explanation_mask",),
+    }.get(_single_treatment(trials), ())
+    columns = [trials.features, *(getattr(trials, name) for name in payload)]
+    return np.column_stack(columns).astype(float, copy=False)
 
 
 def _fit_logistic(features, labels, l2):
@@ -283,7 +277,7 @@ def _newton_logistic(design, labels, l2):
 
 
 def baseline_logistic(
-    dataset: list[BehaviorRecord],
+    dataset: Trials,
     treatment: Treatment,
     plan: SplitPlan = SplitPlan(),
     l2: float = 1.0,
@@ -302,16 +296,13 @@ def baseline_logistic(
 
 def _score_baseline(train, test, l2, clip_eps):
     """Fit the logistic baseline on ``train``; (NLL, accuracy, F1) on ``test``."""
-    predict = _fit_logistic([baseline_features(r) for r in train],
-                            [r.final_decision for r in train], l2)
-    probs = np.clip(predict([baseline_features(r) for r in test]),
-                    clip_eps, 1.0 - clip_eps)
-    return metrics([(float(p), int(p >= 0.5)) for p in probs],
-                   [r.final_decision for r in test], clip_eps)
+    predict = _fit_logistic(baseline_features(train), train.final_decision, l2)
+    probs = np.clip(predict(baseline_features(test)), clip_eps, 1.0 - clip_eps)
+    return metrics(probs, test.final_decision, clip_eps)
 
 
 def learning_curve(
-    dataset: list[BehaviorRecord],
+    dataset: Trials,
     treatment: Treatment,
     posterior: PopulationPosterior,
     train_sizes: list[int],
@@ -347,7 +338,8 @@ def learning_curve(
             for sid, trials in usable.items():
                 shuffled = _shuffled(trials, run, "curve")
                 cell.append((derive_seed(config.seed, run, sid, size),
-                             shuffled[:size], shuffled[size:]))
+                             shuffled.take(slice(size)),
+                             shuffled.take(slice(size, None))))
     jobs = [job for _, _, cell in splits for job in cell]
     fits = fit_nudge_batch([train for _, train, _ in jobs], posterior,
                            treatment, config, seeds=[seed for seed, _, _ in jobs])

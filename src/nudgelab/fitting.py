@@ -34,7 +34,7 @@ from .nudge import (
     explanation_means,
     logit_shift,
 )
-from .records import BehaviorRecord, Treatment
+from .records import Treatment, Trials
 
 __all__ = [
     "FitConfig",
@@ -224,7 +224,7 @@ class _GroupSum:
 class NudgeObjective:
     """Mean negative log-likelihood of each subject's trials, with gradient.
 
-    ``trial_sets`` is a list of K subjects' trial lists; their trials are
+    ``trial_sets`` is a list of K subjects' ``Trials``; their rows are
     stacked, and each subject's mean and gradient sum over its own trials
     only.  Everything that depends only on the trials and the frozen
     ensemble (conditioning masks, masked response means, response tables)
@@ -252,7 +252,7 @@ class NudgeObjective:
     def __init__(self, trial_sets, ensemble: np.ndarray,
                  treatment: Treatment, clip_eps: float = 1e-6,
                  l2_penalty: float = 0.0):
-        trial_sets = [list(subject) for subject in trial_sets]
+        trial_sets = list(trial_sets)
         if not trial_sets:
             raise UsageError("at least one subject's trials are required")
         self.treatment = Treatment(treatment)
@@ -260,8 +260,8 @@ class NudgeObjective:
             raise UsageError("independent treatment has no nudge parameters to fit")
         for subject in trial_sets:
             _check_subject(subject, self.treatment)
-        trials = [t for subject in trial_sets for t in subject]
-        self.n = trials[0].n_features
+        trials = Trials.concat(trial_sets)
+        self.n = trials.n_features
         if ensemble.shape[1] != self.n + 1:
             raise ConfigurationError(
                 f"posterior has {ensemble.shape[1] - 1} features but the "
@@ -277,25 +277,23 @@ class NudgeObjective:
         self.trial_count = self.subject_trials[self.subject]             # (T,)
         self.by_subject = _GroupSum(self.subject, self.n_subjects)
 
-        self.features = np.stack([t.features for t in trials])           # (T, n)
-        n_trials = len(trials)
-        self.final = np.asarray([t.final_decision for t in trials], dtype=float)
+        self.features = trials.features                                  # (T, n)
+        self.final = trials.final_decision.astype(float)
 
         if self.treatment == Treatment.EXPLANATION:
-            masks = np.stack([t.explanation_mask for t in trials]).astype(float)
+            masks = trials.explanation_mask.astype(float)
             self.mean_focused, self.mean_ignored = explanation_means(
                 ensemble, self.features, masks)                          # (T,) each
             return
 
-        rec = np.asarray([t.ai_recommendation for t in trials])
+        rec = trials.ai_recommendation
         initial = None
         if self.treatment == Treatment.IMMEDIATE:
-            conf = np.asarray([t.ai_confidence for t in trials])
-            self.direction = (2.0 * rec - 1.0) * conf                    # (T,)
+            self.direction = (2.0 * rec - 1.0) * trials.ai_confidence    # (T,)
             self.n_branches = 1                                          # direct
-            branch = np.zeros(n_trials, dtype=np.intp)
+            branch = np.zeros(len(trials), dtype=np.intp)
         else:
-            initial = np.asarray([t.initial_decision for t in trials])
+            initial = trials.initial_decision
             self.direction = 2.0 * rec - 1.0
             self.n_branches = 2                                          # affirm, contra
             branch = (rec != initial).astype(np.intp)
@@ -473,18 +471,16 @@ class NudgeObjective:
         return value, grad.reshape(theta.shape)
 
 
-def _check_subject(trials, treatment):
-    if not trials:
+def _check_subject(trials: Trials, treatment):
+    if not len(trials):
         raise UsageError("at least one training trial is required")
-    subjects = {t.subject_id for t in trials}
+    subjects = sorted(set(trials.subject_id.tolist()))
     if len(subjects) != 1:
-        raise UsageError(f"trials span multiple subjects: {sorted(subjects)}")
-    for t in trials:
-        if t.treatment != treatment:
-            raise UsageError(
-                f"trial treatment {t.treatment.value!r} does not match "
-                f"{treatment.value!r}"
-            )
+        raise UsageError(f"trials span multiple subjects: {subjects}")
+    other = trials.treatment[trials.treatment != treatment]
+    if other.size:
+        raise UsageError(f"trial treatment {other[0].value!r} does not match "
+                         f"{treatment.value!r}")
 
 
 def _logit_penalty(attention, l2_penalty):
@@ -596,7 +592,7 @@ def fit_nudge_batch(
     one stacked attention solve, whose results have ``restart_index`` 0;
     each result is bit-identical to fitting that subject alone.
     """
-    trial_sets = [list(trials) for trials in trial_sets]
+    trial_sets = list(trial_sets)
     seeds = [config.seed] * len(trial_sets) if seeds is None else list(seeds)
     if len(seeds) != len(trial_sets):
         raise UsageError(f"{len(seeds)} seeds for {len(trial_sets)} subjects")
@@ -627,7 +623,7 @@ def fit_nudge_batch(
 
 
 def fit_nudge(
-    subject_trials: list[BehaviorRecord],
+    subject_trials: Trials,
     posterior: PopulationPosterior,
     treatment: Treatment,
     config: FitConfig = FitConfig(),
@@ -642,7 +638,7 @@ def fit_nudge(
 
 
 def fit_nudge_deterministic_ablation(
-    subject_trials: list[BehaviorRecord],
+    subject_trials: Trials,
     point_model: WeightVector,
     treatment: Treatment,
     config: FitConfig = FitConfig(),

@@ -21,7 +21,7 @@ probability code: simulation, the nudge fit and scoring all evaluate it.
 ``predict_immediate``, ``predict_delayed`` and ``predict_explanation``
 evaluate it for a batch of trials (one subject's, or many subjects'
 stacked) at realized shift vectors; ``decision_probability`` scores the
-behavior records of K subjects, each at its own parameters.
+``Trials`` of K subjects, each at its own parameters.
 
 Shift vectors share one sign across coordinates: they are stored as a
 signed scalar times nonnegative magnitudes, so trust (+) versus distrust
@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import PopulationPosterior, _frozen_array
 from .errors import ConfigurationError, InputError, UsageError
-from .records import Treatment
+from .records import Treatment, Trials
 
 __all__ = [
     "EnsembleResponse",
@@ -203,8 +203,9 @@ class SignedSharedSignVector:
         mags = np.asarray(self.magnitudes, dtype=float)
         if mags.ndim != 1 or np.any(mags < 0.0) or not np.all(np.isfinite(mags)):
             raise ConfigurationError("magnitudes must be finite and nonnegative")
-        if not np.isfinite(self.scale):
-            raise ConfigurationError("scale must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(self.scale * np.append(mags, 1.0))):
+                raise ConfigurationError("scale and the realized vector must be finite")
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "magnitudes", _frozen_array(mags))
 
@@ -363,28 +364,28 @@ def decision_probability(trial_sets, posterior: PopulationPosterior, params,
     """Probability that each trial's final decision is 1, clipped to
     [clip_eps, 1 - clip_eps]: a (T,) array over K subjects' trials.
 
-    ``trial_sets`` is a list of K subjects' behavior records, all of one
+    ``trial_sets`` is a list of K subjects' ``Trials``, all of one
     treatment, and ``params`` their K nudge parameters; the independent
     treatment takes None for each and is the ensemble response at c = 0.
     The trials are scored in one call of the treatment's predictor, in
     order.  The clip keeps log likelihoods finite for degenerate ensembles.
     """
-    trial_sets = [list(trials) for trials in trial_sets]
+    trial_sets = list(trial_sets)
     params = list(params)
     if len(params) != len(trial_sets):
         raise UsageError(f"{len(params)} parameter sets for {len(trial_sets)} subjects")
-    trials = [rec for trials in trial_sets for rec in trials]
-    if not trials:
+    if not sum(len(trials) for trials in trial_sets):
         raise UsageError("at least one trial is required")
-    treatment = trials[0].treatment
-    if any(rec.treatment != treatment for rec in trials):
+    trials = Trials.concat(trial_sets)
+    treatment = trials.treatment[0]
+    if (trials.treatment != treatment).any():
         raise UsageError("score one treatment at a time")
     wanted = None if treatment == Treatment.INDEPENDENT else treatment
     if any((None if p is None else p.treatment) != wanted for p in params):
-        raise UsageError(f"record treatment {treatment.value!r} does not match "
+        raise UsageError(f"trial treatment {treatment.value!r} does not match "
                          f"the parameters provided")
     sizes = [len(trials) for trials in trial_sets]
-    features = _features(posterior, [rec.features for rec in trials])
+    features = _features(posterior, trials.features)
 
     def per_trial(values):
         return np.repeat(np.asarray(values), sizes, axis=0)
@@ -396,17 +397,14 @@ def decision_probability(trial_sets, posterior: PopulationPosterior, params,
         probability = _unassisted(posterior.ensemble, features)
     elif treatment == Treatment.EXPLANATION:
         probability = predict_explanation(
-            posterior, features, [rec.explanation_mask for rec in trials],
+            posterior, features, trials.explanation_mask,
             per_trial([p.delta_exp for p in params]))
+    elif treatment == Treatment.IMMEDIATE:
+        probability = predict_immediate(
+            posterior, features, trials.ai_recommendation, trials.ai_confidence,
+            vectors("delta_direct"))
     else:
-        recommendation = [rec.ai_recommendation for rec in trials]
-        if treatment == Treatment.IMMEDIATE:
-            probability = predict_immediate(
-                posterior, features, recommendation,
-                [rec.ai_confidence for rec in trials], vectors("delta_direct"))
-        else:
-            probability = predict_delayed(
-                posterior, features, recommendation,
-                [rec.initial_decision for rec in trials],
-                vectors("delta_affirm"), vectors("delta_contra"))
+        probability = predict_delayed(
+            posterior, features, trials.ai_recommendation, trials.initial_decision,
+            vectors("delta_affirm"), vectors("delta_contra"))
     return np.clip(probability, clip_eps, 1.0 - clip_eps)

@@ -2,7 +2,7 @@
 
 A linear surrogate AI produces recommendations, confidences and top-k
 explanation masks; synthetic subjects with known weights and nudge
-parameters forward-sample behavior records.  The generated datasets feed
+parameters forward-sample behavior trials.  The generated datasets feed
 the parameter-recovery harnesses and the data-efficiency experiments.
 """
 
@@ -23,7 +23,7 @@ from .nudge import (
     predict_explanation,
     predict_immediate,
 )
-from .records import BehaviorRecord, Treatment
+from .records import Treatment, Trials
 
 __all__ = [
     "SurrogateAI",
@@ -107,8 +107,8 @@ def generate_behavior(
     tasks: list[TaskInstance],
     ai: SurrogateAI,
     seed: int,
-) -> list[BehaviorRecord]:
-    """Forward-sample one record per task from the subject's true model.
+) -> Trials:
+    """Forward-sample one trial per task from the subject's true model.
 
     The subject's own weights act as a singleton ensemble, so the nudged
     probability is the exact generative probability; one predictor call
@@ -137,26 +137,22 @@ def generate_behavior(
         probability = predict_delayed(point, features, rec, initial,
                                       params.delta_affirm.realized,
                                       params.delta_contra.realized)
-        fields = dict(ai_recommendation=rec,
-                      initial_decision=initial.tolist())
+        fields = dict(ai_recommendation=rec, initial_decision=initial)
     else:
         masks = [ai_explain(ai, task) for task in tasks]
         probability = predict_explanation(point, features, masks, params.delta_exp)
         fields = dict(explanation_mask=masks)
-    out: list[BehaviorRecord] = []
-    for index, task in enumerate(tasks):
-        final = _sample_decision(float(probability[index]),
-                                 subject.noise_temperature, rng)
-        out.append(BehaviorRecord(
-            subject_id=subject.subject_id,
-            treatment=subject.treatment,
-            trial_index=index,
-            features=task.features,
-            final_decision=final,
-            crt_score=subject.crt_score,
-            **{name: values[index] for name, values in fields.items()},
-        ))
-    return out
+    n_trials = len(tasks)
+    return Trials(
+        subject_id=[subject.subject_id] * n_trials,
+        treatment=[subject.treatment] * n_trials,
+        trial_index=np.arange(n_trials),
+        features=features,
+        final_decision=[_sample_decision(p, subject.noise_temperature, rng)
+                        for p in probability.tolist()],
+        crt_score=[subject.crt_score] * n_trials,
+        **fields,
+    )
 
 
 def uniform_tasks(n_tasks: int, n_features: int, seed: int) -> list[TaskInstance]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nudgelab import PopulationPosterior, TaskInstance
+from nudgelab import PopulationPosterior, TaskInstance, Trials
 from nudgelab.nudge import _unassisted
 
 
@@ -43,3 +43,15 @@ def unassisted(posterior, features):
     """Each trial's unassisted probability: the ensemble response at logit
     shift 0, (T,) for features (T, n)."""
     return _unassisted(posterior.ensemble, np.asarray(features, dtype=float))
+
+
+def trials_of(rows):
+    """A ``Trials`` table of per-row field dicts; a row without an optional
+    field does not carry it."""
+    names = {name for row in rows for name in row}
+    return Trials(**{name: [row.get(name) for row in rows] for name in names})
+
+
+def one_trial(**fields):
+    """A one-row ``Trials`` table."""
+    return trials_of([fields])

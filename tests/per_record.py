@@ -53,16 +53,19 @@ def predict_explanation(posterior, features, mask, attention):
     return float(np.mean(mixture))
 
 
-def decision_probability(record, posterior, params):
-    """One record's unclipped probability of a final decision of 1."""
-    x = record.features
-    if record.treatment == Treatment.INDEPENDENT:
+def decision_probability(trials, row, posterior, params):
+    """The unclipped probability of a final decision of 1 of one row of a
+    ``Trials`` table."""
+    x = trials.features[row]
+    treatment = trials.treatment[row]
+    if treatment == Treatment.INDEPENDENT:
         return predict_independent(posterior, x)
-    if record.treatment == Treatment.IMMEDIATE:
-        return predict_immediate(posterior, x, record.ai_recommendation,
-                                 record.ai_confidence, params.delta_direct.realized)
-    if record.treatment == Treatment.DELAYED:
-        return predict_delayed(posterior, x, record.ai_recommendation,
-                               record.initial_decision, params.delta_affirm.realized,
+    if treatment == Treatment.IMMEDIATE:
+        return predict_immediate(posterior, x, trials.ai_recommendation[row],
+                                 trials.ai_confidence[row], params.delta_direct.realized)
+    if treatment == Treatment.DELAYED:
+        return predict_delayed(posterior, x, trials.ai_recommendation[row],
+                               trials.initial_decision[row], params.delta_affirm.realized,
                                params.delta_contra.realized)
-    return predict_explanation(posterior, x, record.explanation_mask, params.delta_exp)
+    return predict_explanation(posterior, x, trials.explanation_mask[row],
+                               params.delta_exp)

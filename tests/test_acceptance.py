@@ -32,6 +32,7 @@ from nudgelab import (
     SyntheticSubject,
     TaskInstance,
     Treatment,
+    Trials,
     WeightVector,
     elbo_and_gradient,
     evaluate_framework,
@@ -408,14 +409,15 @@ def _efficiency_population():
         Treatment.DELAYED, EFFICIENCY_SUBJECTS, mean, var,
         seed=EFFICIENCY_POP_SEED, noise_temperature=1.0,
         scale_range=(0.5, 1.5), magnitude_range=(0.3, 0.6))
-    data = []
+    tables = []
     for subject in subjects:
         tasks = uniform_tasks(
             30, N_FEATURES,
             seed=derive_seed(EFFICIENCY_POP_SEED, subject.subject_id, "t"))
-        data.extend(generate_behavior(
+        tables.append(generate_behavior(
             subject, tasks, ai,
             seed=derive_seed(EFFICIENCY_POP_SEED, subject.subject_id, "b")))
+    data = Trials.concat(tables)
     posterior = PopulationPosterior.from_moments(mean, var, 500, seed=12)
     return data, posterior
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import nudgelab
 from nudgelab import NudgeParams, SignedSharedSignVector, Treatment
@@ -26,7 +28,7 @@ from nudgelab.cli import (
     write_csv,
     write_params_file,
 )
-from nudgelab.errors import ConfigurationError
+from nudgelab.errors import ConfigurationError, DataValidationError
 from nudgelab.fitting import NudgeFitResult
 
 
@@ -182,6 +184,34 @@ class TestParamsFiles:
             assert np.array_equal(read.realized, vector.realized)
 
 
+def _number_text():
+    return st.one_of(st.floats().map(repr), st.integers(-3, 3).map(str),
+                     st.sampled_from(["x", "", "1e400", "-1e400", "-0.0", "nan"]))
+
+
+class TestParsedSharedSign:
+    # the shared-sign invariant of a parsed vector: whatever scale and
+    # magnitudes a params file holds, reading it either fails validation or
+    # gives realized components with delta_i * delta_j >= 0
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scale=_number_text(), magnitudes=st.lists(_number_text(), max_size=4))
+    # a realized component that overflows to -inf makes -inf * -0.0 = nan
+    @example(scale="-1e308", magnitudes=["1e308", "0"])
+    def test_parsed_vectors_share_one_sign(self, tmp_path, scale, magnitudes):
+        path = tmp_path / "s1.txt"
+        path.write_text("subject_id: s1\ntreatment: immediate\ntrain_nll: 0.5\n"
+                        "converged: true\nrestart_index: 0\n[delta_direct]\n"
+                        f"scale: {scale}\nmagnitudes: {' '.join(magnitudes)}\n")
+        try:
+            params = read_params_file(path)["params"]
+        except DataValidationError:
+            return
+        delta = params.delta_direct.realized
+        with np.errstate(over="ignore"):  # a product past 1e308 is +-inf
+            assert np.all(np.outer(delta, delta) >= 0.0)
+
+
 class TestCommands:
     def test_simulate_outputs(self, pipeline_dir):
         behavior = (pipeline_dir / "behavior.csv").read_text().splitlines()
@@ -189,6 +219,28 @@ class TestCommands:
         # 4 treatments x 3 subjects x 8 trials
         assert len(behavior) == 2 + 4 * 3 * 8
         assert (pipeline_dir / "true_effects.csv").exists()
+
+    def test_missing_crt_score_is_blank_and_warned(self, pipeline_dir, tmp_path):
+        # a subject without a CRT score: effects.csv leaves the score empty
+        # and analyze warns that the subject has none
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        data = Path(config.data_path)
+        lines = data.read_text().splitlines()
+        subject = next(line.split(",")[0] for line in lines[2:]
+                       if ",immediate," in line)
+        lines = [line.rpartition(",")[0] + "," if line.startswith(subject + ",")
+                 else line for line in lines]
+        data.write_text("\n".join(lines) + "\n")
+        assert run_pipeline("fit-nudge", config) == 0
+        assert run_pipeline("analyze", config) == 0
+        with open(tmp_path / "run" / "effects.csv", newline="") as handle:
+            rows = list(csv.DictReader(line for line in handle
+                                       if not line.startswith("#")))
+        assert {row["crt_score"] for row in rows if row["subject_id"] == subject} == {""}
+        assert all(row["crt_score"] != "" for row in rows
+                   if row["subject_id"] != subject)
+        groups = (tmp_path / "run" / "analysis_groups.csv").read_text()
+        assert f"# warning: subject {subject} has no CRT score" in groups
 
     def test_posterior_artifact_loads(self, pipeline_dir):
         posterior = load_posterior(pipeline_dir / "posterior.json")
@@ -378,6 +430,64 @@ class TestUnreadableInput:
                                            f"line {line}: field larger than")
 
 
+# What a fuzzed line of the behavior CSV becomes: a field too few or too
+# many, a field that is not a valid number, a quoted field that spans two
+# lines, a non-finite value, a field over the csv field-size limit, bytes
+# that are not UTF-8, a copy of another line, or a changed CRT score.
+MALFORMED = ("short", "long", "bad-number", "line-break", "non-finite",
+             "over-limit", "non-utf8", "repeat", "crt-change")
+
+
+def _malformed(lines, index, kind, data):
+    # simulated ids hold no commas; bytes an earlier change made stay as they are
+    fields = lines[index].decode(errors="surrogateescape").split(",")
+    position = data.draw(st.integers(0, len(fields) - 1))
+    if kind == "short":
+        fields.pop(position)
+    elif kind == "long":
+        fields.append("0")
+    elif kind == "bad-number":
+        fields[position] = data.draw(st.sampled_from(
+            ["x", "1e400", "-0.5", "2", " 1", "0x1", "99999999999999999999999"]))
+    elif kind == "line-break":
+        fields[position] = '"a\nb"'
+    elif kind == "non-finite":
+        fields[position] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif kind == "over-limit":
+        fields[position] = "s" * (csv.field_size_limit() + 1)
+    elif kind == "non-utf8":
+        return lines[index] + b"\xff\xfe"
+    elif kind == "repeat":
+        return lines[data.draw(st.integers(2, len(lines) - 1))]
+    else:
+        fields[-1] = data.draw(st.sampled_from(["", "0", "1", "2", "3"]))
+    return ",".join(fields).encode(errors="surrogateescape")
+
+
+class TestBehaviorFuzz:
+    # a valid behavior file with random lines made malformed: fit-population
+    # exits 0 or 1, and on 1 writes one JSON line to stderr, never a traceback
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_zero_or_one_json_line(self, pipeline_dir, tmp_path, capsys, data):
+        lines = (pipeline_dir / "behavior.csv").read_bytes().splitlines()
+        for _ in range(data.draw(st.integers(1, 3))):
+            index = data.draw(st.integers(2, len(lines) - 1))  # after the header
+            lines[index] = _malformed(lines, index, data.draw(
+                st.sampled_from(MALFORMED)), data)
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        argv = ["fit-population", "--out", str(tmp_path / "out"), "--data", str(path)]
+        if data.draw(st.booleans()):
+            argv.append("--skip-invalid")
+        capsys.readouterr()
+        code = main(argv)
+        assert code in (0, 1)
+        if code == 1:
+            _single_json_error(capsys)
+
+
 class TestMalformedArtifacts:
     @pytest.mark.parametrize("corrupt", [
         pytest.param(lambda payload: json.dumps(
@@ -467,6 +577,34 @@ class TestMalformedArtifacts:
         assert error["category"] == "configuration"
         assert "posterior has 4 features" in error["message"]
         assert "trials have 6" in error["message"]
+
+
+class TestEnsembleTooLarge:
+    # 10**13 members of 5 coordinates need 364 TiB, more than the address
+    # space, so numpy refuses the draw without allocating anything
+    SIZE = 10**13
+
+    def test_posterior_ensemble_size_exits_one(self, pipeline_dir, tmp_path, capsys):
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        path = tmp_path / "run" / "posterior.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        ensemble_size=self.SIZE)))
+        assert main(["fit-nudge", "--out", config.out_dir,
+                     "--data", config.data_path]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert str(self.SIZE) in error["message"]
+
+    def test_configured_ensemble_size_exits_one(self, pipeline_dir, tmp_path, capsys):
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_features": 4, "population_iterations": 200,
+                                    "mc_ensemble_size": self.SIZE}))
+        assert main(["fit-population", "--config", str(path), "--out",
+                     config.out_dir, "--data", config.data_path]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert str(self.SIZE) in error["message"]
 
 
 class TestDeterminism:

@@ -17,7 +17,6 @@ from nudgelab import (
     Treatment,
     UsageError,
     WeightVector,
-    BehaviorRecord,
     decision_probability,
     elbo_and_gradient,
     fit_population,
@@ -30,7 +29,13 @@ from nudgelab.core import _elbo_hessian
 from nudgelab.nudge import EnsembleResponse
 
 import per_record
-from conftest import random_posterior, random_task, singleton_posterior, unassisted
+from conftest import (
+    one_trial,
+    random_posterior,
+    random_task,
+    singleton_posterior,
+    unassisted,
+)
 
 
 class TestLogisticResponse:
@@ -304,10 +309,10 @@ class TestPredictIndependent:
             assert (prob >= 0.5) == (direct >= 0.5)
 
     def test_dimension_mismatch(self, two_member_posterior):
-        record = BehaviorRecord(subject_id="s", treatment=Treatment.INDEPENDENT,
-                                trial_index=0, features=[0.1], final_decision=1)
+        record = one_trial(subject_id="s", treatment=Treatment.INDEPENDENT,
+                           trial_index=0, features=[0.1], final_decision=1)
         with pytest.raises(ConfigurationError):
-            decision_probability([[record]], two_member_posterior, [None])
+            decision_probability([record], two_member_posterior, [None])
 
 
 class TestConditionOnDecision:

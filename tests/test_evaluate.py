@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nudgelab import (
-    BehaviorRecord,
     ConfigurationError,
     FitConfig,
     NudgeParams,
@@ -16,6 +15,7 @@ from nudgelab import (
     SurrogateAI,
     SyntheticSubject,
     Treatment,
+    Trials,
     UsageError,
     WeightVector,
     baseline_logistic,
@@ -34,23 +34,25 @@ from nudgelab.evaluate import (
     baseline_features,
 )
 
+from conftest import one_trial, trials_of
+
 
 class TestMetrics:
     def test_perfect_confident_predictions(self):
-        preds = [(1.0 - 1e-6, 1), (1e-6, 0), (1.0 - 1e-6, 1)]
+        preds = [1.0 - 1e-6, 1e-6, 1.0 - 1e-6]
         nll, acc, f1 = metrics(preds, [1, 0, 1])
         assert nll == pytest.approx(1e-6, rel=1e-3)
         assert acc == 1.0
         assert f1 == 1.0
 
     def test_uninformative_is_log_two(self):
-        preds = [(0.5, 1)] * 7
+        preds = [0.5] * 7
         truths = [1, 0, 1, 1, 0, 0, 1]
         nll, _, _ = metrics(preds, truths)
         assert nll == pytest.approx(UNINFORMATIVE_NLL, abs=1e-12)
 
     def test_hand_enumerated_f1(self):
-        preds = [(0.9, 1), (0.1, 0), (0.9, 1)]
+        preds = [0.9, 0.1, 0.9]
         truths = [1, 1, 0]
         nll, acc, f1 = metrics(preds, truths)
         assert acc == pytest.approx(1 / 3)
@@ -58,16 +60,16 @@ class TestMetrics:
 
     def test_f1_conventions(self):
         # no positives anywhere -> 1; positive truths, no positive preds -> 0
-        assert metrics([(0.1, 0)] * 3, [0, 0, 0])[2] == 1.0
-        assert metrics([(0.1, 0)] * 3, [1, 0, 1])[2] == 0.0
+        assert metrics([0.1] * 3, [0, 0, 0])[2] == 1.0
+        assert metrics([0.1] * 3, [1, 0, 1])[2] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(UsageError):
-            metrics([(0.5, 1)], [1, 0])
+            metrics([0.5], [1, 0])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
-        preds = [(float(p), int(p >= 0.5)) for p in rng.random(40)]
+        preds = [float(p) for p in rng.random(40)]
         truths = [int(t) for t in rng.integers(0, 2, 40)]
         base = metrics(preds, truths)
         order = rng.permutation(40)
@@ -80,9 +82,9 @@ class TestSplit:
         records = _records_for_subject("a", 12)
         t1, e1 = split_trials(records, run_seed=4, train_fraction=0.5)
         t2, e2 = split_trials(records, run_seed=4, train_fraction=0.5)
-        assert [r.trial_index for r in t1] == [r.trial_index for r in t2]
+        assert t1.trial_index.tolist() == t2.trial_index.tolist()
         assert len(t1) == 6 and len(e1) == 6
-        assert {r.trial_index for r in t1} | {r.trial_index for r in e1} == set(range(12))
+        assert set(t1.trial_index.tolist()) | set(e1.trial_index.tolist()) == set(range(12))
 
     def test_both_halves_nonempty_for_tiny_subjects(self):
         records = _records_for_subject("a", 2)
@@ -118,8 +120,8 @@ FAST_FIT = FitConfig(iterations=150, restarts=2, seed=0)
 
 class TestEvaluateFramework:
     def test_deterministic_given_plan(self):
-        data = (_records_for_subject("a", 10, seed=1)
-                + _records_for_subject("b", 10, seed=2))
+        data = Trials.concat([_records_for_subject("a", 10, seed=1),
+                              _records_for_subject("b", 10, seed=2)])
         plan = SplitPlan(run_seeds=(3,))
         r1 = evaluate_framework(data, _posterior(), plan, FAST_FIT)
         r2 = evaluate_framework(data, _posterior(), plan, FAST_FIT)
@@ -135,17 +137,17 @@ class TestEvaluateFramework:
         assert single.accuracy == double.accuracy
 
     def test_small_subjects_excluded_with_warning(self):
-        data = (_records_for_subject("a", 10, seed=1)
-                + _records_for_subject("tiny", 1, seed=2))
+        data = Trials.concat([_records_for_subject("a", 10, seed=1),
+                              _records_for_subject("tiny", 1, seed=2)])
         report = evaluate_framework(data, _posterior(), SplitPlan(run_seeds=(0,)),
                                     FAST_FIT)
         assert report.n_subjects == 1
         assert any("tiny" in w for w in report.warnings)
 
     def test_mixed_treatments_rejected(self):
-        data = (_records_for_subject("a", 4, seed=1)
-                + _records_for_subject("b", 4, treatment=Treatment.INDEPENDENT,
-                                       seed=2))
+        data = Trials.concat([_records_for_subject("a", 4, seed=1),
+                              _records_for_subject("b", 4, treatment=Treatment.INDEPENDENT,
+                                                   seed=2)])
         with pytest.raises(UsageError):
             evaluate_framework(data, _posterior(), SplitPlan(run_seeds=(0,)),
                                FAST_FIT)
@@ -154,22 +156,19 @@ class TestEvaluateFramework:
         # subjects with no true nudge: the fitted framework should score
         # close to the unnudged ensemble on held-out trials
         posterior = _posterior()
-        data = []
-        for i in range(6):
-            data.extend(_records_for_subject(f"s{i}", 30, tau=0.0, seed=100 + i))
+        data = Trials.concat([_records_for_subject(f"s{i}", 30, tau=0.0, seed=100 + i)
+                              for i in range(6)])
         plan = SplitPlan(run_seeds=(0, 1))
         report = evaluate_framework(data, posterior, plan,
                                     FitConfig(iterations=400, restarts=2, seed=0,
                                               l2_penalty=0.05))
         independent_nlls = []
         for i in range(6):
-            recs = [r for r in data if r.subject_id == f"s{i}"]
+            recs = data.take(data.subject_id == f"s{i}")
             probs = decision_probability(
                 [recs], posterior,
                 [NudgeParams.for_immediate(SignedSharedSignVector.zero(3))])
-            preds = [(p, int(p >= 0.5)) for p in probs]
-            independent_nlls.append(
-                metrics(preds, [r.final_decision for r in recs])[0])
+            independent_nlls.append(metrics(probs, recs.final_decision)[0])
         assert abs(report.nll - float(np.mean(independent_nlls))) <= 0.05
 
 
@@ -206,7 +205,7 @@ class TestLogisticBaseline:
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 2, n_rows)
         labels[:2] = [0, 1]
-        rows = np.stack([baseline_features(BehaviorRecord(
+        rows = baseline_features(trials_of([dict(
             subject_id="s", treatment=treatment, trial_index=i,
             features=rng.random(n_features), final_decision=int(label),
             ai_recommendation=None if treatment in (
@@ -218,7 +217,7 @@ class TestLogisticBaseline:
             if treatment == Treatment.DELAYED else None,
             explanation_mask=rng.integers(0, 2, n_features)
             if treatment == Treatment.EXPLANATION else None,
-        )) for i, label in enumerate(labels)])
+        ) for i, label in enumerate(labels)]))
         weights, _ = _newton_logistic(rows, labels, l2)
         residual = _fit_logistic(rows, labels, l2)(rows) - labels
         assert np.abs(rows.T @ residual + l2 * weights).max() <= 1e-8
@@ -230,22 +229,21 @@ class TestLogisticBaseline:
             _fit_logistic(np.array([[0.1], [0.9]]), np.array([0, 1]), l2=l2)
 
     def test_feature_widths_per_treatment(self):
-        imm = _records_for_subject("a", 2, seed=1)[0]
+        imm = _records_for_subject("a", 2, seed=1).take([0])
         assert baseline_features(imm).size == 3 + 2
         exp_rec = _records_for_subject(
-            "b", 2, treatment=Treatment.INDEPENDENT, seed=2)[0]
+            "b", 2, treatment=Treatment.INDEPENDENT, seed=2).take([0])
         assert baseline_features(exp_rec).size == 3
 
     def test_explanation_width_is_two_n(self):
-        from nudgelab import BehaviorRecord
-        rec = BehaviorRecord(subject_id="x", treatment=Treatment.EXPLANATION,
-                             trial_index=0, features=[0.2, 0.4, 0.6],
-                             final_decision=1, explanation_mask=[1, 0, 1])
+        rec = one_trial(subject_id="x", treatment=Treatment.EXPLANATION,
+                        trial_index=0, features=[0.2, 0.4, 0.6],
+                        final_decision=1, explanation_mask=[1, 0, 1])
         assert baseline_features(rec).size == 6
 
     def test_report_structure(self):
-        data = (_records_for_subject("a", 10, seed=1)
-                + _records_for_subject("b", 10, seed=2))
+        data = Trials.concat([_records_for_subject("a", 10, seed=1),
+                              _records_for_subject("b", 10, seed=2)])
         report = baseline_logistic(data, Treatment.IMMEDIATE,
                                    SplitPlan(run_seeds=(0, 1)))
         assert report.n_subjects == 2
@@ -256,8 +254,8 @@ class TestLogisticBaseline:
 
 class TestLearningCurve:
     def test_rows_and_skip_warning(self):
-        data = (_records_for_subject("a", 12, seed=1)
-                + _records_for_subject("b", 12, seed=2))
+        data = Trials.concat([_records_for_subject("a", 12, seed=1),
+                              _records_for_subject("b", 12, seed=2)])
         rows, warnings = learning_curve(
             data, Treatment.IMMEDIATE, _posterior(), [4, 30],
             SplitPlan(run_seeds=(0,)), FAST_FIT,

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nudgelab import (
-    BehaviorRecord,
     FitConfig,
     NudgeObjective,
     NudgeParams,
@@ -17,6 +16,7 @@ from nudgelab import (
     SurrogateAI,
     SyntheticSubject,
     Treatment,
+    Trials,
     UsageError,
     WeightVector,
     fit_nudge,
@@ -35,7 +35,7 @@ from nudgelab.fitting import (
 )
 
 import per_record
-from conftest import unassisted
+from conftest import trials_of, unassisted
 
 N = 3
 # the response table's grid spans shifts in [_GRID_LO, GRID_HI]; the tests
@@ -131,8 +131,8 @@ def response_objective(treatment, seed, fallback, n_trials=12):
     posterior = PopulationPosterior.from_moments(mean, np.full(N + 1, 0.3), 200,
                                                  seed=seed)
     delayed = treatment == Treatment.DELAYED
-    trials = [
-        BehaviorRecord(
+    trials = trials_of([
+        dict(
             subject_id="s", treatment=treatment, trial_index=i,
             features=rng.random(N), final_decision=int(rng.integers(2)),
             ai_recommendation=int(rng.integers(2)),
@@ -141,7 +141,7 @@ def response_objective(treatment, seed, fallback, n_trials=12):
             if delayed else None,
         )
         for i in range(n_trials)
-    ]
+    ])
     return NudgeObjective([trials], posterior.ensemble, treatment)
 
 
@@ -518,13 +518,13 @@ def explanation_trials(seed, n_trials, pull):
     features' one ("ignored"), or are random ("random").  The first two
     put the unpenalized optimum at attention 1 and 0."""
     rng = np.random.default_rng(seed)
-    trials = [
-        BehaviorRecord(subject_id="s", treatment=Treatment.EXPLANATION,
-                       trial_index=i, features=rng.random(N),
-                       final_decision=int(rng.integers(2)),
-                       explanation_mask=rng.integers(0, 2, N))
+    trials = trials_of([
+        dict(subject_id="s", treatment=Treatment.EXPLANATION,
+             trial_index=i, features=rng.random(N),
+             final_decision=int(rng.integers(2)),
+             explanation_mask=rng.integers(0, 2, N))
         for i in range(n_trials)
-    ]
+    ])
     if pull == "random":
         return trials
     objective = NudgeObjective([trials], make_posterior().ensemble,
@@ -532,11 +532,10 @@ def explanation_trials(seed, n_trials, pull):
     toward = objective.mean_focused - objective.mean_ignored
     if pull == "ignored":
         toward = -toward
-    return [BehaviorRecord(subject_id=t.subject_id, treatment=t.treatment,
-                           trial_index=t.trial_index, features=t.features,
-                           final_decision=int(d > 0.0),
-                           explanation_mask=t.explanation_mask)
-            for t, d in zip(trials, toward)]
+    return Trials(subject_id=trials.subject_id, treatment=trials.treatment,
+                  trial_index=trials.trial_index, features=trials.features,
+                  final_decision=(toward > 0.0).astype(int),
+                  explanation_mask=trials.explanation_mask)
 
 
 class TestAttentionSolve:
@@ -614,6 +613,35 @@ class TestReparameterization:
                 assert 0.0 <= params.delta_exp <= 1.0
 
 
+    @settings(max_examples=15, deadline=None)
+    @given(treatment=st.sampled_from([Treatment.IMMEDIATE, Treatment.DELAYED]),
+           seed=st.integers(0, 2**16), n_subjects=st.integers(1, 3),
+           n_trials=st.integers(2, 12), members=st.sampled_from([1, 40]))
+    def test_fitted_vectors_share_one_sign(self, treatment, seed, n_subjects,
+                                           n_trials, members):
+        # random data, not drawn from the model: every fitted shift vector
+        # still has delta_i * delta_j >= 0
+        rng = np.random.default_rng(seed)
+        trial_sets = [trials_of([
+            dict(subject_id=f"s{k}", treatment=treatment, trial_index=i,
+                 features=rng.random(N), final_decision=int(rng.integers(2)),
+                 ai_recommendation=int(rng.integers(2)),
+                 ai_confidence=(float(rng.uniform(0.5, 1.0))
+                                if treatment == Treatment.IMMEDIATE else None),
+                 initial_decision=(int(rng.integers(2))
+                                   if treatment == Treatment.DELAYED else None))
+            for i in range(n_trials)]) for k in range(n_subjects)]
+        results = fit_nudge_batch(trial_sets, make_posterior(seed=seed, size=members),
+                                  treatment, FitConfig(iterations=30, restarts=3))
+        for result in results:
+            params = result.params
+            for vec in (params.delta_direct, params.delta_affirm,
+                        params.delta_contra):
+                if vec is not None:
+                    delta = vec.realized
+                    assert np.all(np.outer(delta, delta) >= 0.0)
+
+
 class TestFitNudge:
     def test_empty_trials_rejected(self):
         with pytest.raises(UsageError):
@@ -646,21 +674,22 @@ class TestFitNudge:
     def test_zero_nudge_data_yields_small_delta(self):
         # finals sampled from the model's own unnudged probabilities: the
         # fitter must not hallucinate an assistance effect
-        from nudgelab import BehaviorRecord, SurrogateAI, ai_recommend
+        from nudgelab import SurrogateAI, ai_recommend
 
         posterior = make_posterior(variance=0.15, size=200)
         ai = SurrogateAI(WeightVector([-0.8, -1.0, 0.9], bias=0.45), top_k=2)
         tasks = uniform_tasks(1500, N, seed=77)
         rng = np.random.default_rng(123)
         probs = unassisted(posterior, [task.features for task in tasks])
-        trials = []
+        rows = []
         for i, (task, p) in enumerate(zip(tasks, probs)):
             rec, conf = ai_recommend(ai, task)
-            trials.append(BehaviorRecord(
+            rows.append(dict(
                 subject_id="s", treatment=Treatment.IMMEDIATE, trial_index=i,
                 features=task.features, final_decision=int(rng.random() < p),
                 ai_recommendation=rec, ai_confidence=conf,
             ))
+        trials = trials_of(rows)
         result = fit_nudge(trials, posterior, Treatment.IMMEDIATE,
                            FitConfig(seed=2, iterations=600, restarts=2))
         assert result.params.delta_direct.norm <= 0.2
@@ -748,8 +777,8 @@ class TestBatchConsistency:
         theta = rng.normal(0.0, 1.0, objective.n_params)
         params = objective.params_from_theta(theta)
         batch = objective.probabilities(theta[None, None])[0]
-        oracle = [per_record.decision_probability(rec, posterior, params)
-                  for rec in trials]
+        oracle = [per_record.decision_probability(trials, row, posterior, params)
+                  for row in range(len(trials))]
         assert batch == pytest.approx(oracle, abs=1e-12)
         assert np.array_equal(
             np.clip(batch, 1e-6, 1 - 1e-6),
@@ -774,8 +803,8 @@ class TestBatchConsistency:
             0.0, 1.0, (3, 1, objective.n_params))
         for row, probs in zip(theta, objective.probabilities(theta)):
             params = objective.params_from_theta(row[0])
-            oracle = [per_record.decision_probability(rec, posterior, params)
-                      for rec in trials]
+            oracle = [per_record.decision_probability(trials, row, posterior, params)
+                      for row in range(len(trials))]
             assert probs == pytest.approx(oracle, abs=1e-12)
             assert np.array_equal(
                 probs, decision_probability([trials], posterior, [params], 0.0))

@@ -9,7 +9,6 @@ from scipy.special import expit
 
 import per_record
 from nudgelab import (
-    BehaviorRecord,
     ConfigurationError,
     InputError,
     NudgeParams,
@@ -24,7 +23,13 @@ from nudgelab import (
 )
 from nudgelab.nudge import EnsembleResponse
 
-from conftest import random_posterior, singleton_posterior, unassisted
+from conftest import (
+    one_trial,
+    random_posterior,
+    singleton_posterior,
+    trials_of,
+    unassisted,
+)
 
 
 def zero_delta(n):
@@ -228,7 +233,7 @@ class TestPredictExplanation:
 
 
 def _record(treatment, features, rng, index=0, subject="s1"):
-    """A record of ``treatment`` with a random payload."""
+    """The fields of a trial of ``treatment`` with a random payload."""
     n = len(features)
     payload = {
         Treatment.INDEPENDENT: {},
@@ -238,9 +243,9 @@ def _record(treatment, features, rng, index=0, subject="s1"):
                                 initial_decision=int(rng.integers(2))),
         Treatment.EXPLANATION: dict(explanation_mask=rng.integers(0, 2, n)),
     }[treatment]
-    return BehaviorRecord(subject_id=subject, treatment=treatment,
-                          trial_index=index, features=features,
-                          final_decision=int(rng.integers(2)), **payload)
+    return dict(subject_id=subject, treatment=treatment,
+                trial_index=index, features=features,
+                final_decision=int(rng.integers(2)), **payload)
 
 
 def _random_params(treatment, n, rng, scale=1.5):
@@ -259,43 +264,43 @@ class TestDecisionProbability:
     def test_independent_dispatch(self):
         rng = np.random.default_rng(16)
         post = random_posterior(rng, 3, size=10)
-        rec = BehaviorRecord(subject_id="s1", treatment=Treatment.INDEPENDENT,
-                             trial_index=0, features=[0.2, 0.4, 0.9],
-                             final_decision=1)
-        expected = unassisted(post, [rec.features])
-        assert np.array_equal(decision_probability([[rec]], post, [None]), expected)
+        rec = one_trial(subject_id="s1", treatment=Treatment.INDEPENDENT,
+                        trial_index=0, features=[0.2, 0.4, 0.9],
+                        final_decision=1)
+        expected = unassisted(post, rec.features)
+        assert np.array_equal(decision_probability([rec], post, [None]), expected)
 
     def test_immediate_zero_nudge_matches_independent(self):
         rng = np.random.default_rng(18)
         post = random_posterior(rng, 2, size=10)
-        rec = BehaviorRecord(subject_id="s1", treatment=Treatment.IMMEDIATE,
-                             trial_index=0, features=[0.2, 0.4],
-                             final_decision=0, ai_recommendation=1,
-                             ai_confidence=0.9)
+        rec = one_trial(subject_id="s1", treatment=Treatment.IMMEDIATE,
+                        trial_index=0, features=[0.2, 0.4],
+                        final_decision=0, ai_recommendation=1,
+                        ai_confidence=0.9)
         params = NudgeParams.for_immediate(zero_delta(2))
-        assert np.array_equal(decision_probability([[rec]], post, [params]),
-                              unassisted(post, [rec.features]))
+        assert np.array_equal(decision_probability([rec], post, [params]),
+                              unassisted(post, rec.features))
 
     def test_params_mismatch_raises(self):
         rng = np.random.default_rng(20)
         post = random_posterior(rng, 2, size=5)
-        rec = BehaviorRecord(subject_id="s1", treatment=Treatment.IMMEDIATE,
-                             trial_index=0, features=[0.2, 0.4],
-                             final_decision=0, ai_recommendation=1,
-                             ai_confidence=0.9)
+        rec = one_trial(subject_id="s1", treatment=Treatment.IMMEDIATE,
+                        trial_index=0, features=[0.2, 0.4],
+                        final_decision=0, ai_recommendation=1,
+                        ai_confidence=0.9)
         with pytest.raises(UsageError):
-            decision_probability([[rec]], post, [NudgeParams.for_explanation(0.5)])
+            decision_probability([rec], post, [NudgeParams.for_explanation(0.5)])
         with pytest.raises(UsageError):
-            decision_probability([[rec]], post, [None])
+            decision_probability([rec], post, [None])
         with pytest.raises(UsageError):
-            decision_probability([[rec], [rec]], post,
+            decision_probability([rec, rec], post,
                                  [NudgeParams.for_immediate(zero_delta(2))])
 
     def test_degenerate_probability_clipped(self):
         post = singleton_posterior([80.0, 80.0], bias=0.0)
-        rec = BehaviorRecord(subject_id="s1", treatment=Treatment.INDEPENDENT,
-                             trial_index=0, features=[1.0, 1.0], final_decision=1)
-        p = decision_probability([[rec]], post, [None])
+        rec = one_trial(subject_id="s1", treatment=Treatment.INDEPENDENT,
+                        trial_index=0, features=[1.0, 1.0], final_decision=1)
+        p = decision_probability([rec], post, [None])
         assert p[0] == 1.0 - 1e-6
 
     @pytest.mark.parametrize("treatment", list(Treatment), ids=lambda t: t.value)
@@ -307,13 +312,14 @@ class TestDecisionProbability:
         for _ in range(20):
             n = int(rng.integers(1, 6))
             post = random_posterior(rng, n, size=int(rng.choice([1, 30, 300])))
-            trial_sets = [[_record(treatment, rng.random(n), rng, i, f"s{k}")
-                           for i in range(int(rng.integers(1, 6)))]
+            trial_sets = [trials_of([_record(treatment, rng.random(n), rng, i, f"s{k}")
+                                     for i in range(int(rng.integers(1, 6)))])
                           for k in range(int(rng.integers(1, 4)))]
             params = [_random_params(treatment, n, rng) for _ in trial_sets]
             batch = decision_probability(trial_sets, post, params, clip_eps=0.0)
-            oracle = [per_record.decision_probability(rec, post, p)
-                      for trials, p in zip(trial_sets, params) for rec in trials]
+            oracle = [per_record.decision_probability(trials, row, post, p)
+                      for trials, p in zip(trial_sets, params)
+                      for row in range(len(trials))]
             assert batch == pytest.approx(oracle, abs=1e-12)
             alone = np.concatenate([decision_probability([trials], post, [p])
                                     for trials, p in zip(trial_sets, params)])
@@ -330,8 +336,8 @@ class TestDecisionProbability:
         post = PopulationPosterior(
             mean=np.zeros(n + 1), variance=np.ones(n + 1), seed=0,
             ensemble=logit_scale * rng.normal(0, 1, (members, n + 1)))
-        trial_sets = [[_record(treatment, rng.random(n), rng, i, f"s{k}")
-                       for i in range(4)] for k in range(2)]
+        trial_sets = [trials_of([_record(treatment, rng.random(n), rng, i, f"s{k}")
+                                 for i in range(4)]) for k in range(2)]
         params = [_random_params(treatment, n, rng, scale) for _ in trial_sets]
         p = decision_probability(trial_sets, post, params, clip_eps)
         assert p.shape == (8,)

@@ -1,4 +1,4 @@
-"""Behavior records: validation, CSV schema, round-trips."""
+"""Behavior trials: validation, CSV schema, round-trips."""
 
 import csv
 
@@ -7,13 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nudgelab import BehaviorRecord, ConfigurationError, Treatment
+from nudgelab import ConfigurationError, Treatment, Trials
 from nudgelab.errors import DataValidationError
-from nudgelab.records import csv_header, export_csv, group_by_subject, ingest
+from nudgelab.records import _OPTIONAL, csv_header, export_csv, group_by_subject, ingest
+
+from conftest import one_trial, trials_of
 
 
 def immediate_record(sid="s1", idx=0, crt=2):
-    return BehaviorRecord(
+    return dict(
         subject_id=sid, treatment=Treatment.IMMEDIATE, trial_index=idx,
         features=[0.25, 0.5, 0.75], final_decision=1,
         ai_recommendation=1, ai_confidence=0.875, crt_score=crt,
@@ -21,75 +23,89 @@ def immediate_record(sid="s1", idx=0, crt=2):
 
 
 def sample_records():
-    return [
+    return trials_of([
         immediate_record(idx=0),
         immediate_record(idx=1),
-        BehaviorRecord(subject_id="s2", treatment=Treatment.DELAYED, trial_index=0,
-                       features=[0.0, 1.0, 0.3], final_decision=0,
-                       ai_recommendation=0, initial_decision=1, crt_score=0),
-        BehaviorRecord(subject_id="s3", treatment=Treatment.EXPLANATION,
-                       trial_index=0, features=[0.1, 0.2, 0.3], final_decision=1,
-                       explanation_mask=[1, 1, 0], crt_score=3),
-        BehaviorRecord(subject_id="s4", treatment=Treatment.INDEPENDENT,
-                       trial_index=0, features=[0.9, 0.8, 0.7], final_decision=0),
-    ]
+        dict(subject_id="s2", treatment=Treatment.DELAYED, trial_index=0,
+             features=[0.0, 1.0, 0.3], final_decision=0,
+             ai_recommendation=0, initial_decision=1, crt_score=0),
+        dict(subject_id="s3", treatment=Treatment.EXPLANATION,
+             trial_index=0, features=[0.1, 0.2, 0.3], final_decision=1,
+             explanation_mask=[1, 1, 0], crt_score=3),
+        dict(subject_id="s4", treatment=Treatment.INDEPENDENT,
+             trial_index=0, features=[0.9, 0.8, 0.7], final_decision=0),
+    ])
+
+
+def rows_of(trials):
+    """Each row of a table as a dict of Python values, None for an optional
+    field the row does not carry."""
+    columns = {
+        "subject_id": trials.subject_id.tolist(),
+        "treatment": trials.treatment.tolist(),
+        "trial_index": trials.trial_index.tolist(),
+        "features": trials.features.tolist(),
+        "final_decision": trials.final_decision.tolist(),
+        **{name: trials.optional(name) for name in _OPTIONAL},
+    }
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 class TestRecordValidation:
     def test_payload_must_match_treatment(self):
         with pytest.raises(ConfigurationError):
-            BehaviorRecord(subject_id="x", treatment=Treatment.DELAYED,
-                           trial_index=0, features=[0.5], final_decision=1,
-                           ai_recommendation=1)  # initial_decision missing
+            one_trial(subject_id="x", treatment=Treatment.DELAYED,
+                      trial_index=0, features=[0.5], final_decision=1,
+                      ai_recommendation=1)  # initial_decision missing
         with pytest.raises(ConfigurationError):
-            BehaviorRecord(subject_id="x", treatment=Treatment.INDEPENDENT,
-                           trial_index=0, features=[0.5], final_decision=1,
-                           ai_confidence=0.7)  # stray payload
+            one_trial(subject_id="x", treatment=Treatment.INDEPENDENT,
+                      trial_index=0, features=[0.5], final_decision=1,
+                      ai_confidence=0.7)  # stray payload
 
     def test_confidence_range(self):
         with pytest.raises(ConfigurationError):
-            BehaviorRecord(subject_id="x", treatment=Treatment.IMMEDIATE,
-                           trial_index=0, features=[0.5], final_decision=1,
-                           ai_recommendation=1, ai_confidence=0.3)
+            one_trial(subject_id="x", treatment=Treatment.IMMEDIATE,
+                      trial_index=0, features=[0.5], final_decision=1,
+                      ai_recommendation=1, ai_confidence=0.3)
 
     def test_subject_id_must_fit_one_csv_line(self):
         for subject_id in ("#s1", "  # s1", "s\n1", "s\r1"):
             with pytest.raises(ConfigurationError):
-                BehaviorRecord(subject_id=subject_id, treatment=Treatment.INDEPENDENT,
-                               trial_index=0, features=[0.5], final_decision=1)
+                one_trial(subject_id=subject_id, treatment=Treatment.INDEPENDENT,
+                          trial_index=0, features=[0.5], final_decision=1)
 
     def test_subject_id_must_be_a_file_name(self):
         for subject_id in ("../escaped", "a/b", "a\\b", "a\0b", ".", "..",
                            "s" * 252, "\u00e9" * 126):
             with pytest.raises(ConfigurationError):
-                BehaviorRecord(subject_id=subject_id, treatment=Treatment.INDEPENDENT,
-                               trial_index=0, features=[0.5], final_decision=1)
-        record = BehaviorRecord(subject_id="...", treatment=Treatment.INDEPENDENT,
-                                trial_index=0, features=[0.5], final_decision=1)
-        assert record.subject_id == "..."
-        longest = BehaviorRecord(subject_id="s" * 251, treatment=Treatment.INDEPENDENT,
-                                 trial_index=0, features=[0.5], final_decision=1)
-        assert len(longest.subject_id) == 251
+                one_trial(subject_id=subject_id, treatment=Treatment.INDEPENDENT,
+                          trial_index=0, features=[0.5], final_decision=1)
+        record = one_trial(subject_id="...", treatment=Treatment.INDEPENDENT,
+                           trial_index=0, features=[0.5], final_decision=1)
+        assert record.subject_id[0] == "..."
+        longest = one_trial(subject_id="s" * 251, treatment=Treatment.INDEPENDENT,
+                            trial_index=0, features=[0.5], final_decision=1)
+        assert len(longest.subject_id[0]) == 251
 
     def test_feature_range(self):
         for bad in (1.5, -0.25, np.nan, np.inf, -np.inf):
             with pytest.raises(ConfigurationError,
                                match=r"record features must lie in \[0, 1\]"):
-                BehaviorRecord(subject_id="x", treatment=Treatment.INDEPENDENT,
-                               trial_index=0, features=[0.5, bad],
-                               final_decision=1)
-        record = BehaviorRecord(subject_id="x", treatment=Treatment.INDEPENDENT,
-                                trial_index=0, features=[0.0, 1.0],
-                                final_decision=1)
-        assert record.features.tolist() == [0.0, 1.0]
+                one_trial(subject_id="x", treatment=Treatment.INDEPENDENT,
+                          trial_index=0, features=[0.5, bad],
+                          final_decision=1)
+        record = one_trial(subject_id="x", treatment=Treatment.INDEPENDENT,
+                           trial_index=0, features=[0.0, 1.0],
+                           final_decision=1)
+        assert record.features[0].tolist() == [0.0, 1.0]
 
     def test_explanation_mask_is_zero_one_of_feature_length(self):
         for bad in ([1, 2], [-1, 0], [1], [1, 0, 1]):
             with pytest.raises(ConfigurationError,
                                match="explanation_mask must be 0/1 of feature length"):
-                BehaviorRecord(subject_id="x", treatment=Treatment.EXPLANATION,
-                               trial_index=0, features=[0.5, 0.5],
-                               final_decision=1, explanation_mask=bad)
+                one_trial(subject_id="x", treatment=Treatment.EXPLANATION,
+                          trial_index=0, features=[0.5, 0.5],
+                          final_decision=1, explanation_mask=bad)
 
 
 def _id_text(text):
@@ -120,11 +136,11 @@ def record_lists(draw):
             if treatment == Treatment.EXPLANATION:
                 payload["explanation_mask"] = draw(st.lists(bit, min_size=n,
                                                             max_size=n))
-            records.append(BehaviorRecord(
+            records.append(dict(
                 subject_id=subject_id, treatment=treatment, trial_index=index,
                 features=draw(st.lists(unit, min_size=n, max_size=n)),
                 final_decision=draw(bit), crt_score=crt, **payload))
-    return records
+    return trials_of(records)
 
 
 class TestCsvRoundTrip:
@@ -142,20 +158,20 @@ class TestCsvRoundTrip:
         export_csv(records, path, fingerprint="cafe1234")
         loaded = ingest(path)
         assert len(loaded) == len(records)
-        for a, b in zip(records, loaded):
-            assert a.subject_id == b.subject_id
-            assert a.treatment == b.treatment
-            assert a.trial_index == b.trial_index
-            assert np.array_equal(a.features, b.features)
-            assert a.final_decision == b.final_decision
-            assert a.ai_recommendation == b.ai_recommendation
-            assert a.ai_confidence == b.ai_confidence
-            assert a.initial_decision == b.initial_decision
-            assert a.crt_score == b.crt_score
-            if a.explanation_mask is None:
-                assert b.explanation_mask is None
+        for a, b in zip(rows_of(records), rows_of(loaded)):
+            assert a["subject_id"] == b["subject_id"]
+            assert a["treatment"] == b["treatment"]
+            assert a["trial_index"] == b["trial_index"]
+            assert np.array_equal(a["features"], b["features"])
+            assert a["final_decision"] == b["final_decision"]
+            assert a["ai_recommendation"] == b["ai_recommendation"]
+            assert a["ai_confidence"] == b["ai_confidence"]
+            assert a["initial_decision"] == b["initial_decision"]
+            assert a["crt_score"] == b["crt_score"]
+            if a["explanation_mask"] is None:
+                assert b["explanation_mask"] is None
             else:
-                assert np.array_equal(a.explanation_mask, b.explanation_mask)
+                assert np.array_equal(a["explanation_mask"], b["explanation_mask"])
 
     def test_well_formed_file_parses(self, tmp_path):
         path = tmp_path / "ok.csv"
@@ -203,7 +219,7 @@ class TestCsvRoundTrip:
             "a,independent,2,0.6,,,,,0,\n"
         )
         loaded = ingest(path, skip_invalid=True)
-        assert [r.trial_index for r in loaded] == [0, 2]
+        assert loaded.trial_index.tolist() == [0, 2]
 
     def test_repeated_trial_names_both_lines(self, tmp_path):
         path = tmp_path / "repeat.csv"
@@ -219,7 +235,8 @@ class TestCsvRoundTrip:
         assert err.value.row_errors == [
             "line 5: subject 'a' trial_index 0 repeats line 2"]
         loaded = ingest(path, skip_invalid=True)
-        assert [(r.subject_id, r.trial_index, r.final_decision) for r in loaded] == [
+        assert list(zip(loaded.subject_id.tolist(), loaded.trial_index.tolist(),
+                        loaded.final_decision.tolist())) == [
             ("a", 0, 1), ("b", 0, 1), ("a", 1, 0)]
 
     def test_crt_must_be_constant_per_subject(self, tmp_path):
@@ -239,6 +256,64 @@ class TestCsvRoundTrip:
         first = path.read_text().splitlines()[0]
         assert first == "# config_fingerprint=deadbeef"
         assert len(ingest(path)) == 5
+
+
+def oracle_record(subject_id, treatment, trial_index, features, final_decision,
+                  ai_recommendation=None, ai_confidence=None,
+                  explanation_mask=None, initial_decision=None, crt_score=None):
+    """The checks of the per-record type that ``Trials`` replaced, one record
+    at a time: the record's fields as a dict, or the ConfigurationError of
+    the first check it fails."""
+    sid = subject_id
+    if sid.lstrip().startswith("#") or "\n" in sid or "\r" in sid:
+        raise ConfigurationError("subject_id must not start with # or break a line")
+    if (sid in (".", "..") or any(c in sid for c in "/\\\0")
+            or len(sid.encode("utf-8", "surrogatepass")) > 251):
+        raise ConfigurationError(
+            "subject_id must be a file name: no /, \\ or NUL, not . or .., "
+            "and at most 251 UTF-8 bytes")
+    features = np.array(features, dtype=float)
+    if features.ndim != 1 or features.size == 0:
+        raise ConfigurationError("record features must be a nonempty vector")
+    if not all(0.0 <= v <= 1.0 for v in features.tolist()):
+        raise ConfigurationError("record features must lie in [0, 1]")
+    treatment = Treatment(treatment)
+    if final_decision not in (0, 1):
+        raise ConfigurationError("final_decision must be 0 or 1")
+    if crt_score is not None and crt_score not in (0, 1, 2, 3):
+        raise ConfigurationError("crt_score must be in 0..3")
+    if explanation_mask is not None:
+        explanation_mask = np.array(explanation_mask, dtype=int)
+        if (explanation_mask.shape != features.shape
+                or not all(v in (0, 1) for v in explanation_mask.tolist())):
+            raise ConfigurationError("explanation_mask must be 0/1 of feature length")
+    present = (ai_recommendation is not None, ai_confidence is not None,
+               explanation_mask is not None, initial_decision is not None)
+    required = {
+        Treatment.INDEPENDENT: (False, False, False, False),
+        Treatment.IMMEDIATE: (True, True, False, False),
+        Treatment.DELAYED: (True, False, False, True),
+        Treatment.EXPLANATION: (False, False, True, False),
+    }[treatment]
+    for name, has, needs in zip(("ai_rec", "ai_conf", "exp_mask", "initial_decision"),
+                                present, required):
+        if needs and not has:
+            raise ConfigurationError(f"{treatment.value} treatment requires {name}")
+        if has and not needs:
+            raise ConfigurationError(
+                f"{treatment.value} treatment must not carry {name}")
+    if ai_recommendation is not None and ai_recommendation not in (0, 1):
+        raise ConfigurationError("ai_rec must be 0 or 1")
+    if ai_confidence is not None and not 0.5 <= ai_confidence <= 1.0:
+        raise ConfigurationError("ai_conf must lie in [0.5, 1]")
+    if initial_decision is not None and initial_decision not in (0, 1):
+        raise ConfigurationError("initial_decision must be 0 or 1")
+    return dict(subject_id=subject_id, treatment=treatment, trial_index=trial_index,
+                features=features.tolist(), final_decision=final_decision,
+                ai_recommendation=ai_recommendation, ai_confidence=ai_confidence,
+                explanation_mask=(None if explanation_mask is None
+                                  else explanation_mask.tolist()),
+                initial_decision=initial_decision, crt_score=crt_score)
 
 
 def oracle_parse_row(row, n_features, line):
@@ -286,7 +361,7 @@ def oracle_parse_row(row, n_features, line):
             if len(mask_text) != n_features or set(mask_text) - {"0", "1"}:
                 raise ValueError(f"exp_mask must be {n_features} characters of 0/1")
             kwargs["explanation_mask"] = np.array([int(c) for c in mask_text])
-        return BehaviorRecord(**kwargs)
+        return oracle_record(**kwargs)
     except (ValueError, ConfigurationError) as exc:
         raise DataValidationError(f"line {line}: {exc}") from None
 
@@ -311,7 +386,7 @@ def oracle_ingest(path, skip_invalid=False):
         except DataValidationError as exc:
             errors.append(str(exc))
             continue
-        key = (record.subject_id, record.trial_index)
+        key = (record["subject_id"], record["trial_index"])
         if key in first_line:
             errors.append(f"line {line_no}: subject {key[0]!r} trial_index "
                           f"{key[1]} repeats line {first_line[key]}")
@@ -320,10 +395,10 @@ def oracle_ingest(path, skip_invalid=False):
         records.append(record)
     seen_crt = {}
     for rec in records:
-        if rec.subject_id not in seen_crt:
-            seen_crt[rec.subject_id] = rec.crt_score
-        elif seen_crt[rec.subject_id] != rec.crt_score:
-            errors.append(f"subject {rec.subject_id}: crt_score is not constant "
+        if rec["subject_id"] not in seen_crt:
+            seen_crt[rec["subject_id"]] = rec["crt_score"]
+        elif seen_crt[rec["subject_id"]] != rec["crt_score"]:
+            errors.append(f"subject {rec['subject_id']}: crt_score is not constant "
                           f"across trials")
             break
     if errors and not skip_invalid:
@@ -410,23 +485,72 @@ class TestIngestOracle:
                 continue
             got = ingest(path, skip_invalid)
             assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert (a.subject_id, a.treatment, a.trial_index, a.final_decision,
-                        a.ai_recommendation, a.ai_confidence, a.initial_decision,
-                        a.crt_score) == (
-                    b.subject_id, b.treatment, b.trial_index, b.final_decision,
-                    b.ai_recommendation, b.ai_confidence, b.initial_decision,
-                    b.crt_score)
-                assert np.array_equal(a.features, b.features)
-                assert (a.explanation_mask is None) == (b.explanation_mask is None)
-                if a.explanation_mask is not None:
-                    assert np.array_equal(a.explanation_mask, b.explanation_mask)
+            for a, b in zip(rows_of(got), want):
+                fields = ("subject_id", "treatment", "trial_index", "final_decision",
+                          "ai_recommendation", "ai_confidence", "initial_decision",
+                          "crt_score")
+                assert [a[f] for f in fields] == [b[f] for f in fields]
+                assert np.array_equal(a["features"], b["features"])
+                assert ((a["explanation_mask"] is None)
+                        == (b["explanation_mask"] is None))
+                if a["explanation_mask"] is not None:
+                    assert np.array_equal(a["explanation_mask"], b["explanation_mask"])
+
+
+@st.composite
+def python_rows(draw):
+    """Rows of one dimension given to ``Trials`` as Python values, each
+    field drawn from valid values and values a rule rejects; an optional
+    field is left out of some rows."""
+    n = draw(st.integers(1, 3))
+    rows = []
+    for index in range(draw(st.integers(1, 4))):
+        row = dict(
+            subject_id=draw(st.sampled_from(["s1", "s2", "#s", " # s", "s\n", "a/b",
+                                             "..", "s" * 252])),
+            treatment=draw(st.sampled_from(list(Treatment))), trial_index=index,
+            features=draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, -0.5,
+                                                    np.nan, np.inf]),
+                                   min_size=n, max_size=n)),
+            final_decision=draw(st.sampled_from([0, 1, 2])))
+        for name, values in (("ai_recommendation", [0, 1, 2]),
+                             ("ai_confidence", [0.5, 0.75, 1.0, 0.3, np.nan]),
+                             ("initial_decision", [0, 1, -1]),
+                             ("crt_score", [0, 3, 4])):
+            if draw(st.booleans()):
+                row[name] = draw(st.sampled_from(values))
+        if draw(st.booleans()):
+            row["explanation_mask"] = draw(st.lists(st.sampled_from([0, 1, 2]),
+                                                    min_size=n - 1, max_size=n + 1))
+        rows.append(row)
+    return rows
+
+
+class TestRowRules:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=python_rows())
+    def test_first_error_is_the_per_record_checks_first(self, rows):
+        # the column rules report the first failing row's first broken
+        # check, as the per-record checks find it
+        errors = []
+        for row in rows:
+            try:
+                oracle_record(**row)
+            except ConfigurationError as exc:
+                errors.append(str(exc))
+        if not errors:
+            assert len(trials_of(rows)) == len(rows)
+            return
+        with pytest.raises(ConfigurationError) as got:
+            trials_of(rows)
+        assert str(got.value) == errors[0]
 
 
 class TestGrouping:
     def test_sorted_subjects_and_trials(self):
-        records = [immediate_record(sid="b", idx=1), immediate_record(sid="a", idx=0),
-                   immediate_record(sid="b", idx=0)]
+        records = trials_of([immediate_record(sid="b", idx=1),
+                             immediate_record(sid="a", idx=0),
+                             immediate_record(sid="b", idx=0)])
         groups = group_by_subject(records)
         assert list(groups) == ["a", "b"]
-        assert [r.trial_index for r in groups["b"]] == [0, 1]
+        assert groups["b"].trial_index.tolist() == [0, 1]

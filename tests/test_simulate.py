@@ -89,20 +89,19 @@ class TestGenerateBehavior:
                            SignedSharedSignVector(1.0, np.array([0.5, 0.5, 0.5]))))
         a = generate_behavior(sub, self.tasks, self.ai, seed=5)
         b = generate_behavior(sub, self.tasks, self.ai, seed=5)
-        for ra, rb in zip(a, b):
-            assert ra.final_decision == rb.final_decision
-            assert ra.ai_recommendation == rb.ai_recommendation
-            assert ra.ai_confidence == rb.ai_confidence
-            assert np.array_equal(ra.features, rb.features)
+        assert np.array_equal(a.final_decision, b.final_decision)
+        assert np.array_equal(a.ai_recommendation, b.ai_recommendation)
+        assert np.array_equal(a.ai_confidence, b.ai_confidence)
+        assert np.array_equal(a.features, b.features)
 
     def test_noiseless_zero_nudge_matches_independent_thresholds(self):
         sub = _subject(Treatment.IMMEDIATE,
                        NudgeParams.for_immediate(SignedSharedSignVector.zero(3)),
                        temperature=0.0)
         records = generate_behavior(sub, self.tasks, self.ai, seed=5)
-        for task, rec in zip(self.tasks, records):
+        for task, final in zip(self.tasks, records.final_decision):
             expected = int(logistic_response(task, sub.true_weights) >= 0.5)
-            assert rec.final_decision == expected
+            assert final == expected
 
     def test_dominant_positive_nudge_follows_recommendation(self):
         # shift of +-30 swamps every base logit, so the final decision
@@ -112,8 +111,7 @@ class TestGenerateBehavior:
                            SignedSharedSignVector(60.0, np.ones(3))),
                        temperature=0.0)
         records = generate_behavior(sub, self.tasks, self.ai, seed=5)
-        for rec in records:
-            assert rec.final_decision == rec.ai_recommendation
+        assert np.array_equal(records.final_decision, records.ai_recommendation)
 
     def test_payload_consistency_all_treatments(self):
         deltas = SignedSharedSignVector(0.5, np.array([0.2, 0.2, 0.2]))
@@ -125,23 +123,24 @@ class TestGenerateBehavior:
         ]
         for treatment, params in cases:
             sub = _subject(treatment, params)
-            for rec in generate_behavior(sub, self.tasks, self.ai, seed=9):
-                assert rec.treatment == treatment
-                if treatment == Treatment.IMMEDIATE:
-                    assert 0.5 <= rec.ai_confidence <= 1.0
-                if treatment == Treatment.DELAYED:
-                    assert rec.initial_decision in (0, 1)
-                if treatment == Treatment.EXPLANATION:
-                    assert rec.explanation_mask.sum() == self.ai.top_k
+            records = generate_behavior(sub, self.tasks, self.ai, seed=9)
+            assert np.all(records.treatment == treatment)
+            if treatment == Treatment.IMMEDIATE:
+                assert np.all((0.5 <= records.ai_confidence)
+                              & (records.ai_confidence <= 1.0))
+            if treatment == Treatment.DELAYED:
+                assert np.isin(records.initial_decision, (0, 1)).all()
+            if treatment == Treatment.EXPLANATION:
+                assert np.all(records.explanation_mask.sum(axis=1) == self.ai.top_k)
 
     def test_delayed_initial_decision_is_unnudged(self):
         big = SignedSharedSignVector(50.0, np.ones(3))
         sub = _subject(Treatment.DELAYED, NudgeParams.for_delayed(big, big),
                        temperature=0.0)
         records = generate_behavior(sub, self.tasks, self.ai, seed=11)
-        for task, rec in zip(self.tasks, records):
+        for task, initial in zip(self.tasks, records.initial_decision):
             expected = int(logistic_response(task, sub.true_weights) >= 0.5)
-            assert rec.initial_decision == expected
+            assert initial == expected
 
     def test_export_round_trip(self, tmp_path):
         sub = _subject(Treatment.DELAYED,
@@ -153,10 +152,9 @@ class TestGenerateBehavior:
         export_csv(records, path)
         loaded = ingest(path)
         assert len(loaded) == len(records)
-        for a, b in zip(records, loaded):
-            assert a.final_decision == b.final_decision
-            assert a.initial_decision == b.initial_decision
-            assert np.array_equal(a.features, b.features)
+        assert np.array_equal(records.final_decision, loaded.final_decision)
+        assert np.array_equal(records.initial_decision, loaded.initial_decision)
+        assert np.array_equal(records.features, loaded.features)
 
 
 class TestSubjectValidation:
