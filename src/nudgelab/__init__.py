@@ -22,12 +22,10 @@ from .analyze import (
 from .core import (
     PopulationFitConfig,
     PopulationPosterior,
-    TaskInstance,
     WeightVector,
     elbo_and_gradient,
     fit_population,
     gaussian_kl,
-    logistic_response,
 )
 from .errors import (
     ConfigurationError,
@@ -77,5 +75,24 @@ from .simulate import (
     random_nudge_params,
     uniform_tasks,
 )
+
+__all__ = [
+    "AnovaResult", "Branch", "CrtGroup", "PairwiseComparison", "crt_group",
+    "effect_summary", "f_survival", "one_way_anova", "pairwise_posthoc",
+    "PopulationFitConfig", "PopulationPosterior", "WeightVector",
+    "elbo_and_gradient", "fit_population", "gaussian_kl",
+    "ConfigurationError", "DataValidationError", "DomainError", "InputError",
+    "NudgelabError", "UsageError",
+    "CurvePoint", "EvalReport", "SplitPlan", "SubjectMetrics", "baseline_logistic",
+    "evaluate_framework", "learning_curve", "metrics", "split_trials",
+    "FitConfig", "NudgeFitResult", "NudgeObjective", "fit_nudge", "fit_nudge_batch",
+    "fit_nudge_deterministic_ablation",
+    "NudgeParams", "SignedSharedSignVector", "decision_probability",
+    "predict_delayed", "predict_explanation", "predict_immediate",
+    "Treatment", "Trials", "export_csv", "group_by_subject", "ingest",
+    "SurrogateAI", "SyntheticSubject", "ai_explain", "ai_recommend",
+    "default_population_moments", "default_surrogate_ai", "generate_behavior",
+    "make_synthetic_subjects", "random_nudge_params", "uniform_tasks",
+]
 
 __version__ = "0.1.0"

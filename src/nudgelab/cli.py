@@ -39,7 +39,6 @@ from .analyze import (
 from .core import (
     PopulationFitConfig,
     PopulationPosterior,
-    TaskInstance,
     WeightVector,
     fit_population,
 )
@@ -157,6 +156,8 @@ class RunConfig:
                 "sim_trials_per_subject must not exceed sim_task_pool_size")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigurationError("train_fraction must lie in (0, 1)")
+        if not self.sim_treatments:
+            raise ConfigurationError("sim_treatments must name at least one treatment")
         known = [t.value for t in Treatment]
         for name in (*self.sim_treatments, self.treatment):
             if name is not None and name not in known:
@@ -426,9 +427,8 @@ def _cmd_simulate(config: RunConfig) -> list[str]:
             )
             picks = task_rng.choice(len(pool), size=config.sim_trials_per_subject,
                                     replace=False)
-            tasks = [pool[i] for i in picks]
             tables.append(generate_behavior(
-                subject, tasks, ai,
+                subject, pool[picks], ai,
                 seed=derive_seed(config.seed, subject.subject_id, "behavior"),
             ))
             for branch in TREATMENT_BRANCHES[treatment]:
@@ -450,9 +450,8 @@ def _cmd_fit_population(config: RunConfig) -> list[str]:
     independent = records.take(records.treatment == Treatment.INDEPENDENT)
     if not len(independent):
         raise UsageError("no independent-treatment records to fit the population on")
-    data = [(TaskInstance(features=x), y) for x, y in
-            zip(independent.features, independent.final_decision.tolist())]
-    posterior = fit_population(data, config.population_config())
+    posterior = fit_population(independent.features, independent.final_decision,
+                               config.population_config())
     path = Path(config.out_dir) / "posterior.json"
     save_posterior(posterior, path, config.fingerprint())
     return [str(path)]

@@ -2,10 +2,12 @@
 
 A logistic response over normalized task features, and a diagonal-Gaussian
 population posterior over the response weights fitted by maximizing a
-frozen-sample ELBO with Newton's method.  The posterior carries a frozen
-Monte-Carlo ensemble; ``nudgelab.nudge.EnsembleResponse`` averages its
-members' responses, unassisted (at logit shift 0) or nudged, and filters
-it on an observed decision.
+frozen-sample ELBO with Newton's method.  A set of N tasks is an (N, n)
+feature matrix with values in [0, 1]; ``fit_population`` takes one with the
+N unassisted 0/1 decisions.  The posterior carries a frozen Monte-Carlo
+ensemble; ``nudgelab.nudge.EnsembleResponse`` averages its members'
+responses, unassisted (at logit shift 0) or nudged, and filters it on an
+observed decision.
 
 Conventions used throughout the package:
 
@@ -21,7 +23,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,11 +30,9 @@ from ._util import bernoulli_loglik, derive_seed, newton, sigmoid
 from .errors import ConfigurationError, DomainError, UsageError
 
 __all__ = [
-    "TaskInstance",
     "WeightVector",
     "PopulationPosterior",
     "PopulationFitConfig",
-    "logistic_response",
     "gaussian_kl",
     "elbo_and_gradient",
     "fit_population",
@@ -49,30 +48,6 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class TaskInstance:
-    """One decision task: normalized features and an optional true label."""
-
-    features: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 1 or feats.size == 0:
-            raise ConfigurationError("task features must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(feats)):
-            raise ConfigurationError("task features must be finite")
-        if np.any(feats < 0.0) or np.any(feats > 1.0):
-            raise ConfigurationError("task features must lie in [0, 1]")
-        if self.label is not None and self.label not in (0, 1):
-            raise ConfigurationError("task label must be 0 or 1")
-        object.__setattr__(self, "features", _frozen_array(feats))
-
-    @property
-    def n_features(self) -> int:
-        return self.features.size
 
 
 @dataclass(frozen=True)
@@ -98,11 +73,6 @@ class WeightVector:
     def augmented(self) -> np.ndarray:
         """Weights with the intercept appended as the last coordinate."""
         return np.append(self.weights, self.bias)
-
-
-def augment_features(task: TaskInstance) -> np.ndarray:
-    """Feature vector with the constant pseudo-feature 1 appended."""
-    return np.append(task.features, 1.0)
 
 
 @dataclass(frozen=True)
@@ -203,13 +173,10 @@ class PopulationFitConfig:
             raise ConfigurationError("prior variance must be positive")
 
 
-def logistic_response(task: TaskInstance, w: WeightVector) -> float:
-    """Probability of deciding 1: sigmoid(w . x + bias)."""
-    if task.n_features != w.n_features:
-        raise ConfigurationError(
-            f"task has {task.n_features} features but weights expect {w.n_features}"
-        )
-    return float(sigmoid(float(w.weights @ task.features) + w.bias))
+def _kl(mean, variance, prior_variance):
+    """KL(N(mean, diag(variance)) || N(0, prior_variance * I))."""
+    ratio = variance / prior_variance
+    return 0.5 * np.sum(ratio + mean * mean / prior_variance - 1.0 - np.log(ratio))
 
 
 def gaussian_kl(posterior: PopulationPosterior, prior_variance: float = 1.0) -> float:
@@ -220,10 +187,7 @@ def gaussian_kl(posterior: PopulationPosterior, prior_variance: float = 1.0) -> 
     """
     if prior_variance <= 0:
         raise DomainError("prior variance must be strictly positive")
-    mu = posterior.mean
-    var = posterior.variance
-    ratio = var / prior_variance
-    return float(0.5 * np.sum(ratio + mu * mu / prior_variance - 1.0 - np.log(ratio)))
+    return float(_kl(posterior.mean, posterior.variance, prior_variance))
 
 
 def elbo_and_gradient(mean, log_std, features_bias, labels, noise, prior_variance):
@@ -254,9 +218,7 @@ def elbo_and_gradient(mean, log_std, features_bias, labels, noise, prior_varianc
     logits = weights @ features_bias.T                    # (S, N)
     loglik = float(np.mean(np.sum(bernoulli_loglik(labels[None, :], logits), axis=1)))
 
-    var = std * std
-    ratio = var / prior_variance
-    kl = 0.5 * np.sum(ratio + mean * mean / prior_variance - 1.0 - np.log(ratio))
+    kl = _kl(mean, std * std, prior_variance)
 
     residual = labels[None, :] - sigmoid(logits)          # (S, N)
     per_draw = residual @ features_bias                   # (S, d)
@@ -282,28 +244,37 @@ def _elbo_hessian(mean, std, features_bias, noise, prior_variance):
 
 
 def fit_population(
-    data: Sequence[tuple[TaskInstance, int]],
+    features,
+    labels,
     config: PopulationFitConfig = PopulationFitConfig(),
 ) -> PopulationPosterior:
     """Fit the population posterior to independent decisions by maximizing the ELBO.
 
-    With its draws frozen for the whole fit, the ELBO is a strictly concave
-    function of (mean, std) on std > 0, so Newton's method from mean 0 and
-    std 0.3 solves it to its maximum.  The prediction ensemble is drawn
-    from the fitted moments using ``config.seed``.
+    ``features`` is the (N, n) task matrix, with values in [0, 1], and
+    ``labels`` the N 0/1 decisions.  With its draws frozen for the whole
+    fit, the ELBO is a strictly concave function of (mean, std) on std > 0,
+    so Newton's method from mean 0 and std 0.3 solves it to its maximum.
+    The prediction ensemble is drawn from the fitted moments using
+    ``config.seed``.
     """
-    if len(data) == 0:
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels)
+    if features.shape[:1] == (0,):
         raise UsageError("fit_population requires at least one observation")
-    n = data[0][0].n_features
-    for task, label in data:
-        if task.n_features != n:
-            raise ConfigurationError("all tasks must share one dimensionality")
-        if label not in (0, 1):
-            raise UsageError("independent decisions must be 0 or 1")
+    if features.ndim != 2 or features.shape[1] == 0:
+        raise ConfigurationError("task features must be a nonempty (N, n) matrix")
+    if not np.isfinite(features).all():
+        raise ConfigurationError("task features must be finite")
+    if ((features < 0.0) | (features > 1.0)).any():
+        raise ConfigurationError("task features must lie in [0, 1]")
+    if labels.shape != (len(features),):
+        raise UsageError(f"{labels.size} decisions for {len(features)} tasks")
+    if not np.isin(labels, (0, 1)).all():
+        raise UsageError("independent decisions must be 0 or 1")
 
-    dim = n + 1
-    features_bias = np.stack([augment_features(task) for task, _ in data])
-    labels = np.asarray([label for _, label in data], dtype=float)
+    dim = features.shape[1] + 1
+    features_bias = np.column_stack([features, np.ones(len(features))])
+    labels = labels.astype(float)
 
     noise_rng = np.random.default_rng(derive_seed(config.seed, "elbo-noise"))
     noise = noise_rng.standard_normal((config.train_samples, dim))

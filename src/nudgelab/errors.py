@@ -7,6 +7,9 @@ that cannot be read to that hierarchy too.
 
 from contextlib import contextmanager
 
+__all__ = ["NudgelabError", "ConfigurationError", "DomainError", "UsageError",
+           "InputError", "DataValidationError", "open_input"]
+
 
 class NudgelabError(Exception):
     """Base class for all package errors."""

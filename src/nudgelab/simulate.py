@@ -1,9 +1,12 @@
 """Synthetic decision makers with known ground truth.
 
-A linear surrogate AI produces recommendations, confidences and top-k
-explanation masks; synthetic subjects with known weights and nudge
-parameters forward-sample behavior trials.  The generated datasets feed
-the parameter-recovery harnesses and the data-efficiency experiments.
+Tasks are a (T, n) feature matrix with values in [0, 1]: ``uniform_tasks``
+draws a pool, and a subject's tasks are rows of it.  A linear surrogate AI
+gives each row a recommendation, a confidence and a top-k explanation
+mask; synthetic subjects with known weights and nudge parameters
+forward-sample one behavior trial per row, every trial in one batch.  The
+generated datasets feed the parameter-recovery harnesses and the
+data-efficiency experiments.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import derive_seed, sigmoid
-from .core import PopulationPosterior, TaskInstance, WeightVector, logistic_response
-from .errors import ConfigurationError, UsageError
+from .core import PopulationPosterior, WeightVector
+from .errors import ConfigurationError
 from .nudge import (
     NudgeParams,
     SignedSharedSignVector,
+    _features,
     _unassisted,
     predict_delayed,
     predict_explanation,
@@ -75,90 +79,105 @@ class SyntheticSubject:
                 raise ConfigurationError("true_params must match the treatment")
 
 
-def ai_recommend(ai: SurrogateAI, task: TaskInstance) -> tuple[int, float]:
-    """Binary recommendation and its confidence max(p, 1-p)."""
-    p = logistic_response(task, ai.weights)
-    recommendation = int(p >= 0.5)
-    return recommendation, max(p, 1.0 - p)
+def _ai_features(ai: SurrogateAI, features) -> np.ndarray:
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] != ai.weights.n_features:
+        raise ConfigurationError(
+            f"tasks of shape {features.shape} do not match the AI model's "
+            f"{ai.weights.n_features} features")
+    return features
 
 
-def ai_explain(ai: SurrogateAI, task: TaskInstance) -> np.ndarray:
-    """Mask of the top-k features by |w_i * (x_i - 0.5)|, ties to the lowest index."""
-    if task.n_features != ai.weights.n_features:
-        raise ConfigurationError("task dimensionality does not match the AI model")
-    contribution = np.abs(ai.weights.weights * (task.features - 0.5))
-    order = np.lexsort((np.arange(contribution.size), -contribution))
-    mask = np.zeros(contribution.size, dtype=int)
-    mask[order[: ai.top_k]] = 1
-    return mask
+def ai_recommend(ai: SurrogateAI, features) -> tuple[np.ndarray, np.ndarray]:
+    """Binary recommendations (T,) for tasks (T, n), and their confidences
+    max(p, 1-p)."""
+    features = _ai_features(ai, features)
+    w = ai.weights.weights
+    # each row's score is one BLAS dot product, the bits of ``w @ x``
+    score = np.matmul(features[:, None, :], w[:, None])[:, 0, 0]
+    p = sigmoid(score + ai.weights.bias)
+    return (p >= 0.5).astype(int), np.maximum(p, 1.0 - p)
 
 
-def _sample_decision(probability: float, temperature: float,
-                     rng: np.random.Generator) -> int:
-    if temperature == 0.0:
-        return int(probability >= 0.5)
-    p = float(np.clip(probability, 1e-12, 1.0 - 1e-12))
-    tempered = float(sigmoid(np.log(p / (1.0 - p)) / temperature))
-    return int(rng.random() < tempered)
+def ai_explain(ai: SurrogateAI, features) -> np.ndarray:
+    """Masks (T, n) of each task's top-k features by |w_i * (x_i - 0.5)|,
+    ties to the lowest index."""
+    features = _ai_features(ai, features)
+    contribution = np.abs(ai.weights.weights * (features - 0.5))
+    order = np.argsort(-contribution, axis=1, kind="stable")
+    masks = np.zeros(features.shape, dtype=int)
+    np.put_along_axis(masks, order[:, :ai.top_k], 1, axis=1)
+    return masks
 
 
 def generate_behavior(
     subject: SyntheticSubject,
-    tasks: list[TaskInstance],
+    features,
     ai: SurrogateAI,
     seed: int,
 ) -> Trials:
-    """Forward-sample one trial per task from the subject's true model.
+    """Forward-sample one trial per task (a row of ``features``, T x n)
+    from the subject's true model.
 
     The subject's own weights act as a singleton ensemble, so the nudged
     probability is the exact generative probability; one predictor call
     gives every trial's.  The final decision is Bernoulli at
-    (temperature-scaled) face probability, or thresholded when the
-    temperature is zero.  Delayed initial decisions are the unnudged
-    decisions: 1 where the unassisted probability is at least 0.5.
+    (temperature-scaled) face probability, one uniform draw per trial in
+    order, or thresholded when the temperature is zero.  Delayed initial
+    decisions are the unnudged decisions: 1 where the unassisted
+    probability is at least 0.5.
     """
-    if not tasks:
-        raise UsageError("generate_behavior requires at least one task")
-    rng = np.random.default_rng(seed)
     point = PopulationPosterior.point(subject.true_weights)
+    features = _features(point, features)
     params = subject.true_params
-    features = np.stack([task.features for task in tasks])
     fields: dict = {}
     if subject.treatment == Treatment.INDEPENDENT:
         probability = _unassisted(point.ensemble, features)
     elif subject.treatment == Treatment.IMMEDIATE:
-        rec, conf = zip(*(ai_recommend(ai, task) for task in tasks))
+        rec, conf = ai_recommend(ai, features)
         probability = predict_immediate(point, features, rec, conf,
                                         params.delta_direct.realized)
         fields = dict(ai_recommendation=rec, ai_confidence=conf)
     elif subject.treatment == Treatment.DELAYED:
-        rec = [ai_recommend(ai, task)[0] for task in tasks]
+        rec, _ = ai_recommend(ai, features)
         initial = (_unassisted(point.ensemble, features) >= 0.5).astype(int)
         probability = predict_delayed(point, features, rec, initial,
                                       params.delta_affirm.realized,
                                       params.delta_contra.realized)
         fields = dict(ai_recommendation=rec, initial_decision=initial)
     else:
-        masks = [ai_explain(ai, task) for task in tasks]
+        masks = ai_explain(ai, features)
         probability = predict_explanation(point, features, masks, params.delta_exp)
         fields = dict(explanation_mask=masks)
-    n_trials = len(tasks)
+    n_trials = len(features)
+    temperature = subject.noise_temperature
+    if temperature == 0.0:
+        final = probability >= 0.5
+    else:
+        p = np.clip(probability, 1e-12, 1.0 - 1e-12)
+        # a tiny temperature overflows the scaled logit to +-inf: p is 0 or 1
+        with np.errstate(over="ignore"):
+            tempered = sigmoid(np.log(p / (1.0 - p)) / temperature)
+        final = np.random.default_rng(seed).random(n_trials) < tempered
     return Trials(
         subject_id=[subject.subject_id] * n_trials,
         treatment=[subject.treatment] * n_trials,
         trial_index=np.arange(n_trials),
         features=features,
-        final_decision=[_sample_decision(p, subject.noise_temperature, rng)
-                        for p in probability.tolist()],
+        final_decision=final,
         crt_score=[subject.crt_score] * n_trials,
         **fields,
     )
 
 
-def uniform_tasks(n_tasks: int, n_features: int, seed: int) -> list[TaskInstance]:
-    """Tasks with features drawn uniformly on [0, 1]^n."""
+def uniform_tasks(n_tasks: int, n_features: int, seed: int) -> np.ndarray:
+    """Tasks (n_tasks, n_features) with features drawn uniformly on [0, 1]."""
     rng = np.random.default_rng(seed)
-    return [TaskInstance(features=row) for row in rng.random((n_tasks, n_features))]
+    try:
+        return rng.random((n_tasks, n_features))
+    except MemoryError:
+        raise ConfigurationError(
+            f"cannot allocate {n_tasks} tasks of {n_features} features") from None
 
 
 def random_shared_sign(
@@ -234,6 +253,15 @@ def make_synthetic_subjects(
 _WEIGHT_PATTERN = [2.0, -1.6, 1.2, 0.9, -0.7, 0.5]
 
 
+def _cycle(pattern, n_features: int) -> np.ndarray:
+    """``pattern`` repeated to length ``n_features``."""
+    try:
+        return np.resize(pattern, n_features)
+    except MemoryError:
+        raise ConfigurationError(
+            f"cannot allocate weights for {n_features} features") from None
+
+
 def default_population_moments(
     n_features: int, variance: float = 0.1
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -243,9 +271,7 @@ def default_population_moments(
     average logit at zero for uniform features, so simulated base rates
     sit near one half.
     """
-    weights = np.array([
-        _WEIGHT_PATTERN[i % len(_WEIGHT_PATTERN)] for i in range(n_features)
-    ])
+    weights = _cycle(_WEIGHT_PATTERN, n_features)
     bias = -0.5 * float(np.sum(weights))
     mean = np.append(weights, bias)
     return mean, np.full(n_features + 1, variance)
@@ -259,7 +285,7 @@ def default_surrogate_ai(n_features: int, top_k: int = 2) -> SurrogateAI:
     affirming and contradicting trials.
     """
     mean, _ = default_population_moments(n_features)
-    tilt = np.asarray([0.8 if i % 2 else -0.8 for i in range(n_features)])
+    tilt = _cycle([-0.8, 0.8], n_features)
     weights = 1.4 * mean[:-1] + tilt
     bias = -0.5 * float(np.sum(weights))
     return SurrogateAI(weights=WeightVector(weights=weights, bias=bias), top_k=top_k)

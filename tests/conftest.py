@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nudgelab import PopulationPosterior, TaskInstance, Trials
+from nudgelab import PopulationPosterior, Trials
 from nudgelab.nudge import _unassisted
 
 
@@ -33,10 +33,6 @@ def random_posterior(rng, n_features, size=40):
     return PopulationPosterior.from_moments(
         mean, variance, size, seed=int(rng.integers(1 << 30))
     )
-
-
-def random_task(rng, n_features):
-    return TaskInstance(features=rng.random(n_features))
 
 
 def unassisted(posterior, features):

@@ -1,11 +1,31 @@
 """The per-record predictors that ``nudgelab.nudge``'s batched kernel
-replaced, kept as an independent oracle: one trial at a time, with the
-ensemble's logits from a matrix-vector product and scipy's ``expit``."""
+replaced, and the per-task logistic response and decision draw that the
+batched simulator replaced, kept as an independent oracle: one trial at a
+time, with the ensemble's logits from a matrix-vector product and scipy's
+``expit``."""
 
 import numpy as np
 from scipy.special import expit
 
-from nudgelab import Treatment
+from nudgelab import ConfigurationError, Treatment
+
+
+def logistic_response(features, w):
+    """Probability of deciding 1 on one task: sigmoid(w . x + bias)."""
+    if len(features) != w.n_features:
+        raise ConfigurationError(
+            f"task has {len(features)} features but weights expect {w.n_features}")
+    return float(expit(float(w.weights @ features) + w.bias))
+
+
+def sample_decision(probability, temperature, rng):
+    """One simulated final decision: thresholded at temperature 0, else a
+    Bernoulli draw at the temperature-scaled probability."""
+    if temperature == 0.0:
+        return int(probability >= 0.5)
+    p = float(np.clip(probability, 1e-12, 1.0 - 1e-12))
+    tempered = float(expit(np.log(p / (1.0 - p)) / temperature))
+    return int(rng.random() < tempered)
 
 
 def augmented(features):

@@ -30,7 +30,6 @@ from nudgelab import (
     SignedSharedSignVector,
     SurrogateAI,
     SyntheticSubject,
-    TaskInstance,
     Treatment,
     Trials,
     WeightVector,
@@ -76,8 +75,8 @@ def boundary_tasks(n_tasks, max_abs_logit, seed):
     while len(out) < n_tasks:
         x = rng.random(N_FEATURES)
         if abs(x @ POP_MEAN[:-1] + POP_MEAN[-1]) <= max_abs_logit:
-            out.append(TaskInstance(x))
-    return out
+            out.append(x)
+    return np.array(out)
 
 
 def sharp_ai(scale=2.0):
@@ -243,8 +242,7 @@ class TestCriterion3PopulationRecovery:
         features = gen.integers(0, 2, (2000, N_FEATURES)).astype(float)
         probs = sigmoid(features @ true_w + true_b)
         labels = (gen.random(2000) < probs).astype(int)
-        data = [(TaskInstance(x), int(y)) for x, y in zip(features, labels)]
-        posterior = fit_population(data, PopulationFitConfig(seed=11))
+        posterior = fit_population(features, labels, PopulationFitConfig(seed=11))
 
         coord_err = float(np.abs(posterior.mean - np.append(true_w, true_b)).max())
 
@@ -366,15 +364,14 @@ class TestCriterion4NudgeRecovery:
         ai = sharp_ai()
         candidates = uniform_tasks(1500, N_FEATURES, seed=555)
         scored = []
-        for task in candidates:
-            mask = ai_explain(ai, task).astype(float)
-            focused = np.append(mask * task.features, 1.0)
-            ignored = np.append((1.0 - mask) * task.features, 1.0)
+        for task, mask in zip(candidates, ai_explain(ai, candidates).astype(float)):
+            focused = np.append(mask * task, 1.0)
+            ignored = np.append((1.0 - mask) * task, 1.0)
             separation = abs(float(np.mean(sigmoid(posterior.ensemble @ focused)))
                              - float(np.mean(sigmoid(posterior.ensemble @ ignored))))
             scored.append((separation, task))
         scored.sort(key=lambda pair: -pair[0])
-        tasks = [task for _, task in scored[:30]]
+        tasks = np.array([task for _, task in scored[:30]])
 
         mean_subject = WeightVector(POP_MEAN[:-1], POP_MEAN[-1])
         attentions, subjects = [], []

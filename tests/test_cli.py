@@ -607,6 +607,65 @@ class TestEnsembleTooLarge:
         assert str(self.SIZE) in error["message"]
 
 
+class TestSimulationConfigs:
+    # an empty treatment list, and a task pool or a feature count whose
+    # arrays need more than the address space (437 TiB and 7 PiB), so numpy
+    # refuses them without allocating anything
+    @pytest.mark.parametrize("values, fragment", [
+        ({"sim_treatments": []}, "sim_treatments"),
+        ({"sim_task_pool_size": 10**13}, str(10**13)),
+        ({"n_features": 10**15}, str(10**15)),
+    ])
+    def test_exits_one(self, tmp_path, capsys, values, fragment):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values))
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert fragment in error["message"]
+
+
+# JSON values of every kind; numbers at most 12, so that no size asks for
+# real work, besides the literals NaN and Infinity and the extreme floats
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.text(max_size=4),
+        st.integers(-10**20, 12),
+        st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308,
+                         -1e308, 1e-320, -1e-320, 0.0, -0.0, 0.5, -2.5]),
+        st.floats(max_value=12.0),
+    ),
+    lambda values: st.lists(values, max_size=3)
+    | st.dictionaries(st.text(max_size=3), values, max_size=2),
+    max_leaves=4)
+_SMALL_SIMULATION = {"n_features": 3, "sim_subjects_per_treatment": 2,
+                     "sim_trials_per_subject": 4, "sim_task_pool_size": 10}
+
+
+class TestConfigFuzz:
+    # a small valid config with one or two known settings overwritten by
+    # random JSON: simulate exits 0 or 1, and on 1 writes one JSON line to
+    # stderr, never a traceback
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(changes=st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]),
+        _JSON_VALUES, min_size=1, max_size=2))
+    @example(changes={"sim_noise_temperature": 1e-320})
+    @example(changes={"sim_weight_variance": 1e308})
+    @example(changes={"sim_scale_range": [1e308, 1e308],
+                      "sim_magnitude_range": [0.0, 1e308]})
+    def test_simulate_exits_zero_or_one_json_line(self, tmp_path, capsys, changes):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**_SMALL_SIMULATION, **changes}))
+        capsys.readouterr()
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code in (0, 1)
+        if code == 1:
+            _single_json_error(capsys)
+
+
 class TestDeterminism:
     def test_simulate_byte_identical_across_out_dirs(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -13,7 +13,6 @@ from nudgelab import (
     DomainError,
     PopulationFitConfig,
     PopulationPosterior,
-    TaskInstance,
     Treatment,
     UsageError,
     WeightVector,
@@ -21,7 +20,6 @@ from nudgelab import (
     elbo_and_gradient,
     fit_population,
     gaussian_kl,
-    logistic_response,
 )
 
 from nudgelab._util import derive_seed
@@ -29,49 +27,43 @@ from nudgelab.core import _elbo_hessian
 from nudgelab.nudge import EnsembleResponse
 
 import per_record
+from per_record import logistic_response
 from conftest import (
     one_trial,
     random_posterior,
-    random_task,
     singleton_posterior,
     unassisted,
 )
 
 
 class TestLogisticResponse:
+    # the per-task oracle that the simulator's AI and the kernel are checked on
     def test_zero_weights_force_half(self):
-        task = TaskInstance([0.5, 0.5])
-        assert logistic_response(task, WeightVector([0.0, 0.0])) == 0.5
+        assert logistic_response([0.5, 0.5], WeightVector([0.0, 0.0])) == 0.5
 
     def test_closed_form_values(self):
         assert logistic_response(
-            TaskInstance([1.0, 1.0]), WeightVector([1.0, 1.0])
+            [1.0, 1.0], WeightVector([1.0, 1.0])
         ) == pytest.approx(0.8807970779778823, abs=1e-12)
         # (-1)*0.2 + 2*0.8 + 0.1 = 1.5
         assert logistic_response(
-            TaskInstance([0.2, 0.8]), WeightVector([-1.0, 2.0], bias=0.1)
+            [0.2, 0.8], WeightVector([-1.0, 2.0], bias=0.1)
         ) == pytest.approx(float(expit(1.5)), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
-            logistic_response(TaskInstance([0.5]), WeightVector([1.0, 2.0]))
+            logistic_response([0.5], WeightVector([1.0, 2.0]))
 
     def test_strictly_increasing_in_score(self):
         # probe each coordinate on 100 random (task, weight) pairs
         rng = np.random.default_rng(11)
         for _ in range(100):
             n = int(rng.integers(1, 6))
-            task = random_task(rng, n)
+            task = rng.random(n)
             w = rng.normal(0.0, 2.0, n)
             base = logistic_response(task, WeightVector(w, bias=0.3))
             bumped = logistic_response(task, WeightVector(w, bias=0.3 + 1e-4))
             assert bumped > base
-
-    def test_feature_range_enforced(self):
-        with pytest.raises(ConfigurationError):
-            TaskInstance([0.5, 1.2])
-        with pytest.raises(ConfigurationError):
-            TaskInstance([-0.1])
 
 
 class TestGaussianKl:
@@ -202,12 +194,36 @@ def _fast_config(**kwargs):
 class TestFitPopulation:
     def test_empty_data_rejected(self):
         with pytest.raises(UsageError):
-            fit_population([], _fast_config())
+            fit_population([], [], _fast_config())
+        with pytest.raises(UsageError):
+            fit_population(np.empty((0, 2)), [], _fast_config())
+
+    def test_feature_range_enforced(self):
+        with pytest.raises(ConfigurationError, match=r"lie in \[0, 1\]"):
+            fit_population([[0.5, 1.2]], [1], _fast_config())
+        with pytest.raises(ConfigurationError, match=r"lie in \[0, 1\]"):
+            fit_population([[-0.1]], [1], _fast_config())
+
+    @pytest.mark.parametrize("features, message", [
+        ([0.5, 0.5], "nonempty"),
+        ([[]], "nonempty"),
+        ([[[0.5]]], "nonempty"),
+        ([[0.5, np.nan]], "finite"),
+        ([[np.inf, 0.5]], "finite"),
+    ])
+    def test_feature_matrix_checked(self, features, message):
+        with pytest.raises(ConfigurationError, match=message):
+            fit_population(features, [1], _fast_config())
+
+    @pytest.mark.parametrize("labels", [[2], [0.5], [-1], [0, 1], [[1]]])
+    def test_labels_checked(self, labels):
+        with pytest.raises(UsageError):
+            fit_population([[0.5, 0.5]], labels, _fast_config())
 
     def test_bias_absorbs_constant_labels(self):
         # all-zero features leave only the intercept to explain the labels
-        data = [(TaskInstance([0.0, 0.0]), 1) for _ in range(200)]
-        post = fit_population(data, _fast_config())
+        post = fit_population(np.zeros((200, 2)), np.ones(200, dtype=int),
+                              _fast_config())
         assert post.mean[-1] > 0.5
         assert np.all(np.abs(post.mean[:2]) < 0.05)
 
@@ -216,9 +232,8 @@ class TestFitPopulation:
         w = np.array([1.5, -1.0])
         tasks = rng.random((300, 2))
         labels = (rng.random(300) < expit(tasks @ w)).astype(int)
-        data = [(TaskInstance(x), int(y)) for x, y in zip(tasks, labels)]
-        wide = fit_population(data, _fast_config(prior_variance=1.0))
-        tight = fit_population(data, _fast_config(prior_variance=0.01))
+        wide = fit_population(tasks, labels, _fast_config(prior_variance=1.0))
+        tight = fit_population(tasks, labels, _fast_config(prior_variance=0.01))
         assert np.linalg.norm(tight.mean) < np.linalg.norm(wide.mean)
 
     def test_recovers_known_weights_n2(self):
@@ -226,16 +241,14 @@ class TestFitPopulation:
         w, b = np.array([1.1, -0.9]), 0.2
         tasks = rng.random((2000, 2))
         labels = (rng.random(2000) < expit(tasks @ w + b)).astype(int)
-        data = [(TaskInstance(x), int(y)) for x, y in zip(tasks, labels)]
-        post = fit_population(data, _fast_config(iterations=800))
+        post = fit_population(tasks, labels, _fast_config(iterations=800))
         assert np.all(np.abs(post.mean - np.array([1.1, -0.9, 0.2])) < 0.15)
 
     def test_bitwise_reproducible(self):
         rng = np.random.default_rng(9)
-        data = [(TaskInstance(x), int(y)) for x, y in
-                zip(rng.random((50, 2)), rng.integers(0, 2, 50))]
-        a = fit_population(data, _fast_config(iterations=100))
-        b = fit_population(data, _fast_config(iterations=100))
+        tasks, labels = rng.random((50, 2)), rng.integers(0, 2, 50)
+        a = fit_population(tasks, labels, _fast_config(iterations=100))
+        b = fit_population(tasks, labels, _fast_config(iterations=100))
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.variance, b.variance)
         assert np.array_equal(a.ensemble, b.ensemble)
@@ -262,10 +275,9 @@ class TestFitPopulation:
         labels = {"random": rng.integers(0, 2, n_rows),
                   "constant": np.full(n_rows, seed % 2),
                   "separable": (tasks[:, 0] >= 0.5).astype(int)}[labelling]
-        data = [(TaskInstance(x), int(y)) for x, y in zip(tasks, labels)]
         config = PopulationFitConfig(seed=seed, train_samples=train_samples,
                                      ensemble_size=1, prior_variance=prior_variance)
-        post = fit_population(data, config)
+        post = fit_population(tasks, labels, config)
 
         design = np.hstack([tasks, np.ones((n_rows, 1))])
         noise = np.random.default_rng(derive_seed(seed, "elbo-noise")).standard_normal(
@@ -298,13 +310,13 @@ class TestPredictIndependent:
             n = int(rng.integers(1, 5))
             w = WeightVector(rng.normal(0, 2, n), bias=float(rng.normal()))
             post = singleton_posterior(w.weights, w.bias)
-            task = random_task(rng, n)
+            task = rng.random(n)
             direct = logistic_response(task, w)
-            assert per_record.predict_independent(post, task.features) == direct
+            assert per_record.predict_independent(post, task) == direct
             # the kernel sums the logit one feature at a time and takes
             # 1 / (1 + e^-x), so it may differ from expit of the dot
             # product in the last bit, but not in the decision
-            prob = unassisted(post, [task.features])[0]
+            prob = unassisted(post, [task])[0]
             assert prob == pytest.approx(direct, rel=0, abs=1e-15)
             assert (prob >= 0.5) == (direct >= 0.5)
 
@@ -372,9 +384,8 @@ class TestElboContract:
         rng = np.random.default_rng(29)
         tasks = rng.random((150, 2))
         labels = (rng.random(150) < expit(tasks @ [1.0, -1.0])).astype(int)
-        data = [(TaskInstance(x), int(y)) for x, y in zip(tasks, labels)]
         config = _fast_config(iterations=120)
-        post = fit_population(data, config)
+        post = fit_population(tasks, labels, config)
 
         design = np.hstack([tasks, np.ones((150, 1))])
         noise = np.random.default_rng(

@@ -680,13 +680,13 @@ class TestFitNudge:
         ai = SurrogateAI(WeightVector([-0.8, -1.0, 0.9], bias=0.45), top_k=2)
         tasks = uniform_tasks(1500, N, seed=77)
         rng = np.random.default_rng(123)
-        probs = unassisted(posterior, [task.features for task in tasks])
+        probs = unassisted(posterior, tasks)
+        recs, confs = ai_recommend(ai, tasks)
         rows = []
-        for i, (task, p) in enumerate(zip(tasks, probs)):
-            rec, conf = ai_recommend(ai, task)
+        for i, (task, p, rec, conf) in enumerate(zip(tasks, probs, recs, confs)):
             rows.append(dict(
                 subject_id="s", treatment=Treatment.IMMEDIATE, trial_index=i,
-                features=task.features, final_decision=int(rng.random() < p),
+                features=task, final_decision=int(rng.random() < p),
                 ai_recommendation=rec, ai_confidence=conf,
             ))
         trials = trials_of(rows)

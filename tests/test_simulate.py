@@ -5,57 +5,79 @@ import pytest
 from scipy.special import expit, logit
 
 from nudgelab import (
+    ConfigurationError,
     NudgeParams,
+    PopulationPosterior,
     SignedSharedSignVector,
     SurrogateAI,
     SyntheticSubject,
-    TaskInstance,
     Treatment,
+    UsageError,
     WeightVector,
     ai_explain,
     ai_recommend,
     generate_behavior,
-    logistic_response,
     uniform_tasks,
 )
 from nudgelab.records import export_csv, ingest
+
+import per_record
+from conftest import unassisted
+from per_record import logistic_response
 
 
 class TestAiRecommend:
     def test_uninformative_ai(self):
         ai = SurrogateAI(WeightVector([0.0, 0.0]), top_k=1)
-        rec, conf = ai_recommend(ai, TaskInstance([0.3, 0.8]))
-        assert conf == 0.5
-        assert rec == 1  # probability exactly one half -> decision 1
+        rec, conf = ai_recommend(ai, [[0.3, 0.8]])
+        assert conf.tolist() == [0.5]
+        assert rec.tolist() == [1]  # probability exactly one half -> decision 1
 
     def test_confident_recommendation(self):
         ai = SurrogateAI(WeightVector([2.0, 0.0]), top_k=1)
-        rec, conf = ai_recommend(ai, TaskInstance([1.0, 0.0]))
-        assert rec == 1
-        assert conf == pytest.approx(float(expit(2.0)), abs=1e-12)
+        rec, conf = ai_recommend(ai, [[1.0, 0.0]])
+        assert rec.tolist() == [1]
+        assert conf[0] == pytest.approx(float(expit(2.0)), abs=1e-12)
 
     def test_confidence_symmetry_below_half(self):
         # engineered so the model output is exactly 0.3
         ai = SurrogateAI(WeightVector([float(logit(0.3)), 0.0]), top_k=1)
-        rec, conf = ai_recommend(ai, TaskInstance([1.0, 0.0]))
-        assert rec == 0
-        assert conf == pytest.approx(0.7, abs=1e-12)
+        rec, conf = ai_recommend(ai, [[1.0, 0.0]])
+        assert rec.tolist() == [0]
+        assert conf[0] == pytest.approx(0.7, abs=1e-12)
+
+    def test_matches_the_per_task_response_bit_for_bit(self):
+        # each row's score is the dot product of one task, not a row of a
+        # matrix-vector product, so a batch recommends as one task at a time
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 6, 9, 17):
+            w = WeightVector(rng.normal(0, 2, n), bias=float(rng.normal()))
+            features = rng.random((500, n))
+            rec, conf = ai_recommend(SurrogateAI(w, top_k=1), features)
+            p = np.array([logistic_response(x, w) for x in features])
+            assert np.array_equal(rec, (p >= 0.5).astype(int))
+            assert np.array_equal(conf, np.maximum(p, 1.0 - p))
+
+    def test_dimension_mismatch(self):
+        ai = SurrogateAI(WeightVector([1.0, 2.0]), top_k=1)
+        with pytest.raises(ConfigurationError):
+            ai_recommend(ai, [[0.5]])
 
 
 class TestAiExplain:
     def test_mask_saturates(self):
         ai = SurrogateAI(WeightVector([1.0, -1.0]), top_k=2)
-        assert np.array_equal(ai_explain(ai, TaskInstance([0.3, 0.9])), [1, 1])
+        assert np.array_equal(ai_explain(ai, [[0.3, 0.9]]), [[1, 1]])
 
     def test_contribution_ranking(self):
         ai = SurrogateAI(WeightVector([3.0, 0.1, 0.1]), top_k=1)
-        mask = ai_explain(ai, TaskInstance([1.0, 1.0, 0.0]))
-        assert np.array_equal(mask, [1, 0, 0])
+        mask = ai_explain(ai, [[1.0, 1.0, 0.0]])
+        assert np.array_equal(mask, [[1, 0, 0]])
 
     def test_tie_break_lowest_index(self):
         ai = SurrogateAI(WeightVector([1.0, 1.0, 0.5]), top_k=1)
-        mask = ai_explain(ai, TaskInstance([1.0, 1.0, 0.5]))
-        assert np.array_equal(mask, [1, 0, 0])
+        mask = ai_explain(ai, [[1.0, 1.0, 0.5]])
+        assert np.array_equal(mask, [[1, 0, 0]])
 
     def test_exactly_top_k_ones(self):
         rng = np.random.default_rng(3)
@@ -63,8 +85,28 @@ class TestAiExplain:
             n = int(rng.integers(2, 8))
             k = int(rng.integers(1, n + 1))
             ai = SurrogateAI(WeightVector(rng.normal(0, 2, n)), top_k=k)
-            mask = ai_explain(ai, TaskInstance(rng.random(n)))
+            mask = ai_explain(ai, rng.random((1, n)))
             assert mask.sum() == k
+
+    def test_rows_rank_as_one_task_at_a_time(self):
+        # many ties (features on a coarse grid) and a stable sort per row
+        # give each task the mask a lexsort of that task alone gives
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            n = int(rng.integers(2, 8))
+            k = int(rng.integers(1, n + 1))
+            ai = SurrogateAI(WeightVector(rng.choice([-1.0, 0.0, 1.0], n)), top_k=k)
+            features = rng.integers(0, 3, (20, n)) / 2.0
+            masks = ai_explain(ai, features)
+            for x, mask in zip(features, masks):
+                contribution = np.abs(ai.weights.weights * (x - 0.5))
+                order = np.lexsort((np.arange(n), -contribution))
+                assert np.flatnonzero(mask).tolist() == sorted(order[:k].tolist())
+
+    def test_dimension_mismatch(self):
+        ai = SurrogateAI(WeightVector([1.0, 2.0]), top_k=1)
+        with pytest.raises(ConfigurationError):
+            ai_explain(ai, [[0.5, 0.5, 0.5]])
 
 
 def _subject(treatment, params, temperature=1.0):
@@ -133,6 +175,18 @@ class TestGenerateBehavior:
             if treatment == Treatment.EXPLANATION:
                 assert np.all(records.explanation_mask.sum(axis=1) == self.ai.top_k)
 
+    @pytest.mark.parametrize("temperature", [0.0, 0.7, 1.0, 2.0])
+    def test_decisions_are_the_per_trial_draws(self, temperature):
+        # one uniform draw per trial, in order, as drawing trial by trial
+        sub = _subject(Treatment.INDEPENDENT, None, temperature)
+        tasks = uniform_tasks(2000, 3, seed=7)
+        records = generate_behavior(sub, tasks, self.ai, seed=21)
+        probability = unassisted(PopulationPosterior.point(sub.true_weights), tasks)
+        rng = np.random.default_rng(21)
+        expected = [per_record.sample_decision(p, temperature, rng)
+                    for p in probability.tolist()]
+        assert records.final_decision.tolist() == expected
+
     def test_delayed_initial_decision_is_unnudged(self):
         big = SignedSharedSignVector(50.0, np.ones(3))
         sub = _subject(Treatment.DELAYED, NudgeParams.for_delayed(big, big),
@@ -155,6 +209,14 @@ class TestGenerateBehavior:
         assert np.array_equal(records.final_decision, loaded.final_decision)
         assert np.array_equal(records.initial_decision, loaded.initial_decision)
         assert np.array_equal(records.features, loaded.features)
+
+
+    @pytest.mark.parametrize("features", [np.empty((0, 3)), [0.5, 0.5, 0.5],
+                                          [[0.5, 0.5]]])
+    def test_task_matrix_checked(self, features):
+        sub = _subject(Treatment.INDEPENDENT, None)
+        with pytest.raises((UsageError, ConfigurationError)):
+            generate_behavior(sub, features, self.ai, seed=1)
 
 
 class TestSubjectValidation:
