@@ -52,15 +52,11 @@ from .fitting import (
     NudgeObjective,
     fit_nudge,
     fit_nudge_batch,
-    fit_nudge_deterministic_ablation,
 )
 from .nudge import (
     NudgeParams,
     SignedSharedSignVector,
     decision_probability,
-    predict_delayed,
-    predict_explanation,
-    predict_immediate,
 )
 from .records import Treatment, Trials, export_csv, group_by_subject, ingest
 from .simulate import (
@@ -86,9 +82,7 @@ __all__ = [
     "CurvePoint", "EvalReport", "SplitPlan", "SubjectMetrics", "baseline_logistic",
     "evaluate_framework", "learning_curve", "metrics", "split_trials",
     "FitConfig", "NudgeFitResult", "NudgeObjective", "fit_nudge", "fit_nudge_batch",
-    "fit_nudge_deterministic_ablation",
     "NudgeParams", "SignedSharedSignVector", "decision_probability",
-    "predict_delayed", "predict_explanation", "predict_immediate",
     "Treatment", "Trials", "export_csv", "group_by_subject", "ingest",
     "SurrogateAI", "SyntheticSubject", "ai_explain", "ai_recommend",
     "default_population_moments", "default_surrogate_ai", "generate_behavior",

@@ -105,6 +105,12 @@ class PopulationPosterior:
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
                 and np.all(np.isfinite(ens))):
             raise ConfigurationError("posterior arrays must be finite")
+        # features lie in [0, 1], so a member's logit, and every partial sum
+        # of it, is at most sum |w| + |b|; twice that leaves room for rounding
+        with np.errstate(over="ignore"):
+            if not np.isfinite(2.0 * np.abs(ens).sum(axis=1)).all():
+                raise ConfigurationError(
+                    "posterior members are too large: a logit could overflow")
         object.__setattr__(self, "mean", _frozen_array(mean))
         object.__setattr__(self, "variance", _frozen_array(var))
         object.__setattr__(self, "ensemble", _frozen_array(ens))
@@ -129,7 +135,7 @@ class PopulationPosterior:
         rng = np.random.default_rng(seed)
         try:
             draws = mean + np.sqrt(variance) * rng.standard_normal((size, mean.size))
-        except MemoryError:
+        except (MemoryError, ValueError, OverflowError):
             raise ConfigurationError(f"cannot allocate {size} ensemble members") from None
         return cls(mean=mean, variance=variance, ensemble=draws, seed=seed)
 

@@ -24,15 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import NEWTON_TOL, Adam, derive_seed, sigmoid, softplus, softplus_inverse
-from .core import PopulationPosterior, WeightVector
+from .core import PopulationPosterior
 from .errors import ConfigurationError, UsageError
 from .nudge import (
     EnsembleResponse,
     NudgeParams,
     SignedSharedSignVector,
+    TreatmentLayout,
     attention_mixture,
     explanation_means,
-    logit_shift,
 )
 from .records import Treatment, Trials
 
@@ -42,7 +42,6 @@ __all__ = [
     "NudgeObjective",
     "fit_nudge",
     "fit_nudge_batch",
-    "fit_nudge_deterministic_ablation",
 ]
 
 # A fit counts as converged when the final gradient of its penalized
@@ -224,11 +223,12 @@ class _GroupSum:
 class NudgeObjective:
     """Mean negative log-likelihood of each subject's trials, with gradient.
 
-    ``trial_sets`` is a list of K subjects' ``Trials``; their rows are
-    stacked, and each subject's mean and gradient sum over its own trials
-    only.  Everything that depends only on the trials and the frozen
-    ensemble (conditioning masks, masked response means, response tables)
-    is computed once, straight into the stacked arrays.
+    ``trial_sets`` is a list of K subjects' ``Trials``, stacked as
+    ``layout`` (a ``TreatmentLayout``), and each subject's mean and
+    gradient sum over its own trials only.  Everything that depends only
+    on the trials and the frozen ensemble (conditioning masks, masked
+    response means, response tables) is computed once, straight into the
+    stacked arrays.
 
     ``theta`` is (R, K, P): R stacked parameter rows per subject, such as
     restarts.  P layouts:
@@ -252,56 +252,28 @@ class NudgeObjective:
     def __init__(self, trial_sets, ensemble: np.ndarray,
                  treatment: Treatment, clip_eps: float = 1e-6,
                  l2_penalty: float = 0.0):
-        trial_sets = list(trial_sets)
-        if not trial_sets:
-            raise UsageError("at least one subject's trials are required")
         self.treatment = Treatment(treatment)
         if self.treatment == Treatment.INDEPENDENT:
             raise UsageError("independent treatment has no nudge parameters to fit")
-        for subject in trial_sets:
-            _check_subject(subject, self.treatment)
-        trials = Trials.concat(trial_sets)
-        self.n = trials.n_features
-        if ensemble.shape[1] != self.n + 1:
-            raise ConfigurationError(
-                f"posterior has {ensemble.shape[1] - 1} features but the "
-                f"trials have {self.n}"
-            )
+        self.layout = layout = TreatmentLayout(trial_sets, ensemble, self.treatment)
+        self.n = layout.features.shape[1]
         self.clip_eps = float(clip_eps)
         self.l2_penalty = float(l2_penalty)
 
-        sizes = [len(subject) for subject in trial_sets]
-        self.n_subjects = len(sizes)
-        self.subject_trials = np.asarray(sizes, dtype=float)             # (K,)
-        self.subject = np.repeat(np.arange(self.n_subjects), sizes)      # (T,)
-        self.trial_count = self.subject_trials[self.subject]             # (T,)
-        self.by_subject = _GroupSum(self.subject, self.n_subjects)
-
-        self.features = trials.features                                  # (T, n)
-        self.final = trials.final_decision.astype(float)
+        self.n_subjects = layout.n_subjects
+        self.subject_trials = np.asarray(layout.sizes, dtype=float)     # (K,)
+        self.trial_count = self.subject_trials[layout.subject]          # (T,)
+        self.by_subject = _GroupSum(layout.subject, self.n_subjects)
+        self.final = layout.final.astype(float)
 
         if self.treatment == Treatment.EXPLANATION:
-            masks = trials.explanation_mask.astype(float)
             self.mean_focused, self.mean_ignored = explanation_means(
-                ensemble, self.features, masks)                          # (T,) each
+                ensemble, layout.features, layout.masks)                # (T,) each
             return
-
-        rec = trials.ai_recommendation
-        initial = None
-        if self.treatment == Treatment.IMMEDIATE:
-            self.direction = (2.0 * rec - 1.0) * trials.ai_confidence    # (T,)
-            self.n_branches = 1                                          # direct
-            branch = np.zeros(len(trials), dtype=np.intp)
-        else:
-            initial = trials.initial_decision
-            self.direction = 2.0 * rec - 1.0
-            self.n_branches = 2                                          # affirm, contra
-            branch = (rec != initial).astype(np.intp)
-        # the shift-vector block (subject, branch) that moves each trial
-        self.block = self.subject * self.n_branches + branch             # (T,)
-        self.by_block = _GroupSum(self.block, self.n_subjects * self.n_branches)
-        self.response = _EnsembleResponse(ensemble, self.features, initial,
-                                          min_chunk=max(sizes))
+        self.n_branches = layout.n_branches
+        self.by_block = _GroupSum(layout.block, self.n_subjects * self.n_branches)
+        self.response = _EnsembleResponse(ensemble, layout.features, layout.initial,
+                                          min_chunk=max(layout.sizes))
 
     @property
     def n_params(self) -> int:
@@ -414,26 +386,26 @@ class NudgeObjective:
 
             return probs, backward
 
-        # shift c_t = direction_t * x_t . delta_(subject and branch of t)
+        layout = self.layout
         blocks = theta.reshape(n_rows, -1, 1 + self.n)                  # (R, K*B, 1+n)
         mags = softplus(blocks[..., 1:])
         deltas = blocks[..., :1] * mags                                  # (R, K*B, n)
-        shift = logit_shift(self.direction, deltas[:, self.block], self.features)
+        shift = layout.shift(deltas)
         if tabulated and self.response.tabulated:
             probs, slope = self.response.interpolated(shift)
         else:
             probs, slope = self.response.exact(shift)
 
         def backward(dvalue_dp):
-            dshift = dvalue_dp * slope * self.direction                  # (R, T)
-            ddelta = self.by_block(dshift[..., None] * self.features)   # (R, K*B, n)
-            return _shift_vector_gradient(blocks, mags, ddelta).reshape(theta.shape)
+            dshift = dvalue_dp * slope * layout.direction                # (R, T)
+            ddelta = self.by_block(dshift[..., None] * layout.features)  # (R, K*B, n)
+            return _theta_gradient(blocks, mags, ddelta).reshape(theta.shape)
 
         return probs, backward
 
     def _mixture(self, attention):
         """Explanation trials' probabilities (R, T) at attention (R, K)."""
-        return attention_mixture(attention[:, self.subject], self.mean_focused,
+        return attention_mixture(attention[:, self.layout.subject], self.mean_focused,
                                  self.mean_ignored)
 
     def attention_derivatives(self, attention):
@@ -467,20 +439,8 @@ class NudgeObjective:
         deltas = blocks[..., :1] * mags
         value = 0.5 * self.l2_penalty * (deltas * deltas).reshape(
             theta.shape[:2] + (-1,)).sum(axis=-1)
-        grad = _shift_vector_gradient(blocks, mags, self.l2_penalty * deltas)
+        grad = _theta_gradient(blocks, mags, self.l2_penalty * deltas)
         return value, grad.reshape(theta.shape)
-
-
-def _check_subject(trials: Trials, treatment):
-    if not len(trials):
-        raise UsageError("at least one training trial is required")
-    subjects = sorted(set(trials.subject_id.tolist()))
-    if len(subjects) != 1:
-        raise UsageError(f"trials span multiple subjects: {subjects}")
-    other = trials.treatment[trials.treatment != treatment]
-    if other.size:
-        raise UsageError(f"trial treatment {other[0].value!r} does not match "
-                         f"{treatment.value!r}")
 
 
 def _logit_penalty(attention, l2_penalty):
@@ -494,7 +454,7 @@ def _logit_penalty(attention, l2_penalty):
     return 0.5 * l2_penalty * logit ** 2, first, second
 
 
-def _shift_vector_gradient(blocks, mags, ddelta):
+def _theta_gradient(blocks, mags, ddelta):
     """Gradient in theta, given the gradient in each block's realized shift
     vector delta = scale * softplus(raw); blocks are [scale, raw] rows."""
     dscale = (ddelta * mags).sum(axis=-1, keepdims=True)
@@ -636,19 +596,3 @@ def fit_nudge(
     """
     return fit_nudge_batch([subject_trials], posterior, treatment, config)[0]
 
-
-def fit_nudge_deterministic_ablation(
-    subject_trials: Trials,
-    point_model: WeightVector,
-    treatment: Treatment,
-    config: FitConfig = FitConfig(),
-) -> NudgeFitResult:
-    """The same MLE with the ensemble collapsed onto one point model.
-
-    Only defined for the delayed treatment (the ablation's setting); the
-    fit is ``fit_nudge`` under the one-member posterior at ``point_model``.
-    """
-    if Treatment(treatment) != Treatment.DELAYED:
-        raise UsageError("the deterministic ablation applies to the delayed treatment")
-    return fit_nudge_batch([subject_trials], PopulationPosterior.point(point_model),
-                           treatment, config)[0]

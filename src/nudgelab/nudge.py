@@ -17,11 +17,10 @@ c_t = direction_t * x_t . delta, so each trial's probability is one
 function of c_t: ``EnsembleResponse``.  At c = 0 it is the unassisted
 (independent) probability, and an explanation trial's two response means
 are its values at c = 0 on the masked features.  It is the package's only
-probability code: simulation, the nudge fit and scoring all evaluate it.
-``predict_immediate``, ``predict_delayed`` and ``predict_explanation``
-evaluate it for a batch of trials (one subject's, or many subjects'
-stacked) at realized shift vectors; ``decision_probability`` scores the
-``Trials`` of K subjects, each at its own parameters.
+probability code, and ``TreatmentLayout`` is the only code that maps a
+treatment's payload onto it: simulation, the nudge fit and scoring all
+read K subjects' trials through both.  ``decision_probability`` scores the
+``Trials`` of K subjects of one treatment, each at its own parameters.
 
 Shift vectors share one sign across coordinates: they are stored as a
 signed scalar times nonnegative magnitudes, so trust (+) versus distrust
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PopulationPosterior, _frozen_array
-from .errors import ConfigurationError, InputError, UsageError
+from .errors import ConfigurationError, UsageError
 from .records import Treatment, Trials
 
 __all__ = [
@@ -43,9 +42,7 @@ __all__ = [
     "SignedSharedSignVector",
     "NudgeParams",
     "explanation_means",
-    "predict_immediate",
-    "predict_delayed",
-    "predict_explanation",
+    "TreatmentLayout",
     "decision_probability",
     "PROBABILITY_EPS",
 ]
@@ -166,12 +163,6 @@ def _unassisted(ensemble, features) -> np.ndarray:
     return _response_at(ensemble, features, np.zeros(len(features)))
 
 
-def logit_shift(direction, deltas, features):
-    """Each trial's logit shift c = direction * x . delta: deltas (..., T, n)
-    or (n,), features (T, n)."""
-    return direction * (deltas * features).sum(axis=-1)
-
-
 def explanation_means(ensemble: np.ndarray, features: np.ndarray,
                       masks: np.ndarray):
     """Each trial's mean member response to its highlighted features and to
@@ -203,9 +194,12 @@ class SignedSharedSignVector:
         mags = np.asarray(self.magnitudes, dtype=float)
         if mags.ndim != 1 or np.any(mags < 0.0) or not np.all(np.isfinite(mags)):
             raise ConfigurationError("magnitudes must be finite and nonnegative")
+        # a finite norm implies finite components (inf * 0 makes a NaN one)
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(np.isfinite(self.scale * np.append(mags, 1.0))):
-                raise ConfigurationError("scale and the realized vector must be finite")
+            if not (np.isfinite(self.scale)
+                    and np.isfinite(np.linalg.norm(self.scale * mags))):
+                raise ConfigurationError(
+                    "scale, the realized vector and its norm must be finite")
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "magnitudes", _frozen_array(mags))
 
@@ -274,89 +268,72 @@ class NudgeParams:
         return cls(delta_exp=delta_exp)
 
 
-def _features(posterior: PopulationPosterior, features) -> np.ndarray:
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or len(features) == 0:
-        raise UsageError("features must be a nonempty (trials, n) array")
-    if features.shape[1] != posterior.n_features:
-        raise ConfigurationError(
-            f"trials have {features.shape[1]} features but the posterior "
-            f"expects {posterior.n_features}"
-        )
-    return features
+class TreatmentLayout:
+    """K subjects' ``Trials`` of one treatment, stacked in order, as the
+    kernel reads them: the one place where a treatment's payload becomes
+    per-trial terms.
 
+    ``subject`` (T,) numbers each trial's subject 0..K-1.  Immediate and
+    delayed trial t moves by the logit shift c_t = direction_t * x_t .
+    delta_(block_t) (``shift``), where direction is 2r - 1 (times the
+    confidence for immediate assistance) and block = subject * B + branch
+    picks one of the K * B shift vectors, stacked subject by subject: B = 1
+    for immediate (direct), and B = 2 for delayed, whose branch is affirm
+    (0) when the recommendation matches the trial's ``initial`` decision
+    and contra (1) otherwise.  Explanation trials carry
+    their ``masks`` (T x n, float).
 
-def _binary(values, name: str) -> np.ndarray:
-    values = np.asarray(values)
-    if not np.isin(values, (0, 1)).all():
-        raise InputError(f"{name} must be 0 or 1")
-    return values
-
-
-def _shift_vector(delta, features: np.ndarray) -> np.ndarray:
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape not in ((features.shape[1],), features.shape):
-        raise ConfigurationError("delta dimensionality does not match the task")
-    return delta
-
-
-def predict_immediate(posterior: PopulationPosterior, features, recommendation,
-                      confidence, delta) -> np.ndarray:
-    """Final-decision probabilities (T,) under upfront recommendations.
-
-    ``features`` is (T, n), ``recommendation`` and ``confidence`` are (T,),
-    and ``delta`` is the realized shift vector: (n,) for one subject, or
-    (T, n) with each trial's own subject's.  Every ensemble member's
-    feature weights are shifted by ``(2*y_m - 1) * confidence * delta``
-    before the logistic response is averaged.
+    There must be at least one subject, each with trials of a single
+    subject_id, every trial of ``treatment`` (default: the first trial's),
+    and as many features as the ensemble's members weigh.
     """
-    features = _features(posterior, features)
-    delta = _shift_vector(delta, features)
-    recommendation = _binary(recommendation, "recommendation")
-    confidence = np.asarray(confidence, dtype=float)
-    if not np.all((confidence >= 0.5) & (confidence <= 1.0)):
-        raise InputError("confidence must lie in [0.5, 1]")
-    shift = logit_shift((2.0 * recommendation - 1.0) * confidence, delta, features)
-    return _response_at(posterior.ensemble, features, shift)
 
+    def __init__(self, trial_sets, ensemble: np.ndarray, treatment=None):
+        trial_sets = list(trial_sets)
+        if not trial_sets:
+            raise UsageError("at least one subject's trials are required")
+        for subject in trial_sets:
+            if not len(subject):
+                raise UsageError("every subject needs at least one trial")
+            ids = sorted(set(subject.subject_id.tolist()))
+            if len(ids) != 1:
+                raise UsageError(f"trials span multiple subjects: {ids}")
+        trials = Trials.concat(trial_sets)
+        self.treatment = Treatment(trials.treatment[0] if treatment is None
+                                   else treatment)
+        other = trials.treatment[trials.treatment != self.treatment]
+        if other.size:
+            raise UsageError(f"trial treatment {other[0].value!r} does not match "
+                             f"{self.treatment.value!r}")
+        if trials.n_features != ensemble.shape[1] - 1:
+            raise ConfigurationError(
+                f"posterior has {ensemble.shape[1] - 1} features but the "
+                f"trials have {trials.n_features}")
+        self.sizes = [len(subject) for subject in trial_sets]
+        self.n_subjects = len(self.sizes)
+        self.subject = np.repeat(np.arange(self.n_subjects), self.sizes)  # (T,)
+        self.features = trials.features                                   # (T, n)
+        self.final = trials.final_decision
+        self.initial = None
+        if self.treatment == Treatment.EXPLANATION:
+            self.masks = trials.explanation_mask.astype(float)
+        if self.treatment not in (Treatment.IMMEDIATE, Treatment.DELAYED):
+            return
+        rec = trials.ai_recommendation
+        if self.treatment == Treatment.IMMEDIATE:
+            self.direction = (2.0 * rec - 1.0) * trials.ai_confidence     # (T,)
+            self.n_branches, branch = 1, 0
+        else:
+            self.initial = trials.initial_decision
+            self.direction = 2.0 * rec - 1.0
+            self.n_branches, branch = 2, (rec != self.initial).astype(np.intp)
+        self.block = self.subject * self.n_branches + branch             # (T,)
 
-def predict_delayed(posterior: PopulationPosterior, features, recommendation,
-                    initial, affirm, contra) -> np.ndarray:
-    """Final-decision probabilities (T,) under delayed recommendations.
-
-    Each trial averages over the members whose own decision matches its
-    ``initial`` decision; the realized ``affirm`` vector applies when the
-    recommendation matches that decision, ``contra`` otherwise (each (n,)
-    or (T, n), as in ``predict_immediate``).
-    """
-    features = _features(posterior, features)
-    affirm, contra = (_shift_vector(v, features) for v in (affirm, contra))
-    recommendation = _binary(recommendation, "recommendation")
-    initial = _binary(initial, "initial_decision")
-    branch = np.where((recommendation == initial)[:, None], affirm, contra)
-    shift = logit_shift(2.0 * recommendation - 1.0, branch, features)
-    return _response_at(posterior.ensemble, features, shift, initial)
-
-
-def predict_explanation(posterior: PopulationPosterior, features, masks,
-                        attention) -> np.ndarray:
-    """Final-decision probabilities (T,) under explanation-only masks.
-
-    Mixes each trial's mean response to its highlighted features (``masks``,
-    T x n of 0/1) with its mean response to the others, weighting the
-    highlighted part by ``attention``: a scalar, or one weight per trial.
-    Masked-out features contribute zero to the linear score; the intercept
-    is kept in both terms.
-    """
-    features = _features(posterior, features)
-    masks = _binary(masks, "mask")
-    if masks.shape != features.shape:
-        raise ConfigurationError("mask length does not match the task")
-    attention = np.asarray(attention, dtype=float)
-    if not np.all((attention >= 0.0) & (attention <= 1.0)):
-        raise InputError("delta_exp must lie in [0, 1]")
-    means = explanation_means(posterior.ensemble, features, masks.astype(float))
-    return attention_mixture(attention, *means)
+    def shift(self, deltas: np.ndarray) -> np.ndarray:
+        """Each trial's logit shift (..., T) under the stacked shift vectors
+        ``deltas`` (..., K * B, n)."""
+        return self.direction * (deltas[..., self.block, :]
+                                 * self.features).sum(axis=-1)
 
 
 def decision_probability(trial_sets, posterior: PopulationPosterior, params,
@@ -365,46 +342,34 @@ def decision_probability(trial_sets, posterior: PopulationPosterior, params,
     [clip_eps, 1 - clip_eps]: a (T,) array over K subjects' trials.
 
     ``trial_sets`` is a list of K subjects' ``Trials``, all of one
-    treatment, and ``params`` their K nudge parameters; the independent
-    treatment takes None for each and is the ensemble response at c = 0.
-    The trials are scored in one call of the treatment's predictor, in
-    order.  The clip keeps log likelihoods finite for degenerate ensembles.
+    treatment (see ``TreatmentLayout``), and ``params`` their K nudge
+    parameters; the independent treatment takes None for each and is the
+    ensemble response at c = 0.  The trials are scored in one evaluation
+    of the kernel, in order.  The clip keeps log likelihoods finite for
+    degenerate ensembles.
     """
     trial_sets = list(trial_sets)
     params = list(params)
     if len(params) != len(trial_sets):
         raise UsageError(f"{len(params)} parameter sets for {len(trial_sets)} subjects")
-    if not sum(len(trials) for trials in trial_sets):
-        raise UsageError("at least one trial is required")
-    trials = Trials.concat(trial_sets)
-    treatment = trials.treatment[0]
-    if (trials.treatment != treatment).any():
-        raise UsageError("score one treatment at a time")
+    ensemble = posterior.ensemble
+    layout = TreatmentLayout(trial_sets, ensemble)
+    treatment = layout.treatment
     wanted = None if treatment == Treatment.INDEPENDENT else treatment
     if any((None if p is None else p.treatment) != wanted for p in params):
         raise UsageError(f"trial treatment {treatment.value!r} does not match "
                          f"the parameters provided")
-    sizes = [len(trials) for trials in trial_sets]
-    features = _features(posterior, trials.features)
-
-    def per_trial(values):
-        return np.repeat(np.asarray(values), sizes, axis=0)
-
-    def vectors(field):
-        return per_trial([getattr(p, field).realized for p in params])
-
     if treatment == Treatment.INDEPENDENT:
-        probability = _unassisted(posterior.ensemble, features)
+        probability = _unassisted(ensemble, layout.features)
     elif treatment == Treatment.EXPLANATION:
-        probability = predict_explanation(
-            posterior, features, trials.explanation_mask,
-            per_trial([p.delta_exp for p in params]))
-    elif treatment == Treatment.IMMEDIATE:
-        probability = predict_immediate(
-            posterior, features, trials.ai_recommendation, trials.ai_confidence,
-            vectors("delta_direct"))
+        attention = np.asarray([p.delta_exp for p in params])[layout.subject]
+        probability = attention_mixture(
+            attention, *explanation_means(ensemble, layout.features, layout.masks))
     else:
-        probability = predict_delayed(
-            posterior, features, trials.ai_recommendation, trials.initial_decision,
-            vectors("delta_affirm"), vectors("delta_contra"))
+        # each subject's vectors in block order: direct, or affirm, contra
+        deltas = np.array([v.realized for p in params for v in
+                           (p.delta_direct, p.delta_affirm, p.delta_contra)
+                           if v is not None])                            # (K * B, n)
+        probability = _response_at(ensemble, layout.features,
+                                   layout.shift(deltas), layout.initial)
     return np.clip(probability, clip_eps, 1.0 - clip_eps)

@@ -18,15 +18,7 @@ import numpy as np
 from ._util import derive_seed, sigmoid
 from .core import PopulationPosterior, WeightVector
 from .errors import ConfigurationError
-from .nudge import (
-    NudgeParams,
-    SignedSharedSignVector,
-    _features,
-    _unassisted,
-    predict_delayed,
-    predict_explanation,
-    predict_immediate,
-)
+from .nudge import NudgeParams, SignedSharedSignVector, decision_probability
 from .records import Treatment, Trials
 
 __all__ = [
@@ -120,54 +112,53 @@ def generate_behavior(
     from the subject's true model.
 
     The subject's own weights act as a singleton ensemble, so the nudged
-    probability is the exact generative probability; one predictor call
-    gives every trial's.  The final decision is Bernoulli at
+    probability is the exact generative probability; one
+    ``decision_probability`` call on the table of the tasks and their AI
+    payload gives every trial's.  The final decision is Bernoulli at
     (temperature-scaled) face probability, one uniform draw per trial in
     order, or thresholded when the temperature is zero.  Delayed initial
     decisions are the unnudged decisions: 1 where the unassisted
     probability is at least 0.5.
     """
     point = PopulationPosterior.point(subject.true_weights)
-    features = _features(point, features)
-    params = subject.true_params
-    fields: dict = {}
-    if subject.treatment == Treatment.INDEPENDENT:
-        probability = _unassisted(point.ensemble, features)
-    elif subject.treatment == Treatment.IMMEDIATE:
+    features = np.asarray(features, dtype=float)
+    n_trials = len(features) if features.ndim else 0   # Trials refuses a non-matrix
+
+    def table(treatment, final, payload):
+        return Trials(
+            subject_id=[subject.subject_id] * n_trials,
+            treatment=[treatment] * n_trials,
+            trial_index=np.arange(n_trials),
+            features=features,
+            final_decision=final,
+            crt_score=[subject.crt_score] * n_trials,
+            **payload,
+        )
+
+    def probability(treatment, params, payload):
+        trials = table(treatment, np.zeros(n_trials, dtype=int), payload)
+        return decision_probability([trials], point, [params], clip_eps=1e-12)
+
+    payload: dict = {}
+    if subject.treatment == Treatment.IMMEDIATE:
         rec, conf = ai_recommend(ai, features)
-        probability = predict_immediate(point, features, rec, conf,
-                                        params.delta_direct.realized)
-        fields = dict(ai_recommendation=rec, ai_confidence=conf)
+        payload = dict(ai_recommendation=rec, ai_confidence=conf)
     elif subject.treatment == Treatment.DELAYED:
         rec, _ = ai_recommend(ai, features)
-        initial = (_unassisted(point.ensemble, features) >= 0.5).astype(int)
-        probability = predict_delayed(point, features, rec, initial,
-                                      params.delta_affirm.realized,
-                                      params.delta_contra.realized)
-        fields = dict(ai_recommendation=rec, initial_decision=initial)
-    else:
-        masks = ai_explain(ai, features)
-        probability = predict_explanation(point, features, masks, params.delta_exp)
-        fields = dict(explanation_mask=masks)
-    n_trials = len(features)
+        initial = probability(Treatment.INDEPENDENT, None, {}) >= 0.5
+        payload = dict(ai_recommendation=rec, initial_decision=initial)
+    elif subject.treatment == Treatment.EXPLANATION:
+        payload = dict(explanation_mask=ai_explain(ai, features))
+    p = probability(subject.treatment, subject.true_params, payload)
     temperature = subject.noise_temperature
     if temperature == 0.0:
-        final = probability >= 0.5
+        final = p >= 0.5
     else:
-        p = np.clip(probability, 1e-12, 1.0 - 1e-12)
         # a tiny temperature overflows the scaled logit to +-inf: p is 0 or 1
         with np.errstate(over="ignore"):
             tempered = sigmoid(np.log(p / (1.0 - p)) / temperature)
         final = np.random.default_rng(seed).random(n_trials) < tempered
-    return Trials(
-        subject_id=[subject.subject_id] * n_trials,
-        treatment=[subject.treatment] * n_trials,
-        trial_index=np.arange(n_trials),
-        features=features,
-        final_decision=final,
-        crt_score=[subject.crt_score] * n_trials,
-        **fields,
-    )
+    return table(subject.treatment, final, payload)
 
 
 def uniform_tasks(n_tasks: int, n_features: int, seed: int) -> np.ndarray:
@@ -175,7 +166,7 @@ def uniform_tasks(n_tasks: int, n_features: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     try:
         return rng.random((n_tasks, n_features))
-    except MemoryError:
+    except (MemoryError, ValueError, OverflowError):
         raise ConfigurationError(
             f"cannot allocate {n_tasks} tasks of {n_features} features") from None
 
@@ -257,7 +248,7 @@ def _cycle(pattern, n_features: int) -> np.ndarray:
     """``pattern`` repeated to length ``n_features``."""
     try:
         return np.resize(pattern, n_features)
-    except MemoryError:
+    except (MemoryError, ValueError, OverflowError):
         raise ConfigurationError(
             f"cannot allocate weights for {n_features} features") from None
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nudgelab import PopulationPosterior, Trials
+from nudgelab import PopulationPosterior, Trials, decision_probability
 from nudgelab.nudge import _unassisted
 
 
@@ -51,3 +51,17 @@ def trials_of(rows):
 def one_trial(**fields):
     """A one-row ``Trials`` table."""
     return trials_of([fields])
+
+
+def score_rows(posterior, treatment, params, features, **payload):
+    """The unclipped ``decision_probability`` (T,) of one one-row ``Trials``
+    table of ``treatment`` per row t of ``features`` (T x n), each its own
+    subject ``s<t>`` carrying row t of each ``payload`` column: ``params``
+    is one ``NudgeParams`` for every row, or a list of one per row."""
+    tables = [one_trial(subject_id=f"s{t}", treatment=treatment, trial_index=0,
+                        features=x, final_decision=0,
+                        **{name: column[t] for name, column in payload.items()})
+              for t, x in enumerate(np.asarray(features, dtype=float))]
+    if not isinstance(params, list):
+        params = [params] * len(tables)
+    return decision_probability(tables, posterior, params, 0.0)

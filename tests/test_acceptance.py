@@ -42,9 +42,6 @@ from nudgelab import (
     learning_curve,
     one_way_anova,
     pairwise_posthoc,
-    predict_delayed,
-    predict_explanation,
-    predict_immediate,
     uniform_tasks,
 )
 from nudgelab._util import derive_seed, sigmoid
@@ -54,7 +51,7 @@ from nudgelab.nudge import EnsembleResponse
 from nudgelab.simulate import default_population_moments, default_surrogate_ai
 
 import per_record
-from conftest import unassisted
+from conftest import score_rows, unassisted
 
 N_FEATURES = 6
 POP_MEAN, _ = default_population_moments(N_FEATURES)
@@ -96,9 +93,10 @@ def balanced_ai():
 
 class TestCriterion1ZeroNudgeIdentity:
     def test_identity_suite(self):
-        # every zero nudge is the ensemble response at logit shift 0: the
-        # unassisted probability, or for the delayed treatment its average
-        # over the members the old per-record filter keeps
+        # every zero nudge, scored as one-row tables, is the ensemble
+        # response at logit shift 0: the unassisted probability, or for the
+        # delayed treatment its average over the members the old per-record
+        # filter keeps
         rng = np.random.default_rng(1001)
         exact = 0
         total = 1000
@@ -110,20 +108,26 @@ class TestCriterion1ZeroNudgeIdentity:
                 seed=int(rng.integers(1 << 30)),
             )
             x = rng.random((1, n))
-            zero = np.zeros(n)
+            zero = SignedSharedSignVector.zero(n)
             p_ind = unassisted(posterior, x)
 
-            p_imm = predict_immediate(posterior, x, [int(rng.integers(0, 2))],
-                                      [float(rng.uniform(0.5, 1.0))], zero)
+            p_imm = score_rows(posterior, Treatment.IMMEDIATE,
+                               NudgeParams.for_immediate(zero), x,
+                               ai_recommendation=[int(rng.integers(0, 2))],
+                               ai_confidence=[float(rng.uniform(0.5, 1.0))])
 
             initial = np.array([int(rng.integers(0, 2))])
             filtered = EnsembleResponse(posterior.ensemble, x, initial)
             kept, _ = per_record.condition_on_decision(posterior, x[0], initial[0])
             p_ref = filtered.exact(np.zeros(1))[0]
-            p_del = predict_delayed(posterior, x, [int(rng.integers(0, 2))], initial,
-                                    zero, zero)
+            p_del = score_rows(posterior, Treatment.DELAYED,
+                               NudgeParams.for_delayed(zero, zero), x,
+                               ai_recommendation=[int(rng.integers(0, 2))],
+                               initial_decision=initial)
 
-            p_exp = predict_explanation(posterior, x, np.ones((1, n), dtype=int), 1.0)
+            p_exp = score_rows(posterior, Treatment.EXPLANATION,
+                               NudgeParams.for_explanation(1.0), x,
+                               explanation_mask=np.ones((1, n), dtype=int))
 
             exact += bool(np.array_equal(p_imm, p_ind)
                           and np.array_equal(p_del, p_ref)

@@ -6,6 +6,7 @@ import dataclasses
 import errno
 import json
 import filecmp
+import re
 import shutil
 import subprocess
 import sys
@@ -581,40 +582,49 @@ class TestMalformedArtifacts:
 
 class TestEnsembleTooLarge:
     # 10**13 members of 5 coordinates need 364 TiB, more than the address
-    # space, so numpy refuses the draw without allocating anything
-    SIZE = 10**13
+    # space, so numpy refuses the draw without allocating anything; the
+    # larger sizes overflow numpy's index range instead
+    SIZES = (10**13, 2**60, 2**63, 10**30)
 
     def test_posterior_ensemble_size_exits_one(self, pipeline_dir, tmp_path, capsys):
         config = _copy_inputs(pipeline_dir, tmp_path / "run")
         path = tmp_path / "run" / "posterior.json"
-        path.write_text(json.dumps(dict(json.loads(path.read_text()),
-                                        ensemble_size=self.SIZE)))
-        assert main(["fit-nudge", "--out", config.out_dir,
-                     "--data", config.data_path]) == 1
-        error = _single_json_error(capsys)
-        assert error["category"] == "configuration"
-        assert str(self.SIZE) in error["message"]
+        stored = json.loads(path.read_text())
+        for size in self.SIZES:
+            path.write_text(json.dumps(dict(stored, ensemble_size=size)))
+            for command in ("fit-nudge", "evaluate"):
+                assert main([command, "--out", config.out_dir,
+                             "--data", config.data_path]) == 1
+                error = _single_json_error(capsys)
+                assert error["category"] == "configuration"
+                assert str(size) in error["message"]
 
     def test_configured_ensemble_size_exits_one(self, pipeline_dir, tmp_path, capsys):
         config = _copy_inputs(pipeline_dir, tmp_path / "run")
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"n_features": 4, "population_iterations": 200,
-                                    "mc_ensemble_size": self.SIZE}))
-        assert main(["fit-population", "--config", str(path), "--out",
-                     config.out_dir, "--data", config.data_path]) == 1
-        error = _single_json_error(capsys)
-        assert error["category"] == "configuration"
-        assert str(self.SIZE) in error["message"]
+        for size in self.SIZES:
+            path.write_text(json.dumps({"n_features": 4, "population_iterations": 200,
+                                        "mc_ensemble_size": size}))
+            assert main(["fit-population", "--config", str(path), "--out",
+                         config.out_dir, "--data", config.data_path]) == 1
+            error = _single_json_error(capsys)
+            assert error["category"] == "configuration"
+            assert str(size) in error["message"]
 
 
 class TestSimulationConfigs:
     # an empty treatment list, and a task pool or a feature count whose
     # arrays need more than the address space (437 TiB and 7 PiB), so numpy
-    # refuses them without allocating anything
+    # refuses them without allocating anything, or whose sizes overflow
+    # numpy's index range
     @pytest.mark.parametrize("values, fragment", [
         ({"sim_treatments": []}, "sim_treatments"),
         ({"sim_task_pool_size": 10**13}, str(10**13)),
         ({"n_features": 10**15}, str(10**15)),
+        ({"sim_task_pool_size": 10**30}, str(10**30)),
+        ({"sim_task_pool_size": 10**30, "sim_trials_per_subject": 10**30},
+         str(10**30)),
+        ({"n_features": 10**30}, str(10**30)),
     ])
     def test_exits_one(self, tmp_path, capsys, values, fragment):
         path = tmp_path / "config.json"
@@ -664,6 +674,99 @@ class TestConfigFuzz:
         assert code in (0, 1)
         if code == 1:
             _single_json_error(capsys)
+
+
+# Integers past numpy's index range: a size drawn from them is refused at
+# once, without allocating anything
+_HUGE_INTEGERS = st.sampled_from([2**60, 2**63, 2**64, 10**30, -(10**30)])
+# a posterior's keys, and lists of numbers as long as its mean (4 features
+# and the intercept), so that some overwritten posteriors still load
+_POSTERIOR_KEYS = ["config_fingerprint", "n_features", "mean", "variance",
+                   "ensemble_size", "seed", "unknown"]
+_FIVE_NUMBERS = st.lists(st.one_of(st.floats(), st.integers(-10**20, 12),
+                                   _HUGE_INTEGERS), min_size=5, max_size=5)
+# a params file line's new value: any text, a number, or a list of numbers
+_LINE_VALUES = st.one_of(
+    st.text(max_size=8), _number_text(), _HUGE_INTEGERS.map(str),
+    st.sampled_from(["1e999", str(10**400), "true", "independent", "explanation"]),
+    st.lists(_number_text(), max_size=5).map(" ".join))
+
+
+@pytest.fixture(scope="module")
+def fitted_dir(pipeline_dir, tmp_path_factory):
+    """A copy of the shared run with every assisted treatment's
+    nudge_params, and a config of short fits for the fuzz tests."""
+    out = tmp_path_factory.mktemp("fitted")
+    config = _copy_inputs(pipeline_dir, out / "run")
+    assert run_pipeline("fit-nudge", config) == 0
+    (out / "config.json").write_text(json.dumps(
+        {"n_features": 4, "nudge_iterations": 5, "nudge_restarts": 1,
+         "run_seeds": [0], "posthoc_permutations": 20}))
+    return out
+
+
+class TestArtifactFuzz:
+    # a valid posterior.json with one or two keys overwritten by random
+    # JSON, or a valid params file with one line replaced by random text:
+    # evaluate or analyze exits 0, or 1 with one JSON line on stderr, never
+    # a traceback
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(changes=st.dictionaries(
+        st.sampled_from(_POSTERIOR_KEYS),
+        _JSON_VALUES | _HUGE_INTEGERS | _FIVE_NUMBERS, min_size=1, max_size=2),
+        treatment=st.sampled_from(["immediate", "delayed", "explanation"]))
+    # finite members whose logits overflow
+    @example(changes={"mean": [1e308] * 5}, treatment="explanation")
+    def test_evaluate_exits_zero_or_one_json_line(self, fitted_dir, tmp_path,
+                                                  capsys, changes, treatment):
+        run = tmp_path / "run"
+        shutil.copytree(fitted_dir / "run", run, dirs_exist_ok=True)
+        path = run / "posterior.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **changes)))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(fitted_dir / "config.json"),
+                     "--out", str(run), "--data", str(run / "behavior.csv"),
+                     "--treatment", treatment])
+        assert code in (0, 1)
+        if code == 1:
+            _single_json_error(capsys)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_analyze_exits_zero_or_one_json_line(self, fitted_dir, tmp_path,
+                                                 capsys, data):
+        run = tmp_path / "run"
+        shutil.copytree(fitted_dir / "run", run, dirs_exist_ok=True)
+        path = data.draw(st.sampled_from(sorted((run / "nudge_params").glob("*.txt"))))
+        lines = path.read_text().splitlines()
+        index = data.draw(st.integers(0, len(lines) - 1))
+        key = lines[index].partition(":")[0]
+        value = data.draw(_LINE_VALUES)
+        lines[index] = data.draw(st.sampled_from([f"{key}: {value}", value]))
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["analyze", "--config", str(fitted_dir / "config.json"),
+                     "--out", str(run), "--data", str(run / "behavior.csv")])
+        assert code in (0, 1)
+        if code == 1:
+            _single_json_error(capsys)
+
+    def test_vector_whose_norm_overflows_exits_one(self, fitted_dir, tmp_path,
+                                                   capsys):
+        # finite components whose squares overflow the norm's dot product
+        run = tmp_path / "run"
+        shutil.copytree(fitted_dir / "run", run)
+        path = sorted((run / "nudge_params").glob("*immediate*.txt"))[0]
+        text = re.sub(r"magnitudes: .*", "magnitudes: " + " ".join(["1e200"] * 4),
+                      path.read_text())
+        path.write_text(text)
+        assert main(["analyze", "--out", str(run),
+                     "--data", str(run / "behavior.csv")]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert "norm must be finite" in error["message"]
 
 
 class TestDeterminism:

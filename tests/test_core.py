@@ -373,6 +373,14 @@ class TestPosteriorType:
         assert np.array_equal(a.ensemble, b.ensemble)
         assert a.ensemble.shape == (50, 2)
 
+    @pytest.mark.parametrize("weights", [[1e308, 1e308], [1e308, 0.0, 1e308],
+                                         [-1e308, -1e308, 0.0]])
+    def test_members_whose_logits_could_overflow_rejected(self, weights):
+        # finite weights and bias whose logit overflows on some task in
+        # [0, 1]^n
+        with pytest.raises(ConfigurationError, match="too large"):
+            PopulationPosterior.point(WeightVector(weights[:-1], bias=weights[-1]))
+
     def test_point_posterior_is_exact_singleton(self):
         w = WeightVector([1.0, 2.0], bias=-0.5)
         post = PopulationPosterior.point(w)

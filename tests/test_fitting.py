@@ -21,7 +21,6 @@ from nudgelab import (
     WeightVector,
     fit_nudge,
     fit_nudge_batch,
-    fit_nudge_deterministic_ablation,
     generate_behavior,
     uniform_tasks,
 )
@@ -35,7 +34,7 @@ from nudgelab.fitting import (
 )
 
 import per_record
-from conftest import trials_of, unassisted
+from conftest import singleton_posterior, trials_of, unassisted
 
 N = 3
 # the response table's grid spans shifts in [_GRID_LO, GRID_HI]; the tests
@@ -288,8 +287,9 @@ def stacked_shift(objective, theta):
     """Each trial's logit shift for stacked rows theta (R, K, P)."""
     blocks = theta.reshape(theta.shape[0], -1, 1 + objective.n)
     deltas = blocks[..., :1] * np.logaddexp(0.0, blocks[..., 1:])
-    return objective.direction * (deltas[:, objective.block]
-                                  * objective.features).sum(axis=2)
+    layout = objective.layout
+    return layout.direction * (deltas[:, layout.block]
+                               * layout.features).sum(axis=2)
 
 
 def scaled_params(treatment, scale):
@@ -398,8 +398,8 @@ class TestStackedFit:
         for single, model in (
             (fit_nudge(trials, make_posterior(), Treatment.DELAYED, config),
              make_posterior()),
-            (fit_nudge_deterministic_ablation(trials, point, Treatment.DELAYED,
-                                              config),
+            (fit_nudge(trials, PopulationPosterior.point(point), Treatment.DELAYED,
+                       config),
              PopulationPosterior.point(point)),
         ):
             (batch,) = fit_nudge_batch([trials], model, Treatment.DELAYED, config)
@@ -725,16 +725,17 @@ class TestFitNudge:
 
 class TestDeterministicAblation:
     def test_collapsed_ensemble_matches_point_model(self):
-        # posterior whose single member *is* the point model: both paths
-        # must produce the same likelihood surface, hence the same fit
+        # a posterior built by hand whose single member *is* the point
+        # model, and the point model's collapsed posterior: both must
+        # produce the same likelihood surface, hence the same fit
         point = WeightVector([1.0, -0.8, 0.6], bias=-0.3)
-        singleton = PopulationPosterior.point(point)
+        singleton = singleton_posterior([1.0, -0.8, 0.6], bias=-0.3)
         trials = make_trials(Treatment.DELAYED,
                              PARAMS_BY_TREATMENT[Treatment.DELAYED])
         config = FitConfig(iterations=200, restarts=2, seed=9)
         via_posterior = fit_nudge(trials, singleton, Treatment.DELAYED, config)
-        via_point = fit_nudge_deterministic_ablation(trials, point,
-                                                     Treatment.DELAYED, config)
+        via_point = fit_nudge(trials, PopulationPosterior.point(point),
+                              Treatment.DELAYED, config)
         assert via_posterior.train_nll == via_point.train_nll
         assert np.array_equal(via_posterior.theta, via_point.theta)
 
@@ -754,15 +755,8 @@ class TestDeterministicAblation:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_EnsembleResponse, "interpolated", interpolated)
-            fit_nudge_deterministic_ablation(trials, point, Treatment.DELAYED,
-                                             config)
-
-    def test_restricted_to_delayed(self):
-        point = WeightVector([1.0, -0.8, 0.6], bias=-0.3)
-        trials = make_trials(Treatment.IMMEDIATE,
-                             PARAMS_BY_TREATMENT[Treatment.IMMEDIATE])
-        with pytest.raises(UsageError):
-            fit_nudge_deterministic_ablation(trials, point, Treatment.IMMEDIATE)
+            fit_nudge(trials, PopulationPosterior.point(point), Treatment.DELAYED,
+                      config)
 
 
 class TestBatchConsistency:
@@ -783,6 +777,17 @@ class TestBatchConsistency:
         assert np.array_equal(
             np.clip(batch, 1e-6, 1 - 1e-6),
             decision_probability([trials], posterior, [params]))
+        # three subjects of unequal trial counts, each at its own theta: the
+        # fit and scoring read every trial's shift vector at one block index
+        trial_sets = [make_trials(treatment, PARAMS_BY_TREATMENT[treatment],
+                                  seed=s, n_trials=n)
+                      for s, n in ((3, 9), (5, 14), (8, 6))]
+        stacked = NudgeObjective(trial_sets, posterior.ensemble, treatment)
+        thetas = rng.normal(0.0, 1.0, (len(trial_sets), stacked.n_params))
+        assert np.array_equal(
+            stacked.probabilities(thetas[None])[0],
+            decision_probability(trial_sets, posterior,
+                                 [stacked.params_from_theta(t) for t in thetas], 0.0))
 
     @settings(max_examples=40, deadline=None)
     @given(

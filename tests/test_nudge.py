@@ -10,22 +10,19 @@ from scipy.special import expit
 import per_record
 from nudgelab import (
     ConfigurationError,
-    InputError,
     NudgeParams,
     PopulationPosterior,
     SignedSharedSignVector,
     Treatment,
     UsageError,
     decision_probability,
-    predict_delayed,
-    predict_explanation,
-    predict_immediate,
 )
 from nudgelab.nudge import EnsembleResponse
 
 from conftest import (
     one_trial,
     random_posterior,
+    score_rows,
     singleton_posterior,
     trials_of,
     unassisted,
@@ -51,6 +48,14 @@ class TestSignedSharedSignVector:
     def test_negative_magnitudes_rejected(self):
         with pytest.raises(ConfigurationError):
             SignedSharedSignVector(scale=1.0, magnitudes=np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("scale, magnitudes", [
+        (float("inf"), [0.5]), (1e308, [2.0]), (1e300, [0.0, 1e300]),
+        (1.0, [1e200, 1e200]),
+    ])
+    def test_non_finite_realization_or_norm_rejected(self, scale, magnitudes):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            SignedSharedSignVector(scale, np.array(magnitudes))
 
     def test_sign_follows_scale(self):
         assert SignedSharedSignVector(2.0, np.array([0.6, 0.8])).sign == 1
@@ -79,6 +84,10 @@ class TestNudgeParams:
         assert NudgeParams.for_explanation(0.5).treatment == Treatment.EXPLANATION
 
 
+def immediate_params(scale, magnitudes):
+    return NudgeParams.for_immediate(SignedSharedSignVector(scale, magnitudes))
+
+
 class TestPredictImmediate:
     def test_zero_nudge_is_identity_bitexact(self):
         rng = np.random.default_rng(4)
@@ -87,26 +96,29 @@ class TestPredictImmediate:
             post = random_posterior(rng, n, size=16)
             features = rng.random((5, n))
             p0 = unassisted(post, features)
-            p1 = predict_immediate(post, features, rng.integers(0, 2, 5),
-                                   rng.uniform(0.5, 1.0, 5), np.zeros(n))
+            p1 = score_rows(post, Treatment.IMMEDIATE,
+                            NudgeParams.for_immediate(zero_delta(n)), features,
+                            ai_recommendation=rng.integers(0, 2, 5),
+                            ai_confidence=rng.uniform(0.5, 1.0, 5))
             assert np.array_equal(p1, p0)
 
     def test_single_member_hand_values(self):
         post = singleton_posterior([2.0, -1.0])
         features = [[0.5, 0.5], [0.5, 0.5]]
-        delta = np.array([1.0, 1.0])
         # recommendation 1: (2+1)*0.5 + (-1+1)*0.5 = 1.5; recommendation 0
         # flips the shift: (2-1)*0.5 + (-1-1)*0.5 = -0.5
-        p = predict_immediate(post, features, [1, 0], [1.0, 1.0], delta)
+        p = score_rows(post, Treatment.IMMEDIATE, immediate_params(1.0, [1.0, 1.0]),
+                       features, ai_recommendation=[1, 0], ai_confidence=[1.0, 1.0])
         assert p == pytest.approx(expit([1.5, -0.5]), abs=1e-12)
         assert list(p >= 0.5) == [True, False]
 
     def test_confidence_range_enforced(self):
         post = singleton_posterior([2.0, -1.0])
         for confidence in (0.4, 1.1):
-            with pytest.raises(InputError):
-                predict_immediate(post, [[0.5, 0.5]], [1], [confidence],
-                                  np.zeros(2))
+            with pytest.raises(ConfigurationError, match="ai_conf"):
+                score_rows(post, Treatment.IMMEDIATE,
+                           NudgeParams.for_immediate(zero_delta(2)), [[0.5, 0.5]],
+                           ai_recommendation=[1], ai_confidence=[confidence])
 
     def test_confidence_monotonicity(self):
         # positive scale, recommendation 1 -> nondecreasing in confidence;
@@ -116,11 +128,13 @@ class TestPredictImmediate:
             n = int(rng.integers(1, 6))
             post = random_posterior(rng, n, size=12)
             features = np.repeat(rng.random((1, n)), 2, axis=0)
-            delta = float(rng.uniform(0.1, 2.0)) * rng.uniform(0, 1.5, n)
+            params = immediate_params(float(rng.uniform(0.1, 2.0)),
+                                      rng.uniform(0, 1.5, n))
             c_low, c_high = sorted(rng.uniform(0.5, 1.0, 2))
             for rec, cmp in ((1, np.greater_equal), (0, np.less_equal)):
-                p_low, p_high = predict_immediate(post, features, [rec, rec],
-                                                  [c_low, c_high], delta)
+                p_low, p_high = score_rows(post, Treatment.IMMEDIATE, params,
+                                           features, ai_recommendation=[rec, rec],
+                                           ai_confidence=[c_low, c_high])
                 assert cmp(p_high, p_low)
 
     def test_recommendation_symmetry(self):
@@ -131,10 +145,12 @@ class TestPredictImmediate:
             post = random_posterior(rng, n, size=8)
             features = rng.random((4, n))
             conf = rng.uniform(0.5, 1.0, 4)
-            delta = float(rng.normal(0, 1.5)) * rng.uniform(0, 1.5, n)
-            p_rec0 = predict_immediate(post, features, np.zeros(4, int), conf, delta)
-            p_rec1_neg = predict_immediate(post, features, np.ones(4, int), conf,
-                                           -delta)
+            scale, magnitudes = float(rng.normal(0, 1.5)), rng.uniform(0, 1.5, n)
+            p_rec0, p_rec1_neg = (
+                score_rows(post, Treatment.IMMEDIATE,
+                           immediate_params(sign * scale, magnitudes), features,
+                           ai_recommendation=np.full(4, rec), ai_confidence=conf)
+                for rec, sign in ((0, 1.0), (1, -1.0)))
             assert np.array_equal(p_rec0, p_rec1_neg)
 
 
@@ -143,23 +159,26 @@ class TestPredictDelayed:
         # initial decision 1 on x = (1, 0) keeps only member (1, 0)
         features = [[1.0, 0.0]]
         kept = singleton_posterior([1.0, 0.0])
-        p = predict_delayed(two_member_posterior, features, [1], [1],
-                            np.zeros(2), np.zeros(2))
+        p = score_rows(two_member_posterior, Treatment.DELAYED,
+                       NudgeParams.for_delayed(zero_delta(2), zero_delta(2)), features,
+                       ai_recommendation=[1], initial_decision=[1])
         assert np.array_equal(p, unassisted(kept, features))
 
     def test_affirm_branch_hand_value(self, two_member_posterior):
-        affirm = np.array([1.0, 0.0])
-        p = predict_delayed(two_member_posterior, [[1.0, 0.0]], [1], [1],
-                            affirm, np.zeros(2))
+        affirm = SignedSharedSignVector(1.0, [1.0, 0.0])
+        p = score_rows(two_member_posterior, Treatment.DELAYED,
+                       NudgeParams.for_delayed(affirm, zero_delta(2)), [[1.0, 0.0]],
+                       ai_recommendation=[1], initial_decision=[1])
         assert p[0] == pytest.approx(float(expit(2.0)), abs=1e-12)
         assert p[0] >= 0.5
 
     def test_contra_branch_and_tie_rule(self, two_member_posterior):
-        contra = np.array([1.0, 0.0])
+        contra = SignedSharedSignVector(1.0, [1.0, 0.0])
         # initial 1 keeps member (1,0); recommendation 0 contradicts:
         # shift = -1 * 1 -> logit 0 -> probability one half -> decision 1
-        p = predict_delayed(two_member_posterior, [[1.0, 0.0]], [0], [1],
-                            np.zeros(2), contra)
+        p = score_rows(two_member_posterior, Treatment.DELAYED,
+                       NudgeParams.for_delayed(zero_delta(2), contra), [[1.0, 0.0]],
+                       ai_recommendation=[0], initial_decision=[1])
         assert p[0] == 0.5
         assert p[0] >= 0.5
 
@@ -171,12 +190,15 @@ class TestPredictDelayed:
             post = random_posterior(rng, n, size=10)
             features = rng.random((6, n))
             rec, initial = rng.integers(0, 2, 6), rng.integers(0, 2, 6)
-            matches = (rec == initial)[:, None]
-            active, other_a, other_b = (float(rng.normal(0, 1)) * rng.uniform(0, 1, n)
-                                        for _ in range(3))
-            p1, p2 = (predict_delayed(post, features, rec, initial,
-                                      np.where(matches, active, other),
-                                      np.where(matches, other, active))
+            active, other_a, other_b = (
+                SignedSharedSignVector(float(rng.normal(0, 1)), rng.uniform(0, 1, n))
+                for _ in range(3))
+            p1, p2 = (score_rows(post, Treatment.DELAYED,
+                                 [NudgeParams.for_delayed(active, other) if match
+                                  else NudgeParams.for_delayed(other, active)
+                                  for match in rec == initial],
+                                 features, ai_recommendation=rec,
+                                 initial_decision=initial)
                       for other in (other_a, other_b))
             assert np.array_equal(p1, p2)
 
@@ -189,19 +211,23 @@ class TestPredictExplanation:
             post = random_posterior(rng, n, size=16)
             features = rng.random((5, n))
             p0 = unassisted(post, features)
-            p1 = predict_explanation(post, features, np.ones((5, n), dtype=int), 1.0)
+            p1 = score_rows(post, Treatment.EXPLANATION,
+                            NudgeParams.for_explanation(1.0), features,
+                            explanation_mask=np.ones((5, n), dtype=int))
             assert np.array_equal(p1, p0)
 
     def test_equal_mixture(self):
         post = singleton_posterior([1.2, -0.7])
         focused = float(expit(1.2 * 0.8))
         ignored = float(expit(-0.7 * 0.4))
-        p = predict_explanation(post, [[0.8, 0.4]], [[1, 0]], 0.5)
+        p = score_rows(post, Treatment.EXPLANATION, NudgeParams.for_explanation(0.5),
+                       [[0.8, 0.4]], explanation_mask=[[1, 0]])
         assert p[0] == pytest.approx(0.5 * (focused + ignored), abs=1e-12)
 
     def test_hand_value(self):
         post = singleton_posterior([1.0, 1.0])
-        p = predict_explanation(post, [[1.0, 0.5]], [[1, 0]], 0.8)
+        p = score_rows(post, Treatment.EXPLANATION, NudgeParams.for_explanation(0.8),
+                       [[1.0, 0.5]], explanation_mask=[[1, 0]])
         expected = 0.8 * float(expit(1.0)) + 0.2 * float(expit(0.5))
         assert p[0] == pytest.approx(expected, abs=1e-12)
         assert p[0] >= 0.5
@@ -213,23 +239,29 @@ class TestPredictExplanation:
             post = random_posterior(rng, n, size=12)
             features = rng.random((1, n))
             mask = rng.integers(0, 2, (1, n))
-            lo = predict_explanation(post, features, mask, 0.0)[0]
-            hi = predict_explanation(post, features, mask, 1.0)[0]
+            lo, hi = (score_rows(post, Treatment.EXPLANATION,
+                                 NudgeParams.for_explanation(a), features,
+                                 explanation_mask=mask)[0]
+                      for a in (0.0, 1.0))
             attention = rng.uniform(0, 1, 5)
-            p = predict_explanation(post, np.repeat(features, 5, axis=0),
-                                    np.repeat(mask, 5, axis=0), attention)
+            p = score_rows(post, Treatment.EXPLANATION,
+                           [NudgeParams.for_explanation(float(a)) for a in attention],
+                           np.repeat(features, 5, axis=0),
+                           explanation_mask=np.repeat(mask, 5, axis=0))
             assert np.all(min(lo, hi) - 1e-12 <= p)
             assert np.all(p <= max(lo, hi) + 1e-12)
 
     def test_attention_range_enforced(self):
         post = singleton_posterior([1.0, 1.0])
-        with pytest.raises(InputError):
-            predict_explanation(post, [[0.5, 0.5]], [[1, 0]], 1.5)
+        with pytest.raises(ConfigurationError):
+            score_rows(post, Treatment.EXPLANATION, NudgeParams.for_explanation(1.5),
+                       [[0.5, 0.5]], explanation_mask=[[1, 0]])
 
     def test_mask_length_enforced(self):
         post = singleton_posterior([1.0, 1.0])
         with pytest.raises(ConfigurationError):
-            predict_explanation(post, [[0.5, 0.5]], [[1, 0, 1]], 0.5)
+            score_rows(post, Treatment.EXPLANATION, NudgeParams.for_explanation(0.5),
+                       [[0.5, 0.5]], explanation_mask=[[1, 0, 1]])
 
 
 def _record(treatment, features, rng, index=0, subject="s1"):
@@ -361,16 +393,20 @@ class TestZeroNudgeProperty:
         rec = rng.integers(0, 2, trials)
         initial = rng.integers(0, 2, trials)
         independent = unassisted(post, features)
-        immediate = predict_immediate(post, features, rec,
-                                      rng.uniform(0.5, 1.0, trials), np.zeros(n))
-        explanation = predict_explanation(post, features,
-                                          np.ones((trials, n), dtype=int), 1.0)
+        immediate = score_rows(post, Treatment.IMMEDIATE,
+                               NudgeParams.for_immediate(zero_delta(n)), features,
+                               ai_recommendation=rec,
+                               ai_confidence=rng.uniform(0.5, 1.0, trials))
+        explanation = score_rows(post, Treatment.EXPLANATION,
+                                 NudgeParams.for_explanation(1.0), features,
+                                 explanation_mask=np.ones((trials, n), dtype=int))
         assert np.array_equal(immediate, independent)
         assert np.array_equal(explanation, independent)
         # the delayed kernel averages the unassisted response over the
         # members the initial decision keeps
-        delayed = predict_delayed(post, features, rec, initial, np.zeros(n),
-                                  np.zeros(n))
+        delayed = score_rows(post, Treatment.DELAYED,
+                             NudgeParams.for_delayed(zero_delta(n), zero_delta(n)),
+                             features, ai_recommendation=rec, initial_decision=initial)
         mask = EnsembleResponse(post.ensemble, features, initial).mask
         for t in range(trials):
             kept = PopulationPosterior(mean=post.mean, variance=post.variance,
