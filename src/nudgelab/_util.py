@@ -5,7 +5,6 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-from scipy.special import expit
 
 
 def softplus(x):
@@ -91,6 +90,15 @@ def newton(terms, theta, max_steps):
     return theta
 
 
+# log of the largest float: e^x overflows past it
+_EXP_MAX = float(np.log(np.finfo(float).max))
+
+
 def sigmoid(z):
-    """Numerically stable logistic function."""
-    return expit(z)
+    """Logistic function 1 / (1 + e^-z), the formula of ``nudge``'s kernel.
+
+    -z is capped at ``_EXP_MAX``, so e^-z never overflows and no call
+    warns; below z = -709.78, where the kernel's e^-z is inf and its
+    sigmoid 0, this gives 5.6e-309 instead.
+    """
+    return 1.0 / (1.0 + np.exp(np.minimum(np.negative(z), _EXP_MAX)))

@@ -116,8 +116,8 @@ class EnsembleResponse:
             member = self.base[take]
             # -x = -shift - base: the same bits as -(base + shift)
             np.subtract(-shift[part, None], member, out=member)
-            # sigmoid = 1 / (1 + e^-x), the formula of scipy's expit at a
-            # quarter of its cost; e^-x overflows to inf where sigmoid is 0
+            # sigmoid = 1 / (1 + e^-x) in place, the formula of
+            # _util.sigmoid; e^-x overflows to inf where sigmoid is 0
             with np.errstate(over="ignore"):
                 np.exp(member, out=member)
             member += 1.0

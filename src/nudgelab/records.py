@@ -178,11 +178,18 @@ def _row_errors(columns) -> dict[int, str]:
         """Where an integer column is not in 0..high."""
         return (columns[name] < 0) | (columns[name] > high)
 
+    distinct = set(ids)
+
+    def per_id(test):
+        """``test`` of each row's id, run once per distinct id."""
+        verdict = {s: test(s) for s in distinct}
+        return [verdict[s] for s in ids]
+
     rules = [
-        ([s.lstrip().startswith("#") or "\n" in s or "\r" in s for s in ids],
+        (per_id(lambda s: s.lstrip().startswith("#") or "\n" in s or "\r" in s),
          "subject_id must not start with # or break a line"),
-        ([s in (".", "..") or any(c in s for c in "/\\\0")
-          or len(s.encode("utf-8", "surrogatepass")) > _MAX_ID_BYTES for s in ids],
+        (per_id(lambda s: s in (".", "..") or any(c in s for c in "/\\\0")
+                or len(s.encode("utf-8", "surrogatepass")) > _MAX_ID_BYTES),
          "subject_id must be a file name: no /, \\ or NUL, not . or .., "
          f"and at most {_MAX_ID_BYTES} UTF-8 bytes"),
         # NaN and +-inf fail the range test too

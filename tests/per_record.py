@@ -1,13 +1,19 @@
 """The per-record predictors that ``nudgelab.nudge``'s batched kernel
 replaced, and the per-task logistic response and decision draw that the
 batched simulator replaced, kept as an independent oracle: one trial at a
-time, with the ensemble's logits from a matrix-vector product and scipy's
-``expit``."""
+time, with the ensemble's logits from a matrix-vector product.  Its
+sigmoid is written out below as the package computes it, 1 / (1 + e^-x),
+so that a batch can be checked against it to the bit."""
 
 import numpy as np
-from scipy.special import expit
 
 from nudgelab import ConfigurationError, Treatment
+
+
+def sigmoid(x):
+    """1 / (1 + e^-x); e^-x overflows to inf where the result is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def logistic_response(features, w):
@@ -15,7 +21,7 @@ def logistic_response(features, w):
     if len(features) != w.n_features:
         raise ConfigurationError(
             f"task has {len(features)} features but weights expect {w.n_features}")
-    return float(expit(float(w.weights @ features) + w.bias))
+    return float(sigmoid(float(w.weights @ features) + w.bias))
 
 
 def sample_decision(probability, temperature, rng):
@@ -24,7 +30,7 @@ def sample_decision(probability, temperature, rng):
     if temperature == 0.0:
         return int(probability >= 0.5)
     p = float(np.clip(probability, 1e-12, 1.0 - 1e-12))
-    tempered = float(expit(np.log(p / (1.0 - p)) / temperature))
+    tempered = float(sigmoid(np.log(p / (1.0 - p)) / temperature))
     return int(rng.random() < tempered)
 
 
@@ -37,7 +43,7 @@ def ensemble_probability(members, features, shift=0.0):
     logits = members @ augmented(features)
     if shift != 0.0:
         logits = logits + shift
-    return float(np.mean(expit(logits)))
+    return float(np.mean(sigmoid(logits)))
 
 
 def predict_independent(posterior, features):
@@ -47,7 +53,7 @@ def predict_independent(posterior, features):
 def condition_on_decision(posterior, features, observed):
     """(members whose own decision is ``observed``, whether none was and
     the whole ensemble came back instead)."""
-    keep = (expit(posterior.ensemble @ augmented(features)) >= 0.5) == bool(observed)
+    keep = (sigmoid(posterior.ensemble @ augmented(features)) >= 0.5) == bool(observed)
     if not np.any(keep):
         return posterior.ensemble, True
     return posterior.ensemble[keep], False
@@ -68,8 +74,8 @@ def predict_delayed(posterior, features, recommendation, initial, affirm, contra
 def predict_explanation(posterior, features, mask, attention):
     focused = augmented(mask * features)
     ignored = augmented((1 - mask) * features)
-    mixture = (attention * expit(posterior.ensemble @ focused)
-               + (1.0 - attention) * expit(posterior.ensemble @ ignored))
+    mixture = (attention * sigmoid(posterior.ensemble @ focused)
+               + (1.0 - attention) * sigmoid(posterior.ensemble @ ignored))
     return float(np.mean(mixture))
 
 

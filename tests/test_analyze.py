@@ -122,6 +122,22 @@ class TestOneWayAnova:
             assert ours.f_statistic == pytest.approx(f_ref, rel=1e-10)
             assert ours.p_value == pytest.approx(p_ref, rel=1e-8)
 
+    def test_survival_matches_scipy_on_a_grid(self):
+        # F from 1e-8 to 1e4 over df1 in 1..10 and df2 in 2..10,000, the
+        # domain f_survival documents, with x = df2 / (df2 + df1 F) from
+        # 1 - 1e-12 down to 2e-5, and points closer to either end still
+        f, df1, df2 = (a.ravel() for a in np.meshgrid(
+            np.geomspace(1e-8, 1e4, 25), np.arange(1, 11),
+            [2, 3, 5, 10, 30, 100, 1000, 10_000]))
+        f = np.append(f, [1e-15, 1e-12, 1e100, 1e300])
+        df1 = np.append(df1, [1, 10, 1, 10])
+        df2 = np.append(df2, [10_000, 2, 2, 10_000])
+        ours = np.array([f_survival(*point) for point in
+                         zip(f.tolist(), df1.tolist(), df2.tolist())])
+        error = np.abs(ours - stats.f.sf(f, df1, df2))
+        print(f"f_survival: worst |error| {error.max():.2e} over {error.size} points")
+        assert error.max() <= 1e-10
+
     def test_invariances(self):
         rng = np.random.default_rng(9)
         groups = [list(rng.normal(i, 1, 6)) for i in range(3)]
@@ -138,6 +154,11 @@ class TestOneWayAnova:
         values = [f_survival(f, 2, 10) for f in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert f_survival(float("inf"), 2, 10) == 0.0
+        # past float resolution in f, the limits; NaN in any input, NaN
+        assert f_survival(1e308, 10, 2) == 0.0
+        assert f_survival(1e-320, 1, 10) == 1.0
+        assert np.isnan(f_survival(float("nan"), 2, 10))
+        assert np.isnan(f_survival(1.0, float("nan"), 10))
 
 
 class TestPairwisePosthoc:

@@ -613,10 +613,11 @@ class TestEnsembleTooLarge:
 
 
 class TestSimulationConfigs:
-    # an empty treatment list, and a task pool or a feature count whose
-    # arrays need more than the address space (437 TiB and 7 PiB), so numpy
-    # refuses them without allocating anything, or whose sizes overflow
-    # numpy's index range
+    # an empty treatment list, and a task pool, a feature count or a
+    # subject count whose arrays need more than the address space (437 TiB,
+    # 7 PiB and 5 PiB), so numpy refuses them without allocating anything,
+    # or whose sizes overflow numpy's index range; the subject counts are
+    # refused before the first subject is drawn
     @pytest.mark.parametrize("values, fragment", [
         ({"sim_treatments": []}, "sim_treatments"),
         ({"sim_task_pool_size": 10**13}, str(10**13)),
@@ -625,6 +626,8 @@ class TestSimulationConfigs:
         ({"sim_task_pool_size": 10**30, "sim_trials_per_subject": 10**30},
          str(10**30)),
         ({"n_features": 10**30}, str(10**30)),
+        ({"sim_subjects_per_treatment": 10**12}, str(10**12)),
+        ({"sim_subjects_per_treatment": 10**30}, str(10**30)),
     ])
     def test_exits_one(self, tmp_path, capsys, values, fragment):
         path = tmp_path / "config.json"
@@ -815,13 +818,15 @@ class TestZeroNudgeOracle:
 
 
 class TestImportFootprint:
-    def test_cli_import_loads_no_scipy_optimize(self):
-        # importing scipy.optimize after nudgelab.cli raises the peak RSS
-        # from about 55 to 77 MB (numpy 2.4, scipy 1.17), 21 MB that every
-        # command would pay; nothing in the package may pull it in
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test dependency only: importing the CLI with
+        # scipy.special took 0.38 s and 55 MB of RSS, without it 0.12-0.22 s
+        # and 33 MB (numpy 2.4, scipy 1.17), and scipy.optimize adds another
+        # 21 MB; nothing in the package may pull in any part of scipy
         src = Path(nudgelab.__file__).parents[1]
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); import nudgelab.cli; "
-                 "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+                 "print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
         loaded = subprocess.run([sys.executable, "-c", probe, str(src)],
                                 capture_output=True, text=True, check=True).stdout
         assert loaded.strip() == "[]"

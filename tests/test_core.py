@@ -1,6 +1,8 @@
 """Core decision model: logistic response, KL, variational fit, and the
 unassisted prediction and decision filter of the posterior's ensemble."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from nudgelab import (
     gaussian_kl,
 )
 
-from nudgelab._util import derive_seed
+from nudgelab._util import derive_seed, sigmoid
 from nudgelab.core import _elbo_hessian
 from nudgelab.nudge import EnsembleResponse
 
@@ -64,6 +66,25 @@ class TestLogisticResponse:
             base = logistic_response(task, WeightVector(w, bias=0.3))
             bumped = logistic_response(task, WeightVector(w, bias=0.3 + 1e-4))
             assert bumped > base
+
+
+class TestSigmoid:
+    # the package's one sigmoid, 1 / (1 + e^-z), over every float but NaN
+    @settings(max_examples=500, deadline=None)
+    @given(z=st.floats(allow_nan=False))
+    def test_bounded_symmetric_and_close_to_expit(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, mirrored = float(sigmoid(z)), float(sigmoid(-z))
+        assert 0.0 <= p <= 1.0
+        if p >= 0.5:
+            # 1 - p is computed at the scale of 1, so 1 ulp of 1; the
+            # rounding of 1 + e^-z alone can move p by half of that
+            assert abs(mirrored - (1.0 - p)) <= np.spacing(1.0)
+        reference = float(expit(z))
+        # relative, except where both are below the smallest normal float
+        assert (abs(p - reference) <= 5.1e-16 * reference
+                or max(p, reference) < np.finfo(float).tiny)
 
 
 class TestGaussianKl:
@@ -313,9 +334,9 @@ class TestPredictIndependent:
             task = rng.random(n)
             direct = logistic_response(task, w)
             assert per_record.predict_independent(post, task) == direct
-            # the kernel sums the logit one feature at a time and takes
-            # 1 / (1 + e^-x), so it may differ from expit of the dot
-            # product in the last bit, but not in the decision
+            # the kernel sums the logit one feature at a time, so it may
+            # differ from the oracle's dot product in the last bit, but
+            # not in the decision
             prob = unassisted(post, [task])[0]
             assert prob == pytest.approx(direct, rel=0, abs=1e-15)
             assert (prob >= 0.5) == (direct >= 0.5)
