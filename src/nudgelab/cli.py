@@ -410,18 +410,17 @@ def _cmd_simulate(config: RunConfig) -> list[str]:
     ai = default_surrogate_ai(n, config.sim_top_k)
     pool = uniform_tasks(config.sim_task_pool_size, n,
                          derive_seed(config.seed, "task-pool"))
-    subjects, treatments, trials = (config.sim_subjects_per_treatment,
-                                    len(config.sim_treatments),
-                                    config.sim_trials_per_subject)
+    shape = (config.sim_subjects_per_treatment, len(config.sim_treatments),
+             config.sim_trials_per_subject, n)
     try:
-        # the features of behavior.csv, before any subject is drawn; the
-        # pages are never touched, so only a size past what the process
-        # may map fails
-        np.empty((subjects * treatments * trials, n))
+        # behavior.csv's features, before any subject is drawn; the pages
+        # are never touched, so only a size past what the process may map
+        # fails
+        np.empty(shape)
     except (MemoryError, ValueError, OverflowError):
         raise ConfigurationError(
-            f"cannot allocate {subjects} subjects x {treatments} treatments x "
-            f"{trials} trials of {n} features") from None
+            "cannot allocate {} subjects x {} treatments x {} trials of {} features"
+            .format(*shape)) from None
 
     tables = []
     effect_rows = []
