@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._util import derive_seed
 from .errors import InputError, UsageError
 from .nudge import NudgeParams
 from .records import Treatment
@@ -32,6 +33,7 @@ __all__ = [
     "one_way_anova",
     "f_survival",
     "pairwise_posthoc",
+    "cognitive_style_tables",
 ]
 
 
@@ -81,7 +83,6 @@ class AnovaResult:
     df_between: int
     df_within: int
     p_value: float
-    group_means: tuple[float, ...]
     degenerate: bool = False
 
 
@@ -189,21 +190,22 @@ def one_way_anova(groups) -> AnovaResult:
     ss_within = float(sum(np.sum((a - m) ** 2) for a, m in zip(arrays, means)))
     df_between = len(arrays) - 1
     df_within = int(sizes.sum()) - len(arrays)
-    group_means = tuple(float(m) for m in means)
 
     if ss_within == 0.0:
         if ss_between == 0.0:
-            return AnovaResult(0.0, df_between, df_within, 1.0, group_means,
-                               degenerate=True)
-        return AnovaResult(float("inf"), df_between, df_within, 0.0, group_means,
+            return AnovaResult(0.0, df_between, df_within, 1.0, degenerate=True)
+        return AnovaResult(float("inf"), df_between, df_within, 0.0,
                            degenerate=True)
     f = (ss_between / df_between) / (ss_within / df_within)
     return AnovaResult(float(f), df_between, df_within,
-                       f_survival(f, df_between, df_within), group_means)
+                       f_survival(f, df_between, df_within))
 
 
 # Permutations drawn and reduced at once by pairwise_posthoc.
 _PERMUTATION_BLOCK = 1000
+# A permuted statistic within this relative distance of the observed one
+# reaches it.
+_TIE_TOLERANCE = 1e-12
 
 
 def pairwise_posthoc(groups, n_permutations: int = 10000,
@@ -236,7 +238,66 @@ def pairwise_posthoc(groups, n_permutations: int = 10000,
     for i in range(len(arrays)):
         for j in range(i + 1, len(arrays)):
             diff = float(observed_means[i] - observed_means[j])
+            # a permutation that regroups the observed split sums it in
+            # another order, so its statistic may miss abs(diff) by rounding;
+            # the relative tolerance counts it as the tie it is
+            reached = max_stats >= abs(diff) * (1.0 - _TIE_TOLERANCE)
             out.append(PairwiseComparison(
-                pair=(i, j), mean_diff=diff,
-                p_value=float(np.mean(max_stats >= abs(diff)))))
+                pair=(i, j), mean_diff=diff, p_value=float(np.mean(reached))))
     return out
+
+
+def cognitive_style_tables(effects, n_permutations: int, seed: int):
+    """The CRT-group analysis of fitted effects.
+
+    ``effects`` holds (subject_id, treatment, branch, signed_magnitude,
+    crt_score or None) rows.  For each treatment and branch they cover, in
+    ``TREATMENT_BRANCHES`` order, the effects are bucketed by CRT group;
+    each group, in ``CrtGroup`` order, gets a row (n, mean and its
+    1.96 sd / sqrt(n) interval), and the groups of at least 2 subjects, if
+    there are at least 2 of them, get a one-way ANOVA row and the post-hoc
+    rows of each pair.  Returns
+    (group_rows, anova_rows, pair_rows, warnings), the rows ready for CSV
+    and the warnings sorted and unique.
+    """
+    effects = list(effects)
+    group_rows, anova_rows, pair_rows, warnings = [], [], [], set()
+    for treatment, branches in TREATMENT_BRANCHES.items():
+        for branch in branches:
+            rows = [row for row in effects if row[1:3] == (treatment, branch)]
+            if not rows:
+                continue
+            buckets = {group: [] for group in CrtGroup}
+            for subject_id, _, _, magnitude, crt in rows:
+                if crt is None:
+                    warnings.add(f"subject {subject_id} has no CRT score")
+                else:
+                    buckets[crt_group(crt)].append(magnitude)
+            for group in CrtGroup:
+                values = np.asarray(buckets[group], dtype=float)
+                mean = float(values.mean()) if values.size else ""
+                interval = ("", "")
+                if values.size >= 2:
+                    half = 1.96 * float(values.std(ddof=1)) / np.sqrt(values.size)
+                    interval = (mean - half, mean + half)
+                group_rows.append((treatment.value, branch.value, group.value,
+                                   values.size, mean, *interval))
+            names = [g for g in CrtGroup if len(buckets[g]) >= 2]
+            if len(names) < 2:
+                warnings.add(f"{treatment.value}/{branch.value}: fewer than two "
+                             f"groups with >= 2 subjects; ANOVA skipped")
+                continue
+            testable = [buckets[g] for g in names]
+            anova = one_way_anova(testable)
+            anova_rows.append((treatment.value, branch.value, anova.f_statistic,
+                               anova.df_between, anova.df_within, anova.p_value,
+                               anova.degenerate))
+            posthoc = pairwise_posthoc(
+                testable, n_permutations=n_permutations,
+                seed=derive_seed(seed, treatment.value, branch.value, "posthoc"))
+            for comparison in posthoc:
+                i, j = comparison.pair
+                pair_rows.append((treatment.value, branch.value, names[i].value,
+                                  names[j].value, comparison.mean_diff,
+                                  comparison.p_value))
+    return group_rows, anova_rows, pair_rows, sorted(warnings)

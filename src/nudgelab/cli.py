@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -30,11 +31,8 @@ from .analyze import (
     BRANCH_FIELDS,
     TREATMENT_BRANCHES,
     Branch,
-    CrtGroup,
-    crt_group,
+    cognitive_style_tables,
     effect_summary,
-    one_way_anova,
-    pairwise_posthoc,
 )
 from .core import (
     PopulationFitConfig,
@@ -58,7 +56,6 @@ from .evaluate import (
 )
 # fit_nudge stays importable here: perfbench/selftest.py looks it up in this module
 from .fitting import FitConfig, NudgeFitResult, fit_nudge, fit_nudge_batch  # noqa: F401
-from .nudge import NudgeParams, SignedSharedSignVector
 from .records import Treatment, Trials, export_csv, group_by_subject, ingest
 from .simulate import (
     default_population_moments,
@@ -68,7 +65,7 @@ from .simulate import (
     uniform_tasks,
 )
 
-__all__ = ["RunConfig", "run_pipeline", "main", "load_posterior", "read_params_file"]
+__all__ = ["RunConfig", "run_pipeline", "main", "load_posterior"]
 
 COMMANDS = ("simulate", "fit-population", "fit-nudge", "evaluate",
             "learning-curve", "analyze")
@@ -342,56 +339,36 @@ def write_params_file(path, subject_id: str, treatment: Treatment,
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_params_file(path) -> dict:
-    """Parse a params file back into {subject_id, treatment, params, ...}."""
-    with open_input(path, "params file") as handle:
-        text = handle.read()
+def _read_effects(path) -> list[tuple]:
+    """effects.csv's rows as (subject_id, Treatment, Branch, signed_magnitude,
+    crt_score or None)."""
+    path = Path(path)
+    if not path.exists():
+        raise DataValidationError(
+            f"fitted effects missing: {path} (run fit-nudge first)")
+    effects, seen = [], set()
     try:
-        return _parse_params(text)
-    except (*_MALFORMED, ConfigurationError) as exc:
-        raise _malformed("params file", path, exc) from exc
-
-
-def _parse_params(text: str) -> dict:
-    sections: dict[str, dict[str, str]] = {"": {}}
-    current = ""
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            sections[current] = {}
-            continue
-        key, _, value = line.partition(":")
-        sections[current][key.strip()] = value.strip()
-
-    top = sections[""]
-    fields = {}
-    for branch, field in BRANCH_FIELDS.items():
-        if field not in sections:
-            continue
-        section = sections[field]
-        if branch == Branch.EXP:
-            fields[field] = float(section["value"])
-        else:
-            fields[field] = SignedSharedSignVector(
-                scale=float(section["scale"]),
-                magnitudes=np.array([float(v) for v in section["magnitudes"].split()]),
-            )
-    params = NudgeParams(**fields)
-    treatment = Treatment(top["treatment"])
-    if params.treatment != treatment:
-        raise ValueError(f"treatment {treatment.value} does not match its "
-                         f"{params.treatment.value} parameters")
-    return {
-        "subject_id": top["subject_id"],
-        "treatment": treatment,
-        "train_nll": float(top["train_nll"]),
-        "converged": top["converged"] == "true",
-        "restart_index": int(top["restart_index"]),
-        "params": params,
-    }
+        with open_input(path, "effects file", newline="") as handle:
+            for row in csv.DictReader(line for line in handle
+                                      if not line.startswith("#")):
+                subject, treatment = row["subject_id"], Treatment(row["treatment"])
+                branch = Branch(row["branch"])
+                if branch not in TREATMENT_BRANCHES[treatment]:
+                    raise ValueError(f"{branch.value} is not a branch of "
+                                     f"{treatment.value}")
+                magnitude = float(row["signed_magnitude"])
+                if not math.isfinite(magnitude):
+                    raise ValueError(f"signed_magnitude {magnitude} is not finite")
+                crt = int(row["crt_score"]) if row["crt_score"] else None
+                if (subject, branch) in seen:
+                    raise ValueError(f"subject {subject} repeats {branch.value}")
+                seen.add((subject, branch))
+                effects.append((subject, treatment, branch, magnitude, crt))
+    except (*_MALFORMED, csv.Error) as exc:
+        raise _malformed("effects file", path, exc) from exc
+    if not effects:
+        raise DataValidationError(f"no fitted effects in {path}")
+    return effects
 
 
 # -- commands -----------------------------------------------------------------
@@ -598,72 +575,10 @@ def _cmd_learning_curve(config: RunConfig) -> list[str]:
 
 def _cmd_analyze(config: RunConfig) -> list[str]:
     out = Path(config.out_dir)
-    params_dir = out / "nudge_params"
-    if not params_dir.exists():
-        raise DataValidationError(
-            f"fitted nudge parameters missing: {params_dir} (run fit-nudge first)"
-        )
-    records = _require_data(config)
+    group_rows, anova_rows, pair_rows, warnings = cognitive_style_tables(
+        _read_effects(out / "effects.csv"), config.posthoc_permutations,
+        config.seed)
     fingerprint = config.fingerprint()
-    # each subject's CRT score, read from its first row
-    subjects, first = np.unique(records.subject_id, return_index=True)
-    crt_by_subject = dict(zip(subjects.tolist(),
-                              records.take(first).optional("crt_score")))
-
-    fitted = [read_params_file(p) for p in sorted(params_dir.glob("*.txt"))]
-    if not fitted:
-        raise DataValidationError(f"no parameter files under {params_dir}")
-
-    group_rows, anova_rows, pair_rows, comments = [], [], [], []
-    ordered_groups = [CrtGroup.INTUITIVE, CrtGroup.MODERATE, CrtGroup.REFLECTIVE]
-    for treatment in _ASSISTED:
-        entries = [f for f in fitted if f["treatment"] == treatment]
-        if not entries:
-            continue
-        for branch in TREATMENT_BRANCHES[treatment]:
-            buckets: dict[CrtGroup, list[float]] = {g: [] for g in ordered_groups}
-            for entry in entries:
-                crt = crt_by_subject.get(entry["subject_id"])
-                if crt is None:
-                    comments.append(
-                        f"warning: subject {entry['subject_id']} has no CRT score"
-                    )
-                    continue
-                buckets[crt_group(crt)].append(
-                    effect_summary(entry["params"], branch)
-                )
-            for group in ordered_groups:
-                values = np.asarray(buckets[group], dtype=float)
-                mean = float(values.mean()) if values.size else ""
-                interval = ("", "")
-                if values.size >= 2:
-                    half = 1.96 * float(values.std(ddof=1)) / np.sqrt(values.size)
-                    interval = (mean - half, mean + half)
-                group_rows.append((treatment.value, branch.value, group.value,
-                                   values.size, mean, *interval))
-            testable = [buckets[g] for g in ordered_groups if len(buckets[g]) >= 2]
-            names = [g for g in ordered_groups if len(buckets[g]) >= 2]
-            if len(testable) < 2:
-                comments.append(
-                    f"warning: {treatment.value}/{branch.value}: fewer than two "
-                    f"groups with >= 2 subjects; ANOVA skipped"
-                )
-                continue
-            anova = one_way_anova(testable)
-            anova_rows.append((treatment.value, branch.value, anova.f_statistic,
-                               anova.df_between, anova.df_within, anova.p_value,
-                               anova.degenerate))
-            posthoc = pairwise_posthoc(
-                testable, n_permutations=config.posthoc_permutations,
-                seed=derive_seed(config.seed, treatment.value, branch.value,
-                                 "posthoc"),
-            )
-            for comparison in posthoc:
-                i, j = comparison.pair
-                pair_rows.append((treatment.value, branch.value,
-                                  names[i].value, names[j].value,
-                                  comparison.mean_diff, comparison.p_value))
-
     paths = []
     for name, header, rows in (
         ("analysis_groups.csv",
@@ -679,8 +594,8 @@ def _cmd_analyze(config: RunConfig) -> list[str]:
     ):
         path = out / name
         write_csv(path, header, rows, fingerprint,
-                  comments=sorted(set(comments)) if name == "analysis_groups.csv"
-                  else ())
+                  comments=[f"warning: {w}" for w in warnings]
+                  if name == "analysis_groups.csv" else ())
         paths.append(str(path))
     return paths
 

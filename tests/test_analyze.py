@@ -9,19 +9,29 @@ from scipy import stats
 from nudgelab import (
     Branch,
     CrtGroup,
+    FitConfig,
     InputError,
     NudgeParams,
+    PopulationPosterior,
     SignedSharedSignVector,
+    SyntheticSubject,
     Treatment,
     UsageError,
+    WeightVector,
     crt_group,
+    default_population_moments,
+    default_surrogate_ai,
     effect_summary,
     f_survival,
+    fit_nudge_batch,
+    generate_behavior,
     one_way_anova,
     pairwise_posthoc,
     random_nudge_params,
+    uniform_tasks,
 )
-from nudgelab.analyze import BRANCH_FIELDS, TREATMENT_BRANCHES
+from nudgelab._util import derive_seed
+from nudgelab.analyze import BRANCH_FIELDS, TREATMENT_BRANCHES, cognitive_style_tables
 
 
 class TestCrtGrouping:
@@ -161,7 +171,27 @@ class TestOneWayAnova:
         assert np.isnan(f_survival(1.0, float("nan"), 10))
 
 
+def _tied(diff):
+    """The least permuted statistic that reaches ``diff``: within a relative
+    1e-12 below it, as pairwise_posthoc counts a tie."""
+    return abs(diff) * (1.0 - 1e-12)
+
+
 class TestPairwisePosthoc:
+    def test_a_regrouped_observed_split_counts_as_a_tie(self):
+        # the groups are so far apart that only the observed split and its
+        # mirror reach the observed statistic, so the p-value is the share
+        # of permutations that regroup one of them; a regrouped group is
+        # summed in another order, and (2.3 + 1.3) + 1.1 is one bit below
+        # (1.1 + 2.3) + 1.3, which an exact comparison would not count
+        a, b = [0.1, 0.2, 0.3], [1.1, 2.3, 1.3]
+        n_permutations = 200
+        rng = np.random.default_rng(0)
+        regrouped = [set(rng.permutation(6)[:3].tolist()) in ({0, 1, 2}, {3, 4, 5})
+                     for _ in range(n_permutations)]
+        comparison = pairwise_posthoc([a, b], n_permutations, seed=0)[0]
+        assert comparison.p_value == np.mean(regrouped)
+
     def test_identical_groups_p_near_one(self):
         rng = np.random.default_rng(12)
         g = list(rng.normal(0, 1, 8))
@@ -228,7 +258,7 @@ class TestPairwisePosthoc:
         assert [c.pair for c in comparisons] == pairs
         for c, (i, j) in zip(comparisons, pairs):
             assert c.mean_diff == observed[i] - observed[j]
-            assert c.p_value == np.mean(max_stats >= abs(observed[i] - observed[j]))
+            assert c.p_value == np.mean(max_stats >= _tied(observed[i] - observed[j]))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -259,4 +289,122 @@ class TestPairwisePosthoc:
         assert [c.pair for c in comparisons] == pairs
         for c, (i, j) in zip(comparisons, pairs):
             assert c.mean_diff == observed[i] - observed[j]
-            assert c.p_value == np.mean(max_stats >= abs(observed[i] - observed[j]))
+            assert c.p_value == np.mean(max_stats >= _tied(observed[i] - observed[j]))
+
+
+def _effect(subject_id, crt, magnitude, treatment="immediate", branch="direct"):
+    return (subject_id, Treatment(treatment), Branch(branch), magnitude, crt)
+
+
+class TestCognitiveStyleTables:
+    def test_groups_anova_and_posthoc_of_a_worked_example(self):
+        effects = [_effect("a", 0, 1.0), _effect("b", 0, 3.0), _effect("c", 1, 0.5),
+                   _effect("d", 2, 1.5), _effect("e", 3, 9.0)]
+        groups, anova, pairs, warnings = cognitive_style_tables(effects, 100, seed=4)
+        half = 1.96 * np.std([1.0, 3.0], ddof=1) / np.sqrt(2)
+        assert groups == [
+            ("immediate", "direct", "intuitive", 2, 2.0, 2.0 - half, 2.0 + half),
+            ("immediate", "direct", "moderate", 2, 1.0, 1.0 - half / 2, 1.0 + half / 2),
+            ("immediate", "direct", "reflective", 1, 9.0, "", ""),
+        ]
+        # the reflective group has one subject, so only two groups are tested
+        result = one_way_anova([[1.0, 3.0], [0.5, 1.5]])
+        assert anova == [("immediate", "direct", result.f_statistic,
+                          result.df_between, result.df_within, result.p_value,
+                          False)]
+        posthoc = pairwise_posthoc([[1.0, 3.0], [0.5, 1.5]], 100,
+                                   derive_seed(4, "immediate", "direct", "posthoc"))
+        assert pairs == [("immediate", "direct", "intuitive", "moderate",
+                          posthoc[0].mean_diff, posthoc[0].p_value)]
+        assert warnings == []
+
+    def test_each_branch_is_analyzed_in_table_order(self):
+        effects = [_effect(f"x{i}", i % 4, float(i), "explanation", "exp")
+                   for i in range(8)]
+        effects += [_effect(f"d{i}", i % 4, -float(i), "delayed", branch)
+                    for i in range(8) for branch in ("contra", "affirm")]
+        groups, anova, pairs, _ = cognitive_style_tables(effects, 100, seed=0)
+        order = [("delayed", "affirm"), ("delayed", "contra"), ("explanation", "exp")]
+        assert [row[:2] for row in groups[::3]] == order
+        assert [row[:2] for row in anova] == order
+        assert len(pairs) == 3 * 3
+
+    def test_missing_scores_and_untestable_branches_are_warned(self):
+        effects = [_effect("a", None, 1.0), _effect("b", 0, 2.0), _effect("c", 0, 4.0),
+                   _effect("d", 3, 1.0)]
+        groups, anova, pairs, warnings = cognitive_style_tables(effects, 100, seed=0)
+        assert [row[3] for row in groups] == [2, 0, 1]
+        assert groups[1][4:] == ("", "", "")
+        assert anova == [] and pairs == []
+        assert warnings == [
+            "immediate/direct: fewer than two groups with >= 2 subjects; ANOVA skipped",
+            "subject a has no CRT score",
+        ]
+
+    def test_out_of_range_score_rejected(self):
+        with pytest.raises(InputError):
+            cognitive_style_tables([_effect("a", 4, 1.0)], 100, seed=0)
+
+
+# A planted cognitive-style effect and its null twin, fixed before any run:
+# 18 subjects (6 intuitive, 6 moderate, 6 reflective) of the immediate
+# treatment, 30 trials each, in 10 replicates.  A subject trusts the AI with
+# scale = level * u, u ~ U(0.75, 1.25); the planted level falls with the CRT
+# score (2.0, 1.2, 0.4), the null twin's is 1.2 for everyone, on the same
+# draws of weights, u, magnitudes, tasks and decisions.
+_STUDY_SCORES = (0,) * 6 + (1, 2) * 3 + (3,) * 6
+_PLANTED_LEVELS = {0: 2.0, 1: 1.2, 2: 1.2, 3: 0.4}
+_NULL_LEVELS = dict.fromkeys(range(4), 1.2)
+_STUDY_REPLICATES = range(10)
+_STUDY_FEATURES = 4
+
+
+def _study_subjects(replicate, levels):
+    """The replicate's subjects under ``levels``, with their trials."""
+    mean, variance = default_population_moments(_STUDY_FEATURES)
+    ai = default_surrogate_ai(_STUDY_FEATURES)
+    tasks = uniform_tasks(200, _STUDY_FEATURES, derive_seed(replicate, "tasks"))
+    subjects = []
+    for i, crt in enumerate(_STUDY_SCORES):
+        rng = np.random.default_rng(derive_seed(replicate, i, "subject"))
+        weights = mean + np.sqrt(variance) * rng.standard_normal(_STUDY_FEATURES + 1)
+        shift = SignedSharedSignVector(levels[crt] * rng.uniform(0.75, 1.25),
+                                       rng.uniform(0.4, 0.7, _STUDY_FEATURES))
+        subject = SyntheticSubject(
+            f"r{replicate}_s{i:02d}", WeightVector(weights[:-1], weights[-1]),
+            NudgeParams.for_immediate(shift), Treatment.IMMEDIATE, 1.0, crt)
+        picks = rng.choice(len(tasks), 30, replace=False)
+        subjects.append((subject, generate_behavior(
+            subject, tasks[picks], ai, seed=derive_seed(replicate, i, "behavior"))))
+    return subjects
+
+
+class TestPlantedCognitiveStyleEffect:
+    def test_planted_effect_found_and_null_kept(self):
+        mean, variance = default_population_moments(_STUDY_FEATURES)
+        posterior = PopulationPosterior.from_moments(mean, variance, 200, seed=17)
+        designs = {"planted": _PLANTED_LEVELS, "null": _NULL_LEVELS}
+        studies = [(name, replicate, _study_subjects(replicate, levels))
+                   for name, levels in designs.items()
+                   for replicate in _STUDY_REPLICATES]
+        subjects = [pair for _, _, study in studies for pair in study]
+        fits = iter(fit_nudge_batch(
+            [trials for _, trials in subjects], posterior, Treatment.IMMEDIATE,
+            FitConfig(iterations=400, restarts=2, l2_penalty=0.05),
+            seeds=[derive_seed(s.subject_id, "fit") for s, _ in subjects]))
+        rejections = dict.fromkeys(designs, 0)
+        for name, replicate, study in studies:
+            effects = [(s.subject_id, s.treatment, Branch.DIRECT,
+                        effect_summary(next(fits).params, Branch.DIRECT), s.crt_score)
+                       for s, _ in study]
+            _, anova, _, _ = cognitive_style_tables(effects, 100, seed=replicate)
+            rejections[name] += anova[0][5] < 0.05
+        replicates = len(_STUDY_REPLICATES)
+        # the null twin's rejections, at the 0.05 level, may not exceed the
+        # 95% quantile of Binomial(replicates, 0.05), which is 2 of 10
+        bound = int(stats.binom.ppf(0.95, replicates, 0.05))
+        print(f"\nplanted CRT effect: power {rejections['planted']}/{replicates}; "
+              f"null twin: size {rejections['null']}/{replicates} (<= {bound})")
+        # the planted effect must be found in at least 9 of the 10 replicates
+        assert rejections["planted"] >= replicates - 1
+        assert rejections["null"] <= bound

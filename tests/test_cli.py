@@ -6,7 +6,6 @@ import dataclasses
 import errno
 import json
 import filecmp
-import re
 import shutil
 import subprocess
 import sys
@@ -24,12 +23,11 @@ from nudgelab.cli import (
     load_config,
     load_posterior,
     main,
-    read_params_file,
     run_pipeline,
     write_csv,
     write_params_file,
 )
-from nudgelab.errors import ConfigurationError, DataValidationError
+from nudgelab.errors import ConfigurationError
 from nudgelab.fitting import NudgeFitResult
 
 
@@ -167,22 +165,30 @@ class TestParamsFiles:
                                 restart_index=2, theta=np.array([1.0, -2.0]))
         path = tmp_path / "s1.txt"
         write_params_file(path, "s1", params.treatment, result, "feedface")
-        loaded = read_params_file(path)
-        assert loaded["subject_id"] == "s1"
-        assert loaded["treatment"] == params.treatment
-        assert loaded["train_nll"] == 0.4321
-        assert loaded["converged"] is True
-        back = loaded["params"]
-        assert back.treatment == params.treatment
-        assert back.delta_exp == params.delta_exp
-        for field in ("delta_direct", "delta_affirm", "delta_contra"):
-            vector, read = getattr(params, field), getattr(back, field)
-            if vector is None:
-                assert read is None
+        lines = path.read_text().splitlines()
+        assert lines[:7] == [
+            "config_fingerprint: feedface", "subject_id: s1",
+            f"treatment: {params.treatment.value}", "train_nll: 0.4321",
+            "converged: true", "restart_index: 2", "theta: 1.0 -2.0"]
+        # one section per parameter, in field order, each number written so
+        # that it reads back as the same float
+        sections = {}
+        for line in lines[7:]:
+            if line.startswith("["):
+                section = sections[line[1:-1]] = {}
+            else:
+                key, _, value = line.partition(": ")
+                section[key] = [float(v) for v in value.split()]
+        fields = ("delta_direct", "delta_affirm", "delta_contra", "delta_exp")
+        assert list(sections) == [f for f in fields if getattr(params, f) is not None]
+        for field, section in sections.items():
+            vector = getattr(params, field)
+            if field == "delta_exp":
+                assert section == {"value": [vector]}
                 continue
-            assert read.scale == vector.scale
-            assert np.array_equal(read.magnitudes, vector.magnitudes)
-            assert np.array_equal(read.realized, vector.realized)
+            assert section == {"scale": [vector.scale],
+                               "magnitudes": vector.magnitudes.tolist(),
+                               "realized": vector.realized.tolist()}
 
 
 def _number_text():
@@ -191,24 +197,21 @@ def _number_text():
 
 
 class TestParsedSharedSign:
-    # the shared-sign invariant of a parsed vector: whatever scale and
-    # magnitudes a params file holds, reading it either fails validation or
-    # gives realized components with delta_i * delta_j >= 0
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # the shared-sign invariant of a vector built from parsed numbers:
+    # whatever scale and magnitudes the text holds, either a number does not
+    # parse, or construction fails validation, or the realized components
+    # have delta_i * delta_j >= 0
+    @settings(max_examples=200, deadline=None)
     @given(scale=_number_text(), magnitudes=st.lists(_number_text(), max_size=4))
     # a realized component that overflows to -inf makes -inf * -0.0 = nan
     @example(scale="-1e308", magnitudes=["1e308", "0"])
-    def test_parsed_vectors_share_one_sign(self, tmp_path, scale, magnitudes):
-        path = tmp_path / "s1.txt"
-        path.write_text("subject_id: s1\ntreatment: immediate\ntrain_nll: 0.5\n"
-                        "converged: true\nrestart_index: 0\n[delta_direct]\n"
-                        f"scale: {scale}\nmagnitudes: {' '.join(magnitudes)}\n")
+    def test_parsed_vectors_share_one_sign(self, scale, magnitudes):
         try:
-            params = read_params_file(path)["params"]
-        except DataValidationError:
+            vector = SignedSharedSignVector(
+                float(scale), np.array([float(m) for m in magnitudes]))
+        except (ValueError, ConfigurationError):
             return
-        delta = params.delta_direct.realized
+        delta = vector.realized
         with np.errstate(over="ignore"):  # a product past 1e308 is +-inf
             assert np.all(np.outer(delta, delta) >= 0.0)
 
@@ -254,13 +257,32 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "population posterior missing" in err
 
+    def test_analyze_without_effects_fails(self, tmp_path, capsys):
+        assert main(["analyze", "--out", str(tmp_path)]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert "run fit-nudge first" in error["message"]
+
+    def test_analyze_needs_no_data(self, fitted_dir, tmp_path):
+        # analyze reads only effects.csv; --data is accepted and ignored
+        outputs = {}
+        for name, extra in (("without", []),
+                            ("with", ["--data", str(tmp_path / "missing.csv")])):
+            run = tmp_path / name
+            shutil.copytree(fitted_dir / "run", run)
+            assert main(["analyze", "--out", str(run), *extra]) == 0
+            outputs[name] = [(run / f).read_text() for f in (
+                "analysis_groups.csv", "analysis_anova.csv",
+                "analysis_pairwise.csv")]
+        assert outputs["without"] == outputs["with"]
+
     def test_fit_nudge_and_analyze(self, pipeline_dir, capsys):
         config = tiny_config(pipeline_dir, data_path=pipeline_dir / "behavior.csv")
         assert run_pipeline("fit-nudge", config) == 0
         params_files = sorted((pipeline_dir / "nudge_params").glob("*.txt"))
         assert len(params_files) == 9  # 3 subjects x 3 assisted treatments
-        entry = read_params_file(params_files[0])
-        assert entry["treatment"] in set(Treatment)
+        treatment_line = params_files[0].read_text().splitlines()[2]
+        assert treatment_line in {f"treatment: {t.value}" for t in Treatment}
 
         assert run_pipeline("analyze", config) == 0
         groups = (pipeline_dir / "analysis_groups.csv").read_text()
@@ -390,7 +412,7 @@ class TestUnreadableInput:
     # each input a command opens may be a directory, a file that cannot be
     # opened or one that does not decode; each ends as one JSON line
     @pytest.mark.parametrize("problem", ["directory", "permission", "non-utf8"])
-    @pytest.mark.parametrize("target", ["data", "config", "posterior", "params"])
+    @pytest.mark.parametrize("target", ["data", "config", "posterior", "effects"])
     def test_one_json_line_and_exit_one(self, pipeline_dir, tmp_path, capsys,
                                         monkeypatch, target, problem):
         config = _copy_inputs(pipeline_dir, tmp_path / "run")
@@ -404,8 +426,7 @@ class TestUnreadableInput:
         elif target == "posterior":
             command, path = "fit-nudge", run / "posterior.json"
         else:
-            (run / "nudge_params").mkdir()
-            command, path = "analyze", run / "nudge_params" / "s1.txt"
+            command, path = "analyze", run / "effects.csv"
         _make_unreadable(path, problem, monkeypatch)
         assert main([command, *args]) == 1
         error = _single_json_error(capsys)
@@ -489,6 +510,9 @@ class TestBehaviorFuzz:
             _single_json_error(capsys)
 
 
+_EFFECTS_HEADER = "subject_id,treatment,branch,signed_magnitude,crt_score"
+
+
 class TestMalformedArtifacts:
     @pytest.mark.parametrize("corrupt", [
         pytest.param(lambda payload: json.dumps(
@@ -516,30 +540,32 @@ class TestMalformedArtifacts:
         assert error["category"] == "validation"
         assert "malformed population posterior" in error["message"]
 
-    @pytest.mark.parametrize("text", [
-        pytest.param("subject_id: s1\ntreatment: immediate\n", id="missing-keys"),
-        pytest.param("subject_id: s1\ntreatment: immediate\ntrain_nll: low\n"
-                     "converged: true\nrestart_index: 0\n[delta_direct]\n"
-                     "scale: 1\nmagnitudes: 0.5\n", id="non-numeric-value"),
-        pytest.param("subject_id: s1\ntreatment: delayed\ntrain_nll: 0.5\n"
-                     "converged: true\nrestart_index: 0\n", id="missing-vectors"),
-        pytest.param("subject_id: s1\ntreatment: sideways\ntrain_nll: 0.5\n"
-                     "converged: true\nrestart_index: 0\n[delta_exp]\n"
-                     "value: 0.5\n", id="unknown-treatment"),
-        pytest.param("subject_id: s1\ntreatment: immediate\ntrain_nll: 0.5\n"
-                     "converged: true\nrestart_index: 0\n[delta_exp]\n"
-                     "value: 0.5\n", id="treatment-mismatch"),
+    @pytest.mark.parametrize("lines", [
+        pytest.param([_EFFECTS_HEADER, "s1,immediate,exp,0.5,1"],
+                     id="branch-not-the-treatments"),
+        pytest.param([_EFFECTS_HEADER, "s1,independent,direct,0.5,1"],
+                     id="unassisted-treatment"),
+        pytest.param([_EFFECTS_HEADER, "s1,sideways,direct,0.5,1"],
+                     id="unknown-treatment"),
+        pytest.param([_EFFECTS_HEADER, "s1,immediate,direct,1e400,1"],
+                     id="magnitude-1e400"),
+        pytest.param([_EFFECTS_HEADER, "s1,immediate,direct,nan,1"], id="magnitude-nan"),
+        pytest.param([_EFFECTS_HEADER, "s1,immediate,direct,low,1"], id="magnitude-low"),
+        pytest.param([_EFFECTS_HEADER, "s1,immediate,direct,0.5,x"], id="crt-x"),
+        pytest.param([_EFFECTS_HEADER, "s1,delayed,affirm,0.5,1",
+                      "s2,delayed,affirm,0.5,1", "s1,delayed,affirm,0.7,1"],
+                     id="repeated-row"),
+        pytest.param([_EFFECTS_HEADER], id="header-only"),
+        pytest.param(["subject_id,treatment,branch,crt_score",
+                      "s1,immediate,direct,1"], id="missing-column"),
     ])
-    def test_broken_params_file_exits_one(self, pipeline_dir, tmp_path, capsys,
-                                          text):
-        config = _copy_inputs(pipeline_dir, tmp_path / "run")
-        params_dir = tmp_path / "run" / "nudge_params"
-        params_dir.mkdir()
-        (params_dir / "s1.txt").write_text(text)
-        assert run_pipeline("analyze", config) == 1
+    def test_broken_effects_file_exits_one(self, tmp_path, capsys, lines):
+        path = tmp_path / "effects.csv"
+        path.write_text("\n".join(["# config_fingerprint=feedface", *lines]) + "\n")
+        assert main(["analyze", "--out", str(tmp_path)]) == 1
         error = _single_json_error(capsys)
         assert error["category"] == "validation"
-        assert "malformed params file" in error["message"]
+        assert str(path) in error["message"]
 
     def test_repeated_trial_exits_one(self, pipeline_dir, tmp_path, capsys):
         config = _copy_inputs(pipeline_dir, tmp_path / "run")
@@ -688,11 +714,13 @@ _POSTERIOR_KEYS = ["config_fingerprint", "n_features", "mean", "variance",
                    "ensemble_size", "seed", "unknown"]
 _FIVE_NUMBERS = st.lists(st.one_of(st.floats(), st.integers(-10**20, 12),
                                    _HUGE_INTEGERS), min_size=5, max_size=5)
-# a params file line's new value: any text, a number, or a list of numbers
-_LINE_VALUES = st.one_of(
+# an effects.csv field's or line's new text: any text, a number, a CRT
+# score in or out of range, or a treatment or branch name
+_FIELD_VALUES = st.one_of(
     st.text(max_size=8), _number_text(), _HUGE_INTEGERS.map(str),
-    st.sampled_from(["1e999", str(10**400), "true", "independent", "explanation"]),
-    st.lists(_number_text(), max_size=5).map(" ".join))
+    st.sampled_from(["1e999", str(10**400), "4", "-1", "true", "independent",
+                     "immediate", "delayed", "explanation", "direct", "affirm",
+                     "contra", "exp"]))
 
 
 @pytest.fixture(scope="module")
@@ -710,9 +738,9 @@ def fitted_dir(pipeline_dir, tmp_path_factory):
 
 class TestArtifactFuzz:
     # a valid posterior.json with one or two keys overwritten by random
-    # JSON, or a valid params file with one line replaced by random text:
-    # evaluate or analyze exits 0, or 1 with one JSON line on stderr, never
-    # a traceback
+    # JSON, or a valid effects.csv with one field or line replaced by random
+    # text, repeated or dropped: evaluate or analyze exits 0, or 1 with one
+    # JSON line on stderr, never a traceback
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(changes=st.dictionaries(
@@ -742,33 +770,39 @@ class TestArtifactFuzz:
                                                  capsys, data):
         run = tmp_path / "run"
         shutil.copytree(fitted_dir / "run", run, dirs_exist_ok=True)
-        path = data.draw(st.sampled_from(sorted((run / "nudge_params").glob("*.txt"))))
+        path = run / "effects.csv"
         lines = path.read_text().splitlines()
         index = data.draw(st.integers(0, len(lines) - 1))
-        key = lines[index].partition(":")[0]
-        value = data.draw(_LINE_VALUES)
-        lines[index] = data.draw(st.sampled_from([f"{key}: {value}", value]))
+        edit = data.draw(st.sampled_from(["field", "line", "repeat", "drop"]))
+        if edit == "field":
+            fields = lines[index].split(",")
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_FIELD_VALUES)
+            lines[index] = ",".join(fields)
+        elif edit == "line":
+            lines[index] = data.draw(_FIELD_VALUES)
+        elif edit == "repeat":
+            lines.insert(index, lines[index])
+        else:
+            del lines[index]
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         code = main(["analyze", "--config", str(fitted_dir / "config.json"),
-                     "--out", str(run), "--data", str(run / "behavior.csv")])
+                     "--out", str(run)])
         assert code in (0, 1)
         if code == 1:
             _single_json_error(capsys)
 
-    def test_vector_whose_norm_overflows_exits_one(self, fitted_dir, tmp_path,
-                                                   capsys):
-        # finite components whose squares overflow the norm's dot product
-        run = tmp_path / "run"
-        shutil.copytree(fitted_dir / "run", run)
-        path = sorted((run / "nudge_params").glob("*immediate*.txt"))[0]
-        text = re.sub(r"magnitudes: .*", "magnitudes: " + " ".join(["1e200"] * 4),
-                      path.read_text())
-        path.write_text(text)
-        assert main(["analyze", "--out", str(run),
-                     "--data", str(run / "behavior.csv")]) == 1
+    def test_vector_whose_norm_overflows_exits_one(self, tmp_path, capsys):
+        # finite components whose squares overflow the norm's dot product,
+        # drawn by simulate from the configured magnitude range
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**_SMALL_SIMULATION,
+                                    "sim_treatments": ["immediate"],
+                                    "sim_magnitude_range": [1e200, 1e200]}))
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
         error = _single_json_error(capsys)
-        assert error["category"] == "validation"
+        assert error["category"] == "configuration"
         assert "norm must be finite" in error["message"]
 
 
