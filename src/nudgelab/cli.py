@@ -153,6 +153,8 @@ class RunConfig:
                 "sim_trials_per_subject must not exceed sim_task_pool_size")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigurationError("train_fraction must lie in (0, 1)")
+        if self.posthoc_permutations < 100:
+            raise ConfigurationError("posthoc_permutations must be at least 100")
         if not self.sim_treatments:
             raise ConfigurationError("sim_treatments must name at least one treatment")
         known = [t.value for t in Treatment]
@@ -470,7 +472,7 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
         )
     model = _collapsed(posterior) if config.deterministic_ablation else posterior
 
-    effect_rows = []
+    effect_rows, comments = [], []
     written = []
     for treatment in treatments:
         groups = group_by_subject(records.take(records.treatment == treatment))
@@ -485,6 +487,11 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
             write_params_file(path, sid, treatment, result, fingerprint)
             written.append(str(path))
             crt = trials.optional("crt_score")[0]
+            if result.abandoned_restarts:
+                comments.append(
+                    f"warning: subject {sid} ({treatment.value}): "
+                    f"{result.abandoned_restarts} of {config.nudge_restarts} "
+                    f"restarts abandoned at a non-finite objective value")
             for branch in TREATMENT_BRANCHES[treatment]:
                 effect_rows.append((
                     sid, treatment.value, branch.value,
@@ -496,7 +503,7 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
     write_csv(effects_path,
               ["subject_id", "treatment", "branch", "signed_magnitude",
                "crt_score", "train_nll", "converged", "restart_index"],
-              effect_rows, fingerprint)
+              effect_rows, fingerprint, comments)
     written.append(str(effects_path))
     return written
 

@@ -9,11 +9,15 @@ runs in a single stacked Adam loop.  Gradients are analytic, exact for
 the frozen-sample objective; inside the Adam loop a large ensemble's
 response is interpolated from a per-trial table of the exact response,
 whose nodes are evaluated when the fit first reads them, and the gradient
-is exact for that interpolant.  An explanation trial's probability is
-linear in the attention weight, so its penalized NLL is convex in it and
-a stacked safeguarded Newton solve finds each subject's optimum exactly,
-with no restarts.  Either way each subject's result is the same bits as
-when it is fitted alone.
+is exact for that interpolant.  The table keeps each interval's six
+coefficients in one row of an (intervals, 6) array, so a lookup is one
+gather.  An evaluation works on (restarts, trials) arrays: each trial's
+shift comes from one gather of its block's shift vector and one add per
+feature, and the gradient's block sums are one ``bincount``.  An
+explanation trial's probability is linear in the attention weight, so
+its penalized NLL is convex in it and a stacked safeguarded Newton solve
+finds each subject's optimum exactly, with no restarts.  Either way each
+subject's result is the same bits as when it is fitted alone.
 """
 
 from __future__ import annotations
@@ -89,11 +93,15 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class NudgeFitResult:
+    """One subject's fit.  ``abandoned_restarts`` counts the restarts whose
+    objective went non-finite and that the Adam loop dropped."""
+
     params: NudgeParams
     train_nll: float
     converged: bool
     restart_index: int
     theta: np.ndarray
+    abandoned_restarts: int = 0
 
 
 class _EnsembleResponse(EnsembleResponse):
@@ -108,8 +116,9 @@ class _EnsembleResponse(EnsembleResponse):
     a cell is evaluated the first time a lookup reads it and marked in
     ``filled``, so a fit pays only for the nodes it visits.  ``ready``
     marks the intervals (node k, trial t) whose two end cells are both
-    filled, and ``coef`` holds those intervals' polynomial coefficients,
-    so a lookup that needs no new cell reads ``ready`` and ``coef`` only.
+    filled, and ``coef`` (intervals x 6, interval-major) holds those
+    intervals' polynomial coefficients, so a lookup that needs no new cell
+    reads ``ready`` and gathers each interval's six coefficients at once.
     """
 
     def __init__(self, ensemble: np.ndarray, features: np.ndarray,
@@ -122,8 +131,8 @@ class _EnsembleResponse(EnsembleResponse):
             self.node_curv = np.full_like(self.node_p, np.nan)
             self.filled = np.zeros(self.node_p.shape, dtype=bool)
             self.ready = np.zeros((_GRID_NODES - 1, len(features)), dtype=bool)
-            # row j: the coefficient of u^j in interval k * T + t
-            self.coef = np.full((6, self.ready.size), np.nan)
+            # row k * T + t: interval (k, t)'s coefficients of u^0 .. u^5
+            self.coef = np.full((self.ready.size, 6), np.nan)
 
     def interpolated(self, shift: np.ndarray):
         """(p, dp/dc) from the table, for shifts of shape (..., T)."""
@@ -144,17 +153,20 @@ class _EnsembleResponse(EnsembleResponse):
             ready |= off
         if not ready.all():
             self._fill(at[~ready])
-        # p = sum_j coef_j u^j and dp/du, by Horner's rule
-        a0, a1, a2, a3, a4, a5 = (row.take(at) for row in self.coef)
-        p = a5 * u
-        dp_du = 5.0 * a5
-        for j, a in ((4, a4), (3, a3), (2, a2), (1, a1)):
-            p += a
+        # p = sum_j coef_j u^j and dp/du, by Horner's rule on the columns
+        # of one gather, flattened
+        coef = self.coef.take(at.ravel(), axis=0).T                      # (6, ... * T)
+        u = u.ravel()
+        p = coef[5] * u
+        dp_du = 5.0 * coef[5]
+        for j in (4, 3, 2, 1):
+            p += coef[j]
             p *= u
             dp_du *= u
-            dp_du += j * a
-        p += a0
-        dp_dc = dp_du / _GRID_STEP
+            dp_du += j * coef[j]
+        p += coef[0]
+        p = p.reshape(shift.shape)
+        dp_dc = (dp_du / _GRID_STEP).reshape(shift.shape)
         if not all_on_grid:
             p[off], dp_dc[off], _ = self._rows(np.nonzero(off)[-1], shift[off])
         return p, dp_dc
@@ -189,11 +201,11 @@ class _EnsembleResponse(EnsembleResponse):
         d1 = _GRID_STEP * self.node_slope.take(after)
         s0 = _GRID_STEP ** 2 * self.node_curv.take(intervals)
         s1 = _GRID_STEP ** 2 * self.node_curv.take(after)
-        self.coef[:, intervals] = (
+        self.coef[intervals] = np.column_stack((
             p0, d0, 0.5 * s0,
             10.0 * rise - 6.0 * d0 - 4.0 * d1 - 0.5 * (3.0 * s0 - s1),
             -15.0 * rise + 8.0 * d0 + 7.0 * d1 + 0.5 * (3.0 * s0 - 2.0 * s1),
-            6.0 * rise - 3.0 * (d0 + d1) - 0.5 * (s0 - s1))
+            6.0 * rise - 3.0 * (d0 + d1) - 0.5 * (s0 - s1)))
 
 
 class _GroupSum:
@@ -265,6 +277,7 @@ class NudgeObjective:
         self.trial_count = self.subject_trials[layout.subject]          # (T,)
         self.by_subject = _GroupSum(layout.subject, self.n_subjects)
         self.final = layout.final.astype(float)
+        self.not_final = 1.0 - self.final
 
         if self.treatment == Treatment.EXPLANATION:
             self.mean_focused, self.mean_ignored = explanation_means(
@@ -357,7 +370,7 @@ class NudgeObjective:
         probs, backward = self._forward(theta, tabulated)
         eps = self.clip_eps
         clipped = np.clip(probs, eps, 1.0 - eps)
-        loglik = self.final * np.log(clipped) + (1.0 - self.final) * np.log1p(-clipped)
+        loglik = self.final * np.log(clipped) + self.not_final * np.log1p(-clipped)
         value = -self.by_subject(loglik) / self.subject_trials
         interior = (probs > eps) & (probs < 1.0 - eps)
         dvalue_dp = np.where(
@@ -466,9 +479,10 @@ def _minimize(objective: NudgeObjective, config: FitConfig, seeds):
     """Multi-restart Adam on every (restart, subject) row at once.
 
     Returns each subject's best iterate ever visited (so the result is never
-    worse than any start) and its restart: the first restart to reach a
-    subject's lowest value wins, and within a restart the first iteration.
-    A row whose value goes non-finite is abandoned on its own.
+    worse than any start), its restart and its number of abandoned rows: the
+    first restart to reach a subject's lowest value wins, and within a
+    restart the first iteration.  A row whose value goes non-finite is
+    abandoned on its own.
     """
     theta = np.array([[objective.initial_theta(restart, seed) for seed in seeds]
                       for restart in range(config.restarts)])            # (R, K, P)
@@ -481,8 +495,8 @@ def _minimize(objective: NudgeObjective, config: FitConfig, seeds):
         value, grad = objective.value_and_gradient(theta)
         live &= np.isfinite(value)
         better = live & (value < best_value)
-        best_value[better] = value[better]
-        best_theta[better] = theta[better]
+        np.copyto(best_value, value, where=better)
+        np.copyto(best_theta, theta, where=better[..., None])
         if iteration == config.iterations or not live.any():
             break
         # final 20% of iterations runs at a tenth of the step size
@@ -490,13 +504,16 @@ def _minimize(objective: NudgeObjective, config: FitConfig, seeds):
             config.learning_rate if iteration < switch
             else 0.1 * config.learning_rate
         )
-        grad[~live] = 0.0
-        theta = np.where(live[..., None], optimizer.step(theta, grad), theta)
+        if live.all():
+            theta = optimizer.step(theta, grad)
+        else:
+            grad[~live] = 0.0
+            theta = np.where(live[..., None], optimizer.step(theta, grad), theta)
     restart = np.argmin(best_value, axis=0)                              # (K,)
     subjects = np.arange(theta.shape[1])
     if np.isinf(best_value[restart, subjects]).any():
         raise UsageError("no finite objective value reached from any restart")
-    return best_theta[restart, subjects], restart
+    return best_theta[restart, subjects], restart, (~live).sum(axis=0)
 
 
 def _solve_attention(objective: NudgeObjective) -> np.ndarray:
@@ -562,9 +579,9 @@ def fit_nudge_batch(
                                config.clip_eps, config.l2_penalty)
     if objective.treatment == Treatment.EXPLANATION:
         best_theta = _solve_attention(objective)[:, None]
-        best_restart = np.zeros(len(trial_sets), dtype=np.intp)
+        best_restart = abandoned = np.zeros(len(trial_sets), dtype=np.intp)
     else:
-        best_theta, best_restart = _minimize(objective, config, seeds)
+        best_theta, best_restart, abandoned = _minimize(objective, config, seeds)
     train_nll, grad, clipped = objective.fit_summary(best_theta[None])
     if objective.l2_penalty > 0.0:
         # converged means stationary for the objective the fit minimized
@@ -577,6 +594,7 @@ def fit_nudge_batch(
             converged=bool(converged[k]),
             restart_index=int(best_restart[k]),
             theta=theta,
+            abandoned_restarts=int(abandoned[k]),
         )
         for k, theta in enumerate(best_theta)
     ]

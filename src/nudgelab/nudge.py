@@ -99,6 +99,16 @@ class EnsembleResponse:
 
     def exact(self, shift: np.ndarray):
         """(p, dp/dc) for shifts of shape (..., T)."""
+        if self.base.shape[1] == 1:
+            # one member, always kept: the same bits as the member loop,
+            # whose one-term sums, x True masks and / 1.0 counts are exact
+            with np.errstate(over="ignore"):
+                p = np.exp(np.subtract(-shift, self.base[:, 0]))
+            p += 1.0
+            np.reciprocal(p, out=p)
+            slope = np.subtract(1.0, p)
+            slope *= p
+            return p, slope
         rows = np.broadcast_to(self.columns, shift.shape)
         p, slope, _ = self._rows(rows.ravel(), shift.ravel())
         return p.reshape(shift.shape), slope.reshape(shift.shape)
@@ -331,9 +341,18 @@ class TreatmentLayout:
 
     def shift(self, deltas: np.ndarray) -> np.ndarray:
         """Each trial's logit shift (..., T) under the stacked shift vectors
-        ``deltas`` (..., K * B, n)."""
-        return self.direction * (deltas[..., self.block, :]
-                                 * self.features).sum(axis=-1)
+        ``deltas`` (..., K * B, n): direction_t times x_t . delta_(block_t),
+        summed one feature at a time (numpy's sum over fewer than 8 terms
+        adds them in the same order)."""
+        terms = deltas.take(self.block, axis=-2)                        # (..., T, n)
+        terms *= self.features
+        columns = terms.reshape(-1, terms.shape[-1]).T                  # (n, ... * T)
+        total = columns[0].copy()
+        for column in columns[1:]:
+            total += column
+        total = total.reshape(terms.shape[:-1])
+        total *= self.direction
+        return total
 
 
 def decision_probability(trial_sets, posterior: PopulationPosterior, params,

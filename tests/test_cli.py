@@ -28,7 +28,7 @@ from nudgelab.cli import (
     write_params_file,
 )
 from nudgelab.errors import ConfigurationError
-from nudgelab.fitting import NudgeFitResult
+from nudgelab.fitting import NudgeFitResult, NudgeObjective
 
 
 # Config values that are malformed (wrong type, not finite, unknown name, a
@@ -136,6 +136,20 @@ class TestConfig:
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 1
         assert _single_json_error(capsys)["category"] == "configuration"
+
+    @pytest.mark.parametrize("permutations", [1, 99])
+    def test_too_few_permutations_name_the_setting(self, tmp_path, capsys,
+                                                   permutations):
+        # the post-hoc test needs 100 permutations; the config refuses fewer
+        # before any command runs
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"posthoc_permutations": permutations}))
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert "posthoc_permutations" in error["message"]
+        assert tiny_config(tmp_path, posthoc_permutations=100).posthoc_permutations == 100
 
     @pytest.mark.parametrize("text", ["5", "[]", '"x"', "null"])
     def test_config_that_is_not_an_object_is_one_json_line(self, tmp_path, capsys,
@@ -245,6 +259,33 @@ class TestCommands:
                    if row["subject_id"] != subject)
         groups = (tmp_path / "run" / "analysis_groups.csv").read_text()
         assert f"# warning: subject {subject} has no CRT score" in groups
+
+    def test_abandoned_restart_is_warned(self, pipeline_dir, tmp_path):
+        # a restart whose objective goes non-finite is dropped and named in
+        # effects.csv's comments, which analyze skips; a clean fit writes
+        # no such warning
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        config = dataclasses.replace(config, treatment="immediate")
+        value_and_gradient = NudgeObjective.value_and_gradient
+
+        def poisoned(self, theta):
+            value, grad = value_and_gradient(self, theta)
+            value = value.copy()
+            value[1, 0] = np.nan
+            return value, grad
+
+        effects = tmp_path / "run" / "effects.csv"
+        assert run_pipeline("fit-nudge", config) == 0
+        assert "warning" not in effects.read_text()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(NudgeObjective, "value_and_gradient", poisoned)
+            assert run_pipeline("fit-nudge", config) == 0
+        lines = effects.read_text().splitlines()
+        first = [line for line in lines if not line.startswith("#")][1].split(",")[0]
+        assert [line for line in lines if "warning" in line] == [
+            f"# warning: subject {first} (immediate): 1 of 2 restarts "
+            f"abandoned at a non-finite objective value"]
+        assert run_pipeline("analyze", config) == 0
 
     def test_posterior_artifact_loads(self, pipeline_dir):
         posterior = load_posterior(pipeline_dir / "posterior.json")
@@ -732,7 +773,7 @@ def fitted_dir(pipeline_dir, tmp_path_factory):
     assert run_pipeline("fit-nudge", config) == 0
     (out / "config.json").write_text(json.dumps(
         {"n_features": 4, "nudge_iterations": 5, "nudge_restarts": 1,
-         "run_seeds": [0], "posthoc_permutations": 20}))
+         "run_seeds": [0], "posthoc_permutations": 100}))
     return out
 
 

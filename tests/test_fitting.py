@@ -215,8 +215,8 @@ class TestResponseTable:
         for name in TABLE_ARRAYS:
             assert np.array_equal(getattr(lazy, name)[lazy.filled],
                                   getattr(eager, name)[lazy.filled])
-        assert np.array_equal(lazy.coef[:, lazy.ready.ravel()],
-                              eager.coef[:, lazy.ready.ravel()])
+        assert np.array_equal(lazy.coef[lazy.ready.ravel()],
+                              eager.coef[lazy.ready.ravel()])
 
     @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
     def test_stacked_fit_fills_only_the_cells_it_reads(self, treatment):
@@ -236,8 +236,8 @@ class TestResponseTable:
             assert np.array_equal(table[filled], getattr(response, name)[filled])
             assert np.isnan(table[~filled]).all()
         ready = response.ready.ravel()
-        assert np.array_equal(coef[:, ready], response.coef[:, ready])
-        assert np.isnan(coef[:, ~ready]).all()
+        assert np.array_equal(coef[ready], response.coef[ready])
+        assert np.isnan(coef[~ready]).all()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -309,6 +309,63 @@ def scaled_params(treatment, scale):
 # the largest scale test_each_subject_fits_as_if_alone multiplies the true
 # shift vectors by
 LARGEST_SCALE = 12.0
+
+
+class TestEvaluationOracle:
+    # each evaluation of the shift-vector objective returns the bits of its
+    # first formulation (per_record): the shift summed over the feature
+    # axis, the member loop for every ensemble and the table's six
+    # coefficient takes, for several row and subject counts
+    @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
+    @pytest.mark.parametrize("members, spread, beyond_grid", [
+        pytest.param(200, 1.0, False, id="table-on-grid"),
+        pytest.param(200, 12.0, True, id="table-off-grid"),
+        pytest.param(60, 3.0, None, id="member-loop"),
+        pytest.param(1, 3.0, None, id="one-member"),
+    ])
+    def test_value_and_gradient_keep_their_bits(self, treatment, members, spread,
+                                                beyond_grid):
+        model = (PopulationPosterior.point(WeightVector([1.0, -0.8, 0.6], bias=-0.3))
+                 if members == 1 else make_posterior(seed=members, size=members))
+        for rows, sizes, l2 in ((1, (12,), 0.0), (3, (9, 14, 6), 0.05),
+                                (4, (5, 20, 3, 11), 0.0)):
+            trial_sets = [make_trials(treatment, PARAMS_BY_TREATMENT[treatment],
+                                      seed=rows + k, n_trials=n)
+                          for k, n in enumerate(sizes)]
+            new, old = (NudgeObjective(trial_sets, model.ensemble, treatment,
+                                       l2_penalty=l2) for _ in range(2))
+            assert new.response.tabulated == (members >= 128)
+            theta = np.random.default_rng(rows).normal(
+                0.0, spread, (rows, len(sizes), new.n_params))
+            blocks = theta.reshape(rows, -1, 1 + new.n)
+            deltas = blocks[..., :1] * np.logaddexp(0.0, blocks[..., 1:])
+            shift = per_record.layout_shift(old.layout, deltas)
+            assert np.array_equal(new.layout.shift(deltas), shift)
+            assert np.array_equal(new.layout.shift(deltas[0]), shift[0])
+            if beyond_grid is not None:
+                assert (np.abs(shift).max() > GRID_HI) == beyond_grid
+            # twice, so the second evaluation reads cells the first filled
+            for _ in range(2):
+                got = new.value_and_gradient(theta)
+                want = per_record.objective_value_and_gradient(old, theta)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
+    def test_one_member_response_is_the_member_loop(self, treatment):
+        # the one-member response, saturated shifts included, and without
+        # the overflow warning of e^-x
+        point = PopulationPosterior.point(WeightVector([1.0, -0.8, 0.6], bias=-0.3))
+        trials = make_trials(treatment, PARAMS_BY_TREATMENT[treatment], n_trials=12)
+        response = NudgeObjective([trials], point.ensemble, treatment).response
+        shift = np.concatenate([
+            np.repeat([[-1e6], [-800.0], [0.0], [800.0], [1e6]], 12, axis=1),
+            np.random.default_rng(2).normal(0.0, 5.0, (3, 12))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = response.exact(shift)
+        for a, b in zip(got, per_record.member_loop(response, shift)):
+            assert np.array_equal(a, b)
 
 
 class TestStackedFit:
@@ -457,6 +514,9 @@ class TestStackedFit:
         # the untabulated, unpenalized objective is the train NLL itself
         # (fit_summary), and the forced fit chose among fewer iterates
         assert forced[0].train_nll >= free[0].train_nll
+        # and the dropped row is counted against its subject only
+        assert [r.abandoned_restarts for r in free] == [0, 0, 0]
+        assert [r.abandoned_restarts for r in forced] == [1, 0, 0]
 
     def test_subject_with_no_finite_row_is_rejected(self):
         trial_sets = [make_trials(Treatment.IMMEDIATE,
