@@ -258,9 +258,19 @@ def cognitive_style_tables(effects, n_permutations: int, seed: int):
     there are at least 2 of them, get a one-way ANOVA row and the post-hoc
     rows of each pair.  Returns
     (group_rows, anova_rows, pair_rows, warnings), the rows ready for CSV
-    and the warnings sorted and unique.
+    and the warnings sorted and unique.  Finite effects whose statistics
+    overflow raise an InputError.
     """
-    effects = list(effects)
+    # a sum of squares, a mean or an interval of large finite magnitudes
+    # may overflow to inf, and inf - inf makes a NaN
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _style_tables(list(effects), n_permutations, seed)
+    except FloatingPointError as exc:
+        raise InputError(f"fitted effects too large to analyze: {exc}") from exc
+
+
+def _style_tables(effects, n_permutations, seed):
     group_rows, anova_rows, pair_rows, warnings = [], [], [], set()
     for treatment, branches in TREATMENT_BRANCHES.items():
         for branch in branches:
@@ -278,7 +288,7 @@ def cognitive_style_tables(effects, n_permutations: int, seed: int):
                 mean = float(values.mean()) if values.size else ""
                 interval = ("", "")
                 if values.size >= 2:
-                    half = 1.96 * float(values.std(ddof=1)) / np.sqrt(values.size)
+                    half = 1.96 * values.std(ddof=1) / np.sqrt(values.size)
                     interval = (mean - half, mean + half)
                 group_rows.append((treatment.value, branch.value, group.value,
                                    values.size, mean, *interval))

@@ -345,6 +345,17 @@ class TestCognitiveStyleTables:
         with pytest.raises(InputError):
             cognitive_style_tables([_effect("a", 4, 1.0)], 100, seed=0)
 
+    @pytest.mark.parametrize("magnitudes", [
+        pytest.param((1e308, 1e308), id="mean-overflows"),
+        pytest.param((1.9e154, -2.7e154), id="variance-overflows"),
+    ])
+    def test_effects_whose_statistics_overflow_rejected(self, magnitudes):
+        # finite magnitudes whose group mean or squared deviations pass the
+        # largest float
+        effects = [_effect(f"s{i}", 0, m) for i, m in enumerate(magnitudes)]
+        with pytest.raises(InputError, match="too large to analyze"):
+            cognitive_style_tables(effects, 100, seed=0)
+
 
 # A planted cognitive-style effect and its null twin, fixed before any run:
 # 18 subjects (6 intuitive, 6 moderate, 6 reflective) of the immediate

@@ -608,6 +608,15 @@ class TestMalformedArtifacts:
         assert error["category"] == "validation"
         assert str(path) in error["message"]
 
+    def test_effects_whose_statistics_overflow_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "effects.csv"
+        path.write_text("\n".join([_EFFECTS_HEADER, "s1,immediate,direct,1e200,0",
+                                   "s2,immediate,direct,-1e200,0"]) + "\n")
+        assert main(["analyze", "--out", str(tmp_path)]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "input"
+        assert "too large to analyze" in error["message"]
+
     def test_repeated_trial_exits_one(self, pipeline_dir, tmp_path, capsys):
         config = _copy_inputs(pipeline_dir, tmp_path / "run")
         data = tmp_path / "run" / "behavior.csv"
