@@ -1,4 +1,4 @@
-"""Shared numeric helpers: stable transforms, Adam and Newton steps, seeds."""
+"""Shared numeric helpers: stable transforms, Newton steps, seeds."""
 
 from __future__ import annotations
 
@@ -35,37 +35,6 @@ def derive_seed(*parts) -> int:
         data = str(part).encode("utf-8")
         acc = zlib.crc32(data, acc)
     return acc & 0xFFFFFFFF
-
-
-class Adam:
-    """Plain deterministic Adam on a flat parameter vector (minimization)."""
-
-    def __init__(self, size: int, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.learning_rate = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        # the moments are updated in place, in the order of
-        # m = beta1 * m + (1 - beta1) * grad and
-        # step = learning_rate * m_hat / (sqrt(v_hat) + eps)
-        self.t += 1
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        step = self.m / (1.0 - self.beta1 ** self.t)
-        step *= self.learning_rate
-        denominator = self.v / (1.0 - self.beta2 ** self.t)
-        np.sqrt(denominator, out=denominator)
-        denominator += self.eps
-        step /= denominator
-        return theta - step
 
 
 NEWTON_TOL = 1e-10

@@ -103,12 +103,10 @@ class RunConfig:
     skip_invalid: bool = False
     prior_variance: float = 1.0
     mc_ensemble_size: int = 1000
-    clip_eps: float = 1e-6
     # population posterior fit
     population_iterations: int = 50
     population_train_samples: int = 64
     # per-subject nudge fit
-    nudge_learning_rate: float = 0.05
     nudge_iterations: int = 500
     nudge_restarts: int = 4
     nudge_l2_penalty: float = 0.0
@@ -155,8 +153,9 @@ class RunConfig:
             raise ConfigurationError("train_fraction must lie in (0, 1)")
         if self.posthoc_permutations < 100:
             raise ConfigurationError("posthoc_permutations must be at least 100")
-        if not self.sim_treatments:
-            raise ConfigurationError("sim_treatments must name at least one treatment")
+        for name in ("run_seeds", "train_sizes", "sim_treatments"):
+            if not getattr(self, name):
+                raise ConfigurationError(f"{name} must not be empty")
         known = [t.value for t in Treatment]
         for name in (*self.sim_treatments, self.treatment):
             if name is not None and name not in known:
@@ -187,11 +186,9 @@ class RunConfig:
 
     def nudge_config(self) -> FitConfig:
         return FitConfig(
-            learning_rate=self.nudge_learning_rate,
             iterations=self.nudge_iterations,
             seed=self.seed,
             restarts=self.nudge_restarts,
-            clip_eps=self.clip_eps,
             l2_penalty=self.nudge_l2_penalty,
         )
 
@@ -286,11 +283,13 @@ def load_posterior(path) -> PopulationPosterior:
     except _MALFORMED as exc:
         raise _malformed("population posterior", path, exc) from exc
     if (mean.ndim != 1 or variance.shape != mean.shape
-            or n_features != mean.size - 1 or size < 1 or seed < 0):
+            or n_features != mean.size - 1 or size < 1 or seed < 0
+            or not np.isfinite(mean).all()
+            or not (np.isfinite(variance) & (variance > 0.0)).all()):
         raise DataValidationError(
             f"malformed population posterior {path}: mean and variance must be "
-            f"lists of n_features + 1 values, ensemble_size must be positive "
-            f"and seed must be nonnegative"
+            f"lists of n_features + 1 finite values, every variance and "
+            f"ensemble_size must be positive and seed must be nonnegative"
         )
     return PopulationPosterior.from_moments(mean, variance, size, seed=seed)
 
@@ -453,6 +452,14 @@ def _collapsed(posterior: PopulationPosterior) -> PopulationPosterior:
         WeightVector(weights=posterior.mean[:-1], bias=posterior.mean[-1]))
 
 
+def _treatment_rows(records: Trials, treatment: Treatment) -> Trials:
+    """The records of one treatment; there must be some."""
+    subset = records.take(records.treatment == treatment)
+    if not len(subset):
+        raise UsageError(f"no records for treatment {treatment.value!r}")
+    return subset
+
+
 def _fit_treatments(config: RunConfig, records) -> list[Treatment]:
     if config.treatment is not None:
         return [Treatment(config.treatment)]
@@ -475,9 +482,7 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
     effect_rows, comments = [], []
     written = []
     for treatment in treatments:
-        groups = group_by_subject(records.take(records.treatment == treatment))
-        if not groups:
-            raise UsageError(f"no records for treatment {treatment.value!r}")
+        groups = group_by_subject(_treatment_rows(records, treatment))
         results = fit_nudge_batch(
             groups.values(), model, treatment, config.nudge_config(),
             seeds=[derive_seed(config.seed, sid) for sid in groups],
@@ -524,13 +529,12 @@ def _cmd_evaluate(config: RunConfig) -> list[str]:
 
     rows, subject_rows, comments = [], [], []
     for treatment in treatments:
-        subset = records.take(records.treatment == treatment)
+        subset = _treatment_rows(records, treatment)
         reports = [
             ("framework", evaluate_framework(subset, posterior, plan,
                                              config.nudge_config())),
             ("logistic_baseline", baseline_logistic(
-                subset, treatment, plan, l2=config.baseline_l2,
-                clip_eps=config.clip_eps)),
+                subset, treatment, plan, l2=config.baseline_l2)),
         ]
         if config.deterministic_ablation and treatment == Treatment.DELAYED:
             reports.append(("deterministic_ablation", evaluate_framework(
@@ -565,7 +569,7 @@ def _cmd_learning_curve(config: RunConfig) -> list[str]:
         raise UsageError("learning-curve requires --treatment "
                          "(or a single-treatment data file)")
     treatment = treatments[0]
-    subset = records.take(records.treatment == treatment)
+    subset = _treatment_rows(records, treatment)
     rows, warnings = learning_curve(
         subset, treatment, posterior, list(config.train_sizes),
         config.split_plan(), config.nudge_config(),

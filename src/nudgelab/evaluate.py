@@ -19,7 +19,7 @@ from .core import PopulationPosterior
 from .errors import ConfigurationError, UsageError
 # fit_nudge stays importable here: perfbench/selftest.py looks it up in this module
 from .fitting import FitConfig, fit_nudge, fit_nudge_batch  # noqa: F401
-from .nudge import decision_probability
+from .nudge import PROBABILITY_EPS, decision_probability
 from .records import Treatment, Trials, group_by_subject
 
 __all__ = [
@@ -85,12 +85,14 @@ class CurvePoint:
     f1: float
 
 
-def metrics(probabilities, truths, clip_eps: float = 1e-6) -> tuple[float, float, float]:
+def metrics(probabilities, truths) -> tuple[float, float, float]:
     """(NLL, accuracy, F1) of probabilities of decision 1 against 0/1 truths.
 
-    Each predicted decision is 1 where its probability is at least 0.5, the
-    package's tie rule.  F1 uses decision 1 as the positive class; with no
-    positive truths and no positive predictions it is 1 by convention.
+    The NLL reads each probability clipped to [``PROBABILITY_EPS``,
+    1 - ``PROBABILITY_EPS``].  Each predicted decision is 1 where its
+    probability is at least 0.5, the package's tie rule.  F1 uses decision 1
+    as the positive class; with no positive truths and no positive
+    predictions it is 1 by convention.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     y = np.asarray(truths)
@@ -98,7 +100,7 @@ def metrics(probabilities, truths, clip_eps: float = 1e-6) -> tuple[float, float
         raise UsageError("probabilities and truths must have equal length")
     if not probabilities.size:
         raise UsageError("metrics require at least one prediction")
-    probs = np.clip(probabilities, clip_eps, 1.0 - clip_eps)
+    probs = np.clip(probabilities, PROBABILITY_EPS, 1.0 - PROBABILITY_EPS)
     decisions = probabilities >= 0.5
     nll = -float(np.mean(y * np.log(probs) + (1 - y) * np.log1p(-probs)))
     accuracy = float(np.mean(decisions == y))
@@ -178,14 +180,14 @@ def _aggregate(cells, treatment, run_seeds, warnings) -> EvalReport:
     )
 
 
-def _score_framework(tests, posterior, params, clip_eps):
+def _score_framework(tests, posterior, params):
     """(NLL, accuracy, F1) of each subject's test trials at its parameters,
     every subject scored in one ``decision_probability`` call."""
     if not tests:
         return []
-    probs = decision_probability(tests, posterior, params, clip_eps)
+    probs = decision_probability(tests, posterior, params)
     cuts = np.cumsum([len(test) for test in tests])[:-1]
-    return [metrics(part, test.final_decision, clip_eps)
+    return [metrics(part, test.final_decision)
             for part, test in zip(np.split(probs, cuts), tests)]
 
 
@@ -212,8 +214,7 @@ def evaluate_framework(
         )
         params = {key: fit.params for key, fit in zip(splits, fits)}
     cells = dict(zip(splits, _score_framework(
-        [test for _, test in splits.values()], posterior, list(params.values()),
-        config.clip_eps)))
+        [test for _, test in splits.values()], posterior, list(params.values()))))
     return _aggregate(cells, treatment, plan.run_seeds, warnings)
 
 
@@ -281,7 +282,6 @@ def baseline_logistic(
     treatment: Treatment,
     plan: SplitPlan = SplitPlan(),
     l2: float = 1.0,
-    clip_eps: float = 1e-6,
 ) -> EvalReport:
     """Per-subject supervised logistic baseline on the same splits."""
     treatment = _single_treatment(dataset, treatment)
@@ -290,15 +290,14 @@ def baseline_logistic(
     for run in plan.run_seeds:
         for sid, trials in eligible.items():
             train, test = split_trials(trials, run, plan.train_fraction)
-            cells[(run, sid)] = _score_baseline(train, test, l2, clip_eps)
+            cells[(run, sid)] = _score_baseline(train, test, l2)
     return _aggregate(cells, treatment, plan.run_seeds, warnings)
 
 
-def _score_baseline(train, test, l2, clip_eps):
+def _score_baseline(train, test, l2):
     """Fit the logistic baseline on ``train``; (NLL, accuracy, F1) on ``test``."""
     predict = _fit_logistic(baseline_features(train), train.final_decision, l2)
-    probs = np.clip(predict(baseline_features(test)), clip_eps, 1.0 - clip_eps)
-    return metrics(probs, test.final_decision, clip_eps)
+    return metrics(predict(baseline_features(test)), test.final_decision)
 
 
 def learning_curve(
@@ -344,11 +343,11 @@ def learning_curve(
     fits = fit_nudge_batch([train for _, train, _ in jobs], posterior,
                            treatment, config, seeds=[seed for seed, _, _ in jobs])
     scores = iter(_score_framework([test for _, _, test in jobs], posterior,
-                                   [fit.params for fit in fits], config.clip_eps))
+                                   [fit.params for fit in fits]))
     rows: list[CurvePoint] = []
     for size, run, cell in splits:
         frame_cells = [next(scores) for _ in cell]
-        base_cells = [_score_baseline(train, test, baseline_l2, config.clip_eps)
+        base_cells = [_score_baseline(train, test, baseline_l2)
                       for _, train, test in cell]
         for method, cells in (("framework", frame_cells),
                               ("logistic_baseline", base_cells)):

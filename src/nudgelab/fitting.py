@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import NEWTON_TOL, Adam, derive_seed, sigmoid, softplus, softplus_inverse
+from ._util import NEWTON_TOL, derive_seed, sigmoid, softplus, softplus_inverse
 from .core import PopulationPosterior
 from .errors import ConfigurationError, UsageError
 from .nudge import (
+    PROBABILITY_EPS,
     EnsembleResponse,
     NudgeParams,
     SignedSharedSignVector,
@@ -66,25 +67,26 @@ _ATTENTION_MAX_STEPS = 100
 # Smallest ensemble whose response is tabulated.  Below it a fit's exact
 # evaluations cost less than the table's lookups (see CHANGES.md).
 _TABULATE_MIN_MEMBERS = 128
+# Adam's step size (a tenth of it over the final 20% of iterations), its
+# moment decay rates and its denominator guard.
+_LEARNING_RATE = 0.05
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for the nudge-parameter MLE.  ``learning_rate``,
-    ``iterations``, ``seed`` and ``restarts`` drive the shift-vector fits'
-    Adam loop; the explanation solve uses only ``clip_eps`` and
-    ``l2_penalty``."""
+    """Settings for the nudge-parameter MLE.  ``iterations``, ``seed`` and
+    ``restarts`` drive the shift-vector fits' Adam loop; the explanation
+    solve uses only ``l2_penalty``."""
 
-    learning_rate: float = 0.05
     iterations: int = 500
     seed: int = 0
     restarts: int = 4
-    clip_eps: float = 1e-6
     l2_penalty: float = 0.0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.iterations, self.clip_eps) <= 0:
-            raise ConfigurationError("fit settings must be positive")
+        if self.iterations <= 0:
+            raise ConfigurationError("iterations must be positive")
         if self.restarts < 1:
             raise ConfigurationError("restarts must be >= 1")
         if self.l2_penalty < 0:
@@ -249,7 +251,8 @@ class NudgeObjective:
     * delayed      — [scale_affirm, raw_affirm x n, scale_contra, raw_contra x n]
     * explanation  — [attention], read as the nearest point of [0, 1]
 
-    The probabilities are those of ``nudgelab.nudge``'s kernel.  Immediate
+    The probabilities are those of ``nudgelab.nudge``'s kernel, clipped
+    to [``PROBABILITY_EPS``, 1 - ``PROBABILITY_EPS``] in the NLL.  Immediate
     and delayed assistance move trial t only through a scalar logit shift
     c_t, so its probability is a fixed 1-D function of c_t
     (``EnsembleResponse``, here with its table: ``_EnsembleResponse``);
@@ -262,14 +265,12 @@ class NudgeObjective:
     """
 
     def __init__(self, trial_sets, ensemble: np.ndarray,
-                 treatment: Treatment, clip_eps: float = 1e-6,
-                 l2_penalty: float = 0.0):
+                 treatment: Treatment, *, l2_penalty: float = 0.0):
         self.treatment = Treatment(treatment)
         if self.treatment == Treatment.INDEPENDENT:
             raise UsageError("independent treatment has no nudge parameters to fit")
         self.layout = layout = TreatmentLayout(trial_sets, ensemble, self.treatment)
         self.n = layout.features.shape[1]
-        self.clip_eps = float(clip_eps)
         self.l2_penalty = float(l2_penalty)
 
         self.n_subjects = layout.n_subjects
@@ -360,7 +361,7 @@ class NudgeObjective:
         subject's mean NLL (R, K), its gradient (R, K, P), and whether any
         of its probabilities sits on the clip boundary (R, K)."""
         value, grad, probs = self._nll(self._stacked(theta), tabulated=False)
-        on_boundary = (probs <= self.clip_eps) | (probs >= 1.0 - self.clip_eps)
+        on_boundary = (probs <= PROBABILITY_EPS) | (probs >= 1.0 - PROBABILITY_EPS)
         clipped = self.by_subject(on_boundary.astype(float)) > 0.0
         return value, grad, clipped
 
@@ -368,7 +369,7 @@ class NudgeObjective:
         """Mean NLL (R, K), its gradient (R, K, P) and the unclipped
         probabilities (R, T)."""
         probs, backward = self._forward(theta, tabulated)
-        eps = self.clip_eps
+        eps = PROBABILITY_EPS
         clipped = np.clip(probs, eps, 1.0 - eps)
         loglik = self.final * np.log(clipped) + self.not_final * np.log1p(-clipped)
         value = -self.by_subject(loglik) / self.subject_trials
@@ -426,7 +427,7 @@ class NudgeObjective:
         NLL in its attention weight, (K,) each, at ``attention`` (K,) in
         [0, 1] (in (0, 1) with a penalty).  Clipped trials add nothing."""
         probs = self._mixture(attention[None])[0]                        # (T,)
-        eps = self.clip_eps
+        eps = PROBABILITY_EPS
         interior = (probs > eps) & (probs < 1.0 - eps)
         spread = np.where(interior, self.mean_focused - self.mean_ignored, 0.0)
         probs = np.clip(probs, eps, 1.0 - eps)
@@ -486,7 +487,7 @@ def _minimize(objective: NudgeObjective, config: FitConfig, seeds):
     """
     theta = np.array([[objective.initial_theta(restart, seed) for seed in seeds]
                       for restart in range(config.restarts)])            # (R, K, P)
-    optimizer = Adam(theta.shape, config.learning_rate)
+    m, v = np.zeros(theta.shape), np.zeros(theta.shape)                  # moments
     best_value = np.full(theta.shape[:2], np.inf)
     best_theta = theta.copy()
     live = np.ones(theta.shape[:2], dtype=bool)
@@ -499,16 +500,26 @@ def _minimize(objective: NudgeObjective, config: FitConfig, seeds):
         np.copyto(best_theta, theta, where=better[..., None])
         if iteration == config.iterations or not live.any():
             break
-        # final 20% of iterations runs at a tenth of the step size
-        optimizer.learning_rate = (
-            config.learning_rate if iteration < switch
-            else 0.1 * config.learning_rate
-        )
-        if live.all():
-            theta = optimizer.step(theta, grad)
-        else:
+        if not live.all():
             grad[~live] = 0.0
-            theta = np.where(live[..., None], optimizer.step(theta, grad), theta)
+        # the moments are updated in place, in the order of
+        # m = beta1 * m + (1 - beta1) * grad and
+        # step = rate * m_hat / (sqrt(v_hat) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * grad
+        v *= _BETA2
+        v += (1.0 - _BETA2) * grad * grad
+        step = m / (1.0 - _BETA1 ** (iteration + 1))
+        # final 20% of iterations runs at a tenth of the step size
+        step *= _LEARNING_RATE if iteration < switch else 0.1 * _LEARNING_RATE
+        denominator = v / (1.0 - _BETA2 ** (iteration + 1))
+        np.sqrt(denominator, out=denominator)
+        denominator += _ADAM_EPS
+        step /= denominator
+        if live.all():
+            theta = theta - step
+        else:
+            theta = np.where(live[..., None], theta - step, theta)
     restart = np.argmin(best_value, axis=0)                              # (K,)
     subjects = np.arange(theta.shape[1])
     if np.isinf(best_value[restart, subjects]).any():
@@ -576,7 +587,7 @@ def fit_nudge_batch(
     if not trial_sets:
         return []
     objective = NudgeObjective(trial_sets, posterior.ensemble, treatment,
-                               config.clip_eps, config.l2_penalty)
+                               l2_penalty=config.l2_penalty)
     if objective.treatment == Treatment.EXPLANATION:
         best_theta = _solve_attention(objective)[:, None]
         best_restart = abandoned = np.zeros(len(trial_sets), dtype=np.intp)

@@ -214,7 +214,6 @@ def make_synthetic_subjects(
     noise_temperature: float = 1.0,
     scale_range: tuple[float, float] = (0.5, 2.0),
     magnitude_range: tuple[float, float] = (0.3, 1.0),
-    id_prefix: str = "syn",
 ) -> list[SyntheticSubject]:
     """Subjects whose weights are draws from N(mean, diag(variance)).
 
@@ -229,7 +228,7 @@ def make_synthetic_subjects(
     for i in range(n_subjects):
         draw = weight_mean + np.sqrt(weight_variance) * rng.standard_normal(n + 1)
         subjects.append(SyntheticSubject(
-            subject_id=f"{id_prefix}_{treatment.value}_{i:03d}",
+            subject_id=f"syn_{treatment.value}_{i:03d}",
             true_weights=WeightVector(weights=draw[:-1], bias=draw[-1]),
             true_params=random_nudge_params(
                 treatment, n, rng, scale_range, magnitude_range

@@ -11,6 +11,7 @@ import numpy as np
 
 from nudgelab import ConfigurationError, Treatment
 from nudgelab.fitting import _GRID_LO, _GRID_NODES, _GRID_STEP, _theta_gradient
+from nudgelab.nudge import PROBABILITY_EPS
 
 
 def sigmoid(x):
@@ -162,7 +163,7 @@ def objective_value_and_gradient(objective, theta):
     response = objective.response
     lookup = six_take_lookup if response.tabulated else member_loop
     probs, slope = lookup(response, shift)
-    eps, final = objective.clip_eps, objective.final
+    eps, final = PROBABILITY_EPS, objective.final
     clipped = np.clip(probs, eps, 1.0 - eps)
     loglik = final * np.log(clipped) + (1.0 - final) * np.log1p(-clipped)
     value = -objective.by_subject(loglik) / objective.subject_trials

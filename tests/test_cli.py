@@ -32,12 +32,11 @@ from nudgelab.fitting import NudgeFitResult, NudgeObjective
 
 
 # Config values that are malformed (wrong type, not finite, unknown name, a
-# JSON boolean for a number, zero where a positive value is needed) or
-# inconsistent (more trials per subject than tasks in the pool).
+# JSON boolean for a number, zero where a positive value is needed, an empty
+# list) or inconsistent (more trials per subject than tasks in the pool).
 BAD_CONFIG_VALUES = [
     {"nudge_iterations": "x"},
     {"prior_variance": "nan"},
-    {"nudge_learning_rate": float("nan")},
     {"run_seeds": 5},
     {"train_sizes": "ab"},
     {"sim_scale_range": 3},
@@ -49,8 +48,9 @@ BAD_CONFIG_VALUES = [
     {"seed": -1},
     {"sim_noise_temperature": 10**400},
     {"nudge_restarts": True},
-    {"clip_eps": True},
     {"baseline_l2": 0},
+    {"run_seeds": []},
+    {"train_sizes": []},
 ]
 
 
@@ -89,9 +89,11 @@ def pipeline_dir(tmp_path_factory):
 
 
 class TestConfig:
-    # the population fit has no learning rate and always fits an intercept
+    # neither fit has a learning rate, the population fit always fits an
+    # intercept, and the probability clip is a constant
     @pytest.mark.parametrize("key", ["not_a_key", "population_learning_rate",
-                                     "include_bias"])
+                                     "include_bias", "nudge_learning_rate",
+                                     "clip_eps"])
     def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({key: 1}))
@@ -129,7 +131,8 @@ class TestConfig:
             with pytest.raises(ConfigurationError):
                 tiny_config(tmp_path, **bad)
 
-    @pytest.mark.parametrize("bad", BAD_CONFIG_VALUES, ids="-".join)
+    @pytest.mark.parametrize("bad", BAD_CONFIG_VALUES, ids=lambda bad: "-".join(
+        f"{key}-empty" if value == [] else key for key, value in bad.items()))
     def test_invalid_config_file_is_one_json_line(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
@@ -150,6 +153,16 @@ class TestConfig:
         assert error["category"] == "configuration"
         assert "posthoc_permutations" in error["message"]
         assert tiny_config(tmp_path, posthoc_permutations=100).posthoc_permutations == 100
+
+    @pytest.mark.parametrize("key", ["run_seeds", "train_sizes"])
+    def test_empty_list_names_the_setting(self, tmp_path, capsys, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: []}))
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert key in error["message"]
 
     @pytest.mark.parametrize("text", ["5", "[]", '"x"', "null"])
     def test_config_that_is_not_an_object_is_one_json_line(self, tmp_path, capsys,
@@ -376,6 +389,18 @@ class TestCommands:
         assert error["category"] == "configuration"
         assert "--deterministic-ablation" in error["message"]
 
+    @pytest.mark.parametrize("command", ["fit-nudge", "evaluate", "learning-curve"])
+    def test_absent_treatment_is_named(self, pipeline_dir, tmp_path, capsys,
+                                       command):
+        config = dataclasses.replace(_copy_inputs(pipeline_dir, tmp_path / "run"),
+                                     treatment="immediate")
+        data = tmp_path / "run" / "behavior.csv"
+        lines = data.read_text().splitlines(keepends=True)
+        data.write_text("".join(l for l in lines if ",immediate," not in l))
+        assert run_pipeline(command, config) == 1
+        assert _single_json_error(capsys) == {
+            "category": "usage", "message": "no records for treatment 'immediate'"}
+
     def test_csv_fields_are_quoted(self, tmp_path):
         path = tmp_path / "effects.csv"
         row = ('lab 3, cohort "A"', "immediate", 0.5)
@@ -570,6 +595,12 @@ class TestMalformedArtifacts:
                              ("seed", 1.5), ("seed", -0.5), ("seed", True),
                              ("n_features", 3), ("n_features", 5),
                              ("n_features", 4.0)]),
+        # moments that the ensemble draw would refuse without naming the file
+        *(pytest.param(lambda payload, key=key, value=value: json.dumps(
+            dict(payload, **{key: [value] + payload[key][1:]})),
+            id=f"{key}[0]-{value!r}")
+          for key, value in [("variance", -1.0), ("variance", 0.0),
+                             ("variance", 1e309), ("mean", float("nan"))]),
     ])
     def test_broken_posterior_exits_one(self, pipeline_dir, tmp_path, capsys,
                                         corrupt):
@@ -579,7 +610,7 @@ class TestMalformedArtifacts:
         assert run_pipeline("fit-nudge", config) == 1
         error = _single_json_error(capsys)
         assert error["category"] == "validation"
-        assert "malformed population posterior" in error["message"]
+        assert f"malformed population posterior {path}" in error["message"]
 
     @pytest.mark.parametrize("lines", [
         pytest.param([_EFFECTS_HEADER, "s1,immediate,exp,0.5,1"],

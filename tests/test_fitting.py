@@ -24,6 +24,7 @@ from nudgelab import (
     generate_behavior,
     uniform_tasks,
 )
+from nudgelab import fitting
 from nudgelab.nudge import decision_probability
 from nudgelab.fitting import (
     _GRID_LO,
@@ -390,12 +391,14 @@ class TestStackedFit:
                                   seed=seed + k, n_trials=n)
                       for k, n in enumerate(sizes)]
         seeds = [seed + 7 * k for k in range(len(sizes))]
-        config = FitConfig(iterations=40, restarts=4, learning_rate=0.3)
-        alone = [fit_nudge_batch([trials], model, treatment, config, [s])[0]
-                 for trials, s in zip(trial_sets, seeds)]
-        stacked = fit_nudge_batch(trial_sets, model, treatment, config, seeds)
-        reverse = fit_nudge_batch(trial_sets[::-1], model, treatment, config,
-                                  seeds[::-1])[::-1]
+        config = FitConfig(iterations=40, restarts=4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitting, "_LEARNING_RATE", 0.3)
+            alone = [fit_nudge_batch([trials], model, treatment, config, [s])[0]
+                     for trials, s in zip(trial_sets, seeds)]
+            stacked = fit_nudge_batch(trial_sets, model, treatment, config, seeds)
+            reverse = fit_nudge_batch(trial_sets[::-1], model, treatment, config,
+                                      seeds[::-1])[::-1]
         for single, *others in zip(alone, stacked, reverse):
             for other in others:
                 assert np.array_equal(single.theta, other.theta)
@@ -417,8 +420,9 @@ class TestStackedFit:
         trial_sets = [make_trials(treatment,
                                   scaled_params(treatment, LARGEST_SCALE),
                                   seed=k, n_trials=20) for k in range(3)]
-        config = FitConfig(iterations=40, restarts=4, learning_rate=0.3)
+        config = FitConfig(iterations=40, restarts=4)
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitting, "_LEARNING_RATE", 0.3)
             patch.setattr(_EnsembleResponse, "interpolated", recording)
             fit_nudge_batch(trial_sets, make_posterior(seed=0, size=200),
                             treatment, config, [0, 7, 14])
@@ -723,8 +727,7 @@ class TestFitNudge:
                              PARAMS_BY_TREATMENT[Treatment.IMMEDIATE])
         config = FitConfig(iterations=150, restarts=4, seed=5)
         result = fit_nudge(trials, posterior, Treatment.IMMEDIATE, config)
-        objective = NudgeObjective([trials], posterior.ensemble, Treatment.IMMEDIATE,
-                                   config.clip_eps)
+        objective = NudgeObjective([trials], posterior.ensemble, Treatment.IMMEDIATE)
         for restart in range(config.restarts):
             init_value, _ = objective.value_and_gradient(
                 objective.initial_theta(restart, config.seed)[None, None]
