@@ -154,8 +154,14 @@ class RunConfig:
         if self.posthoc_permutations < 100:
             raise ConfigurationError("posthoc_permutations must be at least 100")
         for name in ("run_seeds", "train_sizes", "sim_treatments"):
-            if not getattr(self, name):
-                raise ConfigurationError(f"{name} must not be empty")
+            values = getattr(self, name)
+            # a repeated seed or treatment would count one split or one
+            # treatment's subjects twice
+            if not values or len(set(values)) < len(values):
+                raise ConfigurationError(
+                    f"{name} must be a nonempty list of distinct values")
+        if min(self.train_sizes) < 1:
+            raise ConfigurationError("train_sizes must be positive")
         known = [t.value for t in Treatment]
         for name in (*self.sim_treatments, self.treatment):
             if name is not None and name not in known:
@@ -446,6 +452,17 @@ def _cmd_fit_population(config: RunConfig) -> list[str]:
     return [str(path)]
 
 
+def _configured_posterior(config: RunConfig) -> PopulationPosterior:
+    """The stored posterior; it must hold ``mc_ensemble_size`` members."""
+    path = Path(config.out_dir) / "posterior.json"
+    posterior = load_posterior(path)
+    if posterior.ensemble_size != config.mc_ensemble_size:
+        raise DataValidationError(
+            f"population posterior {path} holds {posterior.ensemble_size} "
+            f"members, but mc_ensemble_size is {config.mc_ensemble_size}")
+    return posterior
+
+
 def _collapsed(posterior: PopulationPosterior) -> PopulationPosterior:
     """The deterministic ablation's model: one member at the posterior mean."""
     return PopulationPosterior.point(
@@ -469,7 +486,7 @@ def _fit_treatments(config: RunConfig, records) -> list[Treatment]:
 
 def _cmd_fit_nudge(config: RunConfig) -> list[str]:
     out = Path(config.out_dir)
-    posterior = load_posterior(out / "posterior.json")
+    posterior = _configured_posterior(config)
     records = _require_data(config)
     fingerprint = config.fingerprint()
     treatments = _fit_treatments(config, records)
@@ -515,7 +532,7 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
 
 def _cmd_evaluate(config: RunConfig) -> list[str]:
     out = Path(config.out_dir)
-    posterior = load_posterior(out / "posterior.json")
+    posterior = _configured_posterior(config)
     records = _require_data(config)
     fingerprint = config.fingerprint()
     plan = config.split_plan()
@@ -562,7 +579,7 @@ def _cmd_evaluate(config: RunConfig) -> list[str]:
 
 def _cmd_learning_curve(config: RunConfig) -> list[str]:
     out = Path(config.out_dir)
-    posterior = load_posterior(out / "posterior.json")
+    posterior = _configured_posterior(config)
     records = _require_data(config)
     treatments = _fit_treatments(config, records)
     if len(treatments) != 1:

@@ -8,12 +8,12 @@ magnitudes) by multi-restart Adam; every subject and restart of one call
 runs in a single stacked Adam loop.  Gradients are analytic, exact for
 the frozen-sample objective; inside the Adam loop a large ensemble's
 response is interpolated from a per-trial table of the exact response,
-whose nodes are evaluated when the fit first reads them, and the gradient
-is exact for that interpolant.  The table keeps each interval's six
-coefficients in one row of an (intervals, 6) array, so a lookup is one
-gather.  An evaluation works on (restarts, trials) arrays: each trial's
-shift comes from one gather of its block's shift vector and one add per
-feature, and the gradient's block sums are one ``bincount``.  An
+built a block of intervals at a time when the fit first reads one of them,
+and the gradient is exact for that interpolant.  The table keeps each
+interval's six coefficients in one row of an (intervals, 6) array, so a
+lookup is one gather.  An evaluation works on (restarts, trials) arrays:
+each trial's shift comes from one gather of its block's shift vector and
+one add per feature, and the gradient's block sums are one ``bincount``.  An
 explanation trial's probability is linear in the attention weight, so
 its penalized NLL is convex in it and a stacked safeguarded Newton solve
 finds each subject's optimum exactly, with no restarts.  Either way each
@@ -61,6 +61,9 @@ _GRADIENT_TOL = 1e-2
 _GRID_LO = -24.0
 _GRID_STEP = 0.2
 _GRID_NODES = 241
+# Intervals of one trial that the table builds at once; it divides the 240
+# intervals.  A fit's shifts drift, so it reads neighbouring intervals.
+_BLOCK = 8
 # The explanation solve's step cap; bisection alone would reach NEWTON_TOL in
 # 34 steps.
 _ATTENTION_MAX_STEPS = 100
@@ -113,14 +116,11 @@ class _EnsembleResponse(EnsembleResponse):
 
     ``interpolated`` evaluates the quintic Hermite interpolant of p_t and
     its slope between the grid's nodes; a shift off the grid is evaluated
-    exactly, for that trial only.  The table (``node_p``, ``node_slope``,
-    ``node_curv`` = d2p/dc2: nodes x T) is a cache of the exact response:
-    a cell is evaluated the first time a lookup reads it and marked in
-    ``filled``, so a fit pays only for the nodes it visits.  ``ready``
-    marks the intervals (node k, trial t) whose two end cells are both
-    filled, and ``coef`` (intervals x 6, interval-major) holds those
-    intervals' polynomial coefficients, so a lookup that needs no new cell
-    reads ``ready`` and gathers each interval's six coefficients at once.
+    exactly, for that trial only.  A lookup that reads an interval not yet
+    ``ready`` (intervals x T) builds its block of ``_BLOCK`` intervals of
+    that trial, so a fit pays only for the blocks it visits.  ``coef``
+    (intervals x 6, interval-major) holds each built interval's polynomial
+    coefficients, so a lookup gathers an interval's six at once.
     """
 
     def __init__(self, ensemble: np.ndarray, features: np.ndarray,
@@ -128,10 +128,6 @@ class _EnsembleResponse(EnsembleResponse):
         super().__init__(ensemble, features, initial, min_chunk)
         self.tabulated = len(ensemble) >= _TABULATE_MIN_MEMBERS
         if self.tabulated:
-            self.node_p = np.full((_GRID_NODES, len(features)), np.nan)
-            self.node_slope = np.full_like(self.node_p, np.nan)
-            self.node_curv = np.full_like(self.node_p, np.nan)
-            self.filled = np.zeros(self.node_p.shape, dtype=bool)
             self.ready = np.zeros((_GRID_NODES - 1, len(features)), dtype=bool)
             # row k * T + t: interval (k, t)'s coefficients of u^0 .. u^5
             self.coef = np.full((self.ready.size, 6), np.nan)
@@ -147,14 +143,12 @@ class _EnsembleResponse(EnsembleResponse):
             node[off] = 0.0
             u[off] = 0.0
         u -= node
-        # interval (k, t) of ready and cell (k, t) of the table share the
-        # flat index k * T + t
         at = node.astype(np.intp) * self.columns.size + self.columns
         ready = self.ready.take(at)
         if not all_on_grid:
             ready |= off
         if not ready.all():
-            self._fill(at[~ready])
+            self._build(at[~ready])
         # p = sum_j coef_j u^j and dp/du, by Horner's rule on the columns
         # of one gather, flattened
         coef = self.coef.take(at.ravel(), axis=0).T                      # (6, ... * T)
@@ -173,41 +167,28 @@ class _EnsembleResponse(EnsembleResponse):
             p[off], dp_dc[off], _ = self._rows(np.nonzero(off)[-1], shift[off])
         return p, dp_dc
 
-    def _fill(self, at):
-        """Evaluate the cells not yet filled at both ends of the intervals
-        that start at (flat) cells ``at``, and mark them ready."""
+    def _build(self, at):
+        """Build the blocks that hold the (flat) intervals ``at``: evaluate
+        each block's nodes exactly and set each of its intervals' ``coef``
+        to the quintic Hermite polynomial in u = (c - c_k) / step that
+        matches p, step * dp/dc and step^2 * d2p/dc2 at both ends."""
         n_trials = self.columns.size
-        cells = np.unique(np.concatenate((at, at + n_trials)))
-        cells = cells[~self.filled.take(cells)]
-        k, t = np.divmod(cells, n_trials)
-        (self.node_p.flat[cells], self.node_slope.flat[cells],
-         self.node_curv.flat[cells]) = self._rows(t, _GRID_LO + _GRID_STEP * k,
-                                                  derivatives=2)
-        self.filled.flat[cells] = True
-        # the intervals that end at a new cell and those that start at one
-        intervals = np.concatenate((cells[k > 0] - n_trials,
-                                    cells[k < _GRID_NODES - 1]))
-        intervals = intervals[self.filled.take(intervals)
-                              & self.filled.take(intervals + n_trials)]
-        self.ready.flat[intervals] = True
-        self._coefficients(intervals)
-
-    def _coefficients(self, intervals):
-        """Set ``coef`` of the (flat) intervals: the quintic Hermite
-        polynomial in u = (c - c_k) / step that matches p, step * dp/dc and
-        step^2 * d2p/dc2 at both ends."""
-        after = intervals + self.columns.size
-        p0 = self.node_p.take(intervals)
-        rise = self.node_p.take(after) - p0
-        d0 = _GRID_STEP * self.node_slope.take(intervals)
-        d1 = _GRID_STEP * self.node_slope.take(after)
-        s0 = _GRID_STEP ** 2 * self.node_curv.take(intervals)
-        s1 = _GRID_STEP ** 2 * self.node_curv.take(after)
-        self.coef[intervals] = np.column_stack((
+        k, t = np.divmod(at, n_trials)
+        block, t = np.divmod(np.unique(k // _BLOCK * n_trials + t), n_trials)
+        k = block[:, None] * _BLOCK + np.arange(_BLOCK + 1)            # (blocks, nodes)
+        p, slope, curv = (values.reshape(k.shape) for values in self._rows(
+            np.repeat(t, _BLOCK + 1), _GRID_LO + _GRID_STEP * k.ravel(),
+            derivatives=2))
+        d, s = _GRID_STEP * slope, _GRID_STEP ** 2 * curv
+        p0, d0, d1, s0, s1 = p[:, :-1], d[:, :-1], d[:, 1:], s[:, :-1], s[:, 1:]
+        rise = np.diff(p)
+        intervals = k[:, :-1] * n_trials + t[:, None]                  # (blocks, _BLOCK)
+        self.coef[intervals] = np.stack((
             p0, d0, 0.5 * s0,
             10.0 * rise - 6.0 * d0 - 4.0 * d1 - 0.5 * (3.0 * s0 - s1),
             -15.0 * rise + 8.0 * d0 + 7.0 * d1 + 0.5 * (3.0 * s0 - 2.0 * s1),
-            6.0 * rise - 3.0 * (d0 + d1) - 0.5 * (s0 - s1)))
+            6.0 * rise - 3.0 * (d0 + d1) - 0.5 * (s0 - s1)), axis=-1)
+        self.ready.flat[intervals] = True
 
 
 class _GroupSum:

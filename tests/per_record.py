@@ -105,7 +105,7 @@ def decision_probability(trials, row, posterior, params):
 # kept as the oracle of the rewritten one: each trial's shift summed over
 # the feature axis by numpy, every ensemble evaluated through the member
 # loop, and the response table's six coefficient columns taken one at a
-# time.  The cells a lookup reads are filled as the package fills them.
+# time.  The blocks a lookup reads are built as the package builds them.
 
 def layout_shift(layout, deltas):
     """Each trial's logit shift (..., T) under stacked shift vectors
@@ -135,7 +135,7 @@ def six_take_lookup(response, shift):
     at = node.astype(np.intp) * response.columns.size + response.columns
     ready = response.ready.take(at) | off
     if not ready.all():
-        response._fill(at[~ready])
+        response._build(at[~ready])
     a0, a1, a2, a3, a4, a5 = (column.take(at) for column in response.coef.T)
     p = a5 * u
     dp_du = 5.0 * a5

@@ -52,6 +52,17 @@ BAD_CONFIG_VALUES = [
     {"run_seeds": []},
     {"train_sizes": []},
 ]
+# Config values that a later command refused, or miscounted, when the
+# config let them through: a treatment simulated twice (fit-population
+# refuses its repeated trial indices), a run seed listed twice (evaluate
+# counts one split as two runs) and a training size below one.
+LATE_CONFIG_VALUES = {
+    "sim_treatments-repeated": {"sim_treatments": ["independent", "immediate",
+                                                   "immediate"]},
+    "run_seeds-repeated": {"run_seeds": [0, 0]},
+    "train_sizes-zero": {"train_sizes": [0]},
+    "train_sizes-negative": {"train_sizes": [-2]},
+}
 
 
 def tiny_config(out_dir, data_path=None, **kwargs):
@@ -153,6 +164,31 @@ class TestConfig:
         assert error["category"] == "configuration"
         assert "posthoc_permutations" in error["message"]
         assert tiny_config(tmp_path, posthoc_permutations=100).posthoc_permutations == 100
+
+    @pytest.mark.parametrize("bad", LATE_CONFIG_VALUES.values(),
+                             ids=LATE_CONFIG_VALUES.keys())
+    def test_value_a_later_command_refused_names_the_setting(self, tmp_path,
+                                                             capsys, bad):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(bad))
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert next(iter(bad)) in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_train_size_flag_ends_like_the_setting(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"train_sizes": [0]}))
+        assert main(["learning-curve", "--config", str(path),
+                     "--out", str(tmp_path)]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert "train_sizes" in error["message"]
+        assert main(["learning-curve", "--train-size", "0",
+                     "--out", str(tmp_path)]) == 1
+        assert _single_json_error(capsys) == error
 
     @pytest.mark.parametrize("key", ["run_seeds", "train_sizes"])
     def test_empty_list_names_the_setting(self, tmp_path, capsys, key):
@@ -400,6 +436,28 @@ class TestCommands:
         assert run_pipeline(command, config) == 1
         assert _single_json_error(capsys) == {
             "category": "usage", "message": "no records for treatment 'immediate'"}
+
+    @pytest.mark.parametrize("command", ["fit-nudge", "evaluate", "learning-curve"])
+    def test_posterior_of_another_ensemble_size_is_refused(self, pipeline_dir,
+                                                           tmp_path, capsys,
+                                                           command):
+        # the stored posterior holds tiny_config's 150 members; fit-nudge
+        # and evaluate also run the one-member ablation, which must not
+        # hide the mismatch
+        config = dataclasses.replace(_copy_inputs(pipeline_dir, tmp_path / "run"),
+                                     treatment="delayed", mc_ensemble_size=50,
+                                     deterministic_ablation=command != "learning-curve")
+        path = tmp_path / "run" / "posterior.json"
+        stored = path.read_bytes()
+        assert run_pipeline(command, config) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert str(path) in error["message"]
+        assert "holds 150 members" in error["message"]
+        assert "mc_ensemble_size is 50" in error["message"]
+        assert path.read_bytes() == stored
+        assert sorted(p.name for p in path.parent.iterdir()) == [
+            "behavior.csv", "posterior.json"]
 
     def test_csv_fields_are_quoted(self, tmp_path):
         path = tmp_path / "effects.csv"

@@ -27,6 +27,7 @@ from nudgelab import (
 from nudgelab import fitting
 from nudgelab.nudge import decision_probability
 from nudgelab.fitting import (
+    _BLOCK,
     _GRID_LO,
     _GRID_NODES,
     _GRID_STEP,
@@ -201,44 +202,36 @@ class TestResponseTable:
                                   min_size=24, max_size=24),
                          min_size=1, max_size=4),
     )
-    def test_filling_on_demand_gives_the_same_bits(self, treatment, seed,
-                                                   fallback, lookups):
-        # a lookup fills only the cells it reads, so a cell must not depend
-        # on which lookup filled it or which cells were filled with it
+    def test_building_on_demand_gives_the_same_bits(self, treatment, seed,
+                                                    fallback, lookups):
+        # a lookup builds only the blocks it reads, so a block must not
+        # depend on which lookup built it or which blocks were built with it
         lazy = response_objective(treatment, seed, fallback).response
-        eager = response_objective(treatment, seed, fallback).response
-        fill_table(eager, np.ones_like(eager.filled))
+        eager = build_table(response_objective(treatment, seed, fallback).response)
         for shifts in lookups:
             shift = np.reshape(shifts, (2, 12))
             for got, want in zip(lazy.interpolated(shift),
                                  eager.interpolated(shift)):
                 assert np.array_equal(got, want)
-        for name in TABLE_ARRAYS:
-            assert np.array_equal(getattr(lazy, name)[lazy.filled],
-                                  getattr(eager, name)[lazy.filled])
-        assert np.array_equal(lazy.coef[lazy.ready.ravel()],
-                              eager.coef[lazy.ready.ravel()])
+        ready = lazy.ready.ravel()
+        assert np.array_equal(lazy.coef[ready], eager.coef[ready])
+        assert np.isnan(lazy.coef[~ready]).all()
 
     @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
-    def test_stacked_fit_fills_only_the_cells_it_reads(self, treatment):
+    def test_stacked_fit_builds_only_the_blocks_it_reads(self, treatment):
         trial_sets = [make_trials(treatment, PARAMS_BY_TREATMENT[treatment],
                                   seed=s, n_trials=n)
                       for s, n in ((3, 9), (5, 14), (8, 6))]
-        objective = NudgeObjective(trial_sets, make_posterior(size=200).ensemble,
-                                   treatment)
+        objective, fresh = (NudgeObjective(trial_sets,
+                                           make_posterior(size=200).ensemble,
+                                           treatment) for _ in range(2))
         _minimize(objective, FitConfig(iterations=60, restarts=4), [1, 2, 3])
         response = objective.response
-        filled = response.filled.copy()
-        assert filled.any() and not filled.all()
-        tables = [getattr(response, name).copy() for name in TABLE_ARRAYS]
-        coef = response.coef.copy()
-        fill_table(response, filled)
-        for name, table in zip(TABLE_ARRAYS, tables):
-            assert np.array_equal(table[filled], getattr(response, name)[filled])
-            assert np.isnan(table[~filled]).all()
         ready = response.ready.ravel()
-        assert np.array_equal(coef[ready], response.coef[ready])
-        assert np.isnan(coef[~ready]).all()
+        assert ready.any() and not ready.all()
+        eager = build_table(fresh.response)
+        assert np.array_equal(response.coef[ready], eager.coef[ready])
+        assert np.isnan(response.coef[~ready]).all()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -248,40 +241,55 @@ class TestResponseTable:
                                   min_size=24, max_size=24),
                          min_size=1, max_size=4),
     )
-    def test_ready_marks_intervals_with_both_ends_filled(self, treatment, seed,
-                                                         lookups):
+    def test_ready_marks_the_blocks_each_lookup_reads(self, treatment, seed,
+                                                      lookups):
+        # per trial, a lookup marks ready exactly the _BLOCK intervals of
+        # each block it reads on the grid
         response = response_objective(treatment, seed, False).response
+        blocks = np.zeros(((_GRID_NODES - 1) // _BLOCK, 12), dtype=bool)
         for shifts in lookups:
-            response.interpolated(np.reshape(shifts, (2, 12)))
-            assert np.array_equal(response.ready,
-                                  response.filled[:-1] & response.filled[1:])
-        # every interval of a repeated lookup is ready, so it fills nothing
-        shift = np.reshape(lookups[-1], (2, 12))
+            shift = np.reshape(shifts, (2, 12))
+            node = np.floor((shift - _GRID_LO) / _GRID_STEP)
+            read = (node >= 0) & (node <= _GRID_NODES - 2)
+            trial = np.broadcast_to(np.arange(12), shift.shape)
+            blocks[node[read].astype(int) // _BLOCK, trial[read]] = True
+            response.interpolated(shift)
+            assert np.array_equal(response.ready, np.repeat(blocks, _BLOCK, axis=0))
+        # every interval of a repeated lookup is ready, so it builds nothing
         expected = response.interpolated(shift)
-        filled = response.filled.copy()
 
-        def no_fill(at):
-            raise AssertionError("a ready lookup filled cells")
+        def no_build(at):
+            raise AssertionError("a ready lookup built blocks")
 
-        response._fill = no_fill
+        response._build = no_build
         for got, want in zip(response.interpolated(shift), expected):
             assert np.array_equal(got, want)
-        assert np.array_equal(response.filled, filled)
+
+    def test_block_edges_and_the_last_interval_give_the_eager_bits(self):
+        # shifts just below, at and just above every node that starts a
+        # block, and in the last interval just below the grid's end
+        edges = _GRID_LO + _GRID_STEP * np.arange(0, _GRID_NODES, _BLOCK)
+        shifts = np.concatenate([edges - 1e-9, edges, edges + 1e-9,
+                                 [GRID_HI - 1e-9, GRID_HI - 0.5 * _GRID_STEP]])
+        node = np.floor((shifts - _GRID_LO) / _GRID_STEP)
+        assert {0, _BLOCK - 1, _BLOCK, _GRID_NODES - 2} <= set(node.tolist())
+        for treatment in (Treatment.IMMEDIATE, Treatment.DELAYED):
+            eager = build_table(response_objective(treatment, 7, False).response)
+            for shift in shifts:
+                lazy = response_objective(treatment, 7, False).response
+                shift = np.full((1, 12), shift)
+                for got, want in zip(lazy.interpolated(shift),
+                                     eager.interpolated(shift)):
+                    assert np.array_equal(got, want)
+
+    def test_blocks_divide_the_grid(self):
+        assert (_GRID_NODES - 1) % _BLOCK == 0
 
 
-# the per-cell arrays of the response table
-TABLE_ARRAYS = ("node_p", "node_slope", "node_curv")
-
-
-def fill_table(response, cells):
-    """Evaluate the table cells marked in ``cells`` (nodes x T) exactly."""
-    k, t = np.nonzero(cells)
-    (response.node_p[cells], response.node_slope[cells],
-     response.node_curv[cells]) = response._rows(t, _GRID_LO + _GRID_STEP * k,
-                                                 derivatives=2)
-    response.filled |= cells
-    response.ready = response.filled[:-1] & response.filled[1:]
-    response._coefficients(np.flatnonzero(response.ready))
+def build_table(response):
+    """``response`` with every block of its table built."""
+    response._build(np.arange(response.ready.size))
+    return response
 
 
 def stacked_shift(objective, theta):
@@ -345,7 +353,7 @@ class TestEvaluationOracle:
             assert np.array_equal(new.layout.shift(deltas[0]), shift[0])
             if beyond_grid is not None:
                 assert (np.abs(shift).max() > GRID_HI) == beyond_grid
-            # twice, so the second evaluation reads cells the first filled
+            # twice, so the second evaluation reads blocks the first built
             for _ in range(2):
                 got = new.value_and_gradient(theta)
                 want = per_record.objective_value_and_gradient(old, theta)
