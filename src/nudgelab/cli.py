@@ -270,7 +270,11 @@ def save_posterior(posterior: PopulationPosterior, path, fingerprint: str):
 
 def load_posterior(path) -> PopulationPosterior:
     """Rebuild a stored posterior; the ensemble is redrawn from its seed."""
-    path = Path(path)
+    return PopulationPosterior.from_moments(*_posterior_moments(Path(path)))
+
+
+def _posterior_moments(path: Path):
+    """A stored posterior's checked (mean, variance, ensemble_size, seed)."""
     if not path.exists():
         raise DataValidationError(
             f"population posterior missing: {path} (run fit-population first)"
@@ -297,7 +301,7 @@ def load_posterior(path) -> PopulationPosterior:
             f"lists of n_features + 1 finite values, every variance and "
             f"ensemble_size must be positive and seed must be nonnegative"
         )
-    return PopulationPosterior.from_moments(mean, variance, size, seed=seed)
+    return mean, variance, size, seed
 
 
 # What parsing a hand-editable artifact raises on bad content: a missing key,
@@ -453,14 +457,15 @@ def _cmd_fit_population(config: RunConfig) -> list[str]:
 
 
 def _configured_posterior(config: RunConfig) -> PopulationPosterior:
-    """The stored posterior; it must hold ``mc_ensemble_size`` members."""
+    """The stored posterior; it must hold ``mc_ensemble_size`` members,
+    which is checked before any member is drawn."""
     path = Path(config.out_dir) / "posterior.json"
-    posterior = load_posterior(path)
-    if posterior.ensemble_size != config.mc_ensemble_size:
+    mean, variance, size, seed = _posterior_moments(path)
+    if size != config.mc_ensemble_size:
         raise DataValidationError(
-            f"population posterior {path} holds {posterior.ensemble_size} "
-            f"members, but mc_ensemble_size is {config.mc_ensemble_size}")
-    return posterior
+            f"population posterior {path} holds {size} members, but "
+            f"mc_ensemble_size is {config.mc_ensemble_size}")
+    return PopulationPosterior.from_moments(mean, variance, size, seed=seed)
 
 
 def _collapsed(posterior: PopulationPosterior) -> PopulationPosterior:

@@ -7,11 +7,13 @@ unconstrained reparameterizations (free signed scale, softplus
 magnitudes) by multi-restart Adam; every subject and restart of one call
 runs in a single stacked Adam loop.  Gradients are analytic, exact for
 the frozen-sample objective; inside the Adam loop a large ensemble's
-response is interpolated from a per-trial table of the exact response,
+response is interpolated from a table of the exact response, one per
+distinct trial (copies of a trial stacked by several subjects share it),
 built a block of intervals at a time when the fit first reads one of them,
-and the gradient is exact for that interpolant.  The table keeps each
-interval's six coefficients in one row of an (intervals, 6) array, so a
-lookup is one gather.  An evaluation works on (restarts, trials) arrays:
+and the gradient is exact for that interpolant.  The table packs each
+built interval's six coefficients as one row of a growing array and keeps
+each interval's row number in a slot, so a lookup is one gather of slots
+and one of coefficients.  An evaluation works on (restarts, trials) arrays:
 each trial's shift comes from one gather of its block's shift vector and
 one add per feature, and the gradient's block sums are one ``bincount``.  An
 explanation trial's probability is linear in the attention weight, so
@@ -112,15 +114,18 @@ class NudgeFitResult:
 class _EnsembleResponse(EnsembleResponse):
     """``EnsembleResponse`` with, for an ensemble of at least
     ``_TABULATE_MIN_MEMBERS`` members, a table of it on a fixed grid of
-    shifts.
+    shifts, one per distinct trial (row).
 
     ``interpolated`` evaluates the quintic Hermite interpolant of p_t and
     its slope between the grid's nodes; a shift off the grid is evaluated
-    exactly, for that trial only.  A lookup that reads an interval not yet
-    ``ready`` (intervals x T) builds its block of ``_BLOCK`` intervals of
-    that trial, so a fit pays only for the blocks it visits.  ``coef``
-    (intervals x 6, interval-major) holds each built interval's polynomial
-    coefficients, so a lookup gathers an interval's six at once.
+    exactly, for that trial only.  A lookup that reads an interval whose
+    ``slot`` (intervals x rows, interval-major) is still -1 builds its
+    block of ``_BLOCK`` intervals of that row, so a fit pays only for the
+    blocks it visits.  Each built interval's polynomial coefficients are
+    one row of ``coef`` (built x 6, packed in build order; the array grows
+    by doubling and rows from ``built`` on are spare), and its slot is that
+    row, so a lookup gathers the slots and then every interval's six
+    coefficients at once.
     """
 
     def __init__(self, ensemble: np.ndarray, features: np.ndarray,
@@ -128,9 +133,11 @@ class _EnsembleResponse(EnsembleResponse):
         super().__init__(ensemble, features, initial, min_chunk)
         self.tabulated = len(ensemble) >= _TABULATE_MIN_MEMBERS
         if self.tabulated:
-            self.ready = np.zeros((_GRID_NODES - 1, len(features)), dtype=bool)
-            # row k * T + t: interval (k, t)'s coefficients of u^0 .. u^5
-            self.coef = np.full((self.ready.size, 6), np.nan)
+            # slot k * rows + r: the coef row of interval k of row r
+            self.slot = np.full((_GRID_NODES - 1) * len(self.base), -1, dtype=np.intp)
+            # row 0 is always finite, for the off-grid lookups to read
+            self.coef = np.zeros((_BLOCK, 6))
+            self.built = 0
 
     def interpolated(self, shift: np.ndarray):
         """(p, dp/dc) from the table, for shifts of shape (..., T)."""
@@ -143,15 +150,17 @@ class _EnsembleResponse(EnsembleResponse):
             node[off] = 0.0
             u[off] = 0.0
         u -= node
-        at = node.astype(np.intp) * self.columns.size + self.columns
-        ready = self.ready.take(at)
+        at = node.astype(np.intp) * len(self.base) + self.columns
+        slot = self.slot.take(at)
         if not all_on_grid:
-            ready |= off
-        if not ready.all():
-            self._build(at[~ready])
+            slot[off] = 0
+        missing = slot < 0
+        if missing.any():
+            self._build(at[missing])
+            slot[missing] = self.slot.take(at[missing])
         # p = sum_j coef_j u^j and dp/du, by Horner's rule on the columns
         # of one gather, flattened
-        coef = self.coef.take(at.ravel(), axis=0).T                      # (6, ... * T)
+        coef = self.coef.take(slot.ravel(), axis=0).T                    # (6, ... * T)
         u = u.ravel()
         p = coef[5] * u
         dp_du = 5.0 * coef[5]
@@ -164,31 +173,37 @@ class _EnsembleResponse(EnsembleResponse):
         p = p.reshape(shift.shape)
         dp_dc = (dp_du / _GRID_STEP).reshape(shift.shape)
         if not all_on_grid:
-            p[off], dp_dc[off], _ = self._rows(np.nonzero(off)[-1], shift[off])
+            p[off], dp_dc[off], _ = self._rows(self.columns[np.nonzero(off)[-1]],
+                                               shift[off])
         return p, dp_dc
 
     def _build(self, at):
         """Build the blocks that hold the (flat) intervals ``at``: evaluate
-        each block's nodes exactly and set each of its intervals' ``coef``
-        to the quintic Hermite polynomial in u = (c - c_k) / step that
+        each block's nodes exactly and pack each of its intervals' ``coef``
+        row, the quintic Hermite polynomial in u = (c - c_k) / step that
         matches p, step * dp/dc and step^2 * d2p/dc2 at both ends."""
-        n_trials = self.columns.size
-        k, t = np.divmod(at, n_trials)
-        block, t = np.divmod(np.unique(k // _BLOCK * n_trials + t), n_trials)
+        n_rows = len(self.base)
+        k, r = np.divmod(at, n_rows)
+        block, r = np.divmod(np.unique(k // _BLOCK * n_rows + r), n_rows)
         k = block[:, None] * _BLOCK + np.arange(_BLOCK + 1)            # (blocks, nodes)
         p, slope, curv = (values.reshape(k.shape) for values in self._rows(
-            np.repeat(t, _BLOCK + 1), _GRID_LO + _GRID_STEP * k.ravel(),
+            np.repeat(r, _BLOCK + 1), _GRID_LO + _GRID_STEP * k.ravel(),
             derivatives=2))
         d, s = _GRID_STEP * slope, _GRID_STEP ** 2 * curv
         p0, d0, d1, s0, s1 = p[:, :-1], d[:, :-1], d[:, 1:], s[:, :-1], s[:, 1:]
         rise = np.diff(p)
-        intervals = k[:, :-1] * n_trials + t[:, None]                  # (blocks, _BLOCK)
-        self.coef[intervals] = np.stack((
+        start, end = self.built, self.built + p0.size
+        if end > len(self.coef):
+            grown = np.empty((max(end, 2 * len(self.coef)), 6))
+            grown[:start] = self.coef[:start]
+            self.coef = grown
+        self.coef[start:end] = np.stack((
             p0, d0, 0.5 * s0,
             10.0 * rise - 6.0 * d0 - 4.0 * d1 - 0.5 * (3.0 * s0 - s1),
             -15.0 * rise + 8.0 * d0 + 7.0 * d1 + 0.5 * (3.0 * s0 - 2.0 * s1),
-            6.0 * rise - 3.0 * (d0 + d1) - 0.5 * (s0 - s1)), axis=-1)
-        self.ready.flat[intervals] = True
+            6.0 * rise - 3.0 * (d0 + d1) - 0.5 * (s0 - s1)), axis=-1).reshape(-1, 6)
+        self.slot[(k[:, :-1] * n_rows + r[:, None]).ravel()] = np.arange(start, end)
+        self.built = end
 
 
 class _GroupSum:

@@ -69,22 +69,36 @@ class EnsembleResponse:
     initial one, or all when none does; ``count`` counts them.  Logits are
     summed one feature at a time and every sum over members runs along one
     row, so a trial's values are the same bits whichever trials are
-    stacked with it and however the rows are chunked.  Rows are processed
-    at least ``min_chunk`` at a time.  Every evaluation reads the kept
-    logits ``base`` (T x S).
+    stacked with it and however the rows are chunked.
+
+    So trials that are the same input share one row: ``base`` (rows x S),
+    ``mask`` and ``count`` hold one row per distinct trial, keyed on the
+    bytes of its feature row and, for delayed, its initial decision, in
+    order of first appearance, and ``columns`` (T,) maps each stacked trial
+    to its row.  Without ``share``, and for a one-member ensemble, which
+    has nothing to share and evaluates its one row per trial directly,
+    row t is trial t.  Rows are processed at least ``min_chunk`` at a
+    time.  Every evaluation reads the kept logits.
     """
 
     def __init__(self, ensemble: np.ndarray, features: np.ndarray,
-                 initial: np.ndarray | None = None, min_chunk: int = 1):
+                 initial: np.ndarray | None = None, min_chunk: int = 1,
+                 share: bool = True):
         members = np.ascontiguousarray(ensemble.T)                      # (n+1, S)
-        n_trials, n_members = len(features), len(ensemble)
+        n_members = len(ensemble)
         self.chunk = max(min_chunk, _CHUNK_ELEMENTS // n_members)
-        self.columns = np.arange(n_trials)
+        if share and n_members > 1:
+            first, self.columns = _distinct_rows(features, initial)
+            features = features[first]
+            initial = None if initial is None else initial[first]
+        else:
+            self.columns = np.arange(len(features))
+        n_rows = len(features)
         self.mask = (None if initial is None
-                     else np.empty((n_trials, n_members), dtype=bool))
-        self.count = np.full(n_trials, float(n_members))
-        self.base = np.empty((n_trials, n_members))                     # (T, S)
-        for start in range(0, n_trials, self.chunk):
+                     else np.empty((n_rows, n_members), dtype=bool))
+        self.count = np.full(n_rows, float(n_members))
+        self.base = np.empty((n_rows, n_members))                       # (rows, S)
+        for start in range(0, n_rows, self.chunk):
             part = slice(start, start + self.chunk)
             x = features[part]
             base = np.multiply(x[:, :1], members[0], out=self.base[part])
@@ -114,8 +128,8 @@ class EnsembleResponse:
         return p.reshape(shift.shape), slope.reshape(shift.shape)
 
     def _rows(self, rows, shift, derivatives=1):
-        """Exact (p, dp/dc, d2p/dc2) of trials ``rows`` at ``shift``, one per
-        row; the derivatives past the first ``derivatives`` (0 to 2) are
+        """Exact (p, dp/dc, d2p/dc2) of rows ``rows`` at ``shift``, one per
+        entry; the derivatives past the first ``derivatives`` (0 to 2) are
         None."""
         p = np.empty(rows.size)
         slope = np.empty(rows.size) if derivatives >= 1 else None
@@ -153,24 +167,52 @@ class EnsembleResponse:
         return p, slope, curv
 
 
+def _distinct_rows(features, initial=None):
+    """(first, columns): the index of each distinct trial's first
+    appearance, in order, and each trial's number among them.  A trial is
+    keyed on the bytes of its feature row, plus its initial decision when
+    ``initial`` is given, so two rows that differ in any bit (-0.0 and 0.0
+    included) stay apart."""
+    key = np.ascontiguousarray(features, dtype=float).view(np.uint64)
+    if initial is not None:
+        # the mask reads the initial decision as initial == 1
+        key = np.column_stack([key, initial == 1])
+    width = key.shape[1] * key.itemsize
+    data = key.tobytes()
+    # each trial's row bytes -> the index of their first appearance
+    seen = {}
+    firsts = np.fromiter((seen.setdefault(data[i:i + width], t)
+                          for t, i in enumerate(range(0, len(data), width))),
+                         dtype=np.intp, count=len(key))
+    first = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
+    row = np.empty(len(key), dtype=np.intp)
+    row[first] = np.arange(first.size)
+    return first, row[firsts]
+
+
 def _response_at(ensemble, features, shift, initial=None) -> np.ndarray:
     """The probabilities (T,) of ``EnsembleResponse(ensemble, features,
     initial)`` at ``shift``, without their slopes, built and evaluated one
-    block of trials at a time."""
+    block of trials at a time, one row per trial."""
     block = max(1, _BLOCK_ELEMENTS // len(ensemble))
     p = np.empty(len(features))
     for start in range(0, len(features), block):
         part = slice(start, start + block)
         response = EnsembleResponse(ensemble, features[part],
                                     None if initial is None else initial[part],
-                                    min_chunk=block)
+                                    min_chunk=block, share=False)
         p[part] = response._rows(response.columns, shift[part], derivatives=0)[0]
     return p
 
 
 def _unassisted(ensemble, features) -> np.ndarray:
-    """Each trial's unassisted probability (T,): the response at c = 0."""
-    return _response_at(ensemble, features, np.zeros(len(features)))
+    """Each trial's unassisted probability (T,): the response at c = 0,
+    evaluated once per distinct trial (per trial for one member, which has
+    nothing to share)."""
+    if len(ensemble) == 1:
+        return _response_at(ensemble, features, np.zeros(len(features)))
+    first, columns = _distinct_rows(features)
+    return _response_at(ensemble, features[first], np.zeros(first.size))[columns]
 
 
 def explanation_means(ensemble: np.ndarray, features: np.ndarray,

@@ -132,11 +132,12 @@ def six_take_lookup(response, shift):
     node[off] = 0.0
     u[off] = 0.0
     u -= node
-    at = node.astype(np.intp) * response.columns.size + response.columns
-    ready = response.ready.take(at) | off
-    if not ready.all():
-        response._build(at[~ready])
-    a0, a1, a2, a3, a4, a5 = (column.take(at) for column in response.coef.T)
+    at = node.astype(np.intp) * len(response.base) + response.columns
+    missing = (response.slot.take(at) < 0) & ~off
+    if missing.any():
+        response._build(at[missing])
+    slot = np.where(off, 0, response.slot.take(at))
+    a0, a1, a2, a3, a4, a5 = (column.take(slot) for column in response.coef.T)
     p = a5 * u
     dp_du = 5.0 * a5
     for j, a in ((4, a4), (3, a3), (2, a2), (1, a1)):
@@ -147,7 +148,8 @@ def six_take_lookup(response, shift):
     p += a0
     dp_dc = dp_du / _GRID_STEP
     if off.any():
-        p[off], dp_dc[off], _ = response._rows(np.nonzero(off)[-1], shift[off])
+        p[off], dp_dc[off], _ = response._rows(
+            response.columns[np.nonzero(off)[-1]], shift[off])
     return p, dp_dc
 
 

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nudgelab
-from nudgelab import NudgeParams, SignedSharedSignVector, Treatment
+from nudgelab import NudgeParams, PopulationPosterior, SignedSharedSignVector, Treatment
 from nudgelab.cli import (
     RunConfig,
     load_config,
@@ -441,23 +441,29 @@ class TestCommands:
     def test_posterior_of_another_ensemble_size_is_refused(self, pipeline_dir,
                                                            tmp_path, capsys,
                                                            command):
-        # the stored posterior holds tiny_config's 150 members; fit-nudge
-        # and evaluate also run the one-member ablation, which must not
-        # hide the mismatch
+        # the stored posterior holds tiny_config's 150 members, then more
+        # than can be allocated; fit-nudge and evaluate also run the
+        # one-member ablation, which must not hide the mismatch.  The sizes
+        # are compared before any member is drawn.
         config = dataclasses.replace(_copy_inputs(pipeline_dir, tmp_path / "run"),
                                      treatment="delayed", mc_ensemble_size=50,
                                      deterministic_ablation=command != "learning-curve")
         path = tmp_path / "run" / "posterior.json"
-        stored = path.read_bytes()
-        assert run_pipeline(command, config) == 1
-        error = _single_json_error(capsys)
-        assert error["category"] == "validation"
-        assert str(path) in error["message"]
-        assert "holds 150 members" in error["message"]
-        assert "mc_ensemble_size is 50" in error["message"]
-        assert path.read_bytes() == stored
-        assert sorted(p.name for p in path.parent.iterdir()) == [
-            "behavior.csv", "posterior.json"]
+        huge = dict(json.loads(path.read_text()), ensemble_size=10**12)
+        for size, stored in ((150, path.read_bytes()),
+                             (10**12, json.dumps(huge).encode())):
+            path.write_bytes(stored)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(PopulationPosterior, "from_moments", None)
+                assert run_pipeline(command, config) == 1
+            error = _single_json_error(capsys)
+            assert error["category"] == "validation"
+            assert str(path) in error["message"]
+            assert f"holds {size} members" in error["message"]
+            assert "mc_ensemble_size is 50" in error["message"]
+            assert path.read_bytes() == stored
+            assert sorted(p.name for p in path.parent.iterdir()) == [
+                "behavior.csv", "posterior.json"]
 
     def test_csv_fields_are_quoted(self, tmp_path):
         path = tmp_path / "effects.csv"
@@ -752,13 +758,18 @@ class TestEnsembleTooLarge:
     SIZES = (10**13, 2**60, 2**63, 10**30)
 
     def test_posterior_ensemble_size_exits_one(self, pipeline_dir, tmp_path, capsys):
+        # the configured size matches the stored one, so the draw is reached
         config = _copy_inputs(pipeline_dir, tmp_path / "run")
         path = tmp_path / "run" / "posterior.json"
+        config_path = tmp_path / "config.json"
         stored = json.loads(path.read_text())
         for size in self.SIZES:
             path.write_text(json.dumps(dict(stored, ensemble_size=size)))
+            config_path.write_text(json.dumps({"n_features": 4,
+                                               "mc_ensemble_size": size}))
             for command in ("fit-nudge", "evaluate"):
-                assert main([command, "--out", config.out_dir,
+                assert main([command, "--config", str(config_path),
+                             "--out", config.out_dir,
                              "--data", config.data_path]) == 1
                 error = _single_json_error(capsys)
                 assert error["category"] == "configuration"

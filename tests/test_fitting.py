@@ -181,7 +181,7 @@ class TestResponseTable:
         shift = np.linspace(-BEYOND_GRID, BEYOND_GRID, 4001)[:, None] + offsets
         p, _ = response.interpolated(shift)
         p_exact, _ = response.exact(shift)
-        assert response.ready.all()
+        assert (response.slot >= 0).all()
         assert np.max(np.abs(p - p_exact)) <= 1e-9
 
     def test_extreme_shifts_saturate_without_warnings(self):
@@ -213,9 +213,10 @@ class TestResponseTable:
             for got, want in zip(lazy.interpolated(shift),
                                  eager.interpolated(shift)):
                 assert np.array_equal(got, want)
-        ready = lazy.ready.ravel()
-        assert np.array_equal(lazy.coef[ready], eager.coef[ready])
-        assert np.isnan(lazy.coef[~ready]).all()
+        table = dense_table(lazy)
+        ready = lazy.slot >= 0
+        assert np.array_equal(table[ready], dense_table(eager)[ready])
+        assert np.isnan(table[~ready]).all()
 
     @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
     def test_stacked_fit_builds_only_the_blocks_it_reads(self, treatment):
@@ -227,11 +228,11 @@ class TestResponseTable:
                                            treatment) for _ in range(2))
         _minimize(objective, FitConfig(iterations=60, restarts=4), [1, 2, 3])
         response = objective.response
-        ready = response.ready.ravel()
+        ready = response.slot >= 0
         assert ready.any() and not ready.all()
-        eager = build_table(fresh.response)
-        assert np.array_equal(response.coef[ready], eager.coef[ready])
-        assert np.isnan(response.coef[~ready]).all()
+        table, eager = dense_table(response), dense_table(build_table(fresh.response))
+        assert np.array_equal(table[ready], eager[ready])
+        assert np.isnan(table[~ready]).all()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -243,8 +244,8 @@ class TestResponseTable:
     )
     def test_ready_marks_the_blocks_each_lookup_reads(self, treatment, seed,
                                                       lookups):
-        # per trial, a lookup marks ready exactly the _BLOCK intervals of
-        # each block it reads on the grid
+        # per trial, a lookup builds exactly the _BLOCK intervals of each
+        # block it reads on the grid, one packed row each
         response = response_objective(treatment, seed, False).response
         blocks = np.zeros(((_GRID_NODES - 1) // _BLOCK, 12), dtype=bool)
         for shifts in lookups:
@@ -254,7 +255,9 @@ class TestResponseTable:
             trial = np.broadcast_to(np.arange(12), shift.shape)
             blocks[node[read].astype(int) // _BLOCK, trial[read]] = True
             response.interpolated(shift)
-            assert np.array_equal(response.ready, np.repeat(blocks, _BLOCK, axis=0))
+            ready = (response.slot >= 0).reshape(_GRID_NODES - 1, 12)
+            assert np.array_equal(ready, np.repeat(blocks, _BLOCK, axis=0))
+            assert response.built == _BLOCK * blocks.sum()
         # every interval of a repeated lookup is ready, so it builds nothing
         expected = response.interpolated(shift)
 
@@ -288,8 +291,19 @@ class TestResponseTable:
 
 def build_table(response):
     """``response`` with every block of its table built."""
-    response._build(np.arange(response.ready.size))
+    response._build(np.arange(response.slot.size))
     return response
+
+
+def dense_table(response):
+    """The packed table as (intervals, 6) coefficient rows, interval-major,
+    NaN where no block is built; the packed rows must be exactly the built
+    intervals' rows, one each."""
+    ready = response.slot >= 0
+    assert np.array_equal(np.sort(response.slot[ready]), np.arange(response.built))
+    table = np.full((response.slot.size, 6), np.nan)
+    table[ready] = response.coef[response.slot[ready]]
+    return table
 
 
 def stacked_shift(objective, theta):
@@ -413,6 +427,41 @@ class TestStackedFit:
                 assert single.train_nll == other.train_nll
                 assert single.restart_index == other.restart_index
                 assert single.converged == other.converged
+
+    @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
+    def test_copies_of_a_subject_share_its_rows_and_blocks(self, treatment):
+        # K copies of one subject stack K times its trials but keep one row
+        # per distinct trial, whose table blocks every copy reads; each copy
+        # fits to the bits it gets alone.  At this seed both treatments'
+        # fits reach shifts past the grid (|c| 31 and 36).
+        trials = make_trials(treatment, scaled_params(treatment, LARGEST_SCALE),
+                             seed=3, n_trials=14)
+        model = make_posterior(size=200)
+        seeds = [1, 2, 3, 4]
+        alone, stacked = (NudgeObjective(sets, model.ensemble, treatment)
+                          for sets in ([trials], [trials] * len(seeds)))
+        rows = len(alone.response.base)
+        assert rows == len(np.unique(trials.features, axis=0)) == 14
+        assert np.array_equal(stacked.response.base, alone.response.base)
+        assert np.array_equal(stacked.response.columns,
+                              np.tile(alone.response.columns, len(seeds)))
+        config = FitConfig(iterations=40, restarts=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitting, "_LEARNING_RATE", 0.3)
+            _minimize(stacked, config, seeds)
+            fits = fit_nudge_batch([trials] * len(seeds), model, treatment, config,
+                                   seeds)
+            for fit, s in zip(fits, seeds):
+                single = fit_nudge_batch([trials], model, treatment, config, [s])[0]
+                assert np.array_equal(fit.theta, single.theta)
+                assert fit.train_nll == single.train_nll
+        response = stacked.response
+        ready = (response.slot >= 0).reshape(-1, _BLOCK, rows)
+        assert ready.any()
+        # a block is built whole or not at all, with _BLOCK packed rows
+        assert np.array_equal(ready.all(axis=1), ready.any(axis=1))
+        assert response.built == _BLOCK * ready.all(axis=1).sum()
+        dense_table(response)
 
     @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
     def test_large_scales_reach_beyond_the_grid(self, treatment):

@@ -1,6 +1,8 @@
 """Nudge predictors: the ensemble response kernel, shifts, filtering,
 attention mixtures, batched scoring."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from nudgelab import (
     UsageError,
     decision_probability,
 )
+from nudgelab import nudge
 from nudgelab.nudge import EnsembleResponse
 
 from conftest import (
@@ -413,3 +416,68 @@ class TestZeroNudgeProperty:
                                        ensemble=post.ensemble[mask[t]], seed=0)
             assert delayed[t] == pytest.approx(
                 unassisted(kept, features[t:t + 1])[0], rel=0, abs=1e-15)
+
+
+class TestSharedRows:
+    def test_rows_are_keyed_on_bytes_and_the_initial_decision(self):
+        # -0.0 and 0.0 compare equal but are other input bits, and a delayed
+        # trial's initial decision picks its mask: either keeps a row apart
+        post = random_posterior(np.random.default_rng(3), 2, size=20)
+        features = np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [-0.0, 0.5],
+                             [0.3, 0.5]])
+        response = EnsembleResponse(post.ensemble, features)
+        assert response.columns.tolist() == [0, 1, 0, 1, 2]
+        assert np.array_equal(response.base,
+                              EnsembleResponse(post.ensemble, features[[0, 1, 4]]).base)
+        same = np.tile([0.2, 0.5], (5, 1))
+        delayed = EnsembleResponse(post.ensemble, same, np.array([0, 1, 0, 1, 1]))
+        assert delayed.columns.tolist() == [0, 1, 0, 1, 1]
+        assert delayed.mask.shape == (2, 20)
+        # one member has nothing to share: one row per trial
+        point = singleton_posterior([1.0, -1.0])
+        assert EnsembleResponse(point.ensemble, same).columns.tolist() == [0, 1, 2, 3, 4]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           members=st.sampled_from([1, 2, 37, 300]), trials=st.integers(1, 5),
+           delayed=st.booleans(), min_chunk=st.integers(1, 30),
+           chunk_elements=st.sampled_from([1, 50, 4096]),
+           block_elements=st.sampled_from([1, 300, 1 << 14]),
+           spread=st.floats(0.0, 30.0))
+    def test_a_trials_values_do_not_depend_on_its_stack(
+            self, seed, n, members, trials, delayed, min_chunk, chunk_elements,
+            block_elements, spread):
+        # each trial stacked 1-4 times in a random order, each copy at its
+        # own shift, under any chunking: every value (p, slope, curvature;
+        # the scored and the unassisted probability) is the bits of the
+        # trial alone at that shift
+        rng = np.random.default_rng(seed)
+        ensemble = spread * rng.normal(0, 1, (members, n + 1))
+        features = rng.random((trials, n))
+        initial = rng.integers(0, 2, trials) if delayed else None
+        copies = rng.permutation(np.repeat(np.arange(trials),
+                                           rng.integers(1, 5, trials)))
+        shift = rng.normal(0.0, 3.0, copies.size)
+        shift[rng.random(copies.size) < 0.3] = 0.0
+        pick = None if initial is None else initial[copies]
+
+        def alone(t, c):
+            x, first = features[t:t + 1], None if initial is None else initial[t:t + 1]
+            one = EnsembleResponse(ensemble, x, first)
+            p, slope, curv = one._rows(np.zeros(1, dtype=np.intp), np.array([c]), 2)
+            return (p, slope, p, slope, curv,
+                    nudge._response_at(ensemble, x, np.array([c]), first),
+                    nudge._unassisted(ensemble, x))
+
+        with mock.patch.object(nudge, "_CHUNK_ELEMENTS", chunk_elements), \
+                mock.patch.object(nudge, "_BLOCK_ELEMENTS", block_elements):
+            response = EnsembleResponse(ensemble, features[copies], pick,
+                                        min_chunk=min_chunk)
+            got = (*response.exact(shift),
+                   *response._rows(response.columns, shift, 2),
+                   nudge._response_at(ensemble, features[copies], shift, pick),
+                   nudge._unassisted(ensemble, features[copies]))
+        assert len(response.base) == (trials if members > 1 else copies.size)
+        for i, (t, c) in enumerate(zip(copies, shift)):
+            for a, b in zip(got, alone(t, c)):
+                assert np.array_equal(a[i:i + 1].view(np.uint64), b.view(np.uint64))

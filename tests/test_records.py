@@ -468,9 +468,9 @@ class TestIngestOracle:
            ending=st.sampled_from(["\n", "\r\n"]))
     def test_same_records_and_errors_as_per_row_parsing(self, tmp_path, lines,
                                                         ending):
-        # ingest reads every line with one csv reader and positional fields;
-        # records, messages, line numbers and --skip-invalid drops must be
-        # those of the old per-line, per-dict loop
+        # ingest parses each line with its own csv reader into positional
+        # fields; records, messages, line numbers and --skip-invalid drops
+        # must be those of the old per-line, per-dict loop
         path = tmp_path / "rows.csv"
         path.write_bytes(ending.join([",".join(csv_header(3)), *lines, ""])
                          .encode("utf-8"))
