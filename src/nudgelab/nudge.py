@@ -75,19 +75,18 @@ class EnsembleResponse:
     ``mask`` and ``count`` hold one row per distinct trial, keyed on the
     bytes of its feature row and, for delayed, its initial decision, in
     order of first appearance, and ``columns`` (T,) maps each stacked trial
-    to its row.  Without ``share``, and for a one-member ensemble, which
-    has nothing to share and evaluates its one row per trial directly,
-    row t is trial t.  Rows are processed at least ``min_chunk`` at a
-    time.  Every evaluation reads the kept logits.
+    to its row.  A one-member ensemble evaluates one row per trial
+    directly (``exact``) and keys nothing, so there row t is trial t.  Rows
+    are processed at least ``min_chunk`` at a time.  Every evaluation reads
+    the kept logits.
     """
 
     def __init__(self, ensemble: np.ndarray, features: np.ndarray,
-                 initial: np.ndarray | None = None, min_chunk: int = 1,
-                 share: bool = True):
+                 initial: np.ndarray | None = None, min_chunk: int = 1):
         members = np.ascontiguousarray(ensemble.T)                      # (n+1, S)
         n_members = len(ensemble)
         self.chunk = max(min_chunk, _CHUNK_ELEMENTS // n_members)
-        if share and n_members > 1:
+        if n_members > 1:
             first, self.columns = _distinct_rows(features, initial)
             features = features[first]
             initial = None if initial is None else initial[first]
@@ -193,24 +192,21 @@ def _distinct_rows(features, initial=None):
 def _response_at(ensemble, features, shift, initial=None) -> np.ndarray:
     """The probabilities (T,) of ``EnsembleResponse(ensemble, features,
     initial)`` at ``shift``, without their slopes, built and evaluated one
-    block of trials at a time, one row per trial."""
+    block of trials at a time."""
     block = max(1, _BLOCK_ELEMENTS // len(ensemble))
     p = np.empty(len(features))
     for start in range(0, len(features), block):
         part = slice(start, start + block)
         response = EnsembleResponse(ensemble, features[part],
                                     None if initial is None else initial[part],
-                                    min_chunk=block, share=False)
+                                    min_chunk=block)
         p[part] = response._rows(response.columns, shift[part], derivatives=0)[0]
     return p
 
 
 def _unassisted(ensemble, features) -> np.ndarray:
     """Each trial's unassisted probability (T,): the response at c = 0,
-    evaluated once per distinct trial (per trial for one member, which has
-    nothing to share)."""
-    if len(ensemble) == 1:
-        return _response_at(ensemble, features, np.zeros(len(features)))
+    evaluated once per distinct trial."""
     first, columns = _distinct_rows(features)
     return _response_at(ensemble, features[first], np.zeros(first.size))[columns]
 
