@@ -75,6 +75,14 @@ _ASSISTED = tuple(t for t, branches in TREATMENT_BRANCHES.items() if branches)
 # Numeric settings that may be zero; every other one must be positive.
 _MAY_BE_ZERO = ("seed", "nudge_l2_penalty", "sim_noise_temperature")
 
+# The settings that shape the population posterior beside its seed and
+# ensemble size, which posterior.json holds as ``seed`` and ``ensemble_size``.
+# posterior.json records them and a command that reads it compares only
+# these three: one posterior serves every command of a run, whatever its
+# --treatment or --deterministic-ablation.
+_POSTERIOR_SETTINGS = ("prior_variance", "population_iterations",
+                       "population_train_samples")
+
 
 def _has_type(value, hint) -> bool:
     """Whether a config value (as JSON loads it) fits a field's annotation."""
@@ -181,6 +189,10 @@ class RunConfig:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
+    def posterior_settings(self) -> dict:
+        """The values of ``_POSTERIOR_SETTINGS``, by name."""
+        return {name: getattr(self, name) for name in _POSTERIOR_SETTINGS}
+
     def population_config(self) -> PopulationFitConfig:
         return PopulationFitConfig(
             iterations=self.population_iterations,
@@ -252,11 +264,16 @@ def write_csv(path, header, rows, fingerprint, comments=()):
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def save_posterior(posterior: PopulationPosterior, path, fingerprint: str):
+def save_posterior(posterior: PopulationPosterior, path, fingerprint: str,
+                   settings: dict):
+    """Write the posterior's moments, with the fingerprint of the config
+    and the posterior settings (``RunConfig.posterior_settings``) that
+    fitted it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "config_fingerprint": fingerprint,
+        "population_settings": settings,
         "n_features": posterior.n_features,
         "mean": [float(v) for v in posterior.mean],
         "variance": [float(v) for v in posterior.variance],
@@ -270,11 +287,12 @@ def save_posterior(posterior: PopulationPosterior, path, fingerprint: str):
 
 def load_posterior(path) -> PopulationPosterior:
     """Rebuild a stored posterior; the ensemble is redrawn from its seed."""
-    return PopulationPosterior.from_moments(*_posterior_moments(Path(path)))
+    return PopulationPosterior.from_moments(*_posterior_moments(Path(path))[:4])
 
 
 def _posterior_moments(path: Path):
-    """A stored posterior's checked (mean, variance, ensemble_size, seed)."""
+    """A stored posterior's checked (mean, variance, ensemble_size, seed),
+    and its ``population_settings`` as stored (None when absent)."""
     if not path.exists():
         raise DataValidationError(
             f"population posterior missing: {path} (run fit-population first)"
@@ -290,6 +308,7 @@ def _posterior_moments(path: Path):
                             ("n_features", n_features)):
             if not _has_type(value, int):
                 raise TypeError(f"{name} must be a JSON integer, got {value!r}")
+        settings = payload.get("population_settings")
     except _MALFORMED as exc:
         raise _malformed("population posterior", path, exc) from exc
     if (mean.ndim != 1 or variance.shape != mean.shape
@@ -301,7 +320,7 @@ def _posterior_moments(path: Path):
             f"lists of n_features + 1 finite values, every variance and "
             f"ensemble_size must be positive and seed must be nonnegative"
         )
-    return mean, variance, size, seed
+    return mean, variance, size, seed, settings
 
 
 # What parsing a hand-editable artifact raises on bad content: a missing key,
@@ -452,19 +471,35 @@ def _cmd_fit_population(config: RunConfig) -> list[str]:
     posterior = fit_population(independent.features, independent.final_decision,
                                config.population_config())
     path = Path(config.out_dir) / "posterior.json"
-    save_posterior(posterior, path, config.fingerprint())
+    save_posterior(posterior, path, config.fingerprint(), config.posterior_settings())
     return [str(path)]
 
 
 def _configured_posterior(config: RunConfig) -> PopulationPosterior:
-    """The stored posterior; it must hold ``mc_ensemble_size`` members,
-    which is checked before any member is drawn."""
+    """The stored posterior; it must hold ``mc_ensemble_size`` members and
+    have been fitted under the run's seed and posterior settings, which is
+    checked before any member is drawn."""
     path = Path(config.out_dir) / "posterior.json"
-    mean, variance, size, seed = _posterior_moments(path)
+    mean, variance, size, seed, settings = _posterior_moments(path)
     if size != config.mc_ensemble_size:
         raise DataValidationError(
             f"population posterior {path} holds {size} members, but "
             f"mc_ensemble_size is {config.mc_ensemble_size}")
+    if seed != config.seed:
+        raise DataValidationError(
+            f"population posterior {path} was fitted with seed = {seed}, but "
+            f"the config has seed = {config.seed}")
+    if not isinstance(settings, dict):
+        raise DataValidationError(
+            f"malformed population posterior {path}: population_settings must "
+            f"be a JSON object of the settings that fitted it")
+    hints = typing.get_type_hints(RunConfig)
+    for name, value in config.posterior_settings().items():
+        stored = settings.get(name)
+        if not (_has_type(stored, hints[name]) and stored == value):
+            raise DataValidationError(
+                f"population posterior {path} was fitted with {name} = "
+                f"{json.dumps(stored)}, but the config has {name} = {json.dumps(value)}")
     return PopulationPosterior.from_moments(mean, variance, size, seed=seed)
 
 

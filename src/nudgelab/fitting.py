@@ -10,13 +10,17 @@ the frozen-sample objective; inside the Adam loop a large ensemble's
 response is interpolated from a table of the exact response, one per
 distinct trial (copies of a trial stacked by several subjects share it),
 built a block of intervals at a time when the fit first reads one of them,
-and the gradient is exact for that interpolant.  The table packs each
-built interval's six coefficients as one row of a growing array and keeps
-each interval's row number in a slot, so a lookup is one gather of slots
-and one of coefficients.  An evaluation works on (restarts, trials) arrays:
-each trial's shift comes from one gather of its block's shift vector and
-one add per feature, and the gradient's block sums are one ``bincount``.  An
-explanation trial's probability is linear in the attention weight, so
+and the gradient is exact for that interpolant.  A block is evaluated
+from its trial's feature row, the row's member logits computed once for
+the block's nodes and then dropped: a fit keeps no trials-by-members
+array.  The table packs each built interval's six coefficients as one row
+of a growing array and keeps each interval's row number in a slot, so a
+lookup is one gather of slots and one of coefficients.  Below the table's
+member count, and in the fit's exact report, a trial's logits are
+computed once for all of its restarts.  An evaluation works on
+(restarts, trials) arrays: each trial's shift comes from one gather of
+its block's shift vector and one add per feature, and the gradient's
+block sums are one ``bincount``.  An explanation trial's probability is linear in the attention weight, so
 its penalized NLL is convex in it and a stacked safeguarded Newton solve
 finds each subject's optimum exactly, with no restarts.  Either way each
 subject's result is the same bits as when it is fitted alone.
@@ -129,12 +133,13 @@ class _EnsembleResponse(EnsembleResponse):
     """
 
     def __init__(self, ensemble: np.ndarray, features: np.ndarray,
-                 initial: np.ndarray | None, min_chunk: int):
-        super().__init__(ensemble, features, initial, min_chunk)
+                 initial: np.ndarray | None):
+        super().__init__(ensemble, features, initial)
         self.tabulated = len(ensemble) >= _TABULATE_MIN_MEMBERS
         if self.tabulated:
             # slot k * rows + r: the coef row of interval k of row r
-            self.slot = np.full((_GRID_NODES - 1) * len(self.base), -1, dtype=np.intp)
+            self.slot = np.full((_GRID_NODES - 1) * len(self.features), -1,
+                                dtype=np.intp)
             # row 0 is always finite, for the off-grid lookups to read
             self.coef = np.zeros((_BLOCK, 6))
             self.built = 0
@@ -150,7 +155,7 @@ class _EnsembleResponse(EnsembleResponse):
             node[off] = 0.0
             u[off] = 0.0
         u -= node
-        at = node.astype(np.intp) * len(self.base) + self.columns
+        at = node.astype(np.intp) * len(self.features) + self.columns
         slot = self.slot.take(at)
         if not all_on_grid:
             slot[off] = 0
@@ -173,22 +178,23 @@ class _EnsembleResponse(EnsembleResponse):
         p = p.reshape(shift.shape)
         dp_dc = (dp_du / _GRID_STEP).reshape(shift.shape)
         if not all_on_grid:
-            p[off], dp_dc[off], _ = self._rows(self.columns[np.nonzero(off)[-1]],
-                                               shift[off])
+            p[off], dp_dc[off] = (values[:, 0] for values in self._rows(
+                self.columns[np.nonzero(off)[-1]], shift[off][:, None])[:2])
         return p, dp_dc
 
     def _build(self, at):
         """Build the blocks that hold the (flat) intervals ``at``: evaluate
         each block's nodes exactly and pack each of its intervals' ``coef``
         row, the quintic Hermite polynomial in u = (c - c_k) / step that
-        matches p, step * dp/dc and step^2 * d2p/dc2 at both ends."""
-        n_rows = len(self.base)
+        matches p, step * dp/dc and step^2 * d2p/dc2 at both ends.  A
+        block's row logits are computed once for its nodes."""
+        n_rows = len(self.features)
         k, r = np.divmod(at, n_rows)
-        block, r = np.divmod(np.unique(k // _BLOCK * n_rows + r), n_rows)
+        # the distinct blocks in order (np.unique would import numpy.ma)
+        key = np.sort(k // _BLOCK * n_rows + r)
+        block, r = np.divmod(key[np.diff(key, prepend=-1) != 0], n_rows)
         k = block[:, None] * _BLOCK + np.arange(_BLOCK + 1)            # (blocks, nodes)
-        p, slope, curv = (values.reshape(k.shape) for values in self._rows(
-            np.repeat(r, _BLOCK + 1), _GRID_LO + _GRID_STEP * k.ravel(),
-            derivatives=2))
+        p, slope, curv = self._rows(r, _GRID_LO + _GRID_STEP * k, derivatives=2)
         d, s = _GRID_STEP * slope, _GRID_STEP ** 2 * curv
         p0, d0, d1, s0, s1 = p[:, :-1], d[:, :-1], d[:, 1:], s[:, :-1], s[:, 1:]
         rise = np.diff(p)
@@ -282,8 +288,7 @@ class NudgeObjective:
             return
         self.n_branches = layout.n_branches
         self.by_block = _GroupSum(layout.block, self.n_subjects * self.n_branches)
-        self.response = _EnsembleResponse(ensemble, layout.features, layout.initial,
-                                          min_chunk=max(layout.sizes))
+        self.response = _EnsembleResponse(ensemble, layout.features, layout.initial)
 
     @property
     def n_params(self) -> int:

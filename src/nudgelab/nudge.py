@@ -19,8 +19,11 @@ function of c_t: ``EnsembleResponse``.  At c = 0 it is the unassisted
 are its values at c = 0 on the masked features.  It is the package's only
 probability code, and ``TreatmentLayout`` is the only code that maps a
 treatment's payload onto it: simulation, the nudge fit and scoring all
-read K subjects' trials through both.  ``decision_probability`` scores the
-``Trials`` of K subjects of one treatment, each at its own parameters.
+read K subjects' trials through both.  It keeps one feature row per
+distinct trial and no member logits: an evaluation computes them for one
+chunk of rows at a time, once for all of each row's shifts, so its memory
+is bounded per chunk.  ``decision_probability`` scores the ``Trials`` of K
+subjects of one treatment, each at its own parameters.
 
 Shift vectors share one sign across coordinates: they are stored as a
 signed scalar times nonnegative magnitudes, so trust (+) versus distrust
@@ -29,6 +32,7 @@ of the AI is a single degree of freedom.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,121 +53,145 @@ __all__ = [
 
 PROBABILITY_EPS = 1e-6
 
-# Member-by-trial temporaries hold at most max(min_chunk trials x S, this
-# many) elements.
-_CHUNK_ELEMENTS = 4096
-# A one-off evaluation builds its EnsembleResponse this many member-by-trial
-# elements at a time (128 KB a temporary), so it keeps no T x S array
-# beyond one block.
-_BLOCK_ELEMENTS = 1 << 14
+# No temporary of an evaluation holds more than this many member-by-row
+# elements (256 KB), or one row's: a chunk of rows' member values at their
+# m shifts, or the n feature terms of their logits.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+@contextmanager
+def _unbuffered():
+    """Run ufuncs with numpy's smallest buffer.  An operation that
+    broadcasts a row of S members against a column of per-row values (or
+    the reverse) cannot be iterated as one contiguous loop, and under the
+    default 8,192-element buffer numpy copies its operands through the
+    buffer, which makes it about 4x slower at S = 1,000 than the row-by-row
+    loop it runs once no buffer fits.  Values keep their bits: buffering
+    only copies.  Nothing in this scope casts, which would go 16 elements
+    at a time."""
+    size = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(size)
 
 
 class EnsembleResponse:
     """Each trial's probability as a function of its scalar logit shift c:
-    p_t(c) = sum_s m_ts sigmoid(base_ts + c) / count_t, and dp_t/dc.
+    p_t(c) = sum_s m_ts sigmoid(l_ts + c) / count_t, and dp_t/dc.
 
-    base_ts is member s's logit for trial t (``features`` is T x n; the
-    intercept is the ensemble's last column).  ``mask`` marks the members
-    each trial averages over: all of them, or for the delayed treatment
-    (``initial`` given) those whose own decision matches the trial's
-    initial one, or all when none does; ``count`` counts them.  Logits are
-    summed one feature at a time and every sum over members runs along one
-    row, so a trial's values are the same bits whichever trials are
-    stacked with it and however the rows are chunked.
+    l_ts is member s's logit for trial t (``features`` is T x n; the
+    intercept is the ensemble's last column).  The mask m_ts marks the
+    members each trial averages over: all of them, or for the delayed
+    treatment (``initial`` given) those whose own decision matches the
+    trial's initial one, or all when none does; count_t counts them.
+    Logits are summed one feature at a time and every sum over members runs
+    along one row, so a trial's values are the same bits whichever trials
+    are stacked with it, however many shifts it is evaluated at and however
+    the rows are chunked.
 
-    So trials that are the same input share one row: ``base`` (rows x S),
-    ``mask`` and ``count`` hold one row per distinct trial, keyed on the
-    bytes of its feature row and, for delayed, its initial decision, in
-    order of first appearance, and ``columns`` (T,) maps each stacked trial
-    to its row.  A one-member ensemble evaluates one row per trial
-    directly (``exact``) and keys nothing, so there row t is trial t.  Rows
-    are processed at least ``min_chunk`` at a time.  Every evaluation reads
-    the kept logits.
+    So trials that are the same input share one row: ``features`` and
+    ``initial`` keep one row per distinct trial, keyed on the bytes of its
+    feature row and, for delayed, its initial decision, in order of first
+    appearance, and ``columns`` (T,) maps each stacked trial to its row.
+    Nothing of size rows x S is kept: an evaluation computes a chunk of
+    rows' logits, mask weights and counts (``members_of``) from their
+    features, each row's once for all of its m shifts, so memory is
+    bounded per chunk, not per response.  A one-member ensemble keys
+    nothing, so there row t is trial t, and keeps its T ``logits`` for
+    ``exact`` to read.
     """
 
     def __init__(self, ensemble: np.ndarray, features: np.ndarray,
-                 initial: np.ndarray | None = None, min_chunk: int = 1):
-        members = np.ascontiguousarray(ensemble.T)                      # (n+1, S)
-        n_members = len(ensemble)
-        self.chunk = max(min_chunk, _CHUNK_ELEMENTS // n_members)
-        if n_members > 1:
+                 initial: np.ndarray | None = None):
+        self.members = np.ascontiguousarray(ensemble.T)                 # (n+1, S)
+        if len(ensemble) > 1:
             first, self.columns = _distinct_rows(features, initial)
             features = features[first]
             initial = None if initial is None else initial[first]
         else:
             self.columns = np.arange(len(features))
-        n_rows = len(features)
-        self.mask = (None if initial is None
-                     else np.empty((n_rows, n_members), dtype=bool))
-        self.count = np.full(n_rows, float(n_members))
-        self.base = np.empty((n_rows, n_members))                       # (rows, S)
-        for start in range(0, n_rows, self.chunk):
-            part = slice(start, start + self.chunk)
-            x = features[part]
-            base = np.multiply(x[:, :1], members[0], out=self.base[part])
-            for j in range(1, x.shape[1]):
-                base += x[:, j:j + 1] * members[j]
-            base += members[-1]
-            if initial is not None:
-                weight = self.mask[part]
-                np.equal(base >= 0.0, initial[part, None] == 1, out=weight)
-                weight[~weight.any(axis=1)] = True
-                self.count[part] = weight.sum(axis=1)
+        self.features, self.initial = features, initial                 # (rows, n)
+        if len(ensemble) == 1:
+            self.logits = self.members_of(self.columns)[0][:, 0]         # (T,)
+
+    def members_of(self, rows):
+        """The member logits (r, S) of the rows numbered ``rows`` (r,), the
+        weight (0.0 or 1.0) of each in its row's average (None: all 1.0)
+        and the rows' counts of kept members (r,)."""
+        x = self.features[rows]
+        # summed one feature at a time, the intercept last: a reduction
+        # along a middle axis adds its slices in order
+        logits = np.add.reduce(np.multiply(x[:, :, None], self.members[:-1]), axis=1)
+        logits += self.members[-1]
+        if self.initial is None:
+            return logits, None, np.full(len(x), float(logits.shape[1]))
+        # a member is kept where its decision (logit >= 0) is the initial
+        # one, or every member where none is
+        weight = np.equal(logits >= 0.0, self.initial[rows, None] == 1).astype(float)
+        count = weight.sum(axis=1)
+        if not count.all():
+            weight[count == 0.0] = 1.0
+            count[count == 0.0] = len(self.members[0])
+        return logits, weight, count
 
     def exact(self, shift: np.ndarray):
         """(p, dp/dc) for shifts of shape (..., T)."""
-        if self.base.shape[1] == 1:
+        if len(self.members[0]) == 1:
             # one member, always kept: the same bits as the member loop,
             # whose one-term sums, x True masks and / 1.0 counts are exact
             with np.errstate(over="ignore"):
-                p = np.exp(np.subtract(-shift, self.base[:, 0]))
+                p = np.exp(np.subtract(-shift, self.logits))
             p += 1.0
             np.reciprocal(p, out=p)
             slope = np.subtract(1.0, p)
             slope *= p
             return p, slope
-        rows = np.broadcast_to(self.columns, shift.shape)
-        p, slope, _ = self._rows(rows.ravel(), shift.ravel())
-        return p.reshape(shift.shape), slope.reshape(shift.shape)
+        # each trial's R shifts are one entry of its row
+        p, slope, _ = self._rows(self.columns,
+                                 shift.reshape(-1, shift.shape[-1]).T)
+        return p.T.reshape(shift.shape), slope.T.reshape(shift.shape)
 
     def _rows(self, rows, shift, derivatives=1):
-        """Exact (p, dp/dc, d2p/dc2) of rows ``rows`` at ``shift``, one per
-        entry; the derivatives past the first ``derivatives`` (0 to 2) are
-        None."""
-        p = np.empty(rows.size)
-        slope = np.empty(rows.size) if derivatives >= 1 else None
-        curv = np.empty(rows.size) if derivatives >= 2 else None
-        for start in range(0, rows.size, self.chunk):
-            part = slice(start, start + self.chunk)
-            take = rows[part]
-            member = self.base[take]
-            # -x = -shift - base: the same bits as -(base + shift)
-            np.subtract(-shift[part, None], member, out=member)
-            # sigmoid = 1 / (1 + e^-x) in place, the formula of
-            # _util.sigmoid; e^-x overflows to inf where sigmoid is 0
-            with np.errstate(over="ignore"):
+        """Exact (p, dp/dc, d2p/dc2), each (r, m), of the rows numbered
+        ``rows`` (r,) at their shifts ``shift`` (r, m); the derivatives past
+        the first ``derivatives`` (0 to 2) are None.  Rows are taken a chunk
+        at a time, and each row's logits are computed once for its m
+        shifts."""
+        values = [np.empty(shift.shape) for _ in range(derivatives + 1)]
+        # a chunk's largest temporaries: its member values at the m shifts,
+        # and the n feature terms of its logits
+        width = max(shift.shape[1], len(self.members) - 1)
+        step = max(1, _CHUNK_ELEMENTS // (width * len(self.members[0])))
+        with _unbuffered(), np.errstate(over="ignore"):
+            for start in range(0, len(rows), step):
+                part = slice(start, start + step)
+                logits, weight, count = self.members_of(rows[part])
+                count = count[:, None]
+                # -x = -shift - logit: the same bits as -(logit + shift)
+                member = np.subtract(-shift[part, :, None], logits[:, None])  # (r, m, S)
+                # sigmoid = 1 / (1 + e^-x) in place, the formula of
+                # _util.sigmoid; e^-x overflows to inf where sigmoid is 0
                 np.exp(member, out=member)
-            member += 1.0
-            np.reciprocal(member, out=member)
-            weight = None if self.mask is None else self.mask[take]
-            count = self.count[take]
-            if slope is not None:
-                dmember = np.subtract(1.0, member)
-                dmember *= member
-                if weight is not None:
-                    dmember *= weight
-                slope[part] = dmember.sum(axis=1) / count
-            if weight is not None:
-                member *= weight
-            p[part] = member.sum(axis=1) / count
-            if curv is not None:
-                # sigmoid'' = sigmoid (1 - sigmoid) (1 - 2 sigmoid), zero
-                # where the masked dmember is
-                member *= -2.0
                 member += 1.0
-                member *= dmember
-                curv[part] = member.sum(axis=1) / count
-        return p, slope, curv
+                np.reciprocal(member, out=member)
+                if weight is not None:
+                    member *= weight[:, None]
+                values[0][part] = member.sum(axis=-1) / count
+                if derivatives >= 1:
+                    # (1 - s w) s w is (1 - s) s w to the bit, as w is 0 or
+                    # 1 and 0 <= s <= 1
+                    dmember = np.subtract(1.0, member)
+                    dmember *= member
+                    values[1][part] = dmember.sum(axis=-1) / count
+                if derivatives >= 2:
+                    # sigmoid'' = sigmoid (1 - sigmoid) (1 - 2 sigmoid),
+                    # zero where the masked dmember is
+                    member *= -2.0
+                    member += 1.0
+                    member *= dmember
+                    values[2][part] = member.sum(axis=-1) / count
+        return (*values, *[None] * (2 - derivatives))
 
 
 def _distinct_rows(features, initial=None):
@@ -191,24 +219,18 @@ def _distinct_rows(features, initial=None):
 
 def _response_at(ensemble, features, shift, initial=None) -> np.ndarray:
     """The probabilities (T,) of ``EnsembleResponse(ensemble, features,
-    initial)`` at ``shift``, without their slopes, built and evaluated one
-    block of trials at a time."""
-    block = max(1, _BLOCK_ELEMENTS // len(ensemble))
-    p = np.empty(len(features))
-    for start in range(0, len(features), block):
-        part = slice(start, start + block)
-        response = EnsembleResponse(ensemble, features[part],
-                                    None if initial is None else initial[part],
-                                    min_chunk=block)
-        p[part] = response._rows(response.columns, shift[part], derivatives=0)[0]
-    return p
+    initial)`` at ``shift``, without their slopes."""
+    response = EnsembleResponse(ensemble, features, initial)
+    return response._rows(response.columns, shift[:, None], derivatives=0)[0][:, 0]
 
 
 def _unassisted(ensemble, features) -> np.ndarray:
     """Each trial's unassisted probability (T,): the response at c = 0,
     evaluated once per distinct trial."""
-    first, columns = _distinct_rows(features)
-    return _response_at(ensemble, features[first], np.zeros(first.size))[columns]
+    response = EnsembleResponse(ensemble, features)
+    rows = len(response.features)
+    p = response._rows(np.arange(rows), np.zeros((rows, 1)), derivatives=0)[0]
+    return p[response.columns, 0]
 
 
 def explanation_means(ensemble: np.ndarray, features: np.ndarray,

@@ -114,12 +114,44 @@ def layout_shift(layout, deltas):
                                * layout.features).sum(axis=-1)
 
 
+def trial_response(ensemble, features, shift, initial=None):
+    """(p, dp/dc, d2p/dc2) of one trial with feature row ``features`` (n,)
+    at the scalar logit shift ``shift``: each member's logit summed one
+    feature at a time, the members kept for its ``initial`` decision (all
+    of them without one, or when none matches) and every sum over them one
+    1-D sum."""
+    logit = features[0] * ensemble[:, 0]
+    for j in range(1, len(features)):
+        logit += features[j] * ensemble[:, j]
+    logit += ensemble[:, -1]
+    keep = np.ones(len(ensemble), dtype=bool)
+    if initial is not None:
+        keep = (logit >= 0.0) == (initial == 1)
+        if not keep.any():
+            keep[:] = True
+    count = float(keep.sum())
+    s = sigmoid(logit + shift)
+    ds = (1.0 - s) * s * keep
+    kept = s * keep
+    return (kept.sum() / count, ds.sum() / count,
+            ((-2.0 * kept + 1.0) * ds).sum() / count)
+
+
+def stacked_trial_response(response, t, shift):
+    """``trial_response`` of trial t of an ``EnsembleResponse``."""
+    row = response.columns[t]
+    initial = None if response.initial is None else response.initial[row]
+    return trial_response(response.members.T, response.features[row], shift, initial)
+
+
 def member_loop(response, shift):
-    """(p, dp/dc) of an ``EnsembleResponse`` at shifts (..., T), through
-    its member loop whatever its ensemble size."""
-    rows = np.broadcast_to(response.columns, shift.shape)
-    p, slope, _ = response._rows(rows.ravel(), shift.ravel())
-    return p.reshape(shift.shape), slope.reshape(shift.shape)
+    """(p, dp/dc) of an ``EnsembleResponse`` at shifts (..., T), one trial
+    and shift at a time whatever its ensemble size."""
+    p, slope = np.empty(shift.shape), np.empty(shift.shape)
+    for index in np.ndindex(shift.shape):
+        p[index], slope[index], _ = stacked_trial_response(response, index[-1],
+                                                           shift[index])
+    return p, slope
 
 
 def six_take_lookup(response, shift):
@@ -132,7 +164,7 @@ def six_take_lookup(response, shift):
     node[off] = 0.0
     u[off] = 0.0
     u -= node
-    at = node.astype(np.intp) * len(response.base) + response.columns
+    at = node.astype(np.intp) * len(response.features) + response.columns
     missing = (response.slot.take(at) < 0) & ~off
     if missing.any():
         response._build(at[missing])
@@ -147,9 +179,9 @@ def six_take_lookup(response, shift):
         dp_du += j * a
     p += a0
     dp_dc = dp_du / _GRID_STEP
-    if off.any():
-        p[off], dp_dc[off], _ = response._rows(
-            response.columns[np.nonzero(off)[-1]], shift[off])
+    for index in zip(*np.nonzero(off)):
+        p[index], dp_dc[index], _ = stacked_trial_response(response, index[-1],
+                                                           shift[index])
     return p, dp_dc
 
 

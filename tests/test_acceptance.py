@@ -131,7 +131,8 @@ class TestCriterion1ZeroNudgeIdentity:
 
             exact += bool(np.array_equal(p_imm, p_ind)
                           and np.array_equal(p_del, p_ref)
-                          and np.array_equal(posterior.ensemble[filtered.mask[0]], kept)
+                          and np.array_equal(
+                              posterior.ensemble[filtered.members_of([0])[1][0] == 1.0], kept)
                           and np.array_equal(p_exp, p_ind))
         report(1, exact == total,
                f"bit-exact zero-nudge identity on {exact}/{total} random pairs")

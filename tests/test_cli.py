@@ -465,6 +465,50 @@ class TestCommands:
             assert sorted(p.name for p in path.parent.iterdir()) == [
                 "behavior.csv", "posterior.json"]
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 12), ("prior_variance", 2.0), ("population_iterations", 199),
+        ("population_train_samples", 17), ("mc_ensemble_size", 151)])
+    def test_posterior_of_other_population_settings_is_refused(
+            self, pipeline_dir, tmp_path, capsys, name, value):
+        # the stored posterior was fitted under tiny_config's settings; one
+        # that shapes the posterior differs, and the mismatch is named
+        # before any member is drawn
+        args = _config_args(pipeline_dir, tmp_path, **{name: value})
+        path = tmp_path / "run" / "posterior.json"
+        stored = path.read_bytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PopulationPosterior, "from_moments", None)
+            assert main(["fit-nudge", *args, "--treatment", "immediate"]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert str(path) in error["message"]
+        assert name in error["message"]
+        assert path.read_bytes() == stored
+
+    def test_posterior_with_an_edited_seed_is_refused(self, pipeline_dir, tmp_path,
+                                                      capsys):
+        # from_moments draws the ensemble from posterior.json's own seed, so
+        # an edited seed there would draw another ensemble
+        args = _config_args(pipeline_dir, tmp_path)
+        path = tmp_path / "run" / "posterior.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), seed=12)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PopulationPosterior, "from_moments", None)
+            assert main(["fit-nudge", *args, "--treatment", "immediate"]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "validation"
+        assert str(path) in error["message"]
+        assert "seed = 12" in error["message"]
+
+    def test_posterior_serves_every_treatment_and_the_ablation(self, pipeline_dir,
+                                                                tmp_path):
+        # only the posterior settings are compared: fits of other treatments,
+        # the deterministic ablation and other nudge settings all read it
+        args = _config_args(pipeline_dir, tmp_path)
+        assert main(["fit-nudge", *args, "--treatment", "explanation"]) == 0
+        assert main(["fit-nudge", *args, "--treatment", "delayed",
+                     "--deterministic-ablation"]) == 0
+
     def test_csv_fields_are_quoted(self, tmp_path):
         path = tmp_path / "effects.csv"
         row = ('lab 3, cohort "A"', "immediate", 0.5)
@@ -515,6 +559,18 @@ def _copy_inputs(pipeline_dir, out):
     shutil.copy(pipeline_dir / "behavior.csv", out / "behavior.csv")
     shutil.copy(pipeline_dir / "posterior.json", out / "posterior.json")
     return tiny_config(out, data_path=out / "behavior.csv")
+
+
+def _config_args(pipeline_dir, tmp_path, **changes):
+    """``main`` arguments for a copy of the shared run, through a config
+    file of tiny_config's settings with short nudge fits and ``changes``."""
+    config = _copy_inputs(pipeline_dir, tmp_path / "run")
+    values = dict(dataclasses.asdict(config), nudge_iterations=5, nudge_restarts=1)
+    values.update(changes)
+    del values["out_dir"], values["data_path"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    return ["--config", str(path), "--out", config.out_dir, "--data", config.data_path]
 
 
 def _make_unreadable(path, problem, monkeypatch):
@@ -647,6 +703,11 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("corrupt", [
         pytest.param(lambda payload: json.dumps(
             {k: v for k, v in payload.items() if k != "seed"}), id="missing-seed"),
+        pytest.param(lambda payload: json.dumps(
+            {k: v for k, v in payload.items() if k != "population_settings"}),
+            id="missing-population-settings"),
+        pytest.param(lambda payload: json.dumps(
+            dict(payload, population_settings=[])), id="population-settings-list"),
         pytest.param(lambda payload: json.dumps(payload)[:-5], id="truncated-json"),
         pytest.param(lambda payload: json.dumps(
             dict(payload, variance=payload["variance"][:-1])), id="short-variance"),
@@ -765,8 +826,9 @@ class TestEnsembleTooLarge:
         stored = json.loads(path.read_text())
         for size in self.SIZES:
             path.write_text(json.dumps(dict(stored, ensemble_size=size)))
-            config_path.write_text(json.dumps({"n_features": 4,
-                                               "mc_ensemble_size": size}))
+            config_path.write_text(json.dumps({
+                "n_features": 4, "mc_ensemble_size": size, "seed": stored["seed"],
+                **stored["population_settings"]}))
             for command in ("fit-nudge", "evaluate"):
                 assert main([command, "--config", str(config_path),
                              "--out", config.out_dir,
@@ -861,7 +923,7 @@ _HUGE_INTEGERS = st.sampled_from([2**60, 2**63, 2**64, 10**30, -(10**30)])
 # a posterior's keys, and lists of numbers as long as its mean (4 features
 # and the intercept), so that some overwritten posteriors still load
 _POSTERIOR_KEYS = ["config_fingerprint", "n_features", "mean", "variance",
-                   "ensemble_size", "seed", "unknown"]
+                   "ensemble_size", "seed", "population_settings", "unknown"]
 _FIVE_NUMBERS = st.lists(st.one_of(st.floats(), st.integers(-10**20, 12),
                                    _HUGE_INTEGERS), min_size=5, max_size=5)
 # an effects.csv field's or line's new text: any text, a number, a CRT
@@ -882,7 +944,9 @@ def fitted_dir(pipeline_dir, tmp_path_factory):
     assert run_pipeline("fit-nudge", config) == 0
     (out / "config.json").write_text(json.dumps(
         {"n_features": 4, "nudge_iterations": 5, "nudge_restarts": 1,
-         "run_seeds": [0], "posthoc_permutations": 100}))
+         "run_seeds": [0], "posthoc_permutations": 100, "seed": config.seed,
+         "mc_ensemble_size": config.mc_ensemble_size,
+         **config.posterior_settings()}))
     return out
 
 
@@ -1014,3 +1078,30 @@ class TestImportFootprint:
         loaded = subprocess.run([sys.executable, "-c", probe, str(src)],
                                 capture_output=True, text=True, check=True).stdout
         assert loaded.strip() == "[]"
+
+    def test_a_table_building_run_loads_no_numpy_ma_or_scipy(self, tmp_path):
+        # np.unique without index outputs imports numpy.ma (11-18 ms a
+        # process); a run that simulates, fits the population and builds a
+        # nudge fit's response table (128 members or more) must load
+        # neither it nor scipy
+        src = Path(nudgelab.__file__).parents[1]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "n_features": 4, "mc_ensemble_size": 128, "population_iterations": 20,
+            "nudge_iterations": 5, "nudge_restarts": 1,
+            "sim_subjects_per_treatment": 2, "sim_trials_per_subject": 8,
+            "sim_task_pool_size": 40}))
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from nudgelab.cli import main\n"
+            "args = ['--config', sys.argv[2], '--out', sys.argv[3]]\n"
+            "data = ['--data', sys.argv[3] + '/behavior.csv']\n"
+            "assert main(['simulate', *args]) == 0\n"
+            "assert main(['fit-population', *args, *data]) == 0\n"
+            "assert main(['fit-nudge', *args, *data, '--treatment', 'delayed']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe, str(src), str(config), str(tmp_path / "run")],
+            capture_output=True, text=True, check=True).stdout
+        assert loaded.splitlines()[-1] == "[]"

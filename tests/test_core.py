@@ -352,24 +352,26 @@ class TestConditionOnDecision:
     # a delayed trial averages over the members whose own decision matches
     # its initial decision, or over all of them when none does
     def test_retains_consistent_member(self, two_member_posterior):
-        response = EnsembleResponse(two_member_posterior.ensemble,
-                                    np.array([[1.0, 0.0]]), np.array([1]))
-        assert response.mask.tolist() == [[True, False]]
-        assert response.count.tolist() == [1.0]
+        _, mask, count = EnsembleResponse(two_member_posterior.ensemble,
+                                          np.array([[1.0, 0.0]]),
+                                          np.array([1])).members_of([0])
+        assert mask.tolist() == [[1.0, 0.0]]
+        assert count.tolist() == [1.0]
 
     def test_identity_when_all_consistent(self, two_member_posterior):
         # x = 0 gives every member logit 0, which decides 1
-        response = EnsembleResponse(two_member_posterior.ensemble,
-                                    np.array([[0.0, 0.0]]), np.array([1]))
-        assert response.mask.all()
-        assert response.count.tolist() == [2.0]
+        _, mask, count = EnsembleResponse(two_member_posterior.ensemble,
+                                          np.array([[0.0, 0.0]]),
+                                          np.array([1])).members_of([0])
+        assert mask.all()
+        assert count.tolist() == [2.0]
 
     def test_fallback_on_empty_filter(self):
         post = singleton_posterior([1.0, 0.0])
-        response = EnsembleResponse(post.ensemble, np.array([[1.0, 0.0]]),
-                                    np.array([0]))
-        assert response.mask.all()
-        assert response.count.tolist() == [1.0]
+        _, mask, count = EnsembleResponse(post.ensemble, np.array([[1.0, 0.0]]),
+                                          np.array([0])).members_of([0])
+        assert mask.all()
+        assert count.tolist() == [1.0]
 
     def test_subset_and_nonempty(self):
         rng = np.random.default_rng(31)
@@ -378,8 +380,9 @@ class TestConditionOnDecision:
             features = rng.random((4, 3))
             observed = rng.integers(0, 2, 4)
             response = EnsembleResponse(post.ensemble, features, observed)
-            assert np.array_equal(response.count, response.mask.sum(axis=1))
-            for x, kept, decision in zip(features, response.mask, observed):
+            _, mask, count = response.members_of(np.arange(4))
+            assert np.array_equal(count, mask.sum(axis=1))
+            for x, kept, decision in zip(features, mask, observed):
                 decides = expit(post.ensemble @ np.append(x, 1.0)) >= 0.5
                 consistent = decides == bool(decision)
                 assert kept.any()

@@ -25,7 +25,7 @@ from nudgelab import (
     uniform_tasks,
 )
 from nudgelab import fitting
-from nudgelab.nudge import decision_probability
+from nudgelab.nudge import EnsembleResponse, decision_probability
 from nudgelab.fitting import (
     _BLOCK,
     _GRID_LO,
@@ -160,12 +160,43 @@ class TestResponseTable:
         # its own
         response = response_objective(treatment, seed, fallback).response
         if fallback and treatment == Treatment.DELAYED:
-            assert response.mask.all()
+            assert response.members_of(np.arange(len(response.features)))[1].all()
         shift = np.array(shifts)
         p, slope = response.interpolated(shift)
         p_exact, slope_exact = response.exact(shift)
         assert np.max(np.abs(p - p_exact)) <= 1e-8
         assert np.max(np.abs(slope - slope_exact)) <= 1e-6
+
+    @pytest.mark.parametrize("treatment", [Treatment.IMMEDIATE, Treatment.DELAYED])
+    def test_no_rows_by_members_array_is_kept(self, treatment):
+        # at S = 1,000 a response keeps its distinct rows' features, not
+        # their logits: no array it holds, the table a fit has started
+        # included, has rows x S elements, even after an evaluation off the
+        # grid, and a one-member ensemble holds only its T logits beside its
+        # inputs
+        trials = make_trials(treatment, PARAMS_BY_TREATMENT[treatment], n_trials=40)
+        model = make_posterior(size=1000)
+        objective = NudgeObjective([trials], model.ensemble, treatment)
+        objective.value_and_gradient(np.zeros((2, 1, objective.n_params)))
+        objective.response.interpolated(np.linspace(-40.0, 40.0, 40)[None])
+        plain = EnsembleResponse(model.ensemble, trials.features,
+                                 objective.layout.initial)
+        inputs = {"members", "features", "columns"} | (
+            {"initial"} if treatment == Treatment.DELAYED else set())
+        assert objective.response.built > 0
+        for response in (objective.response, plain):
+            rows = len(response.features)
+            assert rows == 40
+            sizes = {name: value.size for name, value in vars(response).items()
+                     if isinstance(value, np.ndarray)}
+            assert inputs <= set(sizes)
+            assert max(sizes.values()) < rows * 1000
+        point = PopulationPosterior.point(WeightVector([1.0, -0.8, 0.6], bias=-0.3))
+        one = NudgeObjective([trials], point.ensemble, treatment).response
+        arrays = {name for name, value in vars(one).items()
+                  if isinstance(value, np.ndarray)}
+        assert arrays == inputs | {"logits"}
+        assert one.logits.shape == (40,)
 
     @pytest.mark.parametrize("treatment, fallback", [
         pytest.param(Treatment.IMMEDIATE, False, id="immediate"),
@@ -440,9 +471,10 @@ class TestStackedFit:
         seeds = [1, 2, 3, 4]
         alone, stacked = (NudgeObjective(sets, model.ensemble, treatment)
                           for sets in ([trials], [trials] * len(seeds)))
-        rows = len(alone.response.base)
+        rows = len(alone.response.features)
         assert rows == len(np.unique(trials.features, axis=0)) == 14
-        assert np.array_equal(stacked.response.base, alone.response.base)
+        assert np.array_equal(stacked.response.members_of(np.arange(rows))[0],
+                              alone.response.members_of(np.arange(rows))[0])
         assert np.array_equal(stacked.response.columns,
                               np.tile(alone.response.columns, len(seeds)))
         config = FitConfig(iterations=40, restarts=2)

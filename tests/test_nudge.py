@@ -410,12 +410,17 @@ class TestZeroNudgeProperty:
         delayed = score_rows(post, Treatment.DELAYED,
                              NudgeParams.for_delayed(zero_delta(n), zero_delta(n)),
                              features, ai_recommendation=rec, initial_decision=initial)
-        mask = EnsembleResponse(post.ensemble, features, initial).mask
+        mask = EnsembleResponse(post.ensemble, features,
+                                initial).members_of(np.arange(trials))[1]
         for t in range(trials):
             kept = PopulationPosterior(mean=post.mean, variance=post.variance,
-                                       ensemble=post.ensemble[mask[t]], seed=0)
+                                       ensemble=post.ensemble[mask[t] == 1.0], seed=0)
             assert delayed[t] == pytest.approx(
                 unassisted(kept, features[t:t + 1])[0], rel=0, abs=1e-15)
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
 
 
 class TestSharedRows:
@@ -427,12 +432,13 @@ class TestSharedRows:
                              [0.3, 0.5]])
         response = EnsembleResponse(post.ensemble, features)
         assert response.columns.tolist() == [0, 1, 0, 1, 2]
-        assert np.array_equal(response.base,
-                              EnsembleResponse(post.ensemble, features[[0, 1, 4]]).base)
+        alone = EnsembleResponse(post.ensemble, features[[0, 1, 4]])
+        assert np.array_equal(response.members_of(np.arange(3))[0],
+                              alone.members_of(np.arange(3))[0])
         same = np.tile([0.2, 0.5], (5, 1))
         delayed = EnsembleResponse(post.ensemble, same, np.array([0, 1, 0, 1, 1]))
         assert delayed.columns.tolist() == [0, 1, 0, 1, 1]
-        assert delayed.mask.shape == (2, 20)
+        assert delayed.members_of(np.arange(2))[1].shape == (2, 20)
         # one member has nothing to share: one row per trial
         point = singleton_posterior([1.0, -1.0])
         assert EnsembleResponse(point.ensemble, same).columns.tolist() == [0, 1, 2, 3, 4]
@@ -440,44 +446,39 @@ class TestSharedRows:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
            members=st.sampled_from([1, 2, 37, 300]), trials=st.integers(1, 5),
-           delayed=st.booleans(), min_chunk=st.integers(1, 30),
-           chunk_elements=st.sampled_from([1, 50, 4096]),
-           block_elements=st.sampled_from([1, 300, 1 << 14]),
+           delayed=st.booleans(), shifts=st.integers(1, 4),
+           chunk_elements=st.sampled_from([1, 50, 300, 1 << 15]),
            spread=st.floats(0.0, 30.0))
     def test_a_trials_values_do_not_depend_on_its_stack(
-            self, seed, n, members, trials, delayed, min_chunk, chunk_elements,
-            block_elements, spread):
+            self, seed, n, members, trials, delayed, shifts, chunk_elements,
+            spread):
         # each trial stacked 1-4 times in a random order, each copy at its
-        # own shift, under any chunking: every value (p, slope, curvature;
-        # the scored and the unassisted probability) is the bits of the
-        # trial alone at that shift
+        # own m = ``shifts`` shifts, under any chunk budget: every value (p,
+        # slope, curvature; the scored and the unassisted probability) is
+        # the bits of the per-record member loop on that trial alone
         rng = np.random.default_rng(seed)
         ensemble = spread * rng.normal(0, 1, (members, n + 1))
         features = rng.random((trials, n))
         initial = rng.integers(0, 2, trials) if delayed else None
         copies = rng.permutation(np.repeat(np.arange(trials),
                                            rng.integers(1, 5, trials)))
-        shift = rng.normal(0.0, 3.0, copies.size)
-        shift[rng.random(copies.size) < 0.3] = 0.0
+        shift = rng.normal(0.0, 3.0, (copies.size, shifts))
+        shift[rng.random(shift.shape) < 0.3] = 0.0
         pick = None if initial is None else initial[copies]
-
-        def alone(t, c):
-            x, first = features[t:t + 1], None if initial is None else initial[t:t + 1]
-            one = EnsembleResponse(ensemble, x, first)
-            p, slope, curv = one._rows(np.zeros(1, dtype=np.intp), np.array([c]), 2)
-            return (p, slope, p, slope, curv,
-                    nudge._response_at(ensemble, x, np.array([c]), first),
-                    nudge._unassisted(ensemble, x))
-
-        with mock.patch.object(nudge, "_CHUNK_ELEMENTS", chunk_elements), \
-                mock.patch.object(nudge, "_BLOCK_ELEMENTS", block_elements):
-            response = EnsembleResponse(ensemble, features[copies], pick,
-                                        min_chunk=min_chunk)
-            got = (*response.exact(shift),
-                   *response._rows(response.columns, shift, 2),
-                   nudge._response_at(ensemble, features[copies], shift, pick),
-                   nudge._unassisted(ensemble, features[copies]))
-        assert len(response.base) == (trials if members > 1 else copies.size)
-        for i, (t, c) in enumerate(zip(copies, shift)):
-            for a, b in zip(got, alone(t, c)):
-                assert np.array_equal(a[i:i + 1].view(np.uint64), b.view(np.uint64))
+        with mock.patch.object(nudge, "_CHUNK_ELEMENTS", chunk_elements):
+            response = EnsembleResponse(ensemble, features[copies], pick)
+            rows = response._rows(response.columns, shift, 2)
+            exact = response.exact(shift.T)
+            scored = nudge._response_at(ensemble, features[copies], shift[:, 0], pick)
+            unassisted = nudge._unassisted(ensemble, features[copies])
+        assert len(response.features) == (trials if members > 1 else copies.size)
+        for i, t in enumerate(copies):
+            first = None if initial is None else initial[t]
+            for j, c in enumerate(shift[i]):
+                want = per_record.trial_response(ensemble, features[t], c, first)
+                assert _bits(*(a[i, j] for a in rows)) == _bits(*want)
+                assert _bits(*(a[j, i] for a in exact)) == _bits(*want[:2])
+                if j == 0:
+                    assert _bits(scored[i]) == _bits(want[0])
+            alone = per_record.trial_response(ensemble, features[t], 0.0)[0]
+            assert _bits(unassisted[i]) == _bits(alone)
