@@ -46,6 +46,7 @@ from .errors import (
     NudgelabError,
     UsageError,
     open_input,
+    open_output,
 )
 from .evaluate import (
     UNINFORMATIVE_NLL,
@@ -140,17 +141,16 @@ class RunConfig:
     posthoc_permutations: int = 10000
 
     def __post_init__(self):
-        hints = typing.get_type_hints(RunConfig)
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not _has_type(value, hints[field.name]):
+            if not _has_type(value, _HINTS[field.name]):
                 raise ConfigurationError(
                     f"{field.name} must be {field.type}, got {value!r}")
             if isinstance(value, list):
                 object.__setattr__(self, field.name, tuple(value))
-            if hints[field.name] is float:  # 1 and 1.0 fingerprint alike
+            if _HINTS[field.name] is float:  # 1 and 1.0 fingerprint alike
                 object.__setattr__(self, field.name, float(value))
-            if hints[field.name] in (int, float) and (
+            if _HINTS[field.name] in (int, float) and (
                     value < 0 or value == 0 and field.name not in _MAY_BE_ZERO):
                 raise ConfigurationError(
                     f"{field.name} must not be {'negative' if value < 0 else 'zero'}")
@@ -215,6 +215,10 @@ class RunConfig:
                          run_seeds=self.run_seeds)
 
 
+# RunConfig's field annotations, resolved once
+_HINTS = typing.get_type_hints(RunConfig)
+
+
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """RunConfig from an optional JSON file plus CLI overrides."""
     values: dict = {}
@@ -253,9 +257,7 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header, rows, fingerprint, comments=()):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+    with open_output(path, newline="") as handle:
         handle.write(f"# config_fingerprint={fingerprint}\n")
         for comment in comments:
             handle.write(f"# {comment}\n")
@@ -269,8 +271,6 @@ def save_posterior(posterior: PopulationPosterior, path, fingerprint: str,
     """Write the posterior's moments, with the fingerprint of the config
     and the posterior settings (``RunConfig.posterior_settings``) that
     fitted it."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "config_fingerprint": fingerprint,
         "population_settings": settings,
@@ -280,7 +280,7 @@ def save_posterior(posterior: PopulationPosterior, path, fingerprint: str,
         "ensemble_size": posterior.ensemble_size,
         "seed": posterior.seed,
     }
-    with open(path, "w") as handle:
+    with open_output(path) as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
@@ -364,9 +364,8 @@ def write_params_file(path, subject_id: str, treatment: Treatment,
                 "magnitudes: " + " ".join(_fmt(v) for v in value.magnitudes),
                 "realized: " + " ".join(_fmt(v) for v in value.realized),
             ])
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with open_output(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _read_effects(path) -> list[tuple]:
@@ -493,10 +492,9 @@ def _configured_posterior(config: RunConfig) -> PopulationPosterior:
         raise DataValidationError(
             f"malformed population posterior {path}: population_settings must "
             f"be a JSON object of the settings that fitted it")
-    hints = typing.get_type_hints(RunConfig)
     for name, value in config.posterior_settings().items():
         stored = settings.get(name)
-        if not (_has_type(stored, hints[name]) and stored == value):
+        if not (_has_type(stored, _HINTS[name]) and stored == value):
             raise DataValidationError(
                 f"population posterior {path} was fitted with {name} = "
                 f"{json.dumps(stored)}, but the config has {name} = {json.dumps(value)}")
@@ -622,22 +620,21 @@ def _cmd_learning_curve(config: RunConfig) -> list[str]:
     posterior = _configured_posterior(config)
     records = _require_data(config)
     treatments = _fit_treatments(config, records)
-    if len(treatments) != 1:
-        raise UsageError("learning-curve requires --treatment "
-                         "(or a single-treatment data file)")
-    treatment = treatments[0]
-    subset = _treatment_rows(records, treatment)
-    rows, warnings = learning_curve(
-        subset, treatment, posterior, list(config.train_sizes),
-        config.split_plan(), config.nudge_config(),
-        baseline_l2=config.baseline_l2,
-    )
+    if not treatments:
+        raise UsageError("no assisted-treatment records for a learning curve")
+    rows, comments = [], [f"uninformative_nll={UNINFORMATIVE_NLL!r}"]
+    for treatment in treatments:
+        points, warnings = learning_curve(
+            _treatment_rows(records, treatment), treatment, posterior,
+            list(config.train_sizes), config.split_plan(), config.nudge_config(),
+            baseline_l2=config.baseline_l2,
+        )
+        rows.extend((treatment.value, p.size, p.method, p.run_seed, p.nll, p.f1)
+                    for p in points)
+        comments.extend(f"warning: {treatment.value}: {w}" for w in warnings)
     path = out / "learning_curve.csv"
-    write_csv(path, ["size", "method", "run_seed", "nll", "f1"],
-              [(r.size, r.method, r.run_seed, r.nll, r.f1) for r in rows],
-              config.fingerprint(),
-              comments=[f"uninformative_nll={UNINFORMATIVE_NLL!r}"]
-              + [f"warning: {w}" for w in warnings])
+    write_csv(path, ["treatment", "size", "method", "run_seed", "nll", "f1"], rows,
+              config.fingerprint(), comments=comments)
     return [str(path)]
 
 
@@ -702,30 +699,39 @@ def _print_error(category: str, message: str, row_errors=()):
     print(json.dumps(error), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise a UsageError instead of
+    printing usage text and exiting with status 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nudgelab",
         description="Model AI assistance as a nudge on human decision making.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--data", help="behavior CSV path")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--treatment",
-                       choices=[t.value for t in Treatment])
-        p.add_argument("--train-size", type=int, action="append",
-                       help="learning-curve training size (repeatable)")
-        p.add_argument("--skip-invalid", action="store_true", default=None)
-        p.add_argument("--deterministic-ablation", action="store_true",
-                       default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--data", help="behavior CSV path")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--treatment", choices=[t.value for t in Treatment])
+    parser.add_argument("--train-size", type=int, action="append",
+                        help="learning-curve training size (repeatable)")
+    parser.add_argument("--skip-invalid", action="store_true", default=None)
+    parser.add_argument("--deterministic-ablation", action="store_true",
+                        default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        _print_error(exc.category, str(exc))
+        return 1
     overrides = {
         "data_path": args.data,
         "out_dir": args.out,

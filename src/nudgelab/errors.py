@@ -1,14 +1,16 @@
 """Semantic exception hierarchy.
 
 Every failure mode maps to one category so callers (and the CLI exit-code
-logic) can dispatch without string matching.  ``open_input`` maps a file
-that cannot be read to that hierarchy too.
+logic) can dispatch without string matching.  ``open_input`` and
+``open_output`` map a file that cannot be read or written to that
+hierarchy too.
 """
 
 from contextlib import contextmanager
+from pathlib import Path
 
 __all__ = ["NudgelabError", "ConfigurationError", "DomainError", "UsageError",
-           "InputError", "DataValidationError", "open_input"]
+           "InputError", "DataValidationError", "open_input", "open_output"]
 
 
 class NudgelabError(Exception):
@@ -66,3 +68,22 @@ def open_input(path, what: str, newline: str | None = None):
     else:
         return
     raise DataValidationError(f"cannot read {what} {path}: {reason}")
+
+
+@contextmanager
+def open_output(path, newline: str | None = None):
+    """``open(path, "w", newline=newline)`` after making its directory, where
+    a path that cannot be written (a file where a directory must go, no
+    permission, a full disk) raises a UsageError that names it."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline=newline) as handle:
+            yield handle
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        if exc.filename not in (None, str(path)):
+            reason = f"{exc.filename}: {reason}"
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {reason}")

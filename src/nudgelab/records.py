@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataValidationError, open_input
+from .errors import ConfigurationError, DataValidationError, open_input, open_output
 
 __all__ = [
     "Treatment",
@@ -215,47 +215,169 @@ def _row_errors(columns) -> dict[int, str]:
             for row in np.flatnonzero(first < len(rules)).tolist()}
 
 
-def _required_int(name, text, allowed=None):
-    if text == "":
-        raise ValueError(f"{name} is required")
-    value = int(text)
-    if allowed is not None and value not in allowed:
-        raise ValueError(f"{name} must be one of {sorted(allowed)}")
-    return value
+# data lines are split and converted this many at a time, so at most one
+# block's field texts are held at once
+_BLOCK_ROWS = 384
+_TREATMENTS = {t.value: t for t in Treatment}
+_INT64 = np.iinfo(np.int64)
 
 
-def _converted(values: list[str], n_features: int) -> tuple:
-    """A data row's fields as ``Trials`` column values, None where empty."""
-    subject_id, treatment, trial_index = values[:3]
-    ai_rec, ai_conf, exp_mask, initial, final, crt = values[3 + n_features:]
+def _csv_fields(path, line_no: int, text: str) -> list[str]:
+    """A line's fields as the csv module reads them; it refuses a field
+    longer than its limit."""
     try:
-        treatment = Treatment(treatment)
-    except ValueError:
-        raise ValueError(f"unknown treatment {treatment!r}") from None
+        return next(csv.reader([text]))
+    except csv.Error as exc:
+        raise DataValidationError(
+            f"cannot read behavior file {path}: line {line_no}: {exc}") from None
 
-    features = []
-    for i, text in enumerate(values[3:3 + n_features], 1):
+
+def _parsed(texts, parse, check, dtype, low, high) -> tuple:
+    """``texts`` as an array, parsed in one pass by ``parse``, and {row:
+    message} of the texts ``check``, the per-value conversion, refuses.
+    Only values outside [low, high] are checked, or every text when
+    ``parse`` does not parse them all."""
+    try:
+        values = np.fromiter(map(parse, texts), dtype, len(texts))
+    except (ValueError, OverflowError):
+        values, suspects = np.zeros(len(texts), dtype), range(len(texts))
+    else:
+        suspects = np.flatnonzero(~((values >= low) & (values <= high))).tolist()
+    problems = {}
+    for row in suspects:
         try:
-            features.append(float(text))
+            values[row] = check(texts[row])
+        except ValueError as exc:
+            problems[row] = str(exc)
+    return values, problems
+
+
+def _feature(i: int):
+    """The converter of column x_i, numbers in [0, 1]: texts -> (values,
+    {row: message})."""
+    def check(text):
+        try:
+            value = float(text)
         except ValueError:
             raise ValueError(f"x_{i} is not a number") from None
-        if not 0.0 <= features[-1] <= 1.0:
+        if not 0.0 <= value <= 1.0:
             raise ValueError(f"x_{i} out of [0, 1]: {text}")
+        return value
+    return lambda texts: _parsed(texts, float, check, float, 0.0, 1.0)
 
-    trial_index = _required_int("trial_index", trial_index)
-    if not -2 ** 63 <= trial_index < 2 ** 63:
-        raise ValueError("trial_index must fit in 64 bits")
-    final = _required_int("final_decision", final, (0, 1))
-    crt = None if crt == "" else _required_int("crt_score", crt, (0, 1, 2, 3))
-    ai_rec = None if ai_rec == "" else _required_int("ai_rec", ai_rec, (0, 1))
-    ai_conf = None if ai_conf == "" else float(ai_conf)
-    initial = (None if initial == ""
-               else _required_int("initial_decision", initial, (0, 1)))
-    if exp_mask and (len(exp_mask) != n_features or set(exp_mask) - {"0", "1"}):
-        raise ValueError(f"exp_mask must be {n_features} characters of 0/1")
-    mask = [int(c) for c in exp_mask] if exp_mask else None
-    return (subject_id, treatment, trial_index, features, final,
-            ai_rec, ai_conf, mask, initial, crt)
+
+def _integers(name: str, high: int | None = None):
+    """The converter of an integer column, each value in 0..high, or any
+    64-bit value without ``high``: texts -> (values, {row: message})."""
+    def check(text):
+        if text == "":
+            raise ValueError(f"{name} is required")
+        value = int(text)
+        if high is None:
+            if not _INT64.min <= value <= _INT64.max:
+                raise ValueError(f"{name} must fit in 64 bits")
+        elif not 0 <= value <= high:
+            raise ValueError(f"{name} must be one of {list(range(high + 1))}")
+        return value
+    low, top = (_INT64.min, _INT64.max) if high is None else (0, high)
+    return lambda texts: _parsed(texts, int, check, np.int64, low, top)
+
+
+def _confidences(texts) -> tuple:
+    """ai_conf fields as floats, and {row: message} of those float() refuses."""
+    return _parsed(texts, float, float, float, -np.inf, np.inf)
+
+
+def _masks(texts, n_features: int) -> tuple:
+    """Nonempty exp_mask fields as an array of 0/1 rows, and {row: message}
+    of the fields that are not n 0/1 characters."""
+    joined = "".join(texts)
+    if set(map(len, texts)) <= {n_features} and set(joined) <= {"0", "1"}:
+        digits = np.frombuffer(joined.encode(), np.uint8).astype(np.int64)
+        return (digits - 48).reshape(-1, n_features), {}
+    masks, problems = np.zeros((len(texts), n_features), np.int64), {}
+    for row, text in enumerate(texts):
+        if len(text) == n_features and set(text) <= {"0", "1"}:
+            masks[row] = [int(c) for c in text]
+        else:
+            problems[row] = f"exp_mask must be {n_features} characters of 0/1"
+    return masks, problems
+
+
+def _optional(texts, convert, blank) -> tuple:
+    """An optional column, ``blank`` in the rows whose field is empty; which
+    rows carry it; and {row: message} of the fields ``convert`` refuses.
+    ``convert`` takes the nonempty fields."""
+    present = np.fromiter(map(bool, texts), bool, len(texts))
+    values, problems = convert(list(filter(None, texts)))
+    column = np.full((len(texts), *values.shape[1:]), blank, values.dtype)
+    column[present] = values
+    rows = np.flatnonzero(present).tolist()
+    return column, present, {rows[k]: message for k, message in problems.items()}
+
+
+def _block(path, lines, n_features: int, limit: int) -> tuple:
+    """A block of (line number, text) data lines as the ``Trials`` columns
+    of the rows whose fields all convert, those rows' line numbers, and
+    {line number: message} of each other row's first problem."""
+    width = n_features + 9
+    rows, numbers, errors = [], [], {}
+    for line_no, text in lines:
+        # a quote may hide a comma or end a field early, and the csv module
+        # refuses a field longer than its limit
+        values = (_csv_fields(path, line_no, text) if '"' in text or len(text) > limit
+                  else text.rstrip("\r\n").split(","))
+        if len(values) == width:
+            rows.append(values)
+            numbers.append(line_no)
+        else:
+            errors[line_no] = f"line {line_no}: expected {width} fields, got {len(values)}"
+    texts = list(zip(*rows)) or [()] * width
+    del rows  # the columns hold the same field texts
+    subject_id, treatment_texts, index_texts = texts[:3]
+    ai_rec, ai_conf, exp_mask, initial, final_texts, crt = texts[3 + n_features:]
+
+    # each field's {row: message}, in the order a row's fields are checked
+    checks = []
+    treatment = list(map(_TREATMENTS.get, treatment_texts))
+    checks.append({row: f"unknown treatment {text!r}"
+                   for row, (t, text) in enumerate(zip(treatment, treatment_texts))
+                   if t is None} if None in treatment else {})
+    features = np.empty((len(subject_id), n_features))
+    for i in range(n_features):
+        features[:, i], problems = _feature(i + 1)(texts[3 + i])
+        checks.append(problems)
+    trial_index, problems = _integers("trial_index")(index_texts)
+    checks.append(problems)
+    final, problems = _integers("final_decision", 1)(final_texts)
+    checks.append(problems)
+    columns = {"subject_id": np.array(subject_id, dtype=object),
+               "treatment": np.array(treatment, dtype=object),
+               "trial_index": trial_index, "features": features,
+               "final_decision": final}
+    present = {}
+    for name, column_texts, convert, blank in (
+            ("crt_score", crt, _integers("crt_score", 3), -1),
+            ("ai_recommendation", ai_rec, _integers("ai_rec", 1), -1),
+            ("ai_confidence", ai_conf, _confidences, np.nan),
+            ("initial_decision", initial, _integers("initial_decision", 1), -1),
+            ("explanation_mask", exp_mask, lambda t: _masks(t, n_features), -1)):
+        columns[name], present[name], problems = _optional(column_texts, convert, blank)
+        checks.append(problems)
+    columns["present"] = np.column_stack([present[name] for name in _OPTIONAL])
+
+    first: dict[int, str] = {}
+    for problems in checks:
+        for row, message in problems.items():
+            first.setdefault(row, message)
+    if first:
+        keep = np.ones(len(numbers), bool)
+        keep[list(first)] = False
+        for row, message in first.items():
+            errors[numbers[row]] = f"line {numbers[row]}: {message}"
+        columns = {name: column[keep] for name, column in columns.items()}
+        numbers = np.array(numbers)[keep].tolist()
+    return columns, numbers, errors
 
 
 def ingest(path, skip_invalid: bool = False) -> Trials:
@@ -267,25 +389,21 @@ def ingest(path, skip_invalid: bool = False) -> Trials:
     read unless ``skip_invalid`` is set, which drops those rows.  A schema
     problem, a file that cannot be read and a line the csv module cannot
     parse always abort.
+
+    The file is read whole, then split and converted a block of lines at
+    a time, a column in one pass: a line without quotes is split at its
+    commas, any other through the csv module.
     """
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"behavior file not found: {path}")
     with open_input(path, "behavior file", newline="") as handle:
-        lines = [(i + 1, line) for i, line in enumerate(handle)
+        lines = [(line_no, line) for line_no, line in enumerate(handle, 1)
                  if line.strip() and not line.lstrip().startswith("#")]
     if not lines:
         raise DataValidationError(f"{path} contains no data")
 
-    def fields(line_no, text):
-        """The line's fields; the csv module refuses a field over its limit."""
-        try:
-            return next(csv.reader([text]))
-        except csv.Error as exc:
-            raise DataValidationError(
-                f"cannot read behavior file {path}: line {line_no}: {exc}") from None
-
-    header_line, header = lines[0][0], fields(*lines[0])
+    header_line, header = lines[0][0], _csv_fields(path, *lines[0])
     n_features = sum(c.startswith("x_") for c in header)
     if n_features == 0 or header != csv_header(n_features):
         raise DataValidationError(
@@ -294,20 +412,16 @@ def ingest(path, skip_invalid: bool = False) -> Trials:
             f"ai_rec,ai_conf,exp_mask,initial_decision,final_decision,crt_score)"
         )
 
-    errors: dict[int, str] = {}
-    rows, row_lines = [], []
-    for line_no, text in lines[1:]:
-        values = fields(line_no, text)
-        try:
-            if len(values) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(values)}")
-            rows.append(_converted(values, n_features))
-            row_lines.append(line_no)
-        except ValueError as exc:
-            errors[line_no] = f"line {line_no}: {exc}"
+    limit = csv.field_size_limit()
+    blocks = [_block(path, lines[start:start + _BLOCK_ROWS], n_features, limit)
+              for start in range(1, len(lines), _BLOCK_ROWS) or [1]]
+    del lines  # the blocks' converted columns replace the text
+    columns = {name: np.concatenate([block[0][name] for block in blocks])
+               for name in _COLUMNS}
+    row_lines = [line_no for block in blocks for line_no in block[1]]
+    errors = {line_no: message for block in blocks for line_no, message in block[2].items()}
+    del blocks
 
-    empty = ([], [], [], np.empty((0, n_features)), []) + (None,) * len(_OPTIONAL)
-    columns = _columns(*(list(zip(*rows)) or empty))
     invalid = _row_errors(columns)
     keep: list[int] = []
     first_line: dict[tuple[str, int], int] = {}
@@ -324,9 +438,10 @@ def ingest(path, skip_invalid: bool = False) -> Trials:
     trials = _table(columns).take(np.array(keep, dtype=np.intp))
     errors = [errors[line_no] for line_no in sorted(errors)]
 
-    # CRT score must be constant within a subject.
-    seen_crt: dict[str, int | None] = {}
-    for sid, crt in zip(trials.subject_id.tolist(), trials.optional("crt_score")):
+    # CRT score must be constant within a subject; a kept row's score is in
+    # 0..3, or -1 where it has none
+    seen_crt: dict[str, int] = {}
+    for sid, crt in zip(trials.subject_id.tolist(), trials.crt_score.tolist()):
         if seen_crt.setdefault(sid, crt) != crt:
             errors.append(f"subject {sid}: crt_score is not constant across trials")
             break
@@ -347,9 +462,7 @@ def export_csv(trials: Trials, path, fingerprint: str | None = None) -> None:
     def text(name, form=str):
         return ["" if v is None else form(v) for v in trials.optional(name)]
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+    with open_output(path, newline="") as handle:
         if fingerprint is not None:
             handle.write(f"# config_fingerprint={fingerprint}\n")
         writer = csv.writer(handle, lineterminator="\n")

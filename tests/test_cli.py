@@ -190,6 +190,28 @@ class TestConfig:
                      "--out", str(tmp_path)]) == 1
         assert _single_json_error(capsys) == error
 
+    @pytest.mark.parametrize("argv, fragment", [
+        ([], "required: command"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["simulate", "--seed", "abc"], "--seed: invalid int value: 'abc'"),
+        (["evaluate", "--treatment", "nope"], "--treatment: invalid choice: 'nope'"),
+        (["learning-curve", "--train-size", "x"],
+         "--train-size: invalid int value: 'x'"),
+        (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_bad_arguments_are_one_json_line(self, capsys, argv, fragment):
+        # argparse's usage text and exit status 2 become the usage error line
+        assert main(argv) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "usage"
+        assert fragment in error["message"]
+
+    def test_help_still_prints_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert "learning-curve" in capsys.readouterr().out
+
     @pytest.mark.parametrize("key", ["run_seeds", "train_sizes"])
     def test_empty_list_names_the_setting(self, tmp_path, capsys, key):
         path = tmp_path / "c.json"
@@ -393,8 +415,31 @@ class TestCommands:
         assert run_pipeline("learning-curve", config) == 0
         curve = (pipeline_dir / "learning_curve.csv").read_text().splitlines()
         rows = [l for l in curve if not l.startswith("#")]
-        assert rows[0] == "size,method,run_seed,nll,f1"
+        assert rows[0] == "treatment,size,method,run_seed,nll,f1"
         assert len(rows) == 1 + 2 * 2  # two methods x two run seeds, one size
+        assert {r.split(",")[0] for r in rows[1:]} == {"immediate"}
+
+    def test_curve_without_treatment_keeps_every_treatment(self, pipeline_dir,
+                                                           tmp_path):
+        # one file holds a curve per assisted treatment, each the rows that
+        # a --treatment run writes; no subject has more than 8 trials, so
+        # size 8 is skipped, and each warning names its treatment
+        sizes = {"train_sizes": (3, 8)}
+        config = dataclasses.replace(_copy_inputs(pipeline_dir, tmp_path / "all"),
+                                     **sizes)
+        assert run_pipeline("learning-curve", config) == 0
+        every = _csv_rows(tmp_path / "all" / "learning_curve.csv")
+        assert [r["treatment"] for r in every] == (
+            ["immediate"] * 4 + ["delayed"] * 4 + ["explanation"] * 4)
+        text = (tmp_path / "all" / "learning_curve.csv").read_text()
+        for treatment in ("immediate", "delayed", "explanation"):
+            assert (f"# warning: {treatment}: train size 8: skipped entirely\n"
+                    in text)
+        config = _copy_inputs(pipeline_dir, tmp_path / "one")
+        config = dataclasses.replace(config, treatment="delayed", **sizes)
+        assert run_pipeline("learning-curve", config) == 0
+        one = _csv_rows(tmp_path / "one" / "learning_curve.csv")
+        assert one == [r for r in every if r["treatment"] == "delayed"]
 
     def test_evaluate_deterministic_ablation_adds_a_method(self, pipeline_dir,
                                                           tmp_path):
@@ -548,6 +593,12 @@ def _config_file(tmp_path):
     return str(path)
 
 
+def _csv_rows(path) -> list[dict]:
+    """An artifact's rows by column name, its # comment lines skipped."""
+    return list(csv.DictReader(line for line in path.read_text().splitlines()
+                               if not line.startswith("#")))
+
+
 def _single_json_error(capsys) -> dict:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
@@ -636,6 +687,34 @@ class TestUnreadableInput:
         assert error["category"] == "validation"
         assert error["message"].startswith(f"cannot read behavior file {path}: "
                                            f"line {line}: field larger than")
+
+
+class TestUnwritableOutput:
+    # each artifact writer ends a path it cannot write as one usage line
+    # that names the path, not as a traceback
+    @pytest.mark.parametrize("command, blocker, artifact", [
+        ("simulate", "", "behavior.csv"),
+        ("fit-population", "", "posterior.json"),
+        ("fit-nudge", "nudge_params", "nudge_params/"),
+        ("analyze", "analysis_groups.csv/x", "analysis_groups.csv"),
+    ])
+    def test_one_json_line_and_exit_one(self, pipeline_dir, tmp_path, capsys,
+                                        command, blocker, artifact):
+        args = _config_args(pipeline_dir, tmp_path)
+        run = Path(args[args.index("--out") + 1])
+        if command == "analyze":
+            assert main(["fit-nudge", *args]) == 0
+            capsys.readouterr()
+        if blocker:  # a file where a directory must go, or the reverse
+            (run / blocker).parent.mkdir(exist_ok=True)
+            (run / blocker).write_text("")
+        else:  # --out itself is an existing file
+            args[args.index("--out") + 1] = str(run / "behavior.csv")
+        assert main([command, *args]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "usage"
+        assert error["message"].startswith("cannot write ")
+        assert artifact in error["message"]
 
 
 # What a fuzzed line of the behavior CSV becomes: a field too few or too

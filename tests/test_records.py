@@ -461,40 +461,126 @@ def behavior_line(draw):
     return ",".join(values)
 
 
+def assert_ingests_like_the_oracle(path):
+    """ingest's records, messages, line numbers and --skip-invalid drops
+    are those of the old per-line, per-dict loop."""
+    for skip_invalid in (False, True):
+        try:
+            want = oracle_ingest(path, skip_invalid)
+        except DataValidationError as exc:
+            with pytest.raises(DataValidationError) as got:
+                ingest(path, skip_invalid)
+            assert str(got.value) == str(exc)
+            assert got.value.row_errors == exc.row_errors
+            continue
+        got = ingest(path, skip_invalid)
+        assert len(got) == len(want)
+        for a, b in zip(rows_of(got), want):
+            fields = ("subject_id", "treatment", "trial_index", "final_decision",
+                      "ai_recommendation", "ai_confidence", "initial_decision",
+                      "crt_score")
+            assert [a[f] for f in fields] == [b[f] for f in fields]
+            assert np.array_equal(a["features"], b["features"])
+            assert ((a["explanation_mask"] is None)
+                    == (b["explanation_mask"] is None))
+            if a["explanation_mask"] is not None:
+                assert np.array_equal(a["explanation_mask"], b["explanation_mask"])
+
+
+def write_lines(path, lines, ending="\n", n_features=3):
+    path.write_bytes(ending.join([",".join(csv_header(n_features)), *lines, ""])
+                     .encode("utf-8"))
+    return path
+
+
+def quoted(line):
+    """A line with each of its comma-separated parts quoted as one field."""
+    return ",".join('"' + part.replace('"', '""') + '"' for part in line.split(","))
+
+
 class TestIngestOracle:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lines=st.lists(behavior_line(), max_size=12),
-           ending=st.sampled_from(["\n", "\r\n"]))
+           ending=st.sampled_from(["\n", "\r\n", "\r"]))
     def test_same_records_and_errors_as_per_row_parsing(self, tmp_path, lines,
                                                         ending):
-        # ingest parses each line with its own csv reader into positional
-        # fields; records, messages, line numbers and --skip-invalid drops
-        # must be those of the old per-line, per-dict loop
-        path = tmp_path / "rows.csv"
-        path.write_bytes(ending.join([",".join(csv_header(3)), *lines, ""])
-                         .encode("utf-8"))
-        for skip_invalid in (False, True):
-            try:
-                want = oracle_ingest(path, skip_invalid)
-            except DataValidationError as exc:
-                with pytest.raises(DataValidationError) as got:
-                    ingest(path, skip_invalid)
-                assert str(got.value) == str(exc)
-                assert got.value.row_errors == exc.row_errors
-                continue
-            got = ingest(path, skip_invalid)
-            assert len(got) == len(want)
-            for a, b in zip(rows_of(got), want):
-                fields = ("subject_id", "treatment", "trial_index", "final_decision",
-                          "ai_recommendation", "ai_confidence", "initial_decision",
-                          "crt_score")
-                assert [a[f] for f in fields] == [b[f] for f in fields]
-                assert np.array_equal(a["features"], b["features"])
-                assert ((a["explanation_mask"] is None)
-                        == (b["explanation_mask"] is None))
-                if a["explanation_mask"] is not None:
-                    assert np.array_equal(a["explanation_mask"], b["explanation_mask"])
+        # ingest splits a line without quotes at its commas and converts a
+        # column at a time; what it reads must be what the per-line csv
+        # reader and per-dict parser read, for every line ending
+        assert_ingests_like_the_oracle(
+            write_lines(tmp_path / "rows.csv", lines, ending))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.tuples(behavior_line(), st.booleans()), max_size=12))
+    def test_quoted_and_plain_lines_mix(self, tmp_path, lines):
+        # lines whose fields are all quoted go through the csv module, the
+        # others are split at their commas; rows, errors and repeats are
+        # checked across both kinds
+        assert_ingests_like_the_oracle(write_lines(
+            tmp_path / "rows.csv", [quoted(line) if q else line for line, q in lines]))
+
+    def test_field_over_the_csv_limit_aborts_without_quotes(self, tmp_path):
+        # a field the csv module refuses aborts the read even on a line
+        # without quotes
+        limit = csv.field_size_limit()
+        row = "s1,independent,{},{},0.5,0.5,,,,,0,1"
+        path = write_lines(tmp_path / "rows.csv",
+                           [row.format(0, 0.5), row.format(1, "0" * (limit + 1))])
+        with pytest.raises(DataValidationError) as got:
+            ingest(path)
+        assert str(got.value) == (f"cannot read behavior file {path}: line 3: "
+                                  f"field larger than field limit ({limit})")
+
+    def test_line_over_the_csv_limit_of_short_fields_reads(self, tmp_path):
+        # a line longer than the limit whose fields are each within it
+        half = "0." + "0" * (csv.field_size_limit() // 2 + 10)
+        path = write_lines(tmp_path / "rows.csv",
+                           [f"s1,independent,0,{half},{half},0.5,,,,,0,1",
+                            f"s1,independent,1,{half},1.5,{half},,,,,0,1"])
+        assert_ingests_like_the_oracle(path)
+        assert ingest(path, skip_invalid=True).features.tolist() == [[0.0, 0.0, 0.5]]
+
+    def test_exported_file_of_2000_rows(self, tmp_path):
+        # a deterministic file of every treatment, more rows than one block
+        rng = np.random.default_rng(2000)
+        rows = []
+        for subject in range(100):
+            treatment = list(Treatment)[subject % 4]
+            crt = None if subject % 7 == 0 else int(rng.integers(4))
+            for index in rng.permutation(20).tolist():
+                payload = {
+                    Treatment.INDEPENDENT: {},
+                    Treatment.IMMEDIATE: dict(
+                        ai_recommendation=int(rng.integers(2)),
+                        ai_confidence=float(rng.uniform(0.5, 1.0))),
+                    Treatment.DELAYED: dict(ai_recommendation=int(rng.integers(2)),
+                                            initial_decision=int(rng.integers(2))),
+                    Treatment.EXPLANATION: dict(
+                        explanation_mask=rng.integers(2, size=5).tolist()),
+                }[treatment]
+                rows.append(dict(subject_id=f"subject {subject:03d}",
+                                 treatment=treatment, trial_index=index,
+                                 features=rng.random(5).tolist(),
+                                 final_decision=int(rng.integers(2)),
+                                 crt_score=crt, **payload))
+        table = trials_of(rows)
+        path = tmp_path / "behavior.csv"
+        export_csv(table, path, fingerprint="0123abcd")
+        got = ingest(path)
+        want = oracle_ingest(path)
+        assert len(got) == len(want) == 2000
+        for name in ("subject_id", "treatment", "trial_index", "final_decision"):
+            assert getattr(got, name).tolist() == [r[name] for r in want]
+            assert np.array_equal(getattr(got, name), getattr(table, name))
+        assert np.array_equal(got.features, [r["features"] for r in want])
+        assert np.array_equal(got.features, table.features)
+        for name in _OPTIONAL:
+            assert got.optional(name) == [r[name] for r in want]
+            assert np.array_equal(getattr(got, name), getattr(table, name),
+                                  equal_nan=name == "ai_confidence")
+        assert np.array_equal(got.present, table.present)
 
 
 @st.composite
