@@ -10,7 +10,6 @@ evaluation protocol and cognitive-style effect analyses around them.
 
 from .analyze import (
     AnovaResult,
-    Branch,
     CrtGroup,
     PairwiseComparison,
     crt_group,
@@ -54,6 +53,7 @@ from .fitting import (
     fit_nudge_batch,
 )
 from .nudge import (
+    Branch,
     NudgeParams,
     SignedSharedSignVector,
     decision_probability,
@@ -73,7 +73,7 @@ from .simulate import (
 )
 
 __all__ = [
-    "AnovaResult", "Branch", "CrtGroup", "PairwiseComparison", "crt_group",
+    "AnovaResult", "CrtGroup", "PairwiseComparison", "crt_group",
     "effect_summary", "f_survival", "one_way_anova", "pairwise_posthoc",
     "PopulationFitConfig", "PopulationPosterior", "WeightVector",
     "elbo_and_gradient", "fit_population", "gaussian_kl",
@@ -82,7 +82,7 @@ __all__ = [
     "CurvePoint", "EvalReport", "SplitPlan", "SubjectMetrics", "baseline_logistic",
     "evaluate_framework", "learning_curve", "metrics", "split_trials",
     "FitConfig", "NudgeFitResult", "NudgeObjective", "fit_nudge", "fit_nudge_batch",
-    "NudgeParams", "SignedSharedSignVector", "decision_probability",
+    "Branch", "NudgeParams", "SignedSharedSignVector", "decision_probability",
     "Treatment", "Trials", "export_csv", "group_by_subject", "ingest",
     "SurrogateAI", "SyntheticSubject", "ai_explain", "ai_recommend",
     "default_population_moments", "default_surrogate_ai", "generate_behavior",

@@ -17,15 +17,11 @@ from enum import Enum
 import numpy as np
 
 from ._util import derive_seed
-from .errors import InputError, UsageError
-from .nudge import NudgeParams
-from .records import Treatment
+from .errors import InputError, UsageError, allocating
+from .nudge import BRANCHES, Branch, NudgeParams
 
 __all__ = [
     "CrtGroup",
-    "Branch",
-    "TREATMENT_BRANCHES",
-    "BRANCH_FIELDS",
     "AnovaResult",
     "PairwiseComparison",
     "crt_group",
@@ -41,30 +37,6 @@ class CrtGroup(str, Enum):
     INTUITIVE = "intuitive"      # CRT score 0
     MODERATE = "moderate"        # CRT score 1-2
     REFLECTIVE = "reflective"    # CRT score 3
-
-
-class Branch(str, Enum):
-    DIRECT = "direct"
-    AFFIRM = "affirm"
-    CONTRA = "contra"
-    EXP = "exp"
-
-
-# The shift branches each treatment's effect is summarized by, in output order.
-TREATMENT_BRANCHES = {
-    Treatment.INDEPENDENT: (),
-    Treatment.IMMEDIATE: (Branch.DIRECT,),
-    Treatment.DELAYED: (Branch.AFFIRM, Branch.CONTRA),
-    Treatment.EXPLANATION: (Branch.EXP,),
-}
-
-# The NudgeParams field that holds each branch's shift.
-BRANCH_FIELDS = {
-    Branch.DIRECT: "delta_direct",
-    Branch.AFFIRM: "delta_affirm",
-    Branch.CONTRA: "delta_contra",
-    Branch.EXP: "delta_exp",
-}
 
 
 def crt_group(score: int) -> CrtGroup:
@@ -96,9 +68,7 @@ class PairwiseComparison:
 def effect_summary(params: NudgeParams, branch: Branch | str) -> float:
     """Scalar effect: sign(scale) * ||realized shift|| (attention passes through)."""
     branch = Branch(branch)
-    value = getattr(params, BRANCH_FIELDS[branch])
-    if value is None:
-        raise UsageError(f"params carry no {BRANCH_FIELDS[branch]}")
+    value = params[branch]
     if branch == Branch.EXP:
         return float(value)
     return float(value.sign * value.norm)
@@ -224,7 +194,8 @@ def pairwise_posthoc(groups, n_permutations: int = 10000,
     sizes = np.array([a.size for a in arrays])
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     rng = np.random.default_rng(seed)
-    max_stats = np.empty(n_permutations)
+    with allocating(f"{n_permutations} permutations"):
+        max_stats = np.empty(n_permutations)
     # blocks of permutations, each row drawn as rng.permutation(pooled.size)
     for first in range(0, n_permutations, _PERMUTATION_BLOCK):
         rows = min(_PERMUTATION_BLOCK, n_permutations - first)
@@ -252,7 +223,7 @@ def cognitive_style_tables(effects, n_permutations: int, seed: int):
 
     ``effects`` holds (subject_id, treatment, branch, signed_magnitude,
     crt_score or None) rows.  For each treatment and branch they cover, in
-    ``TREATMENT_BRANCHES`` order, the effects are bucketed by CRT group;
+    ``BRANCHES`` order, the effects are bucketed by CRT group;
     each group, in ``CrtGroup`` order, gets a row (n, mean and its
     1.96 sd / sqrt(n) interval), and the groups of at least 2 subjects, if
     there are at least 2 of them, get a one-way ANOVA row and the post-hoc
@@ -272,7 +243,7 @@ def cognitive_style_tables(effects, n_permutations: int, seed: int):
 
 def _style_tables(effects, n_permutations, seed):
     group_rows, anova_rows, pair_rows, warnings = [], [], [], set()
-    for treatment, branches in TREATMENT_BRANCHES.items():
+    for treatment, branches in BRANCHES.items():
         for branch in branches:
             rows = [row for row in effects if row[1:3] == (treatment, branch)]
             if not rows:

@@ -27,13 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import derive_seed
-from .analyze import (
-    BRANCH_FIELDS,
-    TREATMENT_BRANCHES,
-    Branch,
-    cognitive_style_tables,
-    effect_summary,
-)
+from .analyze import cognitive_style_tables, effect_summary
 from .core import (
     PopulationFitConfig,
     PopulationPosterior,
@@ -45,6 +39,7 @@ from .errors import (
     DataValidationError,
     NudgelabError,
     UsageError,
+    allocating,
     open_input,
     open_output,
 )
@@ -57,6 +52,7 @@ from .evaluate import (
 )
 # fit_nudge stays importable here: perfbench/selftest.py looks it up in this module
 from .fitting import FitConfig, NudgeFitResult, fit_nudge, fit_nudge_batch  # noqa: F401
+from .nudge import BRANCHES, Branch
 from .records import Treatment, Trials, export_csv, group_by_subject, ingest
 from .simulate import (
     default_population_moments,
@@ -71,7 +67,7 @@ __all__ = ["RunConfig", "run_pipeline", "main", "load_posterior"]
 COMMANDS = ("simulate", "fit-population", "fit-nudge", "evaluate",
             "learning-curve", "analyze")
 
-_ASSISTED = tuple(t for t, branches in TREATMENT_BRANCHES.items() if branches)
+_ASSISTED = tuple(t for t, branches in BRANCHES.items() if branches)
 
 # Numeric settings that may be zero; every other one must be positive.
 _MAY_BE_ZERO = ("seed", "nudge_l2_penalty", "sim_noise_temperature")
@@ -340,7 +336,8 @@ def write_params_file(path, subject_id: str, treatment: Treatment,
     ``theta`` is the fit's parameter vector: for a shift-vector fit its
     [scale, raw magnitudes] blocks (magnitudes = softplus(raw)) and the
     winning ``restart_index``; for an explanation fit the attention weight
-    itself, with ``restart_index`` 0.  One section per parameter follows.
+    itself, with ``restart_index`` 0.  A ``[delta_<branch>]`` section per
+    branch of the treatment follows, in ``BRANCHES`` order.
     """
     lines = [
         f"config_fingerprint: {fingerprint}",
@@ -351,11 +348,9 @@ def write_params_file(path, subject_id: str, treatment: Treatment,
         f"restart_index: {result.restart_index}",
         "theta: " + " ".join(_fmt(v) for v in result.theta),
     ]
-    for branch, field in BRANCH_FIELDS.items():
-        value = getattr(result.params, field)
-        if value is None:
-            continue
-        lines.append(f"[{field}]")
+    params = result.params
+    for branch, value in zip(BRANCHES[params.treatment], params.values):
+        lines.append(f"[delta_{branch.value}]")
         if branch == Branch.EXP:
             lines.append(f"value: {_fmt(value)}")
         else:
@@ -382,7 +377,7 @@ def _read_effects(path) -> list[tuple]:
                                       if not line.startswith("#")):
                 subject, treatment = row["subject_id"], Treatment(row["treatment"])
                 branch = Branch(row["branch"])
-                if branch not in TREATMENT_BRANCHES[treatment]:
+                if branch not in BRANCHES[treatment]:
                     raise ValueError(f"{branch.value} is not a branch of "
                                      f"{treatment.value}")
                 magnitude = float(row["signed_magnitude"])
@@ -418,15 +413,11 @@ def _cmd_simulate(config: RunConfig) -> list[str]:
                          derive_seed(config.seed, "task-pool"))
     shape = (config.sim_subjects_per_treatment, len(config.sim_treatments),
              config.sim_trials_per_subject, n)
-    try:
-        # behavior.csv's features, before any subject is drawn; the pages
-        # are never touched, so only a size past what the process may map
-        # fails
+    # behavior.csv's features, before any subject is drawn; the pages are
+    # never touched, so only a size past what the process may map fails
+    with allocating("{} subjects x {} treatments x {} trials of {} features"
+                    .format(*shape)):
         np.empty(shape)
-    except (MemoryError, ValueError, OverflowError):
-        raise ConfigurationError(
-            "cannot allocate {} subjects x {} treatments x {} trials of {} features"
-            .format(*shape)) from None
 
     tables = []
     effect_rows = []
@@ -448,7 +439,7 @@ def _cmd_simulate(config: RunConfig) -> list[str]:
                 subject, pool[picks], ai,
                 seed=derive_seed(config.seed, subject.subject_id, "behavior"),
             ))
-            for branch in TREATMENT_BRANCHES[treatment]:
+            for branch in BRANCHES[treatment]:
                 effect_rows.append((
                     subject.subject_id, treatment.value, branch.value,
                     effect_summary(subject.true_params, branch),
@@ -516,10 +507,14 @@ def _treatment_rows(records: Trials, treatment: Treatment) -> Trials:
 
 
 def _fit_treatments(config: RunConfig, records) -> list[Treatment]:
+    """The configured treatment, or else the assisted ones present (one at least)."""
     if config.treatment is not None:
         return [Treatment(config.treatment)]
     present = set(records.treatment.tolist())
-    return [t for t in _ASSISTED if t in present]
+    treatments = [t for t in _ASSISTED if t in present]
+    if not treatments:
+        raise UsageError("no assisted-treatment records")
+    return treatments
 
 
 def _cmd_fit_nudge(config: RunConfig) -> list[str]:
@@ -552,7 +547,7 @@ def _cmd_fit_nudge(config: RunConfig) -> list[str]:
                     f"warning: subject {sid} ({treatment.value}): "
                     f"{result.abandoned_restarts} of {config.nudge_restarts} "
                     f"restarts abandoned at a non-finite objective value")
-            for branch in TREATMENT_BRANCHES[treatment]:
+            for branch in BRANCHES[treatment]:
                 effect_rows.append((
                     sid, treatment.value, branch.value,
                     effect_summary(result.params, branch),
@@ -575,8 +570,6 @@ def _cmd_evaluate(config: RunConfig) -> list[str]:
     fingerprint = config.fingerprint()
     plan = config.split_plan()
     treatments = _fit_treatments(config, records)
-    if not treatments:
-        raise UsageError("no assisted-treatment records to evaluate")
     if config.deterministic_ablation and Treatment.DELAYED not in treatments:
         raise ConfigurationError(
             "--deterministic-ablation requires the delayed treatment"
@@ -616,12 +609,14 @@ def _cmd_evaluate(config: RunConfig) -> list[str]:
 
 
 def _cmd_learning_curve(config: RunConfig) -> list[str]:
+    if config.deterministic_ablation:
+        raise ConfigurationError(
+            "--deterministic-ablation applies to fit-nudge and evaluate, "
+            "not learning-curve")
     out = Path(config.out_dir)
     posterior = _configured_posterior(config)
     records = _require_data(config)
     treatments = _fit_treatments(config, records)
-    if not treatments:
-        raise UsageError("no assisted-treatment records for a learning curve")
     rows, comments = [], [f"uninformative_nll={UNINFORMATIVE_NLL!r}"]
     for treatment in treatments:
         points, warnings = learning_curve(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import bernoulli_loglik, derive_seed, newton, sigmoid
-from .errors import ConfigurationError, DomainError, UsageError
+from .errors import ConfigurationError, DomainError, UsageError, allocating
 
 __all__ = [
     "WeightVector",
@@ -133,10 +133,8 @@ class PopulationPosterior:
         if np.any(variance <= 0.0):
             raise DomainError("variances must be strictly positive")
         rng = np.random.default_rng(seed)
-        try:
+        with allocating(f"{size} ensemble members"):
             draws = mean + np.sqrt(variance) * rng.standard_normal((size, mean.size))
-        except (MemoryError, ValueError, OverflowError):
-            raise ConfigurationError(f"cannot allocate {size} ensemble members") from None
         return cls(mean=mean, variance=variance, ensemble=draws, seed=seed)
 
     @classmethod
@@ -283,7 +281,9 @@ def fit_population(
     labels = labels.astype(float)
 
     noise_rng = np.random.default_rng(derive_seed(config.seed, "elbo-noise"))
-    noise = noise_rng.standard_normal((config.train_samples, dim))
+    with allocating(f"{config.train_samples} population training samples "
+                    f"of {dim} weights"):
+        noise = noise_rng.standard_normal((config.train_samples, dim))
 
     def terms(theta):
         mean, std = theta[:dim], theta[dim:]

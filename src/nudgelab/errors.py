@@ -3,14 +3,15 @@
 Every failure mode maps to one category so callers (and the CLI exit-code
 logic) can dispatch without string matching.  ``open_input`` and
 ``open_output`` map a file that cannot be read or written to that
-hierarchy too.
+hierarchy too, and ``allocating`` an array too large to allocate.
 """
 
 from contextlib import contextmanager
 from pathlib import Path
 
 __all__ = ["NudgelabError", "ConfigurationError", "DomainError", "UsageError",
-           "InputError", "DataValidationError", "open_input", "open_output"]
+           "InputError", "DataValidationError", "allocating", "open_input",
+           "open_output"]
 
 
 class NudgelabError(Exception):
@@ -87,3 +88,13 @@ def open_output(path, newline: str | None = None):
     else:
         return
     raise UsageError(f"cannot write {path}: {reason}")
+
+
+@contextmanager
+def allocating(what: str):
+    """Run an allocation of ``what``, where numpy refusing its size (no memory,
+    or past its index range) raises ConfigurationError "cannot allocate <what>"."""
+    try:
+        yield
+    except (MemoryError, ValueError, OverflowError):
+        raise ConfigurationError(f"cannot allocate {what}") from None

@@ -282,11 +282,11 @@ class NudgeObjective:
         self.final = layout.final.astype(float)
         self.not_final = 1.0 - self.final
 
+        self.n_branches = layout.n_branches
         if self.treatment == Treatment.EXPLANATION:
             self.mean_focused, self.mean_ignored = explanation_means(
                 ensemble, layout.features, layout.masks)                # (T,) each
             return
-        self.n_branches = layout.n_branches
         self.by_block = _GroupSum(layout.block, self.n_subjects * self.n_branches)
         self.response = _EnsembleResponse(ensemble, layout.features, layout.initial)
 
@@ -304,13 +304,12 @@ class NudgeObjective:
         if theta.shape != (self.n_params,):
             raise ConfigurationError(f"theta must have shape ({self.n_params},)")
         if self.treatment == Treatment.EXPLANATION:
-            return NudgeParams.for_explanation(float(np.clip(theta[0], 0.0, 1.0)))
-        vectors = [SignedSharedSignVector(scale=float(block[0]),
-                                          magnitudes=softplus(block[1:]))
-                   for block in theta.reshape(self.n_branches, 1 + self.n)]
-        if self.treatment == Treatment.IMMEDIATE:
-            return NudgeParams.for_immediate(*vectors)
-        return NudgeParams.for_delayed(*vectors)
+            values = [float(np.clip(theta[0], 0.0, 1.0))]
+        else:
+            values = [SignedSharedSignVector(scale=float(block[0]),
+                                             magnitudes=softplus(block[1:]))
+                      for block in theta.reshape(self.n_branches, 1 + self.n)]
+        return NudgeParams(self.treatment, values)
 
     def initial_theta(self, restart: int, seed: int) -> np.ndarray:
         """A shift-vector fit's start: restart 0 starts near zero nudge;

@@ -27,13 +27,15 @@ subjects of one treatment, each at its own parameters.
 
 Shift vectors share one sign across coordinates: they are stored as a
 signed scalar times nonnegative magnitudes, so trust (+) versus distrust
-of the AI is a single degree of freedom.
+of the AI is a single degree of freedom.  ``BRANCHES`` lists each
+treatment's branches; ``NudgeParams`` holds one value per branch.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -44,6 +46,8 @@ from .records import Treatment, Trials
 __all__ = [
     "EnsembleResponse",
     "SignedSharedSignVector",
+    "Branch",
+    "BRANCHES",
     "NudgeParams",
     "explanation_means",
     "TreatmentLayout",
@@ -292,50 +296,67 @@ class SignedSharedSignVector:
         return 1 if self.scale >= 0 else -1
 
 
+class Branch(str, Enum):
+    DIRECT = "direct"
+    AFFIRM = "affirm"
+    CONTRA = "contra"
+    EXP = "exp"
+
+
+# Each treatment's branches in block order: one NudgeParams value, theta
+# block, params-file section and effects row per branch.
+BRANCHES = {
+    Treatment.INDEPENDENT: (),
+    Treatment.IMMEDIATE: (Branch.DIRECT,),
+    Treatment.DELAYED: (Branch.AFFIRM, Branch.CONTRA),
+    Treatment.EXPLANATION: (Branch.EXP,),
+}
+
+
 @dataclass(frozen=True)
 class NudgeParams:
-    """Per-subject nudge parameters; only the treatment's fields are present."""
+    """Per-subject nudge parameters: one value per branch of an assisted
+    ``treatment``, in ``BRANCHES`` order, a ``SignedSharedSignVector`` or the
+    attention weight in [0, 1] (``Branch.EXP``); ``params[branch]`` reads one."""
 
-    delta_direct: SignedSharedSignVector | None = None
-    delta_affirm: SignedSharedSignVector | None = None
-    delta_contra: SignedSharedSignVector | None = None
-    delta_exp: float | None = None
+    treatment: Treatment
+    values: tuple
 
     def __post_init__(self):
-        immediate = self.delta_direct is not None
-        delayed = (self.delta_affirm is not None) or (self.delta_contra is not None)
-        explanation = self.delta_exp is not None
-        if sum((immediate, delayed, explanation)) != 1:
-            raise ConfigurationError(
-                "exactly one treatment's parameters must be present"
-            )
-        if delayed and (self.delta_affirm is None or self.delta_contra is None):
-            raise ConfigurationError(
-                "delayed parameters require both delta_affirm and delta_contra"
-            )
-        if explanation and not 0.0 <= self.delta_exp <= 1.0:
-            raise ConfigurationError("delta_exp must lie in [0, 1]")
+        treatment = Treatment(self.treatment)
+        values = tuple(self.values)
+        branches = BRANCHES[treatment]
+        if not branches:
+            raise ConfigurationError(f"{treatment.value} has no nudge parameters")
+        if len(values) != len(branches):
+            raise ConfigurationError(f"{treatment.value} parameters take "
+                                     f"{len(branches)} values, got {len(values)}")
+        for branch, value in zip(branches, values):
+            if branch == Branch.EXP and not 0.0 <= value <= 1.0:
+                raise ConfigurationError("delta_exp must lie in [0, 1]")
+        object.__setattr__(self, "treatment", treatment)
+        object.__setattr__(self, "values", values)
 
-    @property
-    def treatment(self) -> Treatment:
-        if self.delta_direct is not None:
-            return Treatment.IMMEDIATE
-        if self.delta_affirm is not None:
-            return Treatment.DELAYED
-        return Treatment.EXPLANATION
+    def __getitem__(self, branch):
+        branch = Branch(branch)
+        branches = BRANCHES[self.treatment]
+        if branch not in branches:
+            raise UsageError(f"{self.treatment.value} parameters carry no "
+                             f"delta_{branch.value}")
+        return self.values[branches.index(branch)]
 
     @classmethod
     def for_immediate(cls, delta: SignedSharedSignVector) -> "NudgeParams":
-        return cls(delta_direct=delta)
+        return cls(Treatment.IMMEDIATE, (delta,))
 
     @classmethod
     def for_delayed(cls, affirm: SignedSharedSignVector,
                     contra: SignedSharedSignVector) -> "NudgeParams":
-        return cls(delta_affirm=affirm, delta_contra=contra)
+        return cls(Treatment.DELAYED, (affirm, contra))
 
     @classmethod
     def for_explanation(cls, delta_exp: float) -> "NudgeParams":
-        return cls(delta_exp=delta_exp)
+        return cls(Treatment.EXPLANATION, (delta_exp,))
 
 
 class TreatmentLayout:
@@ -347,11 +368,11 @@ class TreatmentLayout:
     delayed trial t moves by the logit shift c_t = direction_t * x_t .
     delta_(block_t) (``shift``), where direction is 2r - 1 (times the
     confidence for immediate assistance) and block = subject * B + branch
-    picks one of the K * B shift vectors, stacked subject by subject: B = 1
-    for immediate (direct), and B = 2 for delayed, whose branch is affirm
-    (0) when the recommendation matches the trial's ``initial`` decision
-    and contra (1) otherwise.  Explanation trials carry
-    their ``masks`` (T x n, float).
+    picks one of the K * B shift vectors, stacked subject by subject in
+    ``BRANCHES`` order: B = ``n_branches`` = len(BRANCHES[treatment]), and
+    a delayed trial's branch is affirm (0) when the recommendation matches
+    its ``initial`` decision and contra (1) otherwise.  Explanation trials
+    carry their ``masks`` (T x n, float).
 
     There must be at least one subject, each with trials of a single
     subject_id, every trial of ``treatment`` (default: the first trial's),
@@ -384,6 +405,7 @@ class TreatmentLayout:
         self.subject = np.repeat(np.arange(self.n_subjects), self.sizes)  # (T,)
         self.features = trials.features                                   # (T, n)
         self.final = trials.final_decision
+        self.n_branches = len(BRANCHES[self.treatment])
         self.initial = None
         if self.treatment == Treatment.EXPLANATION:
             self.masks = trials.explanation_mask.astype(float)
@@ -392,11 +414,11 @@ class TreatmentLayout:
         rec = trials.ai_recommendation
         if self.treatment == Treatment.IMMEDIATE:
             self.direction = (2.0 * rec - 1.0) * trials.ai_confidence     # (T,)
-            self.n_branches, branch = 1, 0
+            branch = 0
         else:
             self.initial = trials.initial_decision
             self.direction = 2.0 * rec - 1.0
-            self.n_branches, branch = 2, (rec != self.initial).astype(np.intp)
+            branch = (rec != self.initial).astype(np.intp)              # contra: 1
         self.block = self.subject * self.n_branches + branch             # (T,)
 
     def shift(self, deltas: np.ndarray) -> np.ndarray:
@@ -441,14 +463,12 @@ def decision_probability(trial_sets, posterior: PopulationPosterior, params,
     if treatment == Treatment.INDEPENDENT:
         probability = _unassisted(ensemble, layout.features)
     elif treatment == Treatment.EXPLANATION:
-        attention = np.asarray([p.delta_exp for p in params])[layout.subject]
+        attention = np.asarray([p[Branch.EXP] for p in params])[layout.subject]
         probability = attention_mixture(
             attention, *explanation_means(ensemble, layout.features, layout.masks))
     else:
-        # each subject's vectors in block order: direct, or affirm, contra
-        deltas = np.array([v.realized for p in params for v in
-                           (p.delta_direct, p.delta_affirm, p.delta_contra)
-                           if v is not None])                            # (K * B, n)
+        # each subject's vectors in block order
+        deltas = np.array([v.realized for p in params for v in p.values])  # (K * B, n)
         probability = _response_at(ensemble, layout.features,
                                    layout.shift(deltas), layout.initial)
     return np.clip(probability, clip_eps, 1.0 - clip_eps)

@@ -17,8 +17,14 @@ import numpy as np
 
 from ._util import derive_seed, sigmoid
 from .core import PopulationPosterior, WeightVector
-from .errors import ConfigurationError
-from .nudge import NudgeParams, SignedSharedSignVector, decision_probability
+from .errors import ConfigurationError, allocating
+from .nudge import (
+    BRANCHES,
+    Branch,
+    NudgeParams,
+    SignedSharedSignVector,
+    decision_probability,
+)
 from .records import Treatment, Trials
 
 __all__ = [
@@ -164,11 +170,8 @@ def generate_behavior(
 def uniform_tasks(n_tasks: int, n_features: int, seed: int) -> np.ndarray:
     """Tasks (n_tasks, n_features) with features drawn uniformly on [0, 1]."""
     rng = np.random.default_rng(seed)
-    try:
+    with allocating(f"{n_tasks} tasks of {n_features} features"):
         return rng.random((n_tasks, n_features))
-    except (MemoryError, ValueError, OverflowError):
-        raise ConfigurationError(
-            f"cannot allocate {n_tasks} tasks of {n_features} features") from None
 
 
 def random_shared_sign(
@@ -191,18 +194,15 @@ def random_nudge_params(
     scale_range: tuple[float, float] = (0.5, 2.0),
     magnitude_range: tuple[float, float] = (0.3, 1.0),
 ) -> NudgeParams | None:
-    if treatment == Treatment.INDEPENDENT:
+    """Random parameters of ``treatment`` (None for independent): one draw
+    per branch, an attention weight uniform on [0, 1] or a shared-sign vector."""
+    branches = BRANCHES[Treatment(treatment)]
+    if not branches:
         return None
-    if treatment == Treatment.IMMEDIATE:
-        return NudgeParams.for_immediate(
-            random_shared_sign(n_features, rng, scale_range, magnitude_range)
-        )
-    if treatment == Treatment.DELAYED:
-        return NudgeParams.for_delayed(
-            random_shared_sign(n_features, rng, scale_range, magnitude_range),
-            random_shared_sign(n_features, rng, scale_range, magnitude_range),
-        )
-    return NudgeParams.for_explanation(float(rng.uniform(0.0, 1.0)))
+    return NudgeParams(treatment, [
+        float(rng.uniform(0.0, 1.0)) if branch == Branch.EXP
+        else random_shared_sign(n_features, rng, scale_range, magnitude_range)
+        for branch in branches])
 
 
 def make_synthetic_subjects(
@@ -245,11 +245,8 @@ _WEIGHT_PATTERN = [2.0, -1.6, 1.2, 0.9, -0.7, 0.5]
 
 def _cycle(pattern, n_features: int) -> np.ndarray:
     """``pattern`` repeated to length ``n_features``."""
-    try:
+    with allocating(f"weights for {n_features} features"):
         return np.resize(pattern, n_features)
-    except (MemoryError, ValueError, OverflowError):
-        raise ConfigurationError(
-            f"cannot allocate weights for {n_features} features") from None
 
 
 def default_population_moments(

@@ -9,7 +9,7 @@ of the rewritten one."""
 
 import numpy as np
 
-from nudgelab import ConfigurationError, Treatment
+from nudgelab import Branch, ConfigurationError, Treatment
 from nudgelab.fitting import _GRID_LO, _GRID_NODES, _GRID_STEP, _theta_gradient
 from nudgelab.nudge import PROBABILITY_EPS
 
@@ -92,13 +92,13 @@ def decision_probability(trials, row, posterior, params):
         return predict_independent(posterior, x)
     if treatment == Treatment.IMMEDIATE:
         return predict_immediate(posterior, x, trials.ai_recommendation[row],
-                                 trials.ai_confidence[row], params.delta_direct.realized)
+                                 trials.ai_confidence[row], params[Branch.DIRECT].realized)
     if treatment == Treatment.DELAYED:
         return predict_delayed(posterior, x, trials.ai_recommendation[row],
-                               trials.initial_decision[row], params.delta_affirm.realized,
-                               params.delta_contra.realized)
+                               trials.initial_decision[row], params[Branch.AFFIRM].realized,
+                               params[Branch.CONTRA].realized)
     return predict_explanation(posterior, x, trials.explanation_mask[row],
-                               params.delta_exp)
+                               params[Branch.EXP])
 
 
 # The nudge objective's per-iteration arithmetic as it was first written,

@@ -22,6 +22,7 @@ import pytest
 from scipy.integrate import quad
 
 from nudgelab import (
+    Branch,
     FitConfig,
     NudgeObjective,
     NudgeParams,
@@ -310,7 +311,7 @@ class TestCriterion4NudgeRecovery:
         fits = _fit_recovery_subjects(subjects, tasks, ai, posterior, l2=0.05)
         true_norms, fit_norms, signs_ok = [], [], 0
         for true, fit in zip(trues, fits):
-            fitted = fit.params.delta_direct
+            fitted = fit.params[Branch.DIRECT]
             true_norms.append(true.norm)
             fit_norms.append(fitted.norm)
             signs_ok += true.sign == fitted.sign
@@ -345,13 +346,12 @@ class TestCriterion4NudgeRecovery:
         signs_ok = total_signs = 0
         for true, fit in zip(trues, fits):
             fitted = fit.params
-            true_norms.append(np.hypot(true.delta_affirm.norm,
-                                       true.delta_contra.norm))
-            fit_norms.append(np.hypot(fitted.delta_affirm.norm,
-                                      fitted.delta_contra.norm))
-            for branch in ("delta_affirm", "delta_contra"):
-                signs_ok += (getattr(true, branch).sign
-                             == getattr(fitted, branch).sign)
+            true_norms.append(np.hypot(true[Branch.AFFIRM].norm,
+                                       true[Branch.CONTRA].norm))
+            fit_norms.append(np.hypot(fitted[Branch.AFFIRM].norm,
+                                      fitted[Branch.CONTRA].norm))
+            for branch in (Branch.AFFIRM, Branch.CONTRA):
+                signs_ok += true[branch].sign == fitted[branch].sign
                 total_signs += 1
         r = float(np.corrcoef(true_norms, fit_norms)[0, 1])
         sign_rate = signs_ok / total_signs
@@ -389,7 +389,7 @@ class TestCriterion4NudgeRecovery:
                 NudgeParams.for_explanation(true_attention),
                 Treatment.EXPLANATION, 0.75, int(rng.integers(0, 4))))
         fits = _fit_recovery_subjects(subjects, tasks, ai, posterior, l2=0.0)
-        errors = [abs(fit.params.delta_exp - true_attention)
+        errors = [abs(fit.params[Branch.EXP] - true_attention)
                   for fit, true_attention in zip(fits, attentions)]
         mean_err = float(np.mean(errors))
         report("4c", mean_err <= 0.2,

@@ -31,7 +31,8 @@ from nudgelab import (
     uniform_tasks,
 )
 from nudgelab._util import derive_seed
-from nudgelab.analyze import BRANCH_FIELDS, TREATMENT_BRANCHES, cognitive_style_tables
+from nudgelab.analyze import cognitive_style_tables
+from nudgelab.nudge import BRANCHES
 
 
 class TestCrtGrouping:
@@ -77,13 +78,13 @@ class TestEffectSummary:
 
 class TestBranchTable:
     def test_lists_every_treatment_and_branch(self):
-        assert list(TREATMENT_BRANCHES) == list(Treatment)
-        listed = [b for branches in TREATMENT_BRANCHES.values() for b in branches]
-        assert sorted(listed) == sorted(Branch) == sorted(BRANCH_FIELDS)
+        assert list(BRANCHES) == list(Treatment)
+        listed = [b for branches in BRANCHES.values() for b in branches]
+        assert sorted(listed) == sorted(Branch)
 
     def test_effect_summary_accepts_each_listed_branch(self):
         rng = np.random.default_rng(17)
-        for treatment, branches in TREATMENT_BRANCHES.items():
+        for treatment, branches in BRANCHES.items():
             params = random_nudge_params(treatment, 4, rng)
             assert (params is None) == (not branches)
             for branch in branches:

@@ -17,7 +17,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nudgelab
-from nudgelab import NudgeParams, PopulationPosterior, SignedSharedSignVector, Treatment
+from nudgelab import (
+    Branch,
+    NudgeParams,
+    PopulationPosterior,
+    SignedSharedSignVector,
+    Treatment,
+)
 from nudgelab.cli import (
     RunConfig,
     load_config,
@@ -29,6 +35,7 @@ from nudgelab.cli import (
 )
 from nudgelab.errors import ConfigurationError
 from nudgelab.fitting import NudgeFitResult, NudgeObjective
+from nudgelab.nudge import BRANCHES
 
 
 # Config values that are malformed (wrong type, not finite, unknown name, a
@@ -255,7 +262,7 @@ class TestParamsFiles:
             "config_fingerprint: feedface", "subject_id: s1",
             f"treatment: {params.treatment.value}", "train_nll: 0.4321",
             "converged: true", "restart_index: 2", "theta: 1.0 -2.0"]
-        # one section per parameter, in field order, each number written so
+        # one section per branch, in table order, each number written so
         # that it reads back as the same float
         sections = {}
         for line in lines[7:]:
@@ -264,11 +271,11 @@ class TestParamsFiles:
             else:
                 key, _, value = line.partition(": ")
                 section[key] = [float(v) for v in value.split()]
-        fields = ("delta_direct", "delta_affirm", "delta_contra", "delta_exp")
-        assert list(sections) == [f for f in fields if getattr(params, f) is not None]
-        for field, section in sections.items():
-            vector = getattr(params, field)
-            if field == "delta_exp":
+        branches = BRANCHES[params.treatment]
+        assert list(sections) == [f"delta_{b.value}" for b in branches]
+        for branch, section in zip(branches, sections.values()):
+            vector = params[branch]
+            if branch == Branch.EXP:
                 assert section == {"value": [vector]}
                 continue
             assert section == {"scale": [vector.scale],
@@ -469,6 +476,30 @@ class TestCommands:
         error = _single_json_error(capsys)
         assert error["category"] == "configuration"
         assert "--deterministic-ablation" in error["message"]
+
+    @pytest.mark.parametrize("command", ["fit-nudge", "evaluate", "learning-curve"])
+    def test_data_without_assisted_records_is_refused(self, pipeline_dir, tmp_path,
+                                                      capsys, command):
+        # only independent rows: no command fits, scores or curves nothing
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        data = tmp_path / "run" / "behavior.csv"
+        lines = data.read_text().splitlines(keepends=True)
+        data.write_text("".join(l for l in lines if not any(
+            f",{t.value}," in l for t in Treatment if BRANCHES[t])))
+        assert run_pipeline(command, config) == 1
+        assert _single_json_error(capsys) == {
+            "category": "usage", "message": "no assisted-treatment records"}
+        assert not (tmp_path / "run" / "effects.csv").exists()
+
+    def test_curve_refuses_the_deterministic_ablation(self, pipeline_dir, tmp_path,
+                                                      capsys):
+        args = _config_args(pipeline_dir, tmp_path)
+        assert main(["learning-curve", *args, "--treatment", "delayed",
+                     "--deterministic-ablation"]) == 1
+        error = _single_json_error(capsys)
+        assert error["category"] == "configuration"
+        assert "--deterministic-ablation" in error["message"]
+        assert not (tmp_path / "run" / "learning_curve.csv").exists()
 
     @pytest.mark.parametrize("command", ["fit-nudge", "evaluate", "learning-curve"])
     def test_absent_treatment_is_named(self, pipeline_dir, tmp_path, capsys,
@@ -927,6 +958,69 @@ class TestEnsembleTooLarge:
             error = _single_json_error(capsys)
             assert error["category"] == "configuration"
             assert str(size) in error["message"]
+
+
+class TestAllocationTooLarge:
+    # sizes whose arrays need more than the address space, or overflow
+    # numpy's index range, so numpy refuses them without allocating anything
+    SIZES = (10**14, 2**63, 10**30)
+
+    def test_population_train_samples_exit_one(self, pipeline_dir, tmp_path,
+                                               capsys):
+        config = _copy_inputs(pipeline_dir, tmp_path / "run")
+        path = tmp_path / "config.json"
+        for size in self.SIZES:
+            path.write_text(json.dumps({"n_features": 4,
+                                        "population_train_samples": size}))
+            assert main(["fit-population", "--config", str(path), "--out",
+                         config.out_dir, "--data", config.data_path]) == 1
+            error = _single_json_error(capsys)
+            assert error["category"] == "configuration"
+            assert f"cannot allocate {size} " in error["message"]
+
+    def test_posthoc_permutations_exit_one(self, tmp_path, capsys):
+        # two CRT groups of two subjects each, so the post-hoc test runs
+        (tmp_path / "effects.csv").write_text("\n".join([
+            _EFFECTS_HEADER, "s1,immediate,direct,0.5,0", "s2,immediate,direct,0.7,0",
+            "s3,immediate,direct,0.1,3", "s4,immediate,direct,0.2,3"]) + "\n")
+        path = tmp_path / "config.json"
+        for size in self.SIZES:
+            path.write_text(json.dumps({"posthoc_permutations": size}))
+            assert main(["analyze", "--config", str(path),
+                         "--out", str(tmp_path)]) == 1
+            error = _single_json_error(capsys)
+            assert error["category"] == "configuration"
+            assert f"cannot allocate {size} " in error["message"]
+
+
+class TestBranchContract:
+    # every per-branch shape follows nudge.BRANCHES: the fit's parameter
+    # count, the layout's blocks, the params file's sections, and each
+    # subject's rows of effects.csv and true_effects.csv
+    def test_every_per_branch_shape_follows_the_table(self, pipeline_dir, tmp_path):
+        config = dataclasses.replace(_copy_inputs(pipeline_dir, tmp_path / "run"),
+                                     nudge_iterations=5, nudge_restarts=1)
+        assert run_pipeline("fit-nudge", config) == 0
+        run = tmp_path / "run"
+        records = nudgelab.ingest(config.data_path)
+        ensemble = load_posterior(run / "posterior.json").ensemble
+        effects = _csv_rows(run / "effects.csv")
+        true_effects = _csv_rows(pipeline_dir / "true_effects.csv")
+        for treatment in (t for t in Treatment if BRANCHES[t]):
+            branches = BRANCHES[treatment]
+            groups = nudgelab.group_by_subject(
+                records.take(records.treatment == treatment))
+            objective = NudgeObjective(groups.values(), ensemble, treatment)
+            assert objective.layout.n_branches == len(branches)
+            assert objective.n_params == sum(
+                1 if b == Branch.EXP else 1 + config.n_features for b in branches)
+            for sid in groups:
+                lines = (run / "nudge_params" / f"{sid}.txt").read_text().splitlines()
+                assert [l for l in lines if l.startswith("[")] == [
+                    f"[delta_{b.value}]" for b in branches]
+                for rows in (effects, true_effects):
+                    assert [r["branch"] for r in rows if r["subject_id"] == sid] == [
+                        b.value for b in branches]
 
 
 class TestSimulationConfigs:

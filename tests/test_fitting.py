@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nudgelab import (
+    Branch,
     FitConfig,
     NudgeObjective,
     NudgeParams,
@@ -25,7 +26,7 @@ from nudgelab import (
     uniform_tasks,
 )
 from nudgelab import fitting
-from nudgelab.nudge import EnsembleResponse, decision_probability
+from nudgelab.nudge import BRANCHES, EnsembleResponse, decision_probability
 from nudgelab.fitting import (
     _BLOCK,
     _GRID_LO,
@@ -350,13 +351,13 @@ def scaled_params(treatment, scale):
     """PARAMS_BY_TREATMENT with every shift vector's scale multiplied."""
     params = PARAMS_BY_TREATMENT[treatment]
     if treatment == Treatment.IMMEDIATE:
-        vector = params.delta_direct
+        vector = params[Branch.DIRECT]
         return NudgeParams.for_immediate(
             SignedSharedSignVector(scale * vector.scale, vector.magnitudes))
     if treatment == Treatment.DELAYED:
         return NudgeParams.for_delayed(*(
             SignedSharedSignVector(scale * v.scale, v.magnitudes)
-            for v in (params.delta_affirm, params.delta_contra)))
+            for v in params.values))
     return params
 
 
@@ -713,7 +714,7 @@ class TestAttentionSolve:
         for trials, (_, pull), result in zip(trial_sets, subjects, results):
             objective = NudgeObjective([trials], posterior.ensemble,
                                        Treatment.EXPLANATION, l2_penalty=l2)
-            attention = result.params.delta_exp
+            attention = result.params[Branch.EXP]
             assert result.theta[0] == attention and result.restart_index == 0
             first, second = (d[0] for d in objective.attention_derivatives(
                 np.array([attention])))
@@ -741,7 +742,7 @@ class TestAttentionSolve:
                                   seed=seed, n_trials=30) for seed in range(4)]
         results = fit_nudge_batch(trial_sets, make_posterior(),
                                   Treatment.EXPLANATION, FitConfig(l2_penalty=0.1))
-        assert all(0.0 < r.params.delta_exp < 1.0 for r in results)
+        assert all(0.0 < r.params[Branch.EXP] < 1.0 for r in results)
         assert all(r.converged for r in results)
 
 
@@ -756,14 +757,14 @@ class TestReparameterization:
             params = objective.params_from_theta(
                 rng.normal(0.0, 2.0, objective.n_params)
             )
-            for vec in (params.delta_direct, params.delta_affirm,
-                        params.delta_contra):
-                if vec is not None:
-                    delta = vec.realized
+            assert params.treatment == treatment
+            for branch, value in zip(BRANCHES[treatment], params.values):
+                if branch == Branch.EXP:
+                    assert 0.0 <= value <= 1.0
+                else:
+                    delta = value.realized
                     assert np.all(np.outer(delta, delta) >= 0.0)
-                    assert np.all(vec.magnitudes >= 0.0)
-            if params.delta_exp is not None:
-                assert 0.0 <= params.delta_exp <= 1.0
+                    assert np.all(value.magnitudes >= 0.0)
 
 
     @settings(max_examples=15, deadline=None)
@@ -788,11 +789,9 @@ class TestReparameterization:
                                   treatment, FitConfig(iterations=30, restarts=3))
         for result in results:
             params = result.params
-            for vec in (params.delta_direct, params.delta_affirm,
-                        params.delta_contra):
-                if vec is not None:
-                    delta = vec.realized
-                    assert np.all(np.outer(delta, delta) >= 0.0)
+            for vec in params.values:
+                delta = vec.realized
+                assert np.all(np.outer(delta, delta) >= 0.0)
 
 
 class TestFitNudge:
@@ -844,7 +843,7 @@ class TestFitNudge:
         trials = trials_of(rows)
         result = fit_nudge(trials, posterior, Treatment.IMMEDIATE,
                            FitConfig(seed=2, iterations=600, restarts=2))
-        assert result.params.delta_direct.norm <= 0.2
+        assert result.params[Branch.DIRECT].norm <= 0.2
 
     def test_recovers_positive_trust_sign_and_norm(self):
         true = NudgeParams.for_immediate(
@@ -854,9 +853,10 @@ class TestFitNudge:
                              temperature=0.5)
         result = fit_nudge(trials, posterior, Treatment.IMMEDIATE,
                            FitConfig(seed=2, iterations=800, l2_penalty=0.05))
-        fitted = result.params.delta_direct
+        fitted = result.params[Branch.DIRECT]
         assert fitted.sign == 1
-        assert abs(fitted.norm - true.delta_direct.norm) <= 0.5 * true.delta_direct.norm
+        true_norm = true[Branch.DIRECT].norm
+        assert abs(fitted.norm - true_norm) <= 0.5 * true_norm
 
     def test_extreme_attention_recovered(self):
         true = NudgeParams.for_explanation(1.0)
@@ -865,7 +865,7 @@ class TestFitNudge:
                              temperature=0.5)
         result = fit_nudge(trials, posterior, Treatment.EXPLANATION,
                            FitConfig(seed=2, iterations=800))
-        assert result.params.delta_exp >= 0.9
+        assert result.params[Branch.EXP] >= 0.9
 
     def test_treatment_mismatch_rejected(self):
         posterior = make_posterior()

@@ -11,6 +11,7 @@ from scipy.special import expit
 
 import per_record
 from nudgelab import (
+    Branch,
     ConfigurationError,
     NudgeParams,
     PopulationPosterior,
@@ -68,12 +69,24 @@ class TestSignedSharedSignVector:
 
 class TestNudgeParams:
     def test_exactly_one_treatment(self):
+        # an assisted treatment, and one value per branch of it
         with pytest.raises(ConfigurationError):
-            NudgeParams()
+            NudgeParams(Treatment.IMMEDIATE, ())
         with pytest.raises(ConfigurationError):
-            NudgeParams(delta_direct=zero_delta(2), delta_exp=0.5)
+            NudgeParams(Treatment.IMMEDIATE, (zero_delta(2), 0.5))
         with pytest.raises(ConfigurationError):
-            NudgeParams(delta_affirm=zero_delta(2))  # missing contra
+            NudgeParams(Treatment.DELAYED, (zero_delta(2),))  # missing contra
+        with pytest.raises(ConfigurationError):
+            NudgeParams(Treatment.INDEPENDENT, ())
+
+    def test_values_follow_the_branch_table(self):
+        affirm, contra = zero_delta(2), SignedSharedSignVector(-1.0, np.ones(2))
+        params = NudgeParams("delayed", [affirm, contra])
+        assert params.treatment == Treatment.DELAYED
+        assert params.values == NudgeParams.for_delayed(affirm, contra).values
+        assert params[Branch.AFFIRM] is affirm and params["contra"] is contra
+        with pytest.raises(UsageError):
+            params[Branch.DIRECT]
 
     def test_delta_exp_range(self):
         with pytest.raises(ConfigurationError):
